@@ -30,6 +30,7 @@ import numpy as np
 from . import analysis
 from .errors import (
     Degenerate,
+    IllConditioned,
     InvalidConfig,
     MonotonicityViolation,
     NoExponentialPhase,
@@ -105,7 +106,6 @@ class ExperimentConfig:
         return SolverLimits(
             max_iterations=self.max_iterations,
             desc_tol=self.desc_tol,
-            act_tol=self.act_tol,
         )
 
 
@@ -226,18 +226,23 @@ def summarize(
         "r2": None,
         "status": status,
     }
+    est = None
     try:
-        seg = analysis.segment_phases(traj, fit_window, r2_threshold)
-        summary["exp_phase_start"] = seg.exp_start
-        summary["exp_phase_end"] = seg.exp_end
-        mid = (seg.exp_start + seg.exp_end) // 2
-        window = min(mid + 1 - traj.phase1_len, 4 * fit_window)
-        est = analysis.estimate_loss_floor(traj.losses[: mid + 1], window=window)
-    except (NoExponentialPhase, TooShort):
+        try:
+            seg = analysis.segment_phases(traj, fit_window, r2_threshold)
+            summary["exp_phase_start"] = seg.exp_start
+            summary["exp_phase_end"] = seg.exp_end
+            mid = (seg.exp_start + seg.exp_end) // 2
+            window = min(mid + 1 - traj.phase1_len, 4 * fit_window)
+            est = analysis.estimate_loss_floor(traj.losses[: mid + 1], window=window)
+        except (NoExponentialPhase, TooShort):
+            if len(traj.phase2_losses) >= 3:
+                window = min(len(traj.phase2_losses), 2 * fit_window)
+                est = analysis.estimate_loss_floor(traj.losses, window=window)
+    except IllConditioned:
+        # An exactly linear tail leaves no acceptable extrapolation triple;
+        # the floor fields stay None instead of failing the run.
         est = None
-        if len(traj.phase2_losses) >= 3:
-            window = min(len(traj.phase2_losses), 2 * fit_window)
-            est = analysis.estimate_loss_floor(traj.losses, window=window)
     if est is not None:
         final = float(traj.losses[-1])
         summary["floor_estimate"] = est.floor

@@ -62,16 +62,42 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
+class ConstraintLayout:
+    """Decodes a flat constraint index into (state array, sample, unit).
+
+    The flat order is the tag order: each sample's hidden units by (layer,
+    unit), sample after sample, then the residuals by (sample, output).
+    State array l-1 is hidden layer l and array L holds the residuals.
+    """
+
+    n_samples: int
+    output_dim: int
+    depth: int
+    neuron_pos: tuple[tuple[int, int], ...]  # (array, unit) of each hidden unit
+
+    def locate(self, idx: int) -> tuple[int, int, int]:
+        h = len(self.neuron_pos)
+        if idx < self.n_samples * h:
+            sample, rest = divmod(idx, h)
+            array, unit = self.neuron_pos[rest]
+            return array, sample, unit
+        sample, unit = divmod(idx - self.n_samples * h, self.output_dim)
+        return self.depth, sample, unit
+
+
+@dataclass(frozen=True)
 class Signature:
     """Tri-state activation pattern: -1/0/+1 per hidden unit and residual.
 
     `neurons[l-1]` holds the states of hidden layer l as an int8 array of
     shape (N, n_l); `residuals` holds the residual signs (N, n_out). A
     signature with no zero entries identifies a full-dimensional region.
+    Single states are read and replaced by flat constraint index.
     """
 
     neurons: tuple[np.ndarray, ...]
     residuals: np.ndarray
+    layout: ConstraintLayout = field(repr=False, compare=False)
 
     @property
     def has_zeros(self) -> bool:
@@ -79,22 +105,24 @@ class Signature:
             np.any(self.residuals == 0)
         )
 
-    def state_of(self, tag: ConstraintTag) -> int:
-        if tag.kind == NEURON:
-            return int(self.neurons[tag.layer - 1][tag.sample, tag.unit])
-        return int(self.residuals[tag.sample, tag.unit])
+    def state_of(self, idx: int) -> int:
+        array, i, k = self.layout.locate(idx)
+        if array < len(self.neurons):
+            return int(self.neurons[array][i, k])
+        return int(self.residuals[i, k])
 
-    def with_state(self, tag: ConstraintTag, state: int) -> "Signature":
+    def with_state(self, idx: int, state: int) -> "Signature":
         """Copy with one entry replaced; unmodified arrays are shared."""
-        if tag.kind == NEURON:
+        array, i, k = self.layout.locate(idx)
+        if array < len(self.neurons):
             neurons = list(self.neurons)
-            arr = neurons[tag.layer - 1].copy()
-            arr[tag.sample, tag.unit] = state
-            neurons[tag.layer - 1] = arr
-            return Signature(tuple(neurons), self.residuals)
+            arr = neurons[array].copy()
+            arr[i, k] = state
+            neurons[array] = arr
+            return Signature(tuple(neurons), self.residuals, self.layout)
         res = self.residuals.copy()
-        res[tag.sample, tag.unit] = state
-        return Signature(self.neurons, res)
+        res[i, k] = state
+        return Signature(self.neurons, res, self.layout)
 
     def equals(self, other: "Signature") -> bool:
         if len(self.neurons) != len(other.neurons):
@@ -135,6 +163,7 @@ class OracleInstance:
     data: TrainingSet
     tol: Tolerances = field(default_factory=Tolerances)
     x_aug: np.ndarray = field(init=False, repr=False)
+    layout: ConstraintLayout = field(init=False, repr=False)
 
     def __post_init__(self):
         widths = self.arch.widths
@@ -157,6 +186,9 @@ class OracleInstance:
         x_aug[:, :-1] = self.data.inputs
         x_aug[:, -1] = 1.0
         object.__setattr__(self, "x_aug", x_aug)
+        pos = tuple((l, k) for l, w in enumerate(self.arch.hidden_widths) for k in range(w))
+        layout = ConstraintLayout(n, self.arch.output_dim, depth, pos)
+        object.__setattr__(self, "layout", layout)
 
     @property
     def dim(self) -> int:
@@ -194,13 +226,6 @@ def decode_point(o: OracleInstance, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     p = _check_point(o, p)
     mat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
     return mat[:, :-1].copy(), mat[:, -1].copy()
-
-
-def encode_params(o: OracleInstance, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    mat = np.column_stack([np.asarray(w1, dtype=float), np.asarray(b1, dtype=float)])
-    if mat.shape != (o.arch.widths[1], o.arch.widths[0] + 1):
-        raise ShapeMismatch("first-layer shapes do not match architecture")
-    return mat.ravel()
 
 
 def network_params(o: OracleInstance, p: np.ndarray) -> NetworkParams:
@@ -254,6 +279,7 @@ def signature_from_values(o: OracleInstance, vals: ConstraintValues) -> Signatur
     return Signature(
         neurons=tuple(_states(z, act) for z in vals.preacts),
         residuals=_states(vals.residuals, act),
+        layout=o.layout,
     )
 
 
@@ -276,7 +302,7 @@ def resolve_signature(
         merged = np.where(s == 0, f, s)
         neurons.append(merged)
     residuals = np.where(sig.residuals == 0, fallback.residuals, sig.residuals)
-    return Signature(tuple(neurons), residuals)
+    return Signature(tuple(neurons), residuals, sig.layout)
 
 
 # --- region-local affine data ------------------------------------------------
@@ -364,38 +390,31 @@ def affine_piece(o: OracleInstance, sig: Signature) -> AffinePiece:
 
 
 def constraint_normal(
-    o: OracleInstance, masks: list[np.ndarray], tag: ConstraintTag
+    o: OracleInstance, masks: list[np.ndarray], idx: int
 ) -> np.ndarray:
-    """Region-local gradient of one constraint function."""
-    _check_tag(o, tag)
-    n1 = o.arch.widths[1]
-    xrow = o.x_aug[tag.sample]
-    if tag.kind == NEURON:
-        if tag.layer == 1:
-            grad = np.zeros((n1, xrow.shape[0]))
-            grad[tag.unit] = xrow
-            return grad.ravel()
-        v = o.fixed[tag.layer - 2].weight[tag.unit]
-        for m in range(tag.layer - 1, 1, -1):
-            v = (v * masks[m - 1][tag.sample]) @ o.fixed[m - 2].weight
-        return ((v * masks[0][tag.sample])[:, None] * xrow[None, :]).ravel()
-    u = o.fixed[-1].weight[tag.unit]
-    for m in range(len(o.fixed) - 1, 0, -1):
-        u = (u * masks[m][tag.sample]) @ o.fixed[m - 1].weight
-    return -((u * masks[0][tag.sample])[:, None] * xrow[None, :]).ravel()
+    """Region-local gradient of the constraint with flat index idx."""
+    array, i, k = o.layout.locate(idx)
+    xrow = o.x_aug[i]
+    if array == 0:
+        grad = np.zeros((o.arch.widths[1], xrow.shape[0]))
+        grad[k] = xrow
+        return grad.ravel()
+    # Hidden unit k of layer array+1, or output k for a residual (whose
+    # value is target minus output, hence the sign flip).
+    v = o.fixed[array - 1].weight[k]
+    for m in range(array - 1, 0, -1):
+        v = (v * masks[m][i]) @ o.fixed[m - 1].weight
+    grad = ((v * masks[0][i])[:, None] * xrow[None, :]).ravel()
+    return -grad if array == o.arch.hidden_depth else grad
 
 
 def constraint_eval(
     o: OracleInstance, p: np.ndarray, sig: Signature, tag: ConstraintTag
 ) -> tuple[float, np.ndarray]:
     """Value and region-local gradient of one constraint at p."""
-    vals = forward_values(o, p)
-    _check_tag(o, tag)
-    if tag.kind == NEURON:
-        v = float(vals.preacts[tag.layer - 1][tag.sample, tag.unit])
-    else:
-        v = float(vals.residuals[tag.sample, tag.unit])
-    return v, constraint_normal(o, region_masks(sig), tag)
+    idx = tag_index(o, tag)
+    v = float(constraint_values_flat(o, forward_values(o, p))[idx])
+    return v, constraint_normal(o, region_masks(sig), idx)
 
 
 def _check_tag(o: OracleInstance, tag: ConstraintTag) -> None:
@@ -449,18 +468,11 @@ def tag_index(o: OracleInstance, tag: ConstraintTag) -> int:
 
 
 def tag_from_index(o: OracleInstance, idx: int) -> ConstraintTag:
-    neuron_count = o.n_samples * o.hidden_total
     if idx < 0 or idx >= o.n_constraints:
         raise InvalidTag(f"flat index {idx} out of range")
-    if idx < neuron_count:
-        sample, rest = divmod(idx, o.hidden_total)
-        for l, w in enumerate(o.arch.hidden_widths, start=1):
-            if rest < w:
-                return ConstraintTag(NEURON, sample, l, rest)
-            rest -= w
-    idx -= neuron_count
-    sample, j = divmod(idx, o.arch.output_dim)
-    return ConstraintTag(RESIDUAL, sample, o.arch.hidden_depth + 1, j)
+    array, sample, unit = o.layout.locate(idx)
+    kind = RESIDUAL if array == o.arch.hidden_depth else NEURON
+    return ConstraintTag(kind, sample, array + 1, unit)
 
 
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
@@ -487,18 +499,6 @@ def constraint_jvp_flat(
     return np.concatenate(parts)
 
 
-def loss_jvp(
-    o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray, d: np.ndarray
-) -> float:
-    """Directional derivative of the loss along d inside the region."""
-    dmat = d.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
-    dh = (o.x_aug @ dmat.T) * masks[0]
-    for l, layer in enumerate(o.fixed[:-1], start=2):
-        dh = (dh @ layer.weight.T) * masks[l - 1]
-    dout = dh @ o.fixed[-1].weight.T
-    return float(-np.sum(sigma * dout))
-
-
 def ratio_test(
     o: OracleInstance,
     p: np.ndarray,
@@ -515,7 +515,8 @@ def ratio_test(
     vals = forward_values(o, p)
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
-    return _ratio_from_arrays(o, flat, dvals, [tag_index(o, t) for t in active])
+    t, hit = _ratio_from_arrays(flat, dvals, [tag_index(o, tag) for tag in active])
+    return t, tag_from_index(o, hit)
 
 
 def crossing_candidates(
@@ -534,12 +535,14 @@ def crossing_candidates(
 
 
 def _ratio_from_arrays(
-    o: OracleInstance, flat: np.ndarray, dvals: np.ndarray, active_idx: list[int]
-) -> tuple[float, ConstraintTag]:
+    flat: np.ndarray, dvals: np.ndarray, active_idx: list[int]
+) -> tuple[float, int]:
+    """First positive crossing step and the flat index it hits; ties resolve
+    to the smallest index."""
     toward = crossing_candidates(flat, dvals, active_idx)
     if not np.any(toward):
         raise NoCrossing("no inactive constraint decreases toward zero")
     t = np.full(flat.shape, np.inf)
     t[toward] = -flat[toward] / dvals[toward]
     hit = int(np.argmin(t))
-    return float(t[hit]), tag_from_index(o, hit)
+    return float(t[hit]), hit

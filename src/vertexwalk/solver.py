@@ -42,10 +42,14 @@ from .errors import (
     UnboundedEdge,
 )
 from .linalg import Factorization, factorize, nullspace_basis, project_nullspace, rank_extends, solve
-from .oracle import ConstraintTag, OracleInstance, Signature
+from .oracle import OracleInstance, Signature
 from .prng import SplitMix64
 
 _RESTART_SEED = 0x7E57ED5EED
+# Perturbed restarts after a Degenerate error before the error propagates.
+_RESTARTS = 2
+# Solve/probe rounds before an entered-region signature counts as unstable.
+_STABILIZE_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -54,19 +58,17 @@ class SolverLimits:
 
     max_iterations: int = 20_000
     desc_tol: float = 1e-9
-    act_tol: float = 1e-8
-    restarts: int = 2
-    stabilize_rounds: int = 5
     validate: bool = False
 
 
 @dataclass
 class VertexState:
-    """A vertex: point, D active tags, their normals (columns), and the
-    reference signature of a full-dimensional region adjacent to it."""
+    """A vertex: point, the flat indices of its D active constraints, their
+    normals (columns), and the reference signature of a full-dimensional
+    region adjacent to it."""
 
     point: np.ndarray
-    active: list[ConstraintTag]
+    active: list[int]
     normals: np.ndarray
     signature: Signature
     factorization: Factorization
@@ -75,9 +77,10 @@ class VertexState:
 @dataclass(frozen=True)
 class EdgeCandidate:
     """One pivot option: release `leaving` to side `sign` and move along
-    `direction`, whose entered-region loss derivative is `derivative`."""
+    `direction`, whose entered-region loss derivative is `derivative`.
+    `leaving` is a flat constraint index."""
 
-    leaving: ConstraintTag
+    leaving: int
     sign: int
     direction: np.ndarray
     entered: Signature
@@ -86,8 +89,10 @@ class EdgeCandidate:
 
 @dataclass(frozen=True)
 class StepRecord:
-    leaving: ConstraintTag
-    entering: ConstraintTag
+    """One pivot; `leaving` and `entering` are flat constraint indices."""
+
+    leaving: int
+    entering: int
     step: float
     derivative: float
     loss: float
@@ -166,12 +171,11 @@ def descend_to_vertex(
     g = orc.region_gradient(o, masks, sigma)
 
     records = [(p.copy(), vals.loss, 0)]
-    active: list[ConstraintTag] = []
+    active: list[int] = []
     normal_cols: list[np.ndarray] = []
 
     while len(active) < o.dim:
         flat = orc.constraint_values_flat(o, vals)
-        active_idx = [orc.tag_index(o, t) for t in active]
         tau = limits.desc_tol * (1.0 + abs(vals.loss))
 
         d = None
@@ -191,7 +195,7 @@ def descend_to_vertex(
             d = proj / pnorm
             dvals = orc.constraint_jvp_flat(o, masks, d)
             try:
-                crossing = orc._ratio_from_arrays(o, flat, dvals, active_idx)
+                crossing = orc._ratio_from_arrays(flat, dvals, active)
             except NoCrossing:
                 raise UnboundedEdge(
                     "strictly descending ray crossed no surface in phase 1"
@@ -211,7 +215,7 @@ def descend_to_vertex(
                 cand = s * basis[:, j]
                 dvals = orc.constraint_jvp_flat(o, masks, cand)
                 try:
-                    crossing = orc._ratio_from_arrays(o, flat, dvals, active_idx)
+                    crossing = orc._ratio_from_arrays(flat, dvals, active)
                     d = cand
                     break
                 except NoCrossing:
@@ -236,7 +240,7 @@ def descend_to_vertex(
         fact = factorize(nmat)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, vals = _polish(o, p, active, fact, limits)
+    p, vals = _polish(o, p, active, fact)
     records[-1] = (p.copy(), vals.loss, len(active))
     vertex = VertexState(
         point=p, active=active, normals=nmat, signature=sig, factorization=fact
@@ -244,21 +248,20 @@ def descend_to_vertex(
     return vertex, records
 
 
-def _polish(o, p, active, fact, limits):
+def _polish(o, p, active, fact):
     """One Newton correction pulling the point back onto the active surfaces."""
     vals = orc.forward_values(o, p)
     flat = orc.constraint_values_flat(o, vals)
-    idx = [orc.tag_index(o, t) for t in active]
-    act_vals = flat[idx]
+    act_vals = flat[active]
     worst = float(np.max(np.abs(act_vals)))
     delta = solve(fact, -act_vals, transpose=True)
     q = p + delta
     vals_q = orc.forward_values(o, q)
     flat_q = orc.constraint_values_flat(o, vals_q)
-    worst_q = float(np.max(np.abs(flat_q[idx])))
+    worst_q = float(np.max(np.abs(flat_q[active])))
     if worst_q < worst:
         p, vals, worst = q, vals_q, worst_q
-    if worst > limits.act_tol:
+    if worst > o.tol.act:
         raise DegenerateVertex(
             f"active constraint values did not settle below tolerance ({worst:.3e})"
         )
@@ -271,41 +274,49 @@ def _polish(o, p, active, fact, limits):
 class _VertexWork:
     """Caches shared by all edge candidates at one vertex."""
 
-    def __init__(self, o: OracleInstance, v: VertexState, limits: SolverLimits):
+    def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
-        self.limits = limits
         self.vals = orc.forward_values(o, v.point)
         self.flat = orc.constraint_values_flat(o, self.vals)
         self.loss = self.vals.loss
         self.masks = orc.region_masks(v.signature)
         self.sigma = orc.region_sigma(v.signature)
         self.g = orc.region_gradient(o, self.masks, self.sigma)
-        self.active_idx = [orc.tag_index(o, t) for t in v.active]
         self.pnorm = float(np.linalg.norm(v.point))
+        # (state array, sample, unit) of each active constraint.
+        self.located = [o.layout.locate(a) for a in v.active]
+        # Releasing a hidden unit bends the normals of the active surfaces
+        # deeper in the same sample's network; affected[pos] lists them.
+        by_sample: dict[int, list[tuple[int, int]]] = {}
+        for q, (array, i, _) in enumerate(self.located):
+            by_sample.setdefault(i, []).append((q, array))
+        self.affected = [
+            [q for q, array_q in by_sample[i] if array_q > array]
+            for array, i, _ in self.located
+        ]
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction.
-        near = np.flatnonzero(np.abs(self.flat) <= limits.act_tol)
-        active_set = set(self.active_idx)
+        near = np.flatnonzero(np.abs(self.flat) <= o.tol.act)
+        active_set = set(v.active)
         self.coincident_idx = [int(i) for i in near if int(i) not in active_set]
-        self.coincident_tags = [orc.tag_from_index(o, i) for i in self.coincident_idx]
-        self.excluded_idx = self.active_idx + self.coincident_idx
+        self.excluded_idx = v.active + self.coincident_idx
 
-    def _entered_derivative(self, a: ConstraintTag, sign: int, sig: Signature,
+    def _entered_derivative(self, pos: int, sign: int, sig: Signature,
                             d: np.ndarray, local: bool) -> float:
         if local:
-            if self.v.signature.state_of(a) == sign:
+            if self.v.signature.state_of(self.v.active[pos]) == sign:
                 return float(self.g @ d)
-            i = a.sample
+            array, i, k = self.located[pos]
             rows_ref = [m[i] for m in self.masks]
             sigma_ref = self.sigma[i]
             rows_new = [r.copy() for r in rows_ref]
             sigma_new = sigma_ref.copy()
-            if a.kind == orc.NEURON:
-                rows_new[a.layer - 1][a.unit] = 1.0 if sign > 0 else 0.0
+            if array < len(rows_new):
+                rows_new[array][k] = 1.0 if sign > 0 else 0.0
             else:
-                sigma_new[a.unit] = float(sign)
+                sigma_new[k] = float(sign)
             delta = orc.sample_gradient_rows(
                 self.o, rows_new, sigma_new, i
             ) - orc.sample_gradient_rows(self.o, rows_ref, sigma_ref, i)
@@ -323,21 +334,14 @@ class _VertexWork:
         o, v = self.o, self.v
         a = v.active[pos]
         sig = v.signature.with_state(a, sign)
-        affected = [
-            q
-            for q, b in enumerate(v.active)
-            if q != pos
-            and a.kind == orc.NEURON
-            and b.sample == a.sample
-            and b.layer > a.layer
-        ]
+        affected = self.affected[pos]
         rhs = np.zeros(o.dim)
         rhs[pos] = float(sign)
         degenerate = bool(self.coincident_idx)
         local = not degenerate
         fast = not (affected or degenerate)
         probed_once = False
-        for round_ in range(self.limits.stabilize_rounds):
+        for round_ in range(_STABILIZE_ROUNDS):
             if round_ == 0 and fast:
                 d_raw = solve(v.factorization, rhs, transpose=True)
             else:
@@ -365,17 +369,17 @@ class _VertexWork:
                 dvals = orc.constraint_jvp_flat(o, masks_sig, d)
                 floor = 1e-12 * float(np.max(np.abs(dvals)))
                 changed = False
-                for idx, tag in zip(self.coincident_idx, self.coincident_tags):
+                for idx in self.coincident_idx:
                     dv = float(dvals[idx])
                     if abs(dv) > floor:
                         state = 1 if dv > 0 else -1
-                        if sig.state_of(tag) != state:
-                            sig = sig.with_state(tag, state)
+                        if sig.state_of(idx) != state:
+                            sig = sig.with_state(idx, state)
                             changed = True
                 if changed:
                     continue
 
-            deriv = self._entered_derivative(a, sign, sig, d, local)
+            deriv = self._entered_derivative(pos, sign, sig, d, local)
             if not probe:
                 return EdgeCandidate(a, sign, d, sig, deriv)
 
@@ -401,12 +405,9 @@ class _VertexWork:
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
 
-def edge_directions(
-    o: OracleInstance, v: VertexState, limits: SolverLimits | None = None
-) -> list[EdgeCandidate]:
+def edge_directions(o: OracleInstance, v: VertexState) -> list[EdgeCandidate]:
     """All pivot options at a vertex, each with a verified entered region."""
-    limits = limits or SolverLimits()
-    work = _VertexWork(o, v, limits)
+    work = _VertexWork(o, v)
     return [
         work.candidate(pos, sign, probe=True)
         for pos in range(len(v.active))
@@ -427,7 +428,7 @@ def vertex_step(
     the vertex is an edge-local minimum.
     """
     limits = limits or SolverLimits()
-    work = _VertexWork(o, v, limits)
+    work = _VertexWork(o, v)
     tau = limits.desc_tol * (1.0 + abs(work.loss))
 
     # A release side whose entered-region normals collapse has no
@@ -464,7 +465,7 @@ def vertex_step(
     masks_e = orc.region_masks(chosen.entered)
     dvals = orc.constraint_jvp_flat(o, masks_e, chosen.direction)
     try:
-        t, hit = orc._ratio_from_arrays(o, work.flat, dvals, work.excluded_idx)
+        t, hit = orc._ratio_from_arrays(work.flat, dvals, work.excluded_idx)
     except NoCrossing:
         raise UnboundedEdge(
             "descending edge crossed no surface; the loss is bounded below, "
@@ -475,13 +476,13 @@ def vertex_step(
     active_new = list(v.active)
     active_new[chosen_pos] = hit
     cols = np.column_stack(
-        [orc.constraint_normal(o, masks_e, tag) for tag in active_new]
+        [orc.constraint_normal(o, masks_e, idx) for idx in active_new]
     )
     try:
         fact = factorize(cols)
     except SingularMatrix as e:
         raise DegenerateVertex(f"new vertex normal matrix is singular: {e}") from None
-    p_new, vals_new = _polish(o, p_new, active_new, fact, limits)
+    p_new, vals_new = _polish(o, p_new, active_new, fact)
     if vals_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
             f"loss rose from {work.loss!r} to {vals_new.loss!r} in one pivot"
@@ -494,7 +495,7 @@ def vertex_step(
         factorization=fact,
     )
     if limits.validate:
-        _validate_vertex(o, v_new, limits)
+        _validate_vertex(o, v_new)
     record = StepRecord(
         leaving=chosen.leaving,
         entering=hit,
@@ -505,15 +506,14 @@ def vertex_step(
     return v_new, record
 
 
-def _validate_vertex(o, v, limits):
+def _validate_vertex(o, v):
     if len(v.active) != o.dim:
-        raise DegenerateVertex(f"active set has {len(v.active)} tags, expected {o.dim}")
+        raise DegenerateVertex(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
-        raise DegenerateVertex("active set contains duplicate tags")
+        raise DegenerateVertex("active set contains duplicate constraints")
     flat = orc.constraint_values_flat(o, orc.forward_values(o, v.point))
-    idx = [orc.tag_index(o, t) for t in v.active]
-    worst = float(np.max(np.abs(flat[idx])))
-    if worst > limits.act_tol:
+    worst = float(np.max(np.abs(flat[v.active])))
+    if worst > o.tol.act:
         raise DegenerateVertex(f"active values drifted to {worst:.3e}")
     if v.factorization.near_singular:
         raise DegenerateVertex("vertex normal matrix is near singular")
@@ -540,20 +540,13 @@ def _sampled_descent(o, p, radius, directions, rng) -> bool:
     return False
 
 
-def _coincident_tags(o, v, limits) -> list[ConstraintTag]:
-    flat = orc.constraint_values_flat(o, orc.forward_values(o, v.point))
-    active_idx = set(orc.tag_index(o, t) for t in v.active)
-    near = np.flatnonzero(np.abs(flat) <= limits.act_tol)
-    return [orc.tag_from_index(o, int(i)) for i in near if int(i) not in active_idx]
-
-
 def _swapped_states(o, v, coincident, seen):
     masks = orc.region_masks(v.signature)
-    for tag in coincident:
-        col = orc.constraint_normal(o, masks, tag)
+    for idx in coincident:
+        col = orc.constraint_normal(o, masks, idx)
         for pos in range(len(v.active)):
             new_active = list(v.active)
-            new_active[pos] = tag
+            new_active[pos] = idx
             key = frozenset(new_active)
             if key in seen:
                 continue
@@ -573,9 +566,8 @@ def _swapped_states(o, v, coincident, seen):
             )
 
 
-def _any_infeasible_side(o, v, limits) -> bool:
-    work = _VertexWork(o, v, limits)
-    for pos in range(len(v.active)):
+def _any_infeasible_side(work: _VertexWork) -> bool:
+    for pos in range(len(work.v.active)):
         for sign in (1, -1):
             try:
                 work.candidate(pos, sign, probe=False)
@@ -588,8 +580,9 @@ def _escape_if_degenerate(o, v, limits, rng):
     """Called when no active edge descends. Returns a step escaping the
     vertex through an exchanged active set, or None when the vertex passes
     the sampled local-minimality check (or shows no degeneracy at all)."""
-    coincident = _coincident_tags(o, v, limits)
-    if not coincident and not _any_infeasible_side(o, v, limits):
+    work = _VertexWork(o, v)
+    coincident = work.coincident_idx
+    if not coincident and not _any_infeasible_side(work):
         return None
     radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
     if not _sampled_descent(o, v.point, radius, 200, rng):
@@ -623,14 +616,14 @@ def minimize(
     """Run phase 1 then pivot until convergence or the iteration cap.
 
     On a Degenerate error the run restarts from a slightly perturbed start,
-    up to `limits.restarts` times; the error propagates if they are spent.
+    up to _RESTARTS times; the error propagates if they are spent.
     """
     limits = limits or SolverLimits()
     rng = rng or SplitMix64(_RESTART_SEED)
     p0 = np.asarray(p0, dtype=float)
     start = p0
     last: Degenerate | None = None
-    for _ in range(limits.restarts + 1):
+    for _ in range(_RESTARTS + 1):
         try:
             return _minimize_once(o, start, limits, rng)
         except Degenerate as e:

@@ -12,10 +12,12 @@ from vertexwalk.experiment import (
     analyze_files,
     generate_instance,
     run,
+    summarize,
     sweep,
 )
 from vertexwalk.network import relu
 from vertexwalk.prng import SplitMix64
+from vertexwalk.solver import Trajectory
 
 TOY = dict(widths=(1, 1, 1), samples=5, max_iterations=500)
 
@@ -193,6 +195,28 @@ class TestRun:
         assert art.status == "failed"
         assert "rank-deficient" in art.summary["status"]
         assert (tmp_path / "summary.json").exists()
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("tail", [[100.0, 99.0, 98.0], [100.0, 99.0, 98.0, 97.0]])
+    def test_short_linear_tail_leaves_floor_unset(self, tail):
+        # No delta-squared triple of an exactly linear tail is acceptable,
+        # so the estimator raises IllConditioned; the summary must still be
+        # written, without a floor estimate.
+        losses = np.array([120.0, 110.0] + tail)
+        traj = Trajectory(
+            points=np.zeros((losses.size, 2)),
+            losses=losses,
+            active_counts=np.array([0, 1] + [2] * len(tail)),
+            step_lengths=np.ones(losses.size),
+            phase1_len=2,
+            reason="converged",
+        )
+        summary = summarize(traj, "converged", fit_window=50, r2_threshold=0.9)
+        assert summary["final_loss"] == tail[-1]
+        assert summary["iterations"] == losses.size - 1
+        for key in ("floor_estimate", "floor_estimate_error", "decay_ratio", "r2"):
+            assert summary[key] is None
 
 
 class TestSweep:

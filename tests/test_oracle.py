@@ -411,7 +411,7 @@ class TestRegionInvariants:
             if diff == 0:
                 continue  # probe landed inside the activity band; skip
             assert diff == 1
-            assert before.state_of(hit) != after.state_of(hit)
+            assert before.state_of(tag_index(o, hit)) != after.state_of(tag_index(o, hit))
             flips_checked += 1
         assert flips_checked >= 5
 

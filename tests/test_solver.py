@@ -8,7 +8,7 @@ from conftest import build_instance
 from vertexwalk import oracle as orc
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
-from vertexwalk.oracle import ConstraintTag, make_oracle
+from vertexwalk.oracle import make_oracle
 from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import (
     SolverLimits,
@@ -41,8 +41,8 @@ class TestDescendToVertex:
         assert len(records) - 1 == o.dim == 2
         assert [r[2] for r in records] == [0, 1, 2]
         flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
-        for tag in vertex.active:
-            assert abs(flat[orc.tag_index(o, tag)]) <= o.tol.act
+        for idx in vertex.active:
+            assert abs(flat[idx]) <= o.tol.act
 
     def test_loss_non_increasing_along_prefix(self):
         o, p0 = build_instance(32, (2, 3, 2, 1), 12)
@@ -83,7 +83,7 @@ class TestDescendToVertex:
         near = p0 + (lo - 1e-7 * (1 + lo)) * d0
 
         vertex, records = descend_to_vertex(o, near, LIMITS)
-        assert vertex.active[0] == orc.tag_from_index(o, first_tag_idx)
+        assert vertex.active[0] == first_tag_idx
 
     def test_perturbs_degenerate_start(self):
         o, _ = build_instance(35, (1, 1, 1), 3)
@@ -106,14 +106,14 @@ class TestEdgeDirections:
     def test_candidate_invariants(self):
         o, p0 = build_instance(36, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        cands = edge_directions(o, vertex, LIMITS)
+        cands = edge_directions(o, vertex)
         assert len(cands) <= 2 * o.dim
         for c in cands:
             assert np.linalg.norm(c.direction) == pytest.approx(1.0, abs=1e-12)
             masks = orc.region_masks(c.entered)
             pos = vertex.active.index(c.leaving)
-            for q, tag in enumerate(vertex.active):
-                normal = orc.constraint_normal(o, masks, tag)
+            for q, idx in enumerate(vertex.active):
+                normal = orc.constraint_normal(o, masks, idx)
                 inner = float(normal @ c.direction)
                 if q == pos:
                     assert np.sign(inner) == c.sign
@@ -125,7 +125,7 @@ class TestEdgeDirections:
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
-        for c in edge_directions(o, vertex, LIMITS):
+        for c in edge_directions(o, vertex):
             fd = (orc.value(o, vertex.point + delta * c.direction) - v0) / delta
             assert fd == pytest.approx(c.derivative, rel=1e-4, abs=1e-7)
 
@@ -137,7 +137,7 @@ class TestEdgeDirections:
         for seed in (81, 82, 83):
             o, p0 = build_instance(seed, (2, 3, 2, 1), 10)
             vertex, _ = descend_to_vertex(o, p0, LIMITS)
-            work = _VertexWork(o, vertex, LIMITS)
+            work = _VertexWork(o, vertex)
             for pos in range(len(vertex.active)):
                 for sign in (1, -1):
                     fast = work.candidate(pos, sign, probe=False)
@@ -196,8 +196,8 @@ class TestVertexStep:
             flat = orc.constraint_values_flat(
                 o, orc.forward_values(o, new_vertex.point)
             )
-            for tag in new_vertex.active:
-                assert abs(flat[orc.tag_index(o, tag)]) <= o.tol.act
+            for idx in new_vertex.active:
+                assert abs(flat[idx]) <= o.tol.act
             vertex = new_vertex
             steps += 1
         assert steps >= 1
