@@ -14,6 +14,8 @@ from .errors import Degenerate, Degenerate2D
 from .experiment import ExperimentConfig, analyze_files, generate_instance, run, sweep
 from .solver import minimize
 
+_OK_STATUSES = ("converged", "max_iterations")
+
 
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
@@ -56,7 +58,7 @@ def _cmd_run(args) -> int:
     cfg = _build_config(args)
     art = run(cfg, args.out)
     print(json.dumps(art.summary, sort_keys=True, indent=1))
-    return 0 if art.status in ("converged", "max_iterations") else 1
+    return 0 if art.status in _OK_STATUSES else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -64,7 +66,8 @@ def _cmd_sweep(args) -> int:
     agg = sweep(cfg, _int_list(args.seeds), args.out)
     view = {k: v for k, v in agg.items() if k != "runs"}
     print(json.dumps(view, sort_keys=True, indent=1))
-    return 0
+    ok = all(r["status"] in _OK_STATUSES for r in agg["runs"])
+    return 0 if ok else 1
 
 
 def _cmd_analyze(args) -> int:

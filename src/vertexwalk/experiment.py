@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -298,7 +299,12 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
 def sweep(
     config: ExperimentConfig, seeds, out_dir: str | Path | None = None
 ) -> dict:
-    """Run every seed independently and aggregate the summaries."""
+    """Run every seed independently and aggregate the summaries.
+
+    An exception in one seed is recorded in its row as status
+    "error: <Type>: <message>" (with out_dir, the traceback goes to
+    seed_<n>/traceback.txt) and the sweep goes on.
+    """
     seeds = list(seeds)
     if not seeds:
         raise InvalidConfig("sweep needs at least one seed")
@@ -306,8 +312,14 @@ def sweep(
     for seed in seeds:
         cfg = replace(config, seed=int(seed))
         sub = Path(out_dir) / f"seed_{seed}" if out_dir else None
-        art = run(cfg, sub)
-        row = dict(art.summary)
+        try:
+            row = dict(run(cfg, sub).summary)
+        except Exception as e:
+            # One seed's fault must not take down the others.
+            row = {"status": f"error: {type(e).__name__}: {e}"}
+            if sub:
+                sub.mkdir(parents=True, exist_ok=True)
+                (sub / "traceback.txt").write_text(traceback.format_exc())
         row["seed"] = int(seed)
         rows.append(row)
 

@@ -360,6 +360,41 @@ def region_gradient_sample(
     return sample_gradient_rows(o, [m[i] for m in masks], sigma[i], i)
 
 
+def release_corrections(
+    o: OracleInstance,
+    masks: list[np.ndarray],
+    sigma: np.ndarray,
+    released: list[tuple[int, int, int]],
+    dirs: np.ndarray,
+) -> np.ndarray:
+    """Slope change of each released sample's own loss term when its state flips.
+
+    released[q] is the (state array, sample, unit) of one surface and
+    dirs[:, q] a direction. Entry q is that sample's loss derivative along
+    dirs[:, q] with the state flipped, minus the same with the state of the
+    region given by masks and sigma, from two batched output JVPs.
+    """
+    arrays, samples, units = (np.array(c, dtype=int) for c in zip(*released))
+    dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
+    dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
+
+    def slopes(states: list[np.ndarray]) -> np.ndarray:
+        *rows, signs = states
+        dh = dz * rows[0]
+        for layer, row in zip(o.fixed[:-1], rows[1:]):
+            dh = (dh @ layer.weight.T) * row
+        return -np.sum(signs * (dh @ o.fixed[-1].weight.T), axis=1)
+
+    # Per released sample: its mask rows, then its residual signs.
+    ref = [m[samples] for m in masks] + [sigma[samples]]
+    new = [a.copy() for a in ref]
+    for l, a in enumerate(new):
+        q = np.flatnonzero(arrays == l)
+        old = a[q, units[q]]
+        a[q, units[q]] = -old if l == len(masks) else 1.0 - old
+    return slopes(new) - slopes(ref)
+
+
 def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     """Outputs of the affine surrogate with frozen unit states."""
     pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)

@@ -17,6 +17,17 @@ a provisional signature and confirmed by probing a point just inside the
 edge; on disagreement the solve repeats with the probed signature (a few
 rounds at most, or the vertex is reported degenerate).
 
+All 2D release sides of a vertex are priced at once from one inverse
+N^-T of its normal matrix: the edge direction of (pos, +-1) is +- column
+pos, normalized. On the side the reference signature already has, the
+derivative is g . d. Across the released surface only the released
+sample's own loss term changes, so one batched kernel
+(oracle.release_corrections) adds that change for every position. Both
+sides of a release that bends a deeper active surface of the same sample,
+and every side at a vertex with coincident surfaces, fall back to the
+solve/probe loop; so does the probe of the chosen edge, which solves its
+direction again with one right-hand side.
+
 Linear algebra is refactorized from scratch at every pivot; at the problem
 sizes this package targets, robustness is worth far more than the saved
 cubic term.
@@ -42,7 +53,7 @@ from .errors import (
     UnboundedEdge,
 )
 from .linalg import Factorization, factorize, nullspace_basis, project_nullspace, rank_extends, solve
-from .oracle import OracleInstance, Signature
+from .oracle import ConstraintValues, OracleInstance, Signature
 from .prng import SplitMix64
 
 _RESTART_SEED = 0x7E57ED5EED
@@ -64,14 +75,15 @@ class SolverLimits:
 @dataclass
 class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
-    normals (columns), and the reference signature of a full-dimensional
-    region adjacent to it."""
+    normals (columns), the reference signature of a full-dimensional region
+    adjacent to it, and every constraint value at the point."""
 
     point: np.ndarray
     active: list[int]
     normals: np.ndarray
     signature: Signature
     factorization: Factorization
+    values: ConstraintValues
 
 
 @dataclass(frozen=True)
@@ -243,7 +255,12 @@ def descend_to_vertex(
     p, vals = _polish(o, p, active, fact)
     records[-1] = (p.copy(), vals.loss, len(active))
     vertex = VertexState(
-        point=p, active=active, normals=nmat, signature=sig, factorization=fact
+        point=p,
+        active=active,
+        normals=nmat,
+        signature=sig,
+        factorization=fact,
+        values=vals,
     )
     return vertex, records
 
@@ -277,9 +294,8 @@ class _VertexWork:
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
-        self.vals = orc.forward_values(o, v.point)
-        self.flat = orc.constraint_values_flat(o, self.vals)
-        self.loss = self.vals.loss
+        self.flat = orc.constraint_values_flat(o, v.values)
+        self.loss = v.values.loss
         self.masks = orc.region_masks(v.signature)
         self.sigma = orc.region_sigma(v.signature)
         self.g = orc.region_gradient(o, self.masks, self.sigma)
@@ -303,24 +319,61 @@ class _VertexWork:
         self.coincident_idx = [int(i) for i in near if int(i) not in active_set]
         self.excluded_idx = v.active + self.coincident_idx
 
-    def _entered_derivative(self, pos: int, sign: int, sig: Signature,
-                            d: np.ndarray, local: bool) -> float:
-        if local:
-            if self.v.signature.state_of(self.v.active[pos]) == sign:
-                return float(self.g @ d)
-            array, i, k = self.located[pos]
-            rows_ref = [m[i] for m in self.masks]
-            sigma_ref = self.sigma[i]
-            rows_new = [r.copy() for r in rows_ref]
-            sigma_new = sigma_ref.copy()
-            if array < len(rows_new):
-                rows_new[array][k] = 1.0 if sign > 0 else 0.0
-            else:
-                sigma_new[k] = float(sign)
-            delta = orc.sample_gradient_rows(
-                self.o, rows_new, sigma_new, i
-            ) - orc.sample_gradient_rows(self.o, rows_ref, sigma_ref, i)
-            return float((self.g + delta) @ d)
+    def _batch(self) -> dict[tuple[int, int], EdgeCandidate]:
+        """Both release sides of every position without affected surfaces,
+        priced from one inverse: the direction of (pos, sign) is sign times
+        column pos of N^-T, normalized. On the reference side the derivative
+        is g . d; across the released surface only its own sample's loss
+        term changes, which release_corrections supplies for all positions
+        at once."""
+        o, v = self.o, self.v
+        inv_t = solve(v.factorization, None, transpose=True)
+        norms = np.linalg.norm(inv_t, axis=0)
+        units = inv_t / norms
+        slopes = self.g @ units
+        flipped = slopes + orc.release_corrections(
+            o, self.masks, self.sigma, self.located, units
+        )
+        out = {}
+        for pos, a in enumerate(v.active):
+            if self.affected[pos]:
+                continue
+            ref = v.signature.state_of(a)
+            for sign in (1, -1):
+                if sign == ref:
+                    entered, deriv = v.signature, slopes[pos]
+                else:
+                    entered, deriv = v.signature.with_state(a, sign), flipped[pos]
+                out[(pos, sign)] = EdgeCandidate(
+                    a, sign, sign * units[:, pos], entered, sign * float(deriv)
+                )
+        return out
+
+    def edges(self) -> dict[tuple[int, int], EdgeCandidate]:
+        """Every release side priced without probing, keyed by (pos, sign).
+
+        Sides are taken from the batch; both sides of a position with
+        affected surfaces, and every side at a vertex with coincident
+        surfaces, go through the solve/probe loop of candidate(). A side
+        whose entered-region normals collapse has no transversal edge and
+        is left out.
+        """
+        batch = {} if self.coincident_idx else self._batch()
+        out = {}
+        for pos in range(len(self.v.active)):
+            for sign in (1, -1):
+                c = batch.get((pos, sign))
+                if c is None:
+                    try:
+                        c = self.candidate(pos, sign, probe=False)
+                    except DegenerateVertex:
+                        continue
+                out[(pos, sign)] = c
+        return out
+
+    def _entered_derivative(self, sig: Signature, d: np.ndarray) -> float:
+        if sig.equals(self.v.signature):
+            return float(self.g @ d)
         masks = orc.region_masks(sig)
         sigma = orc.region_sigma(sig)
         return float(orc.region_gradient(self.o, masks, sigma) @ d)
@@ -338,11 +391,9 @@ class _VertexWork:
         rhs = np.zeros(o.dim)
         rhs[pos] = float(sign)
         degenerate = bool(self.coincident_idx)
-        local = not degenerate
-        fast = not (affected or degenerate)
         probed_once = False
         for round_ in range(_STABILIZE_ROUNDS):
-            if round_ == 0 and fast:
+            if round_ == 0 and not (affected or degenerate):
                 d_raw = solve(v.factorization, rhs, transpose=True)
             else:
                 masks_sig = orc.region_masks(sig)
@@ -379,7 +430,7 @@ class _VertexWork:
                 if changed:
                     continue
 
-            deriv = self._entered_derivative(pos, sign, sig, d, local)
+            deriv = self._entered_derivative(sig, d)
             if not probe:
                 return EdgeCandidate(a, sign, d, sig, deriv)
 
@@ -399,8 +450,6 @@ class _VertexWork:
             if sig_q.equals(sig):
                 return EdgeCandidate(a, sign, d, sig, deriv)
             sig = sig_q
-            local = False
-            fast = False
             probed_once = True
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
@@ -433,17 +482,10 @@ def vertex_step(
 
     # A release side whose entered-region normals collapse has no
     # transversal edge (e.g. the entered side kills every path through a
-    # same-sample deeper active surface); such sides are skipped, and a
+    # same-sample deeper active surface); edges() skips such sides, and a
     # stall with skipped sides is re-verified by sampling before the run
     # accepts convergence.
-    entries: dict[tuple[int, int], EdgeCandidate] = {}
-    for pos in range(len(v.active)):
-        for sign in (1, -1):
-            try:
-                entries[(pos, sign)] = work.candidate(pos, sign, probe=False)
-            except DegenerateVertex:
-                continue
-
+    entries = work.edges()
     confirmed: set[tuple[int, int]] = set()
     for _ in range(4 * len(entries) + 4):
         descending = [(key, c) for key, c in entries.items() if c.derivative < -tau]
@@ -493,6 +535,7 @@ def vertex_step(
         normals=cols,
         signature=chosen.entered,
         factorization=fact,
+        values=vals_new,
     )
     if limits.validate:
         _validate_vertex(o, v_new)
@@ -563,17 +606,8 @@ def _swapped_states(o, v, coincident, seen):
                 normals=cols,
                 signature=v.signature,
                 factorization=fact,
+                values=v.values,
             )
-
-
-def _any_infeasible_side(work: _VertexWork) -> bool:
-    for pos in range(len(work.v.active)):
-        for sign in (1, -1):
-            try:
-                work.candidate(pos, sign, probe=False)
-            except DegenerateVertex:
-                return True
-    return False
 
 
 def _escape_if_degenerate(o, v, limits, rng):
@@ -582,7 +616,7 @@ def _escape_if_degenerate(o, v, limits, rng):
     the sampled local-minimality check (or shows no degeneracy at all)."""
     work = _VertexWork(o, v)
     coincident = work.coincident_idx
-    if not coincident and not _any_infeasible_side(work):
+    if not coincident and len(work.edges()) == 2 * len(v.active):
         return None
     radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
     if not _sampled_descent(o, v.point, radius, 200, rng):

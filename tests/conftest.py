@@ -71,3 +71,14 @@ def slope_change_across(o, p, d, t_star):
 @pytest.fixture
 def rng():
     return SplitMix64(20240817)
+
+
+def quantized_instance(widths, seed: int, n_samples: int = 12):
+    """Instance of the experiment generator with inputs, targets and start
+    rounded to integers: many kink surfaces then pass through one point."""
+    from vertexwalk.experiment import ExperimentConfig, generate_instance
+
+    cfg = ExperimentConfig(seed=seed, widths=tuple(widths), samples=n_samples)
+    o, p0, solver_rng = generate_instance(cfg)
+    data = TrainingSet(np.round(o.data.inputs), np.round(o.data.targets))
+    return make_oracle(o.arch, o.fixed, data), np.round(p0), solver_rng

@@ -253,6 +253,42 @@ class TestSweep:
         assert agg["converged_rate"] == 0.5
         assert agg["monotone_rate"] == 0.5
 
+    def test_isolates_an_unexpected_exception(self, tmp_path, monkeypatch):
+        from vertexwalk import experiment as exp
+
+        real_minimize = exp.minimize
+        _, p0_seed2, _ = exp.generate_instance(ExperimentConfig(seed=2, **TOY))
+
+        def crash_on_seed2(oracle, p0, limits, rng=None):
+            if np.array_equal(p0, p0_seed2):
+                raise RuntimeError("synthetic crash")
+            return real_minimize(oracle, p0, limits, rng)
+
+        monkeypatch.setattr(exp, "minimize", crash_on_seed2)
+        agg = sweep(ExperimentConfig(**TOY), [1, 2, 3], tmp_path / "api")
+        assert [r["seed"] for r in agg["runs"]] == [1, 2, 3]
+        assert agg["runs"][0]["status"] == "converged"
+        assert agg["runs"][2]["status"] == "converged"
+        assert agg["runs"][0]["final_loss"] > 0.0
+        assert agg["runs"][1] == {
+            "seed": 2,
+            "status": "error: RuntimeError: synthetic crash",
+        }
+        assert agg["converged_rate"] == pytest.approx(2 / 3)
+        trace = (tmp_path / "api" / "seed_2" / "traceback.txt").read_text()
+        assert "RuntimeError: synthetic crash" in trace
+        assert (tmp_path / "api" / "sweep.json").exists()
+
+        code = main(
+            ["sweep", "--seeds", "1,2,3", "--widths", "1,1,1", "--samples", "5",
+             "--max-iter", "500", "--out", str(tmp_path / "cli")]
+        )
+        assert code == 1
+        cli_runs = json.loads((tmp_path / "cli" / "sweep.json").read_text())["runs"]
+        assert [r["status"] for r in cli_runs] == [
+            "converged", "error: RuntimeError: synthetic crash", "converged"
+        ]
+
     def test_single_seed_matches_run(self, tmp_path):
         cfg = ExperimentConfig(**TOY)
         agg = sweep(cfg, [5], tmp_path / "sweep")

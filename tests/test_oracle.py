@@ -21,6 +21,8 @@ from vertexwalk.oracle import (
     masked_value,
     network_params,
     ratio_test,
+    release_corrections,
+    region_gradient,
     region_gradient_sample,
     region_masks,
     region_sigma,
@@ -143,6 +145,22 @@ class TestAffinePiece:
             assert_allclose(contrib, np.zeros(o.dim))
             break
         assert found
+
+    def test_release_corrections_match_flipped_gradients(self):
+        # Every surface of every sample, two outputs: the batched slope
+        # change must equal the change of the full region gradient.
+        o, _ = build_instance(12, (2, 3, 2, 2), 8)
+        p = interior_point(o, SplitMix64(120))
+        sig = region_signature(o, p)
+        masks, sigma = region_masks(sig), region_sigma(sig)
+        g = region_gradient(o, masks, sigma)
+        idx = list(range(o.n_constraints))
+        dirs = SplitMix64(121).uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
+        got = release_corrections(o, masks, sigma, [o.layout.locate(i) for i in idx], dirs)
+        for q, i in enumerate(idx):
+            flipped = sig.with_state(i, -sig.state_of(i))
+            g_new = region_gradient(o, region_masks(flipped), region_sigma(flipped))
+            assert got[q] == pytest.approx(float((g_new - g) @ dirs[:, q]), abs=1e-10)
 
     def test_gradient_matches_central_differences(self):
         from vertexwalk.bruteforce import fd_gradient

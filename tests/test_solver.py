@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import build_instance
+from conftest import build_instance, quantized_instance
 from vertexwalk import oracle as orc
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
@@ -12,6 +12,7 @@ from vertexwalk.oracle import make_oracle
 from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import (
     SolverLimits,
+    _VertexWork,
     descend_to_vertex,
     edge_directions,
     minimize,
@@ -32,6 +33,17 @@ def convex_regression_toy():
         np.array([[0.0], [1.0], [2.0]]), np.array([[1.0], [2.0], [3.5]])
     )
     return make_oracle(arch, fixed, data)
+
+
+def reference_scale_vertex():
+    """The vertex two pivots past phase 1 of a paper-sized instance."""
+    o, p0 = build_instance(84, (4, 5, 4, 3, 2, 1), 500)
+    vertex, _ = descend_to_vertex(o, p0, SolverLimits())
+    for _ in range(2):
+        outcome = vertex_step(o, vertex, SolverLimits())
+        assert outcome is not None
+        vertex, _ = outcome
+    return o, vertex
 
 
 class TestDescendToVertex:
@@ -130,31 +142,39 @@ class TestEdgeDirections:
             assert fd == pytest.approx(c.derivative, rel=1e-4, abs=1e-7)
 
     def test_unprobed_candidates_match_probed(self):
-        # The analytic entered signature must already be the one the probe
-        # confirms; vertex_step relies on this when ranking candidates.
-        from vertexwalk.solver import _VertexWork
-
+        # vertex_step ranks unprobed candidates, so the analytic entered
+        # signature must already be the one the probe confirms. Every side's
+        # pricing is checked against two independent references: the probed
+        # candidate, and the full gradient of the entered region dotted with
+        # the direction. The summation order differs from both, so the
+        # derivative tolerance is fixed up front.
+        cases = []
         for seed in (81, 82, 83):
             o, p0 = build_instance(seed, (2, 3, 2, 1), 10)
-            vertex, _ = descend_to_vertex(o, p0, LIMITS)
+            cases.append((o, descend_to_vertex(o, p0, LIMITS)[0]))
+        cases.append(reference_scale_vertex())
+        o, p0, rng = quantized_instance((2, 3, 2, 1), 0)
+        cases.append((o, descend_to_vertex(o, p0, LIMITS, rng)[0]))
+        assert _VertexWork(*cases[-1]).coincident_idx
+
+        for o, vertex in cases:
             work = _VertexWork(o, vertex)
-            for pos in range(len(vertex.active)):
-                for sign in (1, -1):
-                    fast = work.candidate(pos, sign, probe=False)
-                    slow = work.candidate(pos, sign, probe=True)
-                    assert_allclose(fast.direction, slow.direction, atol=1e-12)
-                    assert fast.derivative == pytest.approx(
-                        slow.derivative, rel=1e-12, abs=1e-12
-                    )
-                    assert fast.entered.equals(slow.entered)
+            edges = work.edges()
+            assert len(edges) == 2 * o.dim
+            tol = 1e-9 * (1.0 + float(np.sum(np.abs(work.g))))
+            for (pos, sign), c in edges.items():
+                assert c.leaving == vertex.active[pos] and c.sign == sign
+                probed = work.candidate(pos, sign, probe=True)
+                assert_allclose(c.direction, probed.direction, rtol=0, atol=1e-12)
+                assert c.entered.equals(probed.entered)
+                assert abs(c.derivative - probed.derivative) <= tol
+                g_entered = orc.region_gradient(
+                    o, orc.region_masks(c.entered), orc.region_sigma(c.entered)
+                )
+                assert abs(c.derivative - float(g_entered @ c.direction)) <= tol
 
     def test_derivatives_at_reference_scale(self):
-        o, p0 = build_instance(84, (4, 5, 4, 3, 2, 1), 500)
-        vertex, _ = descend_to_vertex(o, p0, SolverLimits())
-        for _ in range(2):
-            outcome = vertex_step(o, vertex, SolverLimits())
-            assert outcome is not None
-            vertex, _ = outcome
+        o, vertex = reference_scale_vertex()
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
         cands = edge_directions(o, vertex)
@@ -254,3 +274,38 @@ class TestMinimize:
         theta, traj = minimize(o, p0, SolverLimits(validate=True))
         assert np.all(np.diff(traj.losses) <= 1e-10 * (1 + traj.losses[:-1]))
         assert np.array_equal(traj.points[-1], theta)
+
+
+class TestDegenerateCorpus:
+    """Quantized data and starts make many surfaces meet at one vertex; the
+    walk must still converge monotonically through the coincident-surface
+    fallback of edge pricing."""
+
+    INSTANCES = [
+        (widths, seed)
+        for widths in ((2, 3, 2, 1), (2, 2, 1), (3, 4, 3, 1))
+        for seed in range(6)
+    ]
+
+    def test_quantized_instances_converge(self, monkeypatch):
+        coincident_visits = []
+        edges = _VertexWork.edges
+
+        def counting_edges(work):
+            coincident_visits.append(bool(work.coincident_idx))
+            return edges(work)
+
+        monkeypatch.setattr(_VertexWork, "edges", counting_edges)
+        limits = SolverLimits(max_iterations=300, validate=True)
+        runs_with_coincident = 0
+        for widths, seed in self.INSTANCES:
+            coincident_visits.clear()
+            o, p0, rng = quantized_instance(widths, seed)
+            _, traj = minimize(o, p0, limits, rng)
+            label = f"widths={widths} seed={seed}"
+            assert traj.reason == "converged", label
+            assert traj.phase1_len == o.dim, label
+            diffs = np.diff(traj.losses)
+            assert np.all(diffs <= 1e-10 * (1 + traj.losses[:-1])), label
+            runs_with_coincident += any(coincident_visits)
+        assert runs_with_coincident >= 1
