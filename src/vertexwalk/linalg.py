@@ -80,17 +80,19 @@ def solve(
 ) -> np.ndarray:
     """Solve A x = b (or A^T x = b) using a prior factorization.
 
-    With b None the right-hand sides are the columns of the identity, so
-    the result is A^-1 (or A^-T). LAPACK getri forms it from level-2
-    kernels; a many-column getrs would wake threaded level-3 kernels,
-    whose spinning threads slow down concurrent processes.
+    b None asks for A^-T, the edge directions of a vertex, and needs
+    transpose=True. LAPACK getri forms the inverse from level-2 kernels; a
+    many-column getrs would wake threaded level-3 kernels, whose spinning
+    threads slow down concurrent processes.
     """
     if b is None:
+        if not transpose:
+            raise ValueError("b=None gives A^-T and needs transpose=True")
         getri = scipy.linalg.get_lapack_funcs(("getri",), (f.lu,))[0]
         inv, info = getri(f.lu, f.piv)
         if info != 0:
             raise SingularMatrix(f"getri failed with info {info}")
-        return inv.T if transpose else inv
+        return inv.T
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise ShapeMismatch(f"rhs length {b.shape[0]} != system size {f.n}")
