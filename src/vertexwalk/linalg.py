@@ -7,7 +7,6 @@ correctness wins over cleverness.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,13 @@ def factorize(a: np.ndarray) -> Factorization:
         raise ShapeMismatch("matrix entries must be finite")
     n = a.shape[0]
     anorm = scipy.linalg.norm(a, 1) if n else 0.0
-    with warnings.catch_warnings():
-        # Singularity is detected below with our own pivot rule.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # LAPACK getrf directly: scipy's lu_factor wrapper costs as much as the
+    # factorization at these sizes. Singularity is detected below with our
+    # own pivot rule, not from getrf's info.
+    getrf = scipy.linalg.get_lapack_funcs(("getrf",), (a,))[0]
+    lu, piv, info = getrf(a)
+    if info < 0:
+        raise ValueError(f"getrf: illegal value in argument {-info}")
     scale = float(np.max(np.abs(a))) if n else 0.0
     pivots = np.abs(np.diag(lu))
     if n and (scale == 0.0 or np.min(pivots) < PIVOT_RTOL * scale):
@@ -96,9 +98,11 @@ def solve(
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise ShapeMismatch(f"rhs length {b.shape[0]} != system size {f.n}")
-    return scipy.linalg.lu_solve(
-        (f.lu, f.piv), b, trans=1 if transpose else 0, check_finite=False
-    )
+    getrs = scipy.linalg.get_lapack_funcs(("getrs",), (f.lu,))[0]
+    x, info = getrs(f.lu, f.piv, b, trans=1 if transpose else 0)
+    if info != 0:
+        raise ValueError(f"getrs: illegal value in argument {-info}")
+    return x
 
 
 def rank_extends(basis: list[np.ndarray], candidate: np.ndarray, tol: float = 1e-10) -> bool:

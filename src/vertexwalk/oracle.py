@@ -124,6 +124,14 @@ class Signature:
         res[i, k] = state
         return Signature(self.neurons, res, self.layout)
 
+    def differing_samples(self, other: "Signature") -> np.ndarray:
+        """Samples with any state that differs from `other`'s, ascending."""
+        diff = np.zeros(self.residuals.shape[0], dtype=bool)
+        for a, b in zip(self.neurons + (self.residuals,), other.neurons + (other.residuals,)):
+            if a is not b:
+                diff |= np.any(a != b, axis=1)
+        return np.flatnonzero(diff)
+
     def equals(self, other: "Signature") -> bool:
         if len(self.neurons) != len(other.neurons):
             return False
@@ -323,41 +331,42 @@ def region_sigma(sig: Signature) -> np.ndarray:
 def _backcumulate(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     """Per-sample sensitivity of outputs to first-layer pre-activations.
 
-    Returns B of shape (N, n_out, n_1) with B[i, j] = W*_{L+1}[j] D^L_i W*_L
-    ... D^2_i W*_2, the row vector u_{i,j}.
+    Returns B of shape (n, n_out, n_1), one entry per row of the masks, with
+    B[i, j] = W*_{L+1}[j] D^L_i W*_L ... D^2_i W*_2, the row vector u_{i,j}.
     """
-    n = o.n_samples
+    n = masks[0].shape[0]
     b = np.broadcast_to(o.fixed[-1].weight, (n,) + o.fixed[-1].weight.shape)
     for l in range(len(o.fixed) - 1, 0, -1):
         b = (b * masks[l][:, None, :]) @ o.fixed[l - 1].weight
     return b
 
 
+def sample_gradient_rows(
+    o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray
+) -> np.ndarray:
+    """Per-sample rows R of the region gradient, one per row of the masks.
+
+    Row r is the first-layer sensitivity sum_j (-sigma_rj) u_{r,j}, gated by
+    the sample's first-layer mask, so that the gradient over all samples is
+    gradient_from_rows(o, R). A row depends on its own sample's masks and
+    signs only: rows computed for any subset of samples equal, bit for bit,
+    the same rows computed over all of them.
+    """
+    b = _backcumulate(o, masks)
+    w = -np.einsum("ij,ijk->ik", sigma, b)
+    return w * masks[0]
+
+
+def gradient_from_rows(o: OracleInstance, rows: np.ndarray) -> np.ndarray:
+    """Region gradient from the (N, n_1) per-sample rows of every sample."""
+    return (rows.T @ o.x_aug).ravel()
+
+
 def region_gradient(
     o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray
 ) -> np.ndarray:
     """Loss gradient on the region: sum_{i,j} (-sigma_ij) d f_ij / dp."""
-    b = _backcumulate(o, masks)
-    w = -np.einsum("ij,ijk->ik", sigma, b)
-    return ((w * masks[0]).T @ o.x_aug).ravel()
-
-
-def sample_gradient_rows(
-    o: OracleInstance, rows: list[np.ndarray], sigma_row: np.ndarray, i: int
-) -> np.ndarray:
-    """One sample's gradient contribution from its own mask rows and signs."""
-    u = o.fixed[-1].weight
-    for l in range(len(o.fixed) - 1, 0, -1):
-        u = (u * rows[l][None, :]) @ o.fixed[l - 1].weight
-    w = -(sigma_row @ u)
-    return ((w * rows[0])[:, None] * o.x_aug[i][None, :]).ravel()
-
-
-def region_gradient_sample(
-    o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray, i: int
-) -> np.ndarray:
-    """Single sample's contribution to the region gradient."""
-    return sample_gradient_rows(o, [m[i] for m in masks], sigma[i], i)
+    return gradient_from_rows(o, sample_gradient_rows(o, masks, sigma))
 
 
 def release_corrections(
@@ -372,19 +381,13 @@ def release_corrections(
     released[q] is the (state array, sample, unit) of one surface and
     dirs[:, q] a direction. Entry q is that sample's loss derivative along
     dirs[:, q] with the state flipped, minus the same with the state of the
-    region given by masks and sigma, from two batched output JVPs.
+    region given by masks and sigma: the difference of the sample's two
+    gradient rows, applied to the direction's first-layer pre-activation
+    change.
     """
     arrays, samples, units = (np.array(c, dtype=int) for c in zip(*released))
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-
-    def slopes(states: list[np.ndarray]) -> np.ndarray:
-        *rows, signs = states
-        dh = dz * rows[0]
-        for layer, row in zip(o.fixed[:-1], rows[1:]):
-            dh = (dh @ layer.weight.T) * row
-        return -np.sum(signs * (dh @ o.fixed[-1].weight.T), axis=1)
-
     # Per released sample: its mask rows, then its residual signs.
     ref = [m[samples] for m in masks] + [sigma[samples]]
     new = [a.copy() for a in ref]
@@ -392,7 +395,10 @@ def release_corrections(
         q = np.flatnonzero(arrays == l)
         old = a[q, units[q]]
         a[q, units[q]] = -old if l == len(masks) else 1.0 - old
-    return slopes(new) - slopes(ref)
+    both = [np.concatenate(pair) for pair in zip(ref, new)]
+    rows = sample_gradient_rows(o, both[:-1], both[-1])
+    n = len(samples)
+    return np.sum((rows[n:] - rows[:n]) * dz, axis=1)
 
 
 def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:
@@ -510,11 +516,19 @@ def tag_from_index(o: OracleInstance, idx: int) -> ConstraintTag:
     return ConstraintTag(kind, sample, array + 1, unit)
 
 
+def _flatten(hidden: list[np.ndarray], residuals: np.ndarray) -> np.ndarray:
+    """Per-sample hidden arrays side by side, then the residual block, in
+    flat constraint order, copied once into one buffer."""
+    n, h = residuals.shape[0], sum(a.shape[1] for a in hidden)
+    out = np.empty(n * h + residuals.size)
+    np.concatenate(hidden, axis=1, out=out[: n * h].reshape(n, h))
+    out[n * h :] = residuals.ravel()
+    return out
+
+
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
     """All constraint values ordered by tag index."""
-    parts = [np.concatenate([z for z in vals.preacts], axis=1).ravel()]
-    parts.append(vals.residuals.ravel())
-    return np.concatenate(parts)
+    return _flatten(vals.preacts, vals.residuals)
 
 
 def constraint_jvp_flat(
@@ -530,8 +544,7 @@ def constraint_jvp_flat(
         pieces.append(dz)
         dh = dz * masks[l - 1]
     dout = dh @ o.fixed[-1].weight.T
-    parts = [np.concatenate(pieces, axis=1).ravel(), (-dout).ravel()]
-    return np.concatenate(parts)
+    return _flatten(pieces, -dout)
 
 
 def ratio_test(
@@ -562,8 +575,8 @@ def crossing_candidates(
     Directional derivatives below 1e-12 of the largest one are round-off
     from orthogonality-by-construction, not real movement, and are dropped.
     """
-    floor = 1e-12 * float(np.max(np.abs(dvals)))
-    toward = (flat * dvals < 0.0) & (np.abs(dvals) > floor)
+    mag = np.abs(dvals)
+    toward = (flat * dvals < 0.0) & (mag > 1e-12 * float(np.max(mag)))
     if active_idx:
         toward[np.asarray(active_idx, dtype=int)] = False
     return toward
@@ -574,10 +587,9 @@ def _ratio_from_arrays(
 ) -> tuple[float, int]:
     """First positive crossing step and the flat index it hits; ties resolve
     to the smallest index."""
-    toward = crossing_candidates(flat, dvals, active_idx)
-    if not np.any(toward):
+    toward = np.flatnonzero(crossing_candidates(flat, dvals, active_idx))
+    if not toward.size:
         raise NoCrossing("no inactive constraint decreases toward zero")
-    t = np.full(flat.shape, np.inf)
-    t[toward] = -flat[toward] / dvals[toward]
-    hit = int(np.argmin(t))
-    return float(t[hit]), hit
+    t = -flat[toward] / dvals[toward]
+    j = int(np.argmin(t))
+    return float(t[j]), int(toward[j])

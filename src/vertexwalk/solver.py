@@ -22,21 +22,31 @@ N^-T of its normal matrix: the edge direction of (pos, +-1) is +- column
 pos, normalized. On the side the reference signature already has, the
 derivative is g . d. Across the released surface only the released
 sample's own loss term changes, so one batched kernel
-(oracle.release_corrections) adds that change for every position. Both
-sides of a release that bends a deeper active surface of the same sample,
-and every side at a vertex with coincident surfaces, fall back to the
-solve/probe loop; so does the probe of the chosen edge, which solves its
-direction again with one right-hand side.
+(oracle.release_corrections) adds that change for every position. A
+release that bends k deeper active surfaces of the same sample changes k
+normals on its flipped side; that side's direction is column pos with a
+rank-k (Woodbury) correction from the same inverse. Only two kinds of side
+still go through the solve/probe loop of candidate(): every side at a
+vertex with coincident surfaces, and the probe of the chosen edge, which
+solves its direction again with one right-hand side and whose first
+crossing is the pivot's ratio test.
 
-Linear algebra is refactorized from scratch at every pivot; at the problem
-sizes this package targets, robustness is worth far more than the saved
-cubic term.
+A pivot carries what it leaves unchanged. VertexState holds the vertex's
+constraint values (from the polish) and the per-sample gradient rows of
+its region; entered regions and the next vertex recompute only the rows of
+samples whose states differ, and the next normal matrix recomputes only
+the entering column and the columns of samples whose states differ. The
+normal matrix is still refactorized from scratch at every pivot; at the
+problem sizes this package targets, robustness is worth far more than the
+saved cubic term. With validate=True every carried array is checked
+against a recomputation from scratch.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +63,7 @@ from .errors import (
     UnboundedEdge,
 )
 from .linalg import Factorization, factorize, nullspace_basis, project_nullspace, rank_extends, solve
-from .oracle import ConstraintValues, OracleInstance, Signature
+from .oracle import OracleInstance, Signature
 from .prng import SplitMix64
 
 _RESTART_SEED = 0x7E57ED5EED
@@ -76,27 +86,44 @@ class SolverLimits:
 class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
     normals (columns), the reference signature of a full-dimensional region
-    adjacent to it, and every constraint value at the point."""
+    adjacent to it, every constraint value at the point (flat order), the
+    loss there, and the per-sample gradient rows of the reference region
+    (oracle.sample_gradient_rows)."""
 
     point: np.ndarray
     active: list[int]
     normals: np.ndarray
     signature: Signature
     factorization: Factorization
-    values: ConstraintValues
+    flat: np.ndarray
+    loss: float
+    rows: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class EdgeCandidate:
-    """One pivot option: release `leaving` to side `sign` and move along
-    `direction`, whose entered-region loss derivative is `derivative`.
-    `leaving` is a flat constraint index."""
+    """One pivot option: release `leaving` (a flat constraint index) to side
+    `sign` and move along `direction`, whose entered-region loss derivative
+    is `derivative`.
+
+    The entered region is `region` with the state of `leaving` set to
+    `sign`; it is built when first read, since most sides are only ranked.
+    A probed side carries in `crossing` the (step, flat index) of the first
+    surface its edge hits, or None when it hits none.
+    """
 
     leaving: int
     sign: int
     direction: np.ndarray
-    entered: Signature
+    region: Signature = field(repr=False)
     derivative: float
+    crossing: tuple[float, int] | None = None
+
+    @cached_property
+    def entered(self) -> Signature:
+        if self.region.state_of(self.leaving) == self.sign:
+            return self.region
+        return self.region.with_state(self.leaving, self.sign)
 
 
 @dataclass(frozen=True)
@@ -179,8 +206,8 @@ def descend_to_vertex(
         tries += 1
 
     masks = orc.region_masks(sig)
-    sigma = orc.region_sigma(sig)
-    g = orc.region_gradient(o, masks, sigma)
+    rows = orc.sample_gradient_rows(o, masks, orc.region_sigma(sig))
+    g = orc.gradient_from_rows(o, rows)
 
     records = [(p.copy(), vals.loss, 0)]
     active: list[int] = []
@@ -252,21 +279,26 @@ def descend_to_vertex(
         fact = factorize(nmat)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, vals = _polish(o, p, active, fact)
-    records[-1] = (p.copy(), vals.loss, len(active))
+    p, flat, loss = _polish(o, p, active, fact)
+    records[-1] = (p.copy(), loss, len(active))
     vertex = VertexState(
         point=p,
         active=active,
         normals=nmat,
         signature=sig,
         factorization=fact,
-        values=vals,
+        flat=flat,
+        loss=loss,
+        rows=rows,
     )
     return vertex, records
 
 
 def _polish(o, p, active, fact):
-    """One Newton correction pulling the point back onto the active surfaces."""
+    """One Newton correction pulling the point back onto the active surfaces.
+
+    Returns the point with its flat constraint values and its loss.
+    """
     vals = orc.forward_values(o, p)
     flat = orc.constraint_values_flat(o, vals)
     act_vals = flat[active]
@@ -277,12 +309,12 @@ def _polish(o, p, active, fact):
     flat_q = orc.constraint_values_flat(o, vals_q)
     worst_q = float(np.max(np.abs(flat_q[active])))
     if worst_q < worst:
-        p, vals, worst = q, vals_q, worst_q
+        p, vals, flat, worst = q, vals_q, flat_q, worst_q
     if worst > o.tol.act:
         raise DegenerateVertex(
             f"active constraint values did not settle below tolerance ({worst:.3e})"
         )
-    return p, vals
+    return p, flat, vals.loss
 
 
 # --- phase 2 -------------------------------------------------------------------
@@ -294,11 +326,11 @@ class _VertexWork:
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
-        self.flat = orc.constraint_values_flat(o, v.values)
-        self.loss = v.values.loss
+        self.flat = v.flat
+        self.loss = v.loss
         self.masks = orc.region_masks(v.signature)
         self.sigma = orc.region_sigma(v.signature)
-        self.g = orc.region_gradient(o, self.masks, self.sigma)
+        self.g = orc.gradient_from_rows(o, v.rows)
         self.pnorm = float(np.linalg.norm(v.point))
         # (state array, sample, unit) of each active constraint.
         self.located = [o.layout.locate(a) for a in v.active]
@@ -318,71 +350,138 @@ class _VertexWork:
         active_set = set(v.active)
         self.coincident_idx = [int(i) for i in near if int(i) not in active_set]
         self.excluded_idx = v.active + self.coincident_idx
+        self._edges: dict[tuple[int, int], EdgeCandidate] | None = None
+        self._last_rows: tuple[Signature, np.ndarray] | None = None
+
+    def entered_rows(self, sig: Signature) -> np.ndarray:
+        """Per-sample gradient rows of the region with signature sig: the
+        vertex's rows with those of the samples whose states differ
+        recomputed. The last result is kept for the pivot that follows."""
+        if self._last_rows is not None and self._last_rows[0] is sig:
+            return self._last_rows[1]
+        rows = self.v.rows
+        changed = sig.differing_samples(self.v.signature)
+        if changed.size:
+            rows = rows.copy()
+            rows[changed] = orc.sample_gradient_rows(
+                self.o,
+                [(a[changed] > 0).astype(float) for a in sig.neurons],
+                sig.residuals[changed].astype(float),
+            )
+        self._last_rows = (sig, rows)
+        return rows
+
+    def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray | None:
+        """Unnormalized direction that releases active[pos] to the side its
+        reference state does not have, when that bends affected surfaces.
+
+        Only the k affected normals change, so the new inverse is a rank-k
+        update of N^-T: with B = inv_t[:, affected] and the new normals M,
+        d = c - B y where (M^T B) y = M^T c and c = inv_t[:, pos]. The flip
+        moves each affected normal by a multiple of the released surface's
+        own normal, so M^T B is the identity up to rounding at a vertex with
+        nonsingular normals. None when M^T B is exactly singular: then the
+        entered normals are dependent (det N' = det N det M^T B), there is
+        no edge, and candidate() rejects the side for the same reason.
+        """
+        array, i, k = self.located[pos]
+        affected = self.affected[pos]
+        masks = list(self.masks)
+        masks[array] = masks[array].copy()
+        masks[array][i, k] = 1.0 - masks[array][i, k]
+        new = np.column_stack(
+            [orc.constraint_normal(self.o, masks, self.v.active[q]) for q in affected]
+        )
+        c = inv_t[:, pos]
+        basis = inv_t[:, affected]
+        try:
+            y = np.linalg.solve(new.T @ basis, new.T @ c)
+        except np.linalg.LinAlgError:
+            return None
+        return c - basis @ y
 
     def _batch(self) -> dict[tuple[int, int], EdgeCandidate]:
-        """Both release sides of every position without affected surfaces,
-        priced from one inverse: the direction of (pos, sign) is sign times
-        column pos of N^-T, normalized. On the reference side the derivative
-        is g . d; across the released surface only its own sample's loss
-        term changes, which release_corrections supplies for all positions
-        at once."""
+        """Both release sides of every position, priced from one inverse:
+        the direction of (pos, sign) is sign times column pos of N^-T,
+        rank-k corrected on a flipped side that bends affected surfaces, and
+        normalized. On the reference side the derivative is g . d; across
+        the released surface only its own sample's loss term changes, which
+        release_corrections supplies for all positions at once. A flipped
+        side whose entered normals collapse has no edge and is left out,
+        as candidate() would reject it."""
         o, v = self.o, self.v
         inv_t = solve(v.factorization, None, transpose=True)
-        norms = np.linalg.norm(inv_t, axis=0)
-        units = inv_t / norms
-        slopes = self.g @ units
-        flipped = slopes + orc.release_corrections(
-            o, self.masks, self.sigma, self.located, units
-        )
+        units = inv_t / np.linalg.norm(inv_t, axis=0)
+        flip_units = units.copy()
+        collapsed = set()
+        for pos, affected in enumerate(self.affected):
+            if affected:
+                d = self._bent_direction(inv_t, pos)
+                if d is None:
+                    collapsed.add(pos)
+                else:
+                    flip_units[:, pos] = d / np.linalg.norm(d)
+        slopes = (self.g @ units).tolist()
+        flipped = (
+            self.g @ flip_units
+            + orc.release_corrections(o, self.masks, self.sigma, self.located, flip_units)
+        ).tolist()
+        # Directions are views of these, one array per side of the release.
+        dirs = {1: (units, flip_units), -1: (-units, -flip_units)}
+        states = v.signature.neurons + (v.signature.residuals,)
         out = {}
-        for pos, a in enumerate(v.active):
-            if self.affected[pos]:
-                continue
-            ref = v.signature.state_of(a)
+        for pos, (a, (array, i, k)) in enumerate(zip(v.active, self.located)):
+            ref = int(states[array][i, k])
             for sign in (1, -1):
                 if sign == ref:
-                    entered, deriv = v.signature, slopes[pos]
+                    c = EdgeCandidate(
+                        a, sign, dirs[sign][0][:, pos], v.signature, sign * slopes[pos]
+                    )
+                elif pos in collapsed:
+                    continue
                 else:
-                    entered, deriv = v.signature.with_state(a, sign), flipped[pos]
-                out[(pos, sign)] = EdgeCandidate(
-                    a, sign, sign * units[:, pos], entered, sign * float(deriv)
-                )
+                    c = EdgeCandidate(
+                        a, sign, dirs[sign][1][:, pos], v.signature, sign * flipped[pos]
+                    )
+                out[(pos, sign)] = c
+        return out
+
+    def _coincident(self) -> dict[tuple[int, int], EdgeCandidate]:
+        """Every side at a vertex with coincident surfaces, whose entered
+        states are only known once the solve/probe loop has resolved them."""
+        out = {}
+        for pos in range(len(self.v.active)):
+            for sign in (1, -1):
+                try:
+                    out[(pos, sign)] = self.candidate(pos, sign, probe=False)
+                except DegenerateVertex:
+                    continue
         return out
 
     def edges(self) -> dict[tuple[int, int], EdgeCandidate]:
         """Every release side priced without probing, keyed by (pos, sign).
 
-        Sides are taken from the batch; both sides of a position with
-        affected surfaces, and every side at a vertex with coincident
-        surfaces, go through the solve/probe loop of candidate(). A side
-        whose entered-region normals collapse has no transversal edge and
-        is left out.
+        Sides come from the batch, or from the solve/probe loop of
+        candidate() at a vertex with coincident surfaces. A side whose
+        entered-region normals collapse has no transversal edge and is left
+        out. The result is computed once per vertex; callers copy it before
+        changing it.
         """
-        batch = {} if self.coincident_idx else self._batch()
-        out = {}
-        for pos in range(len(self.v.active)):
-            for sign in (1, -1):
-                c = batch.get((pos, sign))
-                if c is None:
-                    try:
-                        c = self.candidate(pos, sign, probe=False)
-                    except DegenerateVertex:
-                        continue
-                out[(pos, sign)] = c
-        return out
+        if self._edges is None:
+            self._edges = self._coincident() if self.coincident_idx else self._batch()
+        return self._edges
 
     def _entered_derivative(self, sig: Signature, d: np.ndarray) -> float:
-        if sig.equals(self.v.signature):
-            return float(self.g @ d)
-        masks = orc.region_masks(sig)
-        sigma = orc.region_sigma(sig)
-        return float(orc.region_gradient(self.o, masks, sigma) @ d)
+        rows = self.entered_rows(sig)
+        g = self.g if rows is self.v.rows else orc.gradient_from_rows(self.o, rows)
+        return float(g @ d)
 
     def candidate(self, pos: int, sign: int, probe: bool) -> EdgeCandidate:
         """Edge direction for releasing active[pos] to the given side.
 
         With probe=True the entered signature is verified at a point just
-        inside the edge and the solve repeats until it is self-consistent.
+        inside the edge and the solve repeats until it is self-consistent;
+        the probe's ratio test gives the edge's first crossing.
         """
         o, v = self.o, self.v
         a = v.active[pos]
@@ -436,10 +535,13 @@ class _VertexWork:
 
             masks_sig = orc.region_masks(sig)
             dvals = orc.constraint_jvp_flat(o, masks_sig, d)
-            toward = orc.crossing_candidates(self.flat, dvals, self.excluded_idx)
+            try:
+                crossing = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
+            except NoCrossing:
+                crossing = None
             eps = o.tol.probe * (1.0 + self.pnorm)
-            if np.any(toward):
-                t_first = float(np.min(-self.flat[toward] / dvals[toward]))
+            if crossing is not None:
+                t_first = crossing[0]
                 if t_first <= 1e-12 * (1.0 + self.pnorm):
                     raise DegenerateVertex(
                         "a surface crosses pathologically close to the vertex"
@@ -448,7 +550,7 @@ class _VertexWork:
             q = v.point + eps * d
             sig_q = orc.resolve_signature(o, orc.forward_values(o, q), fallback=sig)
             if sig_q.equals(sig):
-                return EdgeCandidate(a, sign, d, sig, deriv)
+                return EdgeCandidate(a, sign, d, sig, deriv, crossing)
             sig = sig_q
             probed_once = True
         raise DegenerateVertex("entered-region signature failed to stabilize")
@@ -469,15 +571,19 @@ def _selection_key(c: EdgeCandidate):
 
 
 def vertex_step(
-    o: OracleInstance, v: VertexState, limits: SolverLimits | None = None
+    o: OracleInstance,
+    v: VertexState,
+    limits: SolverLimits | None = None,
+    work: _VertexWork | None = None,
 ) -> tuple[VertexState, StepRecord] | None:
     """One pivot: follow the steepest descending edge to the next vertex.
 
     Returns None when every edge has derivative >= -desc_tol (scaled), i.e.
-    the vertex is an edge-local minimum.
+    the vertex is an edge-local minimum. A caller that keeps the vertex's
+    _VertexWork passes it as `work`, so its priced edges can be reused.
     """
     limits = limits or SolverLimits()
-    work = _VertexWork(o, v)
+    work = work or _VertexWork(o, v)
     tau = limits.desc_tol * (1.0 + abs(work.loss))
 
     # A release side whose entered-region normals collapse has no
@@ -485,7 +591,7 @@ def vertex_step(
     # same-sample deeper active surface); edges() skips such sides, and a
     # stall with skipped sides is re-verified by sampling before the run
     # accepts convergence.
-    entries = work.edges()
+    entries = dict(work.edges())
     confirmed: set[tuple[int, int]] = set()
     for _ in range(4 * len(entries) + 4):
         descending = [(key, c) for key, c in entries.items() if c.derivative < -tau]
@@ -504,38 +610,43 @@ def vertex_step(
     else:
         raise DegenerateVertex("edge selection did not settle")
 
-    masks_e = orc.region_masks(chosen.entered)
-    dvals = orc.constraint_jvp_flat(o, masks_e, chosen.direction)
-    try:
-        t, hit = orc._ratio_from_arrays(work.flat, dvals, work.excluded_idx)
-    except NoCrossing:
+    if chosen.crossing is None:
         raise UnboundedEdge(
             "descending edge crossed no surface; the loss is bounded below, "
             "so this is a numerical fault"
-        ) from None
+        )
+    t, hit = chosen.crossing
+    entered = chosen.entered
 
     p_new = v.point + t * chosen.direction
     active_new = list(v.active)
     active_new[chosen_pos] = hit
-    cols = np.column_stack(
-        [orc.constraint_normal(o, masks_e, idx) for idx in active_new]
-    )
+    # Only the entering column and the columns of samples whose states
+    # changed can differ from the vertex's normals.
+    masks_e = orc.region_masks(entered)
+    changed = set(entered.differing_samples(v.signature).tolist())
+    cols = v.normals.copy()
+    for q, idx in enumerate(active_new):
+        if q == chosen_pos or work.located[q][1] in changed:
+            cols[:, q] = orc.constraint_normal(o, masks_e, idx)
     try:
         fact = factorize(cols)
     except SingularMatrix as e:
         raise DegenerateVertex(f"new vertex normal matrix is singular: {e}") from None
-    p_new, vals_new = _polish(o, p_new, active_new, fact)
-    if vals_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
+    p_new, flat_new, loss_new = _polish(o, p_new, active_new, fact)
+    if loss_new > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
-            f"loss rose from {work.loss!r} to {vals_new.loss!r} in one pivot"
+            f"loss rose from {work.loss!r} to {loss_new!r} in one pivot"
         )
     v_new = VertexState(
         point=p_new,
         active=active_new,
         normals=cols,
-        signature=chosen.entered,
+        signature=entered,
         factorization=fact,
-        values=vals_new,
+        flat=flat_new,
+        loss=loss_new,
+        rows=work.entered_rows(entered),
     )
     if limits.validate:
         _validate_vertex(o, v_new)
@@ -544,22 +655,41 @@ def vertex_step(
         entering=hit,
         step=float(t),
         derivative=chosen.derivative,
-        loss=vals_new.loss,
+        loss=loss_new,
     )
     return v_new, record
 
 
 def _validate_vertex(o, v):
+    """Check a vertex's active set and every array it carries against a
+    recomputation from scratch; carried arrays must match bit for bit."""
     if len(v.active) != o.dim:
         raise DegenerateVertex(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
         raise DegenerateVertex("active set contains duplicate constraints")
-    flat = orc.constraint_values_flat(o, orc.forward_values(o, v.point))
+    vals = orc.forward_values(o, v.point)
+    flat = orc.constraint_values_flat(o, vals)
     worst = float(np.max(np.abs(flat[v.active])))
     if worst > o.tol.act:
         raise DegenerateVertex(f"active values drifted to {worst:.3e}")
     if v.factorization.near_singular:
         raise DegenerateVertex("vertex normal matrix is near singular")
+    masks = orc.region_masks(v.signature)
+    fresh = {
+        "constraint values": (flat, v.flat),
+        "loss": (vals.loss, v.loss),
+        "normal matrix": (
+            np.column_stack([orc.constraint_normal(o, masks, idx) for idx in v.active]),
+            v.normals,
+        ),
+        "gradient rows": (
+            orc.sample_gradient_rows(o, masks, orc.region_sigma(v.signature)),
+            v.rows,
+        ),
+    }
+    for name, (want, got) in fresh.items():
+        if not np.array_equal(want, got):
+            raise DegenerateVertex(f"carried {name} differ from a recomputation")
 
 
 # --- degenerate vertices ---------------------------------------------------
@@ -600,21 +730,16 @@ def _swapped_states(o, v, coincident, seen):
             except SingularMatrix:
                 continue
             seen.add(key)
-            yield VertexState(
-                point=v.point,
-                active=new_active,
-                normals=cols,
-                signature=v.signature,
-                factorization=fact,
-                values=v.values,
-            )
+            yield replace(v, active=new_active, normals=cols, factorization=fact)
 
 
-def _escape_if_degenerate(o, v, limits, rng):
-    """Called when no active edge descends. Returns a step escaping the
-    vertex through an exchanged active set, or None when the vertex passes
-    the sampled local-minimality check (or shows no degeneracy at all)."""
-    work = _VertexWork(o, v)
+def _escape_if_degenerate(work, limits, rng):
+    """Called when no active edge of work's vertex descends. Returns a step
+    escaping the vertex through an exchanged active set, or None when the
+    vertex passes the sampled local-minimality check (or shows no
+    degeneracy at all: no coincident surface and no side left out of the
+    edges that vertex_step has just priced)."""
+    o, v = work.o, work.v
     coincident = work.coincident_idx
     if not coincident and len(work.edges()) == 2 * len(v.active):
         return None
@@ -682,9 +807,10 @@ def _minimize_once(o, p0, limits, rng):
         if len(points) - 1 >= limits.max_iterations:
             reason = "max_iterations"
             break
-        outcome = vertex_step(o, vertex, limits)
+        work = _VertexWork(o, vertex)
+        outcome = vertex_step(o, vertex, limits, work)
         if outcome is None:
-            outcome = _escape_if_degenerate(o, vertex, limits, rng)
+            outcome = _escape_if_degenerate(work, limits, rng)
             if outcome is None:
                 break
         vertex, rec = outcome

@@ -3,6 +3,7 @@
 or on the 2-parameter toys, at the stated tolerances, and prints one
 PASS/FAIL line."""
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -63,10 +64,21 @@ def _solve_paper_seed(seed: int):
 
 @pytest.fixture(scope="session")
 def paper_runs():
-    """Trajectories of 20 independent seeds at the reference scale."""
+    """Trajectories of 20 independent seeds at the reference scale.
+
+    Workers run one BLAS thread each: a worker per CPU with threaded BLAS
+    oversubscribes the cores. They are spawned, not forked, because a
+    forked child keeps the BLAS its parent has already loaded; a spawned
+    one starts from the environment set here.
+    """
     workers = min(len(PAPER_SEEDS), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(_solve_paper_seed, PAPER_SEEDS))
+    with pytest.MonkeyPatch.context() as mp:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            mp.setenv(var, "1")
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            results = dict(pool.map(_solve_paper_seed, PAPER_SEEDS))
     return results
 
 

@@ -17,21 +17,25 @@ from vertexwalk.oracle import (
     constraint_values_flat,
     enumerate_constraints,
     forward_values,
+    gradient_from_rows,
     make_oracle,
     masked_value,
     network_params,
     ratio_test,
     release_corrections,
     region_gradient,
-    region_gradient_sample,
     region_masks,
     region_sigma,
     region_signature,
+    sample_gradient_rows,
     tag_from_index,
     tag_index,
     value,
 )
 from vertexwalk.prng import SplitMix64
+
+# Reference scale, D = 100 and two outputs.
+ROW_INSTANCES = [((4, 5, 4, 3, 2, 1), 500), ((4, 20, 4, 3, 2, 1), 500), ((3, 4, 3, 2), 40)]
 
 
 def tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(2.0,)):
@@ -139,10 +143,8 @@ class TestAffinePiece:
                 continue
             found = True
             sig = region_signature(o, p)
-            contrib = region_gradient_sample(
-                o, region_masks(sig), region_sigma(sig), int(dead[0])
-            )
-            assert_allclose(contrib, np.zeros(o.dim))
+            rows = sample_gradient_rows(o, region_masks(sig), region_sigma(sig))
+            assert_allclose(rows[int(dead[0])], np.zeros(o.arch.widths[1]))
             break
         assert found
 
@@ -161,6 +163,44 @@ class TestAffinePiece:
             flipped = sig.with_state(i, -sig.state_of(i))
             g_new = region_gradient(o, region_masks(flipped), region_sigma(flipped))
             assert got[q] == pytest.approx(float((g_new - g) @ dirs[:, q]), abs=1e-10)
+
+    @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
+    def test_gradient_rows_of_any_subset_equal_full_rows(self, widths, n_samples):
+        # The solver patches the rows of changed samples into carried ones,
+        # so a subset must give the very same bits as the full batch.
+        o, _ = build_instance(13, widths, n_samples)
+        rng = SplitMix64(130)
+        sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
+        masks, sigma = region_masks(sig), region_sigma(sig)
+        full = sample_gradient_rows(o, masks, sigma)
+        assert full.shape == (n_samples, o.arch.widths[1])
+        assert np.array_equal(gradient_from_rows(o, full), region_gradient(o, masks, sigma))
+        for size in (1, 2, 7, n_samples // 3):
+            pick = np.sort(np.argsort(rng.uniform_block(n_samples))[:size])
+            sub = sample_gradient_rows(o, [m[pick] for m in masks], sigma[pick])
+            assert np.array_equal(sub, full[pick])
+
+    @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
+    def test_patched_rows_give_flipped_region_gradient(self, widths, n_samples):
+        o, _ = build_instance(14, widths, n_samples)
+        rng = SplitMix64(140)
+        sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
+        full = sample_gradient_rows(o, region_masks(sig), region_sigma(sig))
+        # One surface in every state array: each hidden layer and the residuals.
+        h = o.hidden_total
+        sample = int(rng.uniform(0, n_samples))
+        idx = [sample * h + o.layer_offset(l) for l in range(1, o.arch.hidden_depth + 1)]
+        idx.append(n_samples * h + sample * o.arch.output_dim)
+        for i in idx:
+            flipped = sig.with_state(i, -sig.state_of(i))
+            changed = flipped.differing_samples(sig)
+            assert changed.tolist() == [sample]
+            masks, sigma = region_masks(flipped), region_sigma(flipped)
+            rows = full.copy()
+            rows[changed] = sample_gradient_rows(
+                o, [m[changed] for m in masks], sigma[changed]
+            )
+            assert np.array_equal(gradient_from_rows(o, rows), region_gradient(o, masks, sigma))
 
     def test_gradient_matches_central_differences(self):
         from vertexwalk.bruteforce import fd_gradient

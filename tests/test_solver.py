@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import build_instance, quantized_instance
 from vertexwalk import oracle as orc
+from vertexwalk.errors import DegenerateVertex
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
 from vertexwalk.oracle import make_oracle
@@ -146,10 +147,12 @@ class TestEdgeDirections:
         # signature must already be the one the probe confirms. Every side's
         # pricing is checked against two independent references: the probed
         # candidate, and the full gradient of the entered region dotted with
-        # the direction. Batched sides sum in a different order from both,
-        # so their derivative tolerance is fixed up front; sides that edges()
-        # takes from candidate() run the probe's own arithmetic and are held
-        # to it at 1e-12 relative.
+        # the direction. Batched sides, including the rank-k corrected sides
+        # of positions with affected surfaces, sum in a different order from
+        # both, so their derivative tolerance is fixed up front; sides that
+        # edges() takes from candidate() (vertices with coincident surfaces)
+        # run the probe's own arithmetic and are held to it at 1e-12
+        # relative.
         cases = []
         for seed in (81, 82, 83):
             o, p0 = build_instance(seed, (2, 3, 2, 1), 10)
@@ -159,17 +162,20 @@ class TestEdgeDirections:
         cases.append((o, descend_to_vertex(o, p0, LIMITS, rng)[0]))
         assert _VertexWork(*cases[-1]).coincident_idx
 
+        affected_sides = 0
         for o, vertex in cases:
             work = _VertexWork(o, vertex)
             edges = work.edges()
             assert len(edges) == 2 * o.dim
+            if not work.coincident_idx:
+                affected_sides += 2 * sum(map(bool, work.affected))
             tol = 1e-9 * (1.0 + float(np.sum(np.abs(work.g))))
             for (pos, sign), c in edges.items():
                 assert c.leaving == vertex.active[pos] and c.sign == sign
                 probed = work.candidate(pos, sign, probe=True)
                 assert_allclose(c.direction, probed.direction, rtol=0, atol=1e-12)
                 assert c.entered.equals(probed.entered)
-                if work.affected[pos] or work.coincident_idx:
+                if work.coincident_idx:
                     assert c.derivative == pytest.approx(
                         probed.derivative, rel=1e-12, abs=1e-12
                     )
@@ -179,6 +185,46 @@ class TestEdgeDirections:
                     o, orc.region_masks(c.entered), orc.region_sigma(c.entered)
                 )
                 assert abs(c.derivative - float(g_entered @ c.direction)) <= tol
+        assert affected_sides > 0
+
+    def test_batch_skips_exactly_the_sides_candidate_rejects(self, monkeypatch):
+        # Releasing unit u moves each affected normal by a multiple of u's
+        # own normal, so at a vertex with a nonsingular normal matrix no
+        # release can zero one. The collapse is therefore built by zeroing
+        # one affected normal on the flipped side of one release.
+        o, p0 = build_instance(81, (2, 3, 2, 1), 10)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        work = _VertexWork(o, vertex)
+        assert not work.coincident_idx
+        sides = [(pos, sign) for pos in range(o.dim) for sign in (1, -1)]
+
+        def rejected(work):
+            out = set()
+            for pos, sign in sides:
+                try:
+                    work.candidate(pos, sign, probe=False)
+                except DegenerateVertex:
+                    out.add((pos, sign))
+            return out
+
+        assert set(work.edges()) == set(sides) and not rejected(work)
+
+        pos = next(q for q, affected in enumerate(work.affected) if affected)
+        killed = vertex.active[work.affected[pos][0]]
+        array, i, k = work.located[pos]
+        flipped_on = vertex.signature.state_of(vertex.active[pos]) < 0
+        normal = orc.constraint_normal
+
+        def killing_normal(o, masks, idx):
+            col = normal(o, masks, idx)
+            if idx == killed and (masks[array][i, k] > 0) == flipped_on:
+                return np.zeros_like(col)
+            return col
+
+        monkeypatch.setattr(orc, "constraint_normal", killing_normal)
+        work = _VertexWork(o, vertex)
+        skipped = set(sides) - set(work.edges())
+        assert skipped == rejected(work) == {(pos, 1 if flipped_on else -1)}
 
     def test_derivatives_at_reference_scale(self):
         o, vertex = reference_scale_vertex()
