@@ -10,26 +10,25 @@ to the first newly-hit surface. The walk terminates when every edge
 direction has a non-negative one-sided loss derivative, i.e. at a vertex
 that is an edge-local minimum.
 
-Constraint surfaces above the first layer are themselves only piecewise
-affine in p, so their normals depend on which side of the released surface
-the edge enters. Edge directions are therefore solved against normals from
-a provisional signature and confirmed by probing a point just inside the
-edge; on disagreement the solve repeats with the probed signature (a few
-rounds at most, or the vertex is reported degenerate).
-
-All 2D release sides of a vertex are priced at once from one inverse
-N^-T of its normal matrix: the edge direction of (pos, +-1) is +- column
-pos, normalized. On the side the reference signature already has, the
-derivative is g . d. Across the released surface only the released
+Every release side of every vertex is first priced in one batch from the
+inverse N^-T of its normal matrix: the edge direction of (pos, +-1) is +-
+column pos, normalized. On the side the reference signature already has,
+the derivative is g . d. Across the released surface only the released
 sample's own loss term changes, so one batched kernel
 (oracle.release_corrections) adds that change for every position. A
 release that bends k deeper active surfaces of the same sample changes k
 normals on its flipped side; that side's direction is column pos with a
-rank-k (Woodbury) correction from the same inverse. Only two kinds of side
-still go through the solve/probe loop of candidate(): every side at a
-vertex with coincident surfaces, and the probe of the chosen edge, which
-solves its direction again with one right-hand side and whose first
-crossing is the pivot's ratio test.
+rank-k (Woodbury) correction from the same inverse.
+
+candidate() only settles a batch side. Surfaces above the first layer are
+themselves only piecewise affine in p, and surfaces coincident at the
+vertex are crossed at step zero, so the batch's entered region is
+provisional: at a vertex with coincident surfaces a linearized guess sets
+their states, and the chosen edge is confirmed by probing a point just
+inside it, whose ratio test is the pivot's. Only when a guess or the probe
+changes the entered region is the direction solved again, against normals
+recomputed for that region (a few rounds at most, or the side is reported
+degenerate).
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the per-sample gradient rows of
@@ -400,6 +399,7 @@ class _VertexWork:
             return None
         return c - basis @ y
 
+    @cached_property
     def _batch(self) -> dict[tuple[int, int], EdgeCandidate]:
         """Both release sides of every position, priced from one inverse:
         the direction of (pos, sign) is sign times column pos of N^-T,
@@ -407,8 +407,7 @@ class _VertexWork:
         normalized. On the reference side the derivative is g . d; across
         the released surface only its own sample's loss term changes, which
         release_corrections supplies for all positions at once. A flipped
-        side whose entered normals collapse has no edge and is left out,
-        as candidate() would reject it."""
+        side whose entered normals collapse has no edge and is left out."""
         o, v = self.o, self.v
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
@@ -446,95 +445,93 @@ class _VertexWork:
                 out[(pos, sign)] = c
         return out
 
-    def _coincident(self) -> dict[tuple[int, int], EdgeCandidate]:
-        """Every side at a vertex with coincident surfaces, whose entered
-        states are only known once the solve/probe loop has resolved them."""
-        out = {}
-        for pos in range(len(self.v.active)):
-            for sign in (1, -1):
+    def edges(self) -> dict[tuple[int, int], EdgeCandidate]:
+        """Every release side priced without probing, keyed by (pos, sign):
+        the batch, each side settled by candidate() at a vertex with
+        coincident surfaces. A side whose entered-region normals collapse
+        has no transversal edge and is left out. The result is computed once
+        per vertex; callers copy it before changing it.
+        """
+        if self._edges is None and not self.coincident_idx:
+            self._edges = self._batch
+        elif self._edges is None:
+            self._edges = {}
+            for key in self._batch:
                 try:
-                    out[(pos, sign)] = self.candidate(pos, sign, probe=False)
+                    self._edges[key] = self.candidate(*key, probe=False)
                 except DegenerateVertex:
                     continue
-        return out
-
-    def edges(self) -> dict[tuple[int, int], EdgeCandidate]:
-        """Every release side priced without probing, keyed by (pos, sign).
-
-        Sides come from the batch, or from the solve/probe loop of
-        candidate() at a vertex with coincident surfaces. A side whose
-        entered-region normals collapse has no transversal edge and is left
-        out. The result is computed once per vertex; callers copy it before
-        changing it.
-        """
-        if self._edges is None:
-            self._edges = self._coincident() if self.coincident_idx else self._batch()
         return self._edges
 
-    def _entered_derivative(self, sig: Signature, d: np.ndarray) -> float:
-        rows = self.entered_rows(sig)
-        g = self.g if rows is self.v.rows else orc.gradient_from_rows(self.o, rows)
-        return float(g @ d)
+    def _settled_direction(self, pos: int, sign: int, sig: Signature) -> np.ndarray:
+        """Unit direction releasing active[pos] to `sign` against the normals
+        of the region with signature sig, all recomputed."""
+        masks = orc.region_masks(sig)
+        cols = np.column_stack([orc.constraint_normal(self.o, masks, a) for a in self.v.active])
+        rhs = np.zeros(self.o.dim)
+        rhs[pos] = float(sign)
+        try:
+            d = np.linalg.solve(cols.T, rhs)
+        except np.linalg.LinAlgError:
+            raise DegenerateVertex("edge solve hit dependent normals") from None
+        nd = float(np.linalg.norm(d))
+        if not np.isfinite(nd) or nd == 0.0:
+            raise DegenerateVertex("edge solve produced a degenerate direction")
+        return d / nd
+
+    def _coincident_guess(self, sig: Signature, d: np.ndarray) -> Signature:
+        """sig with every coincident surface set to the side d moves into.
+
+        Surfaces through the vertex are crossed at step zero, so the entered
+        region lies on the side the direction moves into. This linearized
+        guess only seeds the settling: a coincident surface can itself bend
+        at the vertex, so once a probe has measured the actual sides it
+        stays authoritative.
+        """
+        dvals = orc.constraint_jvp_flat(self.o, orc.region_masks(sig), d)
+        floor = 1e-12 * float(np.max(np.abs(dvals)))
+        for idx in self.coincident_idx:
+            dv = float(dvals[idx])
+            if abs(dv) > floor:
+                state = 1 if dv > 0 else -1
+                if sig.state_of(idx) != state:
+                    sig = sig.with_state(idx, state)
+        return sig
 
     def candidate(self, pos: int, sign: int, probe: bool) -> EdgeCandidate:
-        """Edge direction for releasing active[pos] to the given side.
+        """Settle the batch side that releases active[pos] to `sign`.
 
-        With probe=True the entered signature is verified at a point just
-        inside the edge and the solve repeats until it is self-consistent;
-        the probe's ratio test gives the edge's first crossing.
+        At a vertex with coincident surfaces their states are first set by
+        the linearized guess; with probe=True the entered signature is then
+        verified at a point just inside the edge, and the probe's ratio test
+        gives the edge's first crossing. Only a guess or probe that changes
+        the entered region solves the direction again (_settled_direction),
+        until the region is self-consistent; otherwise the side keeps the
+        batch's direction and derivative.
         """
         o, v = self.o, self.v
-        a = v.active[pos]
-        sig = v.signature.with_state(a, sign)
-        affected = self.affected[pos]
-        rhs = np.zeros(o.dim)
-        rhs[pos] = float(sign)
-        degenerate = bool(self.coincident_idx)
-        probed_once = False
+        try:
+            side = self._batch[(pos, sign)]
+        except KeyError:
+            raise DegenerateVertex("edge solve hit dependent normals") from None
+        d, sig, deriv = side.direction, side.entered, side.derivative
+        guess = bool(self.coincident_idx)
         for round_ in range(_STABILIZE_ROUNDS):
-            if round_ == 0 and not (affected or degenerate):
-                d_raw = solve(v.factorization, rhs, transpose=True)
-            else:
-                masks_sig = orc.region_masks(sig)
-                cols = v.normals.copy()
-                redo = affected if (round_ == 0 and not degenerate) else range(len(v.active))
-                for q in redo:
-                    cols[:, q] = orc.constraint_normal(o, masks_sig, v.active[q])
-                try:
-                    d_raw = np.linalg.solve(cols.T, rhs)
-                except np.linalg.LinAlgError:
-                    raise DegenerateVertex("edge solve hit dependent normals") from None
-            nd = float(np.linalg.norm(d_raw))
-            if not np.isfinite(nd) or nd == 0.0:
-                raise DegenerateVertex("edge solve produced a degenerate direction")
-            d = d_raw / nd
-
-            if degenerate and not probed_once:
-                # Surfaces through the vertex are crossed at step zero; the
-                # entered region lies on the side the direction moves into.
-                # This linearized guess only seeds the loop: a coincident
-                # surface can itself bend at the vertex, so once a probe
-                # has measured the actual sides it stays authoritative.
-                masks_sig = orc.region_masks(sig)
-                dvals = orc.constraint_jvp_flat(o, masks_sig, d)
-                floor = 1e-12 * float(np.max(np.abs(dvals)))
-                changed = False
-                for idx in self.coincident_idx:
-                    dv = float(dvals[idx])
-                    if abs(dv) > floor:
-                        state = 1 if dv > 0 else -1
-                        if sig.state_of(idx) != state:
-                            sig = sig.with_state(idx, state)
-                            changed = True
-                if changed:
+            if round_:
+                d, deriv = self._settled_direction(pos, sign, sig), None
+            if guess:
+                guessed = self._coincident_guess(sig, d)
+                if guessed is not sig:
+                    sig = guessed
                     continue
-
-            deriv = self._entered_derivative(sig, d)
+            if deriv is None:
+                rows = self.entered_rows(sig)
+                g = self.g if rows is v.rows else orc.gradient_from_rows(o, rows)
+                deriv = float(g @ d)
             if not probe:
-                return EdgeCandidate(a, sign, d, sig, deriv)
+                return EdgeCandidate(side.leaving, sign, d, sig, deriv)
 
-            masks_sig = orc.region_masks(sig)
-            dvals = orc.constraint_jvp_flat(o, masks_sig, d)
+            dvals = orc.constraint_jvp_flat(o, orc.region_masks(sig), d)
             try:
                 crossing = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
             except NoCrossing:
@@ -550,9 +547,8 @@ class _VertexWork:
             q = v.point + eps * d
             sig_q = orc.resolve_signature(o, orc.forward_values(o, q), fallback=sig)
             if sig_q.equals(sig):
-                return EdgeCandidate(a, sign, d, sig, deriv, crossing)
-            sig = sig_q
-            probed_once = True
+                return EdgeCandidate(side.leaving, sign, d, sig, deriv, crossing)
+            sig, guess = sig_q, False
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
 
@@ -700,8 +696,10 @@ def _validate_vertex(o, v):
 # active set alone are then incomplete: the true edge fan belongs to every
 # D-subset of the coincident surfaces. When the walk stalls at such a
 # vertex, minimality is verified by direction sampling, and on failure the
-# walk swaps coincident surfaces into the active set (zero-length pivots)
-# until a descending edge appears.
+# walk swaps coincident surfaces into the active set until an exchanged set
+# has a descending edge. An exchange does not move the point; the escape
+# step along that edge is an ordinary probed pivot, whose step the probe
+# keeps above 1e-12 (1 + |p|).
 
 
 def _sampled_descent(o, p, radius, directions, rng) -> bool:
@@ -801,8 +799,6 @@ def _minimize_once(o, p0, limits, rng):
     counts = [r[2] for r in records]
 
     reason = "converged"
-    stationary = {frozenset(vertex.active)}
-    zero_steps = 0
     while True:
         if len(points) - 1 >= limits.max_iterations:
             reason = "max_iterations"
@@ -817,15 +813,6 @@ def _minimize_once(o, p0, limits, rng):
         points.append(vertex.point.copy())
         losses.append(rec.loss)
         counts.append(len(vertex.active))
-        if rec.step <= 1e-12 * (1.0 + float(np.linalg.norm(vertex.point))):
-            zero_steps += 1
-            key = frozenset(vertex.active)
-            if key in stationary or zero_steps > 100:
-                raise DegenerateVertex("cycling among coincident surfaces")
-            stationary.add(key)
-        else:
-            stationary = {frozenset(vertex.active)}
-            zero_steps = 0
 
     traj = _build_trajectory(points, losses, counts, phase1_len, reason)
     return traj.final.copy(), traj

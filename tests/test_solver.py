@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import build_instance, quantized_instance
 from vertexwalk import oracle as orc
+from vertexwalk import solver
 from vertexwalk.errors import DegenerateVertex
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
@@ -45,6 +46,33 @@ def reference_scale_vertex():
         assert outcome is not None
         vertex, _ = outcome
     return o, vertex
+
+
+def entered_signature(o, vertex, pos, sign, d):
+    """Signature of the region entered along d, resolved at a point just
+    inside the edge: the step is shrunk until no surface off the vertex has
+    changed sign, and surfaces still within tolerance there (the ones the
+    edge stays on) keep the vertex's states, the released one `sign`."""
+    flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
+    off = np.abs(flat) > o.tol.act
+    step = 1e-4 * (1.0 + float(np.linalg.norm(vertex.point)))
+    for _ in range(60):
+        vals = orc.forward_values(o, vertex.point + step * d)
+        if np.array_equal(np.sign(orc.constraint_values_flat(o, vals)[off]), np.sign(flat[off])):
+            break
+        step /= 2
+    else:
+        raise AssertionError("every step crosses a surface")
+    return orc.resolve_signature(o, vals, vertex.signature.with_state(vertex.active[pos], sign))
+
+
+def edge_solve(o, vertex, masks, pos, sign):
+    """Unit edge direction against the active normals under masks."""
+    cols = np.column_stack([orc.constraint_normal(o, masks, a) for a in vertex.active])
+    rhs = np.zeros(o.dim)
+    rhs[pos] = sign
+    d = np.linalg.solve(cols.T, rhs)
+    return d / np.linalg.norm(d)
 
 
 class TestDescendToVertex:
@@ -143,16 +171,16 @@ class TestEdgeDirections:
             assert fd == pytest.approx(c.derivative, rel=1e-4, abs=1e-7)
 
     def test_unprobed_candidates_match_probed(self):
-        # vertex_step ranks unprobed candidates, so the analytic entered
-        # signature must already be the one the probe confirms. Every side's
-        # pricing is checked against two independent references: the probed
-        # candidate, and the full gradient of the entered region dotted with
-        # the direction. Batched sides, including the rank-k corrected sides
-        # of positions with affected surfaces, sum in a different order from
-        # both, so their derivative tolerance is fixed up front; sides that
-        # edges() takes from candidate() (vertices with coincident surfaces)
-        # run the probe's own arithmetic and are held to it at 1e-12
-        # relative.
+        # vertex_step ranks unprobed candidates, so every priced side must
+        # already be the edge a probe would confirm. The reference for each
+        # side is computed here from scratch: the entered signature by
+        # resolving a point just inside the edge, the direction by a dense
+        # solve against the normals recomputed in that region, and the
+        # derivative as that region's full gradient dotted with it. Batched
+        # sums run in a different order, so the derivative tolerance is
+        # fixed up front; sides at the vertex with coincident surfaces and
+        # the rank-k corrected sides of positions with affected surfaces
+        # are among those checked.
         cases = []
         for seed in (81, 82, 83):
             o, p0 = build_instance(seed, (2, 3, 2, 1), 10)
@@ -167,23 +195,17 @@ class TestEdgeDirections:
             work = _VertexWork(o, vertex)
             edges = work.edges()
             assert len(edges) == 2 * o.dim
-            if not work.coincident_idx:
-                affected_sides += 2 * sum(map(bool, work.affected))
+            affected_sides += 2 * sum(map(bool, work.affected))
             tol = 1e-9 * (1.0 + float(np.sum(np.abs(work.g))))
             for (pos, sign), c in edges.items():
                 assert c.leaving == vertex.active[pos] and c.sign == sign
-                probed = work.candidate(pos, sign, probe=True)
-                assert_allclose(c.direction, probed.direction, rtol=0, atol=1e-12)
-                assert c.entered.equals(probed.entered)
-                if work.coincident_idx:
-                    assert c.derivative == pytest.approx(
-                        probed.derivative, rel=1e-12, abs=1e-12
-                    )
-                else:
-                    assert abs(c.derivative - probed.derivative) <= tol
-                g_entered = orc.region_gradient(
-                    o, orc.region_masks(c.entered), orc.region_sigma(c.entered)
+                entered = entered_signature(o, vertex, pos, sign, c.direction)
+                assert c.entered.equals(entered)
+                masks = orc.region_masks(entered)
+                assert_allclose(
+                    c.direction, edge_solve(o, vertex, masks, pos, sign), rtol=0, atol=1e-12
                 )
+                g_entered = orc.region_gradient(o, masks, orc.region_sigma(entered))
                 assert abs(c.derivative - float(g_entered @ c.direction)) <= tol
         assert affected_sides > 0
 
@@ -191,24 +213,33 @@ class TestEdgeDirections:
         # Releasing unit u moves each affected normal by a multiple of u's
         # own normal, so at a vertex with a nonsingular normal matrix no
         # release can zero one. The collapse is therefore built by zeroing
-        # one affected normal on the flipped side of one release.
+        # one affected normal on the flipped side of one release. The
+        # reference is a dense solve against each side's entered normals,
+        # recomputed through the patched oracle.
         o, p0 = build_instance(81, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        work = _VertexWork(o, vertex)
-        assert not work.coincident_idx
+        assert not _VertexWork(o, vertex).coincident_idx
         sides = [(pos, sign) for pos in range(o.dim) for sign in (1, -1)]
 
-        def rejected(work):
-            out = set()
+        def outcomes():
+            work = _VertexWork(o, vertex)
+            skipped = set(sides) - set(work.edges())
+            rejected, dependent = set(), set()
             for pos, sign in sides:
                 try:
                     work.candidate(pos, sign, probe=False)
                 except DegenerateVertex:
-                    out.add((pos, sign))
-            return out
+                    rejected.add((pos, sign))
+                entered = vertex.signature.with_state(vertex.active[pos], sign)
+                try:
+                    edge_solve(o, vertex, orc.region_masks(entered), pos, sign)
+                except np.linalg.LinAlgError:
+                    dependent.add((pos, sign))
+            return skipped, rejected, dependent
 
-        assert set(work.edges()) == set(sides) and not rejected(work)
+        assert outcomes() == (set(), set(), set())
 
+        work = _VertexWork(o, vertex)
         pos = next(q for q, affected in enumerate(work.affected) if affected)
         killed = vertex.active[work.affected[pos][0]]
         array, i, k = work.located[pos]
@@ -222,9 +253,8 @@ class TestEdgeDirections:
             return col
 
         monkeypatch.setattr(orc, "constraint_normal", killing_normal)
-        work = _VertexWork(o, vertex)
-        skipped = set(sides) - set(work.edges())
-        assert skipped == rejected(work) == {(pos, 1 if flipped_on else -1)}
+        skipped, rejected, dependent = outcomes()
+        assert skipped == rejected == dependent == {(pos, 1 if flipped_on else -1)}
 
     def test_derivatives_at_reference_scale(self):
         o, vertex = reference_scale_vertex()
@@ -332,13 +362,28 @@ class TestMinimize:
 class TestDegenerateCorpus:
     """Quantized data and starts make many surfaces meet at one vertex; the
     walk must still converge monotonically through the coincident-surface
-    fallback of edge pricing."""
+    settling of edge pricing, its degenerate escape and its restarts."""
 
     INSTANCES = [
         (widths, seed)
         for widths in ((2, 3, 2, 1), (2, 2, 1), (3, 4, 3, 1))
         for seed in range(6)
     ]
+
+    @staticmethod
+    def converge(widths, seed, n_samples=12, max_iterations=300):
+        o, p0, rng = quantized_instance(widths, seed, n_samples)
+        limits = SolverLimits(max_iterations=max_iterations, validate=True)
+        _, traj = minimize(o, p0, limits, rng)
+        label = f"widths={widths} N={n_samples} seed={seed}"
+        assert traj.reason == "converged", label
+        assert traj.phase1_len == o.dim, label
+        diffs = np.diff(traj.losses)
+        assert np.all(diffs <= 1e-10 * (1 + traj.losses[:-1])), label
+        # The probe raises unless an edge's first crossing lies beyond
+        # 1e-12 (1 + |p|), so no pivot, escape steps included, stands still.
+        before = np.linalg.norm(traj.points[traj.phase1_len : -1], axis=1)
+        assert np.all(traj.step_lengths[traj.phase1_len + 1 :] > 1e-12 * (1 + before)), label
 
     def test_quantized_instances_converge(self, monkeypatch):
         coincident_visits = []
@@ -349,16 +394,41 @@ class TestDegenerateCorpus:
             return edges(work)
 
         monkeypatch.setattr(_VertexWork, "edges", counting_edges)
-        limits = SolverLimits(max_iterations=300, validate=True)
         runs_with_coincident = 0
         for widths, seed in self.INSTANCES:
             coincident_visits.clear()
-            o, p0, rng = quantized_instance(widths, seed)
-            _, traj = minimize(o, p0, limits, rng)
-            label = f"widths={widths} seed={seed}"
-            assert traj.reason == "converged", label
-            assert traj.phase1_len == o.dim, label
-            diffs = np.diff(traj.losses)
-            assert np.all(diffs <= 1e-10 * (1 + traj.losses[:-1])), label
+            self.converge(widths, seed)
             runs_with_coincident += any(coincident_visits)
         assert runs_with_coincident >= 1
+
+    def test_escape_steps_and_restarts_converge(self, monkeypatch):
+        # The first two walks stall at a degenerate vertex and leave it by an
+        # escape step; on the third a new vertex's normal matrix is singular,
+        # and the walk restarts from a perturbed start.
+        escapes, attempts = [], []
+        escape, once = solver._escape_if_degenerate, solver._minimize_once
+
+        def counting_escape(*args):
+            outcome = escape(*args)
+            escapes.append(outcome is not None)
+            return outcome
+
+        def counting_once(*args):
+            attempts.append(None)
+            return once(*args)
+
+        monkeypatch.setattr(solver, "_escape_if_degenerate", counting_escape)
+        monkeypatch.setattr(solver, "_minimize_once", counting_once)
+        for widths, n_samples, seed, restarts in (
+            ((1, 2, 1), 12, 14, False),
+            ((1, 2, 1), 12, 15, False),
+            ((2, 4, 1), 30, 2, True),
+        ):
+            escapes.clear()
+            attempts.clear()
+            self.converge(widths, seed, n_samples, max_iterations=400)
+            label = f"widths={widths} N={n_samples} seed={seed}"
+            if restarts:
+                assert len(attempts) > 1, label
+            else:
+                assert any(escapes), label
