@@ -20,19 +20,18 @@ from .analysis import (
     vertex_density_proxy,
 )
 from .experiment import ExperimentConfig, RunArtifacts, generate_instance, run, sweep
-from .network import Architecture, LayerParams, NetworkParams, TrainingSet, forward, l1_loss
+from .network import Architecture, LayerParams, NetworkParams, TrainingSet, forward_batch, l1_loss
 from .oracle import (
     AffinePiece,
-    ConstraintTag,
     OracleInstance,
     Signature,
     Tolerances,
     affine_piece,
     constraint_eval,
-    enumerate_constraints,
     make_oracle,
     ratio_test,
     region_signature,
+    tag_index,
     value,
 )
 from .prng import SplitMix64
@@ -42,7 +41,6 @@ from .solver import (
     Trajectory,
     VertexState,
     descend_to_vertex,
-    edge_directions,
     minimize,
     vertex_step,
 )

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bruteforce
-from .errors import Degenerate, Degenerate2D
+from .errors import Degenerate, Degenerate2D, InvalidConfig
 from .experiment import ExperimentConfig, analyze_files, generate_instance, run, sweep
 from .solver import minimize
 
@@ -18,7 +18,10 @@ _OK_STATUSES = ("converged", "max_iterations")
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise InvalidConfig(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -161,7 +164,11 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidConfig as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

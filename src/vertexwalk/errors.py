@@ -18,7 +18,8 @@ class AmbiguousSignature(ValueError):
 
 
 class InvalidTag(ValueError):
-    """Constraint tag indices are out of range for the instance."""
+    """A flat constraint index, or the (layer, sample, unit) given to
+    oracle.tag_index, names no surface of the instance."""
 
 
 class NoCrossing(Exception):

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,16 @@ from .prng import SplitMix64
 from .solver import SolverLimits, Trajectory, minimize
 
 PAPER_WIDTHS = (4, 5, 4, 3, 2, 1)
+_INT_FIELDS = ("seed", "samples", "layer", "max_iterations", "mean_window", "fit_window")
+_RANGE_FIELDS = ("theta_range", "data_range", "init_range")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -68,25 +80,39 @@ class ExperimentConfig:
     r2_threshold: float = 0.9
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        for name in ("theta_range", "data_range", "init_range"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        # Checked before the conversions below, which would cut 5.9 to 5.
         self.validate()
+        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        for name in _RANGE_FIELDS:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     def validate(self) -> None:
-        if len(self.widths) < 3 or any(w < 1 for w in self.widths):
-            raise InvalidConfig(f"bad widths {self.widths}")
-        if not (1 <= self.layer <= len(self.widths) - 2):
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if not _is_int(v):
+                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed {self.seed} outside [0, 2**64)")
+        w = self.widths
+        if not (isinstance(w, (tuple, list)) and len(w) >= 3
+                and all(_is_int(v) and v >= 1 for v in w)):
+            raise InvalidConfig(f"widths must be at least 3 positive integers, got {w!r}")
+        if not (1 <= self.layer <= len(w) - 2):
             raise InvalidConfig(f"layer {self.layer} not a hidden-layer index")
         if self.samples < 1:
             raise InvalidConfig("need at least one sample")
-        for name in ("theta_range", "data_range", "init_range"):
-            a, b = getattr(self, name)
-            if not a < b:
-                raise InvalidConfig(f"{name} must satisfy a < b")
+        for name in _RANGE_FIELDS:
+            r = getattr(self, name)
+            if not (isinstance(r, (tuple, list)) and len(r) == 2
+                    and all(map(_is_finite, r)) and r[0] < r[1]):
+                raise InvalidConfig(f"{name} must be finite (a, b) with a < b, got {r!r}")
         if self.max_iterations < 1 or self.mean_window < 1 or self.fit_window < 3:
             raise InvalidConfig("bad iteration or window settings")
-        if not (0.0 < self.r2_threshold <= 1.0):
+        for name in ("act_tol", "desc_tol"):
+            v = getattr(self, name)
+            if not (_is_finite(v) and v > 0):
+                raise InvalidConfig(f"{name} must be finite and positive, got {v!r}")
+        if not (_is_finite(self.r2_threshold) and 0.0 < self.r2_threshold <= 1.0):
             raise InvalidConfig("r2_threshold must lie in (0, 1]")
 
     def to_json(self) -> str:
@@ -94,11 +120,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise InvalidConfig(f"config is not valid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise InvalidConfig(f"config must be a JSON object, got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(f"unknown config keys {unknown}")
+        return cls(**obj)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as e:
+            raise InvalidConfig(f"cannot read config file: {e}") from None
+        return cls.from_json(text)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -358,27 +397,47 @@ def sweep(
     return aggregate
 
 
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header and numeric rows of a CSV series file with at least one row."""
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except OSError as e:
+        raise InvalidConfig(f"cannot read series file: {e}") from None
+    if len(lines) < 2:
+        raise InvalidConfig(f"{path}: no data rows")
+    header = lines[0].split(",")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise InvalidConfig(f"{path} line {n}: {len(cells)} fields, expected {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            raise InvalidConfig(f"{path} line {n}: non-numeric field") from None
+    return header, np.array(rows)
+
+
 def load_trajectory_csv(
     traj_path: str | Path, points_path: str | Path | None = None
 ) -> Trajectory:
     """Rebuild a Trajectory from trajectory.csv (plus points.csv when
     available; without it the iterate coordinates are zero placeholders and
-    distance-to-final cannot be recomputed)."""
-    rows = Path(traj_path).read_text().strip().splitlines()
-    header = rows[0].split(",")
+    distance-to-final cannot be recomputed). A malformed file raises
+    InvalidConfig."""
+    header, data = _read_table(traj_path)
     expect = ["iteration", "loss", "step_length", "active_count", "phase"]
     if header != expect:
         raise InvalidConfig(f"unexpected trajectory header {header}")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     losses = data[:, 1]
     steps = data[:, 2]
     counts = data[:, 3].astype(int)
     phase1_len = int(np.sum(data[:, 4] == 1))
     points = np.zeros((len(losses), 1))
     if points_path and Path(points_path).exists():
-        prow = Path(points_path).read_text().strip().splitlines()
-        pdata = np.array([[float(v) for v in r.split(",")] for r in prow[1:]])
-        points = pdata[:, 1:]
+        points = _read_table(points_path)[1][:, 1:]
+        if len(points) != len(losses):
+            raise InvalidConfig(f"{points_path}: {len(points)} rows, trajectory has {len(losses)}")
     return Trajectory(
         points=points,
         losses=losses,

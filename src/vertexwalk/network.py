@@ -119,32 +119,6 @@ class TrainingSet:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Pre-activations z^{(l)} for l = 1..L plus the network output."""
-
-    preactivations: tuple[np.ndarray, ...]
-    output: np.ndarray
-
-
-def forward(params: NetworkParams, x: np.ndarray) -> ForwardTrace:
-    """Evaluate the network on one input, recording every pre-activation."""
-    h = np.asarray(x, dtype=float)
-    if h.ndim != 1 or h.shape[0] != params.layers[0].fan_in:
-        raise ShapeMismatch(
-            f"input dim {h.shape} does not match first layer fan-in "
-            f"{params.layers[0].fan_in}"
-        )
-    pres = []
-    for layer in params.layers[:-1]:
-        z = layer.weight @ h + layer.bias
-        pres.append(z)
-        h = relu(z)
-    out_layer = params.layers[-1]
-    output = out_layer.weight @ h + out_layer.bias
-    return ForwardTrace(preactivations=tuple(pres), output=output)
-
-
 def forward_batch(params: NetworkParams, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Batched forward pass: per-layer pre-activations (N, n_l) and outputs (N, n_out)."""
     h = np.asarray(inputs, dtype=float)

@@ -31,43 +31,20 @@ import numpy as np
 from .errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
 from .network import Architecture, LayerParams, NetworkParams, TrainingSet, relu
 
-NEURON = 0
-RESIDUAL = 1
-
-
-@dataclass(frozen=True, order=True)
-class ConstraintTag:
-    """Identity of one kink surface, totally ordered by (kind, sample, layer, unit).
-
-    Neuron tags carry the hidden layer (1-based) and unit index; residual
-    tags use layer = L+1 and the output coordinate as unit.
-    """
-
-    kind: int
-    sample: int
-    layer: int
-    unit: int
-
-    def __repr__(self):
-        name = "neuron" if self.kind == NEURON else "residual"
-        return f"{name}(i={self.sample}, l={self.layer}, k={self.unit})"
-
-
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances: activity threshold and probe step scale."""
+    """Numerical tolerances: a constraint within `act` of zero is active."""
 
     act: float = 1e-8
-    probe: float = 1e-7
 
 
 @dataclass(frozen=True)
 class ConstraintLayout:
     """Decodes a flat constraint index into (state array, sample, unit).
 
-    The flat order is the tag order: each sample's hidden units by (layer,
-    unit), sample after sample, then the residuals by (sample, output).
-    State array l-1 is hidden layer l and array L holds the residuals.
+    The flat order: each sample's hidden units by (layer, unit), sample
+    after sample, then the residuals by (sample, output). State array l-1
+    is hidden layer l and array L holds the residuals; tag_index encodes.
     """
 
     n_samples: int
@@ -449,71 +426,32 @@ def constraint_normal(
     return -grad if array == o.arch.hidden_depth else grad
 
 
+def _check_index(o: OracleInstance, idx: int) -> int:
+    if not 0 <= idx < o.n_constraints:
+        raise InvalidTag(f"flat index {idx} out of range [0, {o.n_constraints})")
+    return idx
+
+
 def constraint_eval(
-    o: OracleInstance, p: np.ndarray, sig: Signature, tag: ConstraintTag
+    o: OracleInstance, p: np.ndarray, sig: Signature, idx: int
 ) -> tuple[float, np.ndarray]:
-    """Value and region-local gradient of one constraint at p."""
-    idx = tag_index(o, tag)
+    """Value and region-local gradient of the constraint with flat index idx."""
+    _check_index(o, idx)
     v = float(constraint_values_flat(o, forward_values(o, p))[idx])
     return v, constraint_normal(o, region_masks(sig), idx)
 
 
-def _check_tag(o: OracleInstance, tag: ConstraintTag) -> None:
-    n = o.n_samples
+def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
+    """Flat index of hidden unit `unit` of layer 1..L, or of output `unit`'s
+    residual with layer = L+1, for one sample. o.layout.locate inverts it,
+    returning state array layer - 1."""
     depth = o.arch.hidden_depth
-    if tag.kind == NEURON:
-        ok = (
-            0 <= tag.sample < n
-            and 1 <= tag.layer <= depth
-            and 0 <= tag.unit < o.arch.widths[tag.layer]
-        )
-    elif tag.kind == RESIDUAL:
-        ok = (
-            0 <= tag.sample < n
-            and tag.layer == depth + 1
-            and 0 <= tag.unit < o.arch.output_dim
-        )
-    else:
-        ok = False
-    if not ok:
-        raise InvalidTag(f"tag out of range: {tag}")
-
-
-def enumerate_constraints(o: OracleInstance) -> list[ConstraintTag]:
-    """All tags in total order: neuron tags by (sample, layer, unit), then residuals.
-
-    Residual tags carry layer = L+1 and the output coordinate as unit.
-    """
-    depth = o.arch.hidden_depth
-    tags = [
-        ConstraintTag(NEURON, i, l, k)
-        for i in range(o.n_samples)
-        for l in range(1, depth + 1)
-        for k in range(o.arch.widths[l])
-    ]
-    tags.extend(
-        ConstraintTag(RESIDUAL, i, depth + 1, j)
-        for i in range(o.n_samples)
-        for j in range(o.arch.output_dim)
-    )
-    return tags
-
-
-def tag_index(o: OracleInstance, tag: ConstraintTag) -> int:
-    """Position of a tag in the total order (also its flat array index)."""
-    _check_tag(o, tag)
-    if tag.kind == NEURON:
-        return tag.sample * o.hidden_total + o.layer_offset(tag.layer) + tag.unit
-    base = o.n_samples * o.hidden_total
-    return base + tag.sample * o.arch.output_dim + tag.unit
-
-
-def tag_from_index(o: OracleInstance, idx: int) -> ConstraintTag:
-    if idx < 0 or idx >= o.n_constraints:
-        raise InvalidTag(f"flat index {idx} out of range")
-    array, sample, unit = o.layout.locate(idx)
-    kind = RESIDUAL if array == o.arch.hidden_depth else NEURON
-    return ConstraintTag(kind, sample, array + 1, unit)
+    in_range = 1 <= layer <= depth + 1 and 0 <= sample < o.n_samples
+    if not (in_range and 0 <= unit < o.arch.widths[layer]):
+        raise InvalidTag(f"no surface at layer {layer}, sample {sample}, unit {unit}")
+    if layer <= depth:
+        return sample * o.hidden_total + o.layer_offset(layer) + unit
+    return o.n_samples * o.hidden_total + sample * o.arch.output_dim + unit
 
 
 def _flatten(hidden: list[np.ndarray], residuals: np.ndarray) -> np.ndarray:
@@ -527,7 +465,7 @@ def _flatten(hidden: list[np.ndarray], residuals: np.ndarray) -> np.ndarray:
 
 
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
-    """All constraint values ordered by tag index."""
+    """All constraint values in flat index order."""
     return _flatten(vals.preacts, vals.residuals)
 
 
@@ -552,19 +490,20 @@ def ratio_test(
     p: np.ndarray,
     d: np.ndarray,
     sig: Signature,
-    active: list[ConstraintTag] | tuple[ConstraintTag, ...],
-) -> tuple[float, ConstraintTag]:
-    """First positive step along d at which an inactive constraint hits zero.
+    active: list[int] | tuple[int, ...],
+) -> tuple[float, int]:
+    """First positive step along d at which an inactive constraint hits zero,
+    and its flat index; `active` holds the flat indices to skip.
 
     Candidates are constraints moving strictly toward zero; ties resolve to
-    the smallest tag. Raises NoCrossing when nothing is hit.
+    the smallest index. Raises NoCrossing when nothing is hit.
     """
     p = _check_point(o, p)
+    active = [_check_index(o, idx) for idx in active]
     vals = forward_values(o, p)
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
-    t, hit = _ratio_from_arrays(flat, dvals, [tag_index(o, tag) for tag in active])
-    return t, tag_from_index(o, hit)
+    return _ratio_from_arrays(flat, dvals, active)
 
 
 def crossing_candidates(

@@ -70,6 +70,9 @@ _RESTART_SEED = 0x7E57ED5EED
 _RESTARTS = 2
 # Solve/probe rounds before an entered-region signature counts as unstable.
 _STABILIZE_ROUNDS = 5
+# A probe point sits this far inside an edge, times (1 + |p|), capped by
+# half the edge's first crossing.
+_PROBE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -536,7 +539,7 @@ class _VertexWork:
                 crossing = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
             except NoCrossing:
                 crossing = None
-            eps = o.tol.probe * (1.0 + self.pnorm)
+            eps = _PROBE * (1.0 + self.pnorm)
             if crossing is not None:
                 t_first = crossing[0]
                 if t_first <= 1e-12 * (1.0 + self.pnorm):
@@ -550,16 +553,6 @@ class _VertexWork:
                 return EdgeCandidate(side.leaving, sign, d, sig, deriv, crossing)
             sig, guess = sig_q, False
         raise DegenerateVertex("entered-region signature failed to stabilize")
-
-
-def edge_directions(o: OracleInstance, v: VertexState) -> list[EdgeCandidate]:
-    """All pivot options at a vertex, each with a verified entered region."""
-    work = _VertexWork(o, v)
-    return [
-        work.candidate(pos, sign, probe=True)
-        for pos in range(len(v.active))
-        for sign in (1, -1)
-    ]
 
 
 def _selection_key(c: EdgeCandidate):

@@ -69,12 +69,14 @@ def paper_runs():
     Workers run one BLAS thread each: a worker per CPU with threaded BLAS
     oversubscribes the cores. They are spawned, not forked, because a
     forked child keeps the BLAS its parent has already loaded; a spawned
-    one starts from the environment set here.
+    one starts from the environment set here. That environment also makes
+    a RuntimeWarning an error in the workers, as pytest does in-process.
     """
     workers = min(len(PAPER_SEEDS), os.cpu_count() or 1)
     with pytest.MonkeyPatch.context() as mp:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             mp.setenv(var, "1")
+        mp.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:

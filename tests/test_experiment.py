@@ -11,6 +11,7 @@ from vertexwalk.experiment import (
     ExperimentConfig,
     analyze_files,
     generate_instance,
+    load_trajectory_csv,
     run,
     summarize,
     sweep,
@@ -310,6 +311,32 @@ class TestAnalyze:
             b = (tmp_path / "re" / name).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "iteration,loss,step_length,active_count,phase\n",
+            "iteration,loss,step_length,active_count,phase\n0,3.5,0.0,0,1\n1,2.0,0.5\n",
+            "iteration,loss,step_length,active_count,phase\n0,3.5,0.0,0,x\n",
+        ],
+        ids=["header_only", "short_row", "non_numeric"],
+    )
+    def test_malformed_trajectory_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidConfig):
+            load_trajectory_csv(path)
+        code = main(["analyze", "--traj", str(path), "--out", str(tmp_path / "re")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_points_row_count_must_match(self, tmp_path):
+        run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
+        points = tmp_path / "orig" / "points.csv"
+        points.write_text("\n".join(points.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(InvalidConfig):
+            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re")
+
     def test_without_points_skips_distances(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
         (tmp_path / "orig" / "points.csv").unlink()
@@ -329,6 +356,65 @@ class TestConfigSerialization:
         a = ExperimentConfig(seed=1, **TOY)
         b = ExperimentConfig(seed=2, **TOY)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_fingerprints_pinned(self):
+        # Lists and int range ends normalize as before validation existed.
+        assert ExperimentConfig().fingerprint() == "afa7d39b328a3829"
+        cfg = ExperimentConfig(seed=12, widths=[2, 2, 1], samples=9, data_range=(-2, 2))
+        assert cfg.fingerprint() == "57e9afc8173ab352"
+        cfg = ExperimentConfig(seed=3, act_tol=1e-7, desc_tol=1e-10)
+        assert cfg.fingerprint() == "68db17f5906b6110"
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": True},
+            {"max_iterations": 2.5},
+            {"widths": [4, 5.9, 1]},
+            {"widths": "451"},
+            {"samples": 2.7},
+            {"layer": None},
+            {"init_range": (-float("inf"), 1.0)},
+            {"data_range": (0.0, float("nan"))},
+            {"theta_range": (-1.0, 0.0, 1.0)},
+            {"act_tol": -1},
+            {"act_tol": 0.0},
+            {"desc_tol": float("nan")},
+            {"desc_tol": float("inf")},
+            {"r2_threshold": "0.9"},
+        ],
+    )
+    def test_bad_field_rejected(self, bad):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(**bad)
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig.from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("text", ['{"sead": 3}', "[1, 2]", "7", "{seed: 1}"])
+    def test_bad_json_rejected(self, text):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--widths", "4,5.9,1"],
+            ["run", "--config", "CFG"],
+            ["run", "--config", "missing.json"],
+            ["sweep", "--seeds", "1,x"],
+            ["analyze", "--traj", "missing.csv", "--out", "re"],
+        ],
+    )
+    def test_cli_reports_one_line_and_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "CFG").write_text('{"seed": 1, "sead": 2}')
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCli:

@@ -10,7 +10,6 @@ from vertexwalk.network import (
     LayerParams,
     NetworkParams,
     TrainingSet,
-    forward,
     forward_batch,
     l1_loss,
     relu,
@@ -28,6 +27,12 @@ def random_params(seed, widths, low=-1.0, high=1.0):
     return NetworkParams(tuple(layers))
 
 
+def forward_one(params, x):
+    """Pre-activations and output of one input, from a one-row batch."""
+    pres, out = forward_batch(params, np.asarray(x, dtype=float)[None, :])
+    return [z[0] for z in pres], out[0]
+
+
 class TestForward:
     def test_constant_network(self):
         c = 7.5
@@ -35,8 +40,8 @@ class TestForward:
             LayerParams(np.zeros((3, 2)), np.zeros(3)),
             LayerParams(np.zeros((1, 3)), np.array([c])),
         )
-        trace = forward(NetworkParams(layers), np.array([1.0, -4.0]))
-        assert_allclose(trace.output, [c])
+        _, out = forward_one(NetworkParams(layers), [1.0, -4.0])
+        assert_allclose(out, [c])
 
     def test_scalar_chain_by_hand(self):
         params = NetworkParams(
@@ -45,34 +50,26 @@ class TestForward:
                 LayerParams(np.array([[2.0]]), np.array([0.0])),
             )
         )
-        trace = forward(params, np.array([3.0]))
-        assert_allclose(trace.preactivations[0], [2.0])
-        assert_allclose(trace.output, [4.0])
+        pres, out = forward_one(params, [3.0])
+        assert_allclose(pres[0], [2.0])
+        assert_allclose(out, [4.0])
 
-        trace = forward(params, np.array([0.5]))
-        assert_allclose(trace.preactivations[0], [-0.5])
-        assert_allclose(trace.output, [0.0])
+        pres, out = forward_one(params, [0.5])
+        assert_allclose(pres[0], [-0.5])
+        assert_allclose(out, [0.0])
 
     def test_reference_architecture_shapes(self):
         params = random_params(11, (4, 5, 4, 3, 2, 1))
-        trace = forward(params, np.array([0.3, -1.2, 2.0, 0.0]))
-        assert trace.output.shape == (1,)
-        assert [z.shape[0] for z in trace.preactivations] == [5, 4, 3, 2]
-
-    def test_batch_matches_single(self):
-        params = random_params(12, (3, 4, 2))
-        rng = SplitMix64(13)
-        xs = rng.uniform_block(5 * 3, -2, 2).reshape(5, 3)
-        pres, outs = forward_batch(params, xs)
-        for i in range(5):
-            trace = forward(params, xs[i])
-            assert_allclose(outs[i], trace.output, atol=1e-14)
-            assert_allclose(pres[0][i], trace.preactivations[0], atol=1e-14)
+        pres, outs = forward_batch(params, np.zeros((7, 4)))
+        assert outs.shape == (7, 1)
+        assert [z.shape for z in pres] == [(7, 5), (7, 4), (7, 3), (7, 2)]
 
     def test_shape_mismatch(self):
         params = random_params(14, (3, 2, 1))
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros(4))
+            forward_batch(params, np.zeros((1, 4)))
+        with pytest.raises(ShapeMismatch):
+            forward_batch(params, np.zeros(3))
 
     @settings(max_examples=20, deadline=None)
     @given(c=st.floats(0.1, 50.0), seed=st.integers(0, 2**20))
@@ -89,7 +86,7 @@ class TestForward:
         )
         x = rng.uniform_block(2, -2, 2)
         assert_allclose(
-            forward(scaled, x).output, c * forward(params, x).output, rtol=1e-12
+            forward_one(scaled, x)[1], c * forward_one(params, x)[1], rtol=1e-12
         )
 
 
@@ -120,7 +117,7 @@ class TestL1Loss:
         # Per-sample forward passes, summed in reverse order.
         acc = 0.0
         for i in reversed(range(40)):
-            out = forward(params, xs[i]).output
+            _, out = forward_one(params, xs[i])
             for j in reversed(range(2)):
                 acc += abs(ys[i, j] - out[j])
         assert total == pytest.approx(acc, rel=1e-12)
@@ -135,7 +132,7 @@ class TestL1Loss:
             params,
             TrainingSet(np.vstack([xs, xs[2:3]]), np.vstack([ys, ys[2:3]])),
         )
-        single = abs(ys[2, 0] - forward(params, xs[2]).output[0])
+        single = abs(ys[2, 0] - forward_one(params, xs[2])[1][0])
         assert dup == pytest.approx(base + single, rel=1e-12)
 
     def test_loss_nonnegative(self):

@@ -6,16 +6,12 @@ from numpy.testing import assert_allclose
 
 from conftest import build_instance, interior_point
 from vertexwalk.errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
-from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward, l1_loss
+from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward_batch, l1_loss
 from vertexwalk.oracle import (
-    NEURON,
-    RESIDUAL,
-    ConstraintTag,
     Tolerances,
     affine_piece,
     constraint_eval,
     constraint_values_flat,
-    enumerate_constraints,
     forward_values,
     gradient_from_rows,
     make_oracle,
@@ -28,7 +24,6 @@ from vertexwalk.oracle import (
     region_sigma,
     region_signature,
     sample_gradient_rows,
-    tag_from_index,
     tag_index,
     value,
 )
@@ -115,19 +110,13 @@ class TestRegionSignature:
     def test_consistent_with_forward_trace(self):
         o, _ = build_instance(7, (2, 3, 2, 1), 12)
         rng = SplitMix64(77)
-        params = None
         for _ in range(20):
             p = rng.uniform_block(o.dim, -4, 4)
             sig = region_signature(o, p)
-            params = network_params(o, p)
-            for i in range(o.n_samples):
-                trace = forward(params, o.data.inputs[i])
-                for l, z in enumerate(trace.preactivations):
-                    states = sig.neurons[l][i]
-                    clear = np.abs(z) > o.tol.act
-                    assert np.array_equal(
-                        states[clear], np.sign(z[clear]).astype(np.int8)
-                    )
+            pres, _ = forward_batch(network_params(o, p), o.data.inputs)
+            for states, z in zip(sig.neurons, pres):
+                clear = np.abs(z) > o.tol.act
+                assert np.array_equal(states[clear], np.sign(z[clear]).astype(np.int8))
 
 
 class TestAffinePiece:
@@ -243,8 +232,7 @@ class TestConstraintEval:
         p = rng.uniform_block(o.dim, -2, 2)
         sig = region_signature(o, p)
         i, k = 4, 1
-        tag = ConstraintTag(NEURON, i, 1, k)
-        val, grad = constraint_eval(o, p, sig, tag)
+        val, grad = constraint_eval(o, p, sig, tag_index(o, 1, i, k))
         block = grad.reshape(2, 4)
         assert_allclose(block[k, :3], o.data.inputs[i])
         assert block[k, 3] == 1.0
@@ -258,62 +246,78 @@ class TestConstraintEval:
         p = interior_point(o, rng, min_clear=5e-3)
         sig = region_signature(o, p)
         h = 1e-6 * (1 + np.linalg.norm(p))
-        for tag in [
-            ConstraintTag(NEURON, 2, 2, 0),
-            ConstraintTag(NEURON, 5, 1, 2),
-            ConstraintTag(RESIDUAL, 3, 3, 1),
-        ]:
-            val, grad = constraint_eval(o, p, sig, tag)
+        for surface in [(2, 2, 0), (1, 5, 2), (3, 3, 1)]:
+            val, grad = constraint_eval(o, p, sig, tag_index(o, *surface))
             fd = np.zeros(o.dim)
             for j in range(o.dim):
                 e = np.zeros(o.dim)
                 e[j] = h
-                vp = _constraint_value(o, p + e, tag)
-                vm = _constraint_value(o, p - e, tag)
+                vp = _constraint_value(o, p + e, surface)
+                vm = _constraint_value(o, p - e, surface)
                 fd[j] = (vp - vm) / (2 * h)
             assert np.linalg.norm(fd - grad) <= 1e-6 * (1 + np.linalg.norm(grad))
 
     def test_surface_point_has_zero_value(self):
         o, _ = build_instance(14, (2, 2, 1), 6)
         rng = SplitMix64(114)
-        tag = ConstraintTag(NEURON, 1, 1, 0)
+        surface = (1, 1, 0)
         a = rng.uniform_block(o.dim, -5, 5)
         b = rng.uniform_block(o.dim, -5, 5)
-        va = _constraint_value(o, a, tag)
-        vb = _constraint_value(o, b, tag)
+        va = _constraint_value(o, a, surface)
+        vb = _constraint_value(o, b, surface)
         # Find a segment that crosses the surface, then bisect onto it.
         tries = 0
         while (va < 0) == (vb < 0):
             b = rng.uniform_block(o.dim, -5, 5)
-            vb = _constraint_value(o, b, tag)
+            vb = _constraint_value(o, b, surface)
             tries += 1
             assert tries < 100
         for _ in range(80):
             m = 0.5 * (a + b)
-            vm = _constraint_value(o, m, tag)
+            vm = _constraint_value(o, m, surface)
             if (vm < 0) == (va < 0):
                 a, va = m, vm
             else:
                 b, vb = m, vm
         p_surface = 0.5 * (a + b)
         sig = region_signature(o, p_surface)
-        val, _ = constraint_eval(o, p_surface, sig, tag)
+        val, _ = constraint_eval(o, p_surface, sig, tag_index(o, *surface))
         assert abs(val) <= o.tol.act
 
     def test_invalid_tag(self):
         o, p = build_instance(15, (1, 1, 1), 2)
         sig = region_signature(o, p)
-        with pytest.raises(InvalidTag):
-            constraint_eval(o, p, sig, ConstraintTag(NEURON, 5, 1, 0))
-        with pytest.raises(InvalidTag):
-            constraint_eval(o, p, sig, ConstraintTag(NEURON, 0, 2, 0))
+        for idx in (-1, o.n_constraints):
+            with pytest.raises(InvalidTag):
+                constraint_eval(o, p, sig, idx)
+        # Sample 2 of 2, layer 0, layer L+2 and unit 1 of width-1 layers.
+        for surface in [(1, 2, 0), (0, 0, 0), (3, 0, 0), (1, 0, 1), (2, 0, 1), (1, -1, 0)]:
+            with pytest.raises(InvalidTag):
+                tag_index(o, *surface)
 
 
-def _constraint_value(o, p, tag):
+def _constraint_value(o, p, surface):
+    """Value of the surface (layer, sample, unit), layer L+1 for residuals,
+    read directly from the forward pass."""
+    layer, sample, unit = surface
     vals = forward_values(o, p)
-    if tag.kind == NEURON:
-        return float(vals.preacts[tag.layer - 1][tag.sample, tag.unit])
-    return float(vals.residuals[tag.sample, tag.unit])
+    if layer <= o.arch.hidden_depth:
+        return float(vals.preacts[layer - 1][sample, unit])
+    return float(vals.residuals[sample, unit])
+
+
+def _documented_order(o):
+    """(layer, sample, unit) of every surface in the documented flat order:
+    each sample's hidden units by layer then unit, sample after sample, then
+    the residuals by sample then output."""
+    depth = o.arch.hidden_depth
+    for i in range(o.n_samples):
+        for l in range(1, depth + 1):
+            for k in range(o.arch.widths[l]):
+                yield l, i, k
+    for i in range(o.n_samples):
+        for j in range(o.arch.output_dim):
+            yield depth + 1, i, j
 
 
 class TestEnumerateConstraints:
@@ -323,44 +327,42 @@ class TestEnumerateConstraints:
 
     def test_minimal_toy(self):
         o, _ = build_instance(17, (1, 1, 1), 1)
-        tags = enumerate_constraints(o)
-        assert len(tags) == 2
-        assert tags[0].kind == NEURON and tags[1].kind == RESIDUAL
-
-    def test_strictly_increasing_order(self):
-        o, _ = build_instance(18, (2, 3, 2, 2), 4)
-        tags = enumerate_constraints(o)
-        assert len(tags) == o.n_constraints
-        assert all(a < b for a, b in zip(tags, tags[1:]))
+        assert o.n_constraints == 2
+        assert tag_index(o, 1, 0, 0) == 0  # the neuron surface
+        assert tag_index(o, 2, 0, 0) == 1  # the residual surface
 
     def test_index_round_trip(self):
-        o, _ = build_instance(19, (2, 2, 3, 1), 5)
-        for idx, tag in enumerate(enumerate_constraints(o)):
-            assert tag_index(o, tag) == idx
-            assert tag_from_index(o, idx) == tag
+        # Two outputs, so residual units past 0 are walked as well.
+        for widths in [(2, 2, 3, 1), (2, 3, 2, 2)]:
+            o, _ = build_instance(19, widths, 5)
+            order = list(_documented_order(o))
+            assert len(order) == o.n_constraints
+            for idx, (layer, sample, unit) in enumerate(order):
+                assert tag_index(o, layer, sample, unit) == idx
+                assert o.layout.locate(idx) == (layer - 1, sample, unit)
 
     def test_flat_values_align_with_tags(self):
         o, p = build_instance(20, (2, 3, 1), 4)
         vals = forward_values(o, p)
         flat = constraint_values_flat(o, vals)
-        for idx, tag in enumerate(enumerate_constraints(o)):
-            assert flat[idx] == pytest.approx(_constraint_value(o, p, tag), abs=1e-14)
+        for idx, surface in enumerate(_documented_order(o)):
+            assert flat[idx] == pytest.approx(_constraint_value(o, p, surface), abs=1e-14)
 
 
 class TestRatioTest:
     def _loop_oracle(self, o, p, d, sig, active):
-        """Per-tag recomputation of the first crossing, independent of the
-        vectorized path."""
+        """Per-constraint recomputation of the first crossing, independent of
+        the vectorized path."""
         best = (np.inf, None)
-        for tag in enumerate_constraints(o):
-            if tag in active:
+        for idx in range(o.n_constraints):
+            if idx in active:
                 continue
-            val, grad = constraint_eval(o, p, sig, tag)
+            val, grad = constraint_eval(o, p, sig, idx)
             dv = float(grad @ d)
             if val * dv < 0 and abs(dv) > 1e-12:
                 t = -val / dv
                 if t < best[0]:
-                    best = (t, tag)
+                    best = (t, idx)
         return best
 
     def test_matches_loop_oracle(self):
@@ -370,14 +372,14 @@ class TestRatioTest:
             p = interior_point(o, rng, min_clear=1e-4)
             sig = region_signature(o, p)
             d = rng.unit_vector(o.dim)
-            expect_t, expect_tag = self._loop_oracle(o, p, d, sig, [])
-            if expect_tag is None:
+            expect_t, expect_idx = self._loop_oracle(o, p, d, sig, [])
+            if expect_idx is None:
                 with pytest.raises(NoCrossing):
                     ratio_test(o, p, d, sig, [])
             else:
-                t, tag = ratio_test(o, p, d, sig, [])
+                t, hit = ratio_test(o, p, d, sig, [])
                 assert t == pytest.approx(expect_t, rel=1e-9)
-                assert tag == expect_tag
+                assert hit == expect_idx
 
     def test_hand_computed_crossing(self):
         # One sample, unit weights: z = w + b and r = 2 - relu(z).
@@ -387,9 +389,9 @@ class TestRatioTest:
         d = np.array([1.0, 0.0])
         # r decreases at rate 1 toward zero: crossing at t = 1.5;
         # z increases away from zero and is never hit.
-        t, tag = ratio_test(o, p, d, sig, [])
+        t, hit = ratio_test(o, p, d, sig, [])
         assert t == pytest.approx(1.5, rel=1e-12)
-        assert tag == ConstraintTag(RESIDUAL, 0, 2, 0)
+        assert hit == tag_index(o, 2, 0, 0)
 
     def test_no_crossing(self):
         o = tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(2.0,))
@@ -407,7 +409,17 @@ class TestRatioTest:
         sig = region_signature(o, p)
         d = np.array([1.0, 0.0])
         with pytest.raises(NoCrossing):
-            ratio_test(o, p, d, sig, [ConstraintTag(RESIDUAL, 0, 2, 0)])
+            ratio_test(o, p, d, sig, [tag_index(o, 2, 0, 0)])
+
+    def test_out_of_range_active_rejected(self):
+        # numpy would wrap -1 round to the last constraint and skip it.
+        o = tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(2.0,))
+        p = np.array([0.5, 0.0])
+        sig = region_signature(o, p)
+        d = np.array([1.0, 0.0])
+        for idx in (-1, o.n_constraints):
+            with pytest.raises(InvalidTag):
+                ratio_test(o, p, d, sig, [idx])
 
 
 class TestRegionInvariants:
@@ -433,9 +445,9 @@ class TestRegionInvariants:
         rng = SplitMix64(123)
         p1 = rng.uniform_block(o.dim, -3, 3)
         p2 = rng.uniform_block(o.dim, -3, 3)
-        tag = ConstraintTag(NEURON, 2, 1, 1)
-        _, g1 = constraint_eval(o, p1, region_signature(o, p1), tag)
-        _, g2 = constraint_eval(o, p2, region_signature(o, p2), tag)
+        idx = tag_index(o, 1, 2, 1)
+        _, g1 = constraint_eval(o, p1, region_signature(o, p1), idx)
+        _, g2 = constraint_eval(o, p2, region_signature(o, p2), idx)
         assert_allclose(g1, g2)
 
     def test_value_equals_sum_of_residual_magnitudes(self):
@@ -469,7 +481,7 @@ class TestRegionInvariants:
             if diff == 0:
                 continue  # probe landed inside the activity band; skip
             assert diff == 1
-            assert before.state_of(tag_index(o, hit)) != after.state_of(tag_index(o, hit))
+            assert before.state_of(hit) != after.state_of(hit)
             flips_checked += 1
         assert flips_checked >= 5
 

@@ -16,7 +16,6 @@ from vertexwalk.solver import (
     SolverLimits,
     _VertexWork,
     descend_to_vertex,
-    edge_directions,
     minimize,
     vertex_step,
 )
@@ -147,7 +146,7 @@ class TestEdgeDirections:
     def test_candidate_invariants(self):
         o, p0 = build_instance(36, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        cands = edge_directions(o, vertex)
+        cands = list(_VertexWork(o, vertex).edges().values())
         assert len(cands) <= 2 * o.dim
         for c in cands:
             assert np.linalg.norm(c.direction) == pytest.approx(1.0, abs=1e-12)
@@ -166,7 +165,7 @@ class TestEdgeDirections:
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
-        for c in edge_directions(o, vertex):
+        for c in _VertexWork(o, vertex).edges().values():
             fd = (orc.value(o, vertex.point + delta * c.direction) - v0) / delta
             assert fd == pytest.approx(c.derivative, rel=1e-4, abs=1e-7)
 
@@ -260,7 +259,7 @@ class TestEdgeDirections:
         o, vertex = reference_scale_vertex()
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
-        cands = edge_directions(o, vertex)
+        cands = list(_VertexWork(o, vertex).edges().values())
         assert len(cands) == 2 * o.dim
         for c in cands[::5]:
             fd = (orc.value(o, vertex.point + delta * c.direction) - v0) / delta
