@@ -454,11 +454,14 @@ def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
     return o.n_samples * o.hidden_total + sample * o.arch.output_dim + unit
 
 
-def _flatten(hidden: list[np.ndarray], residuals: np.ndarray) -> np.ndarray:
+def _flatten(
+    hidden: tuple[np.ndarray, ...] | list[np.ndarray], residuals: np.ndarray
+) -> np.ndarray:
     """Per-sample hidden arrays side by side, then the residual block, in
-    flat constraint order, copied once into one buffer."""
+    flat constraint order, copied once into one buffer of the residuals'
+    dtype."""
     n, h = residuals.shape[0], sum(a.shape[1] for a in hidden)
-    out = np.empty(n * h + residuals.size)
+    out = np.empty(n * h + residuals.size, dtype=residuals.dtype)
     np.concatenate(hidden, axis=1, out=out[: n * h].reshape(n, h))
     out[n * h :] = residuals.ravel()
     return out
@@ -467,6 +470,11 @@ def _flatten(hidden: list[np.ndarray], residuals: np.ndarray) -> np.ndarray:
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
     """All constraint values in flat index order."""
     return _flatten(vals.preacts, vals.residuals)
+
+
+def states_flat(sig: Signature) -> np.ndarray:
+    """Every state of sig in flat index order, as int8."""
+    return _flatten(sig.neurons, sig.residuals)
 
 
 def constraint_jvp_flat(
@@ -507,28 +515,42 @@ def ratio_test(
 
 
 def crossing_candidates(
-    flat: np.ndarray, dvals: np.ndarray, active_idx: list[int]
+    flat: np.ndarray,
+    dvals: np.ndarray,
+    active_idx: list[int],
+    states: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mask of constraints moving strictly toward zero along a direction.
 
+    "Toward" means against the sign of the value, or, when `states` (flat
+    order) is given, against the state: a surface at zero, or on the wrong
+    side of its state by round-off, then still counts as ahead.
     Directional derivatives below 1e-12 of the largest one are round-off
     from orthogonality-by-construction, not real movement, and are dropped.
     """
     mag = np.abs(dvals)
-    toward = (flat * dvals < 0.0) & (mag > 1e-12 * float(np.max(mag)))
+    side = flat if states is None else states
+    toward = (side * dvals < 0.0) & (mag > 1e-12 * float(np.max(mag)))
     if active_idx:
         toward[np.asarray(active_idx, dtype=int)] = False
     return toward
 
 
 def _ratio_from_arrays(
-    flat: np.ndarray, dvals: np.ndarray, active_idx: list[int]
+    flat: np.ndarray,
+    dvals: np.ndarray,
+    active_idx: list[int],
+    states: np.ndarray | None = None,
 ) -> tuple[float, int]:
-    """First positive crossing step and the flat index it hits; ties resolve
-    to the smallest index."""
-    toward = np.flatnonzero(crossing_candidates(flat, dvals, active_idx))
+    """First crossing step and the flat index it hits; ties resolve to the
+    smallest index. With `states`, candidates are taken by state
+    (crossing_candidates) and a surface already at or past zero is hit at
+    step 0."""
+    toward = np.flatnonzero(crossing_candidates(flat, dvals, active_idx, states))
     if not toward.size:
         raise NoCrossing("no inactive constraint decreases toward zero")
     t = -flat[toward] / dvals[toward]
+    if states is not None:
+        t = np.maximum(t, 0.0)
     j = int(np.argmin(t))
     return float(t[j]), int(toward[j])

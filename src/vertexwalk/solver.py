@@ -25,20 +25,28 @@ themselves only piecewise affine in p, and surfaces coincident at the
 vertex are crossed at step zero, so the batch's entered region is
 provisional: at a vertex with coincident surfaces a linearized guess sets
 their states, and the chosen edge is confirmed by probing a point just
-inside it, whose ratio test is the pivot's. Only when a guess or the probe
-changes the entered region is the direction solved again, against normals
-recomputed for that region (a few rounds at most, or the side is reported
-degenerate).
+inside it, whose ratio test is the pivot's. The probe reads the point's
+region from the edge's JVP, which its ratio test needs anyway: when every
+active and coincident surface lies on the entered region's side there, or
+within a margin far below the activity tolerance of zero, a forward pass
+would resolve to that region, so none runs; otherwise one does. Only when
+a guess or the probe changes the entered region is the direction solved
+again, against normals recomputed for that region (a few rounds at most,
+or the side is reported degenerate). Each side is settled once per vertex,
+and a probe resumes where its side's settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the per-sample gradient rows of
 its region; entered regions and the next vertex recompute only the rows of
 samples whose states differ, and the next normal matrix recomputes only
 the entering column and the columns of samples whose states differ. The
-normal matrix is still refactorized from scratch at every pivot; at the
-problem sizes this package targets, robustness is worth far more than the
-saved cubic term. With validate=True every carried array is checked
-against a recomputation from scratch.
+polish reads the active values of its two forward passes directly and
+flattens only the kept point's, so these are the pivot's only forward
+passes. The normal matrix is still refactorized from scratch at every
+pivot; at the problem sizes this package targets, robustness is worth far
+more than the saved cubic term. With validate=True every carried array is
+checked against a recomputation from scratch, and every surface off the
+vertex against the side its state gives it.
 """
 
 from __future__ import annotations
@@ -73,6 +81,9 @@ _STABILIZE_ROUNDS = 5
 # A probe point sits this far inside an edge, times (1 + |p|), capped by
 # half the edge's first crossing.
 _PROBE = 1e-7
+# An excluded surface within this many act of zero on the wrong side of the
+# entered region still counts as on its side in the probe's JVP check.
+_PROBE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,10 @@ def descend_to_vertex(
     masks = orc.region_masks(sig)
     rows = orc.sample_gradient_rows(o, masks, orc.region_sigma(sig))
     g = orc.gradient_from_rows(o, rows)
+    # Crossings are judged against the starting region's states, so a
+    # surface left at zero by a tied hit is hit at step 0 the moment a
+    # direction would take it across, instead of being crossed unseen.
+    states = orc.states_flat(sig)
 
     records = [(p.copy(), vals.loss, 0)]
     active: list[int] = []
@@ -236,7 +251,7 @@ def descend_to_vertex(
             d = proj / pnorm
             dvals = orc.constraint_jvp_flat(o, masks, d)
             try:
-                crossing = orc._ratio_from_arrays(flat, dvals, active)
+                crossing = orc._ratio_from_arrays(flat, dvals, active, states)
             except NoCrossing:
                 raise UnboundedEdge(
                     "strictly descending ray crossed no surface in phase 1"
@@ -256,7 +271,7 @@ def descend_to_vertex(
                 cand = s * basis[:, j]
                 dvals = orc.constraint_jvp_flat(o, masks, cand)
                 try:
-                    crossing = orc._ratio_from_arrays(flat, dvals, active)
+                    crossing = orc._ratio_from_arrays(flat, dvals, active, states)
                     d = cand
                     break
                 except NoCrossing:
@@ -281,7 +296,7 @@ def descend_to_vertex(
         fact = factorize(nmat)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, active, fact)
+    p, flat, loss = _polish(o, p, [o.layout.locate(a) for a in active], fact, vals)
     records[-1] = (p.copy(), loss, len(active))
     vertex = VertexState(
         point=p,
@@ -293,30 +308,40 @@ def descend_to_vertex(
         loss=loss,
         rows=rows,
     )
+    if limits.validate:
+        _validate_vertex(o, vertex)
     return vertex, records
 
 
-def _polish(o, p, active, fact):
+def _polish(o, p, located, fact, vals=None):
     """One Newton correction pulling the point back onto the active surfaces.
 
-    Returns the point with its flat constraint values and its loss.
+    `located` holds the (state array, sample, unit) of each active surface
+    and `vals`, when given, the constraint values at p. Returns the point
+    with its flat constraint values and its loss; only the kept point's
+    values are flattened.
     """
-    vals = orc.forward_values(o, p)
-    flat = orc.constraint_values_flat(o, vals)
-    act_vals = flat[active]
+    if vals is None:
+        vals = orc.forward_values(o, p)
+    act_vals = _gather(vals.preacts + (vals.residuals,), located)
     worst = float(np.max(np.abs(act_vals)))
     delta = solve(fact, -act_vals, transpose=True)
     q = p + delta
     vals_q = orc.forward_values(o, q)
-    flat_q = orc.constraint_values_flat(o, vals_q)
-    worst_q = float(np.max(np.abs(flat_q[active])))
+    worst_q = float(np.max(np.abs(_gather(vals_q.preacts + (vals_q.residuals,), located))))
     if worst_q < worst:
-        p, vals, flat, worst = q, vals_q, flat_q, worst_q
+        p, vals, worst = q, vals_q, worst_q
     if worst > o.tol.act:
         raise DegenerateVertex(
             f"active constraint values did not settle below tolerance ({worst:.3e})"
         )
-    return p, flat, vals.loss
+    return p, orc.constraint_values_flat(o, vals), vals.loss
+
+
+def _gather(arrays, located) -> np.ndarray:
+    """The entries of per-layer arrays (hidden layers, then residuals) at
+    the given (array, sample, unit) positions."""
+    return np.array([arrays[a][i, k] for a, i, k in located])
 
 
 # --- phase 2 -------------------------------------------------------------------
@@ -352,15 +377,30 @@ class _VertexWork:
         active_set = set(v.active)
         self.coincident_idx = [int(i) for i in near if int(i) not in active_set]
         self.excluded_idx = v.active + self.coincident_idx
+        self.excluded_at = self.located + [o.layout.locate(i) for i in self.coincident_idx]
+        self.excluded_flat = self.flat[self.excluded_idx]
         self._edges: dict[tuple[int, int], EdgeCandidate] | None = None
-        self._last_rows: tuple[Signature, np.ndarray] | None = None
+        # (round, direction, entered signature, derivative) of each side
+        # settled by _settle, where the probe resumes.
+        self._settled: dict[tuple[int, int], tuple] = {}
+        self._last_masks: tuple[Signature, list[np.ndarray]] | None = None
+        self._last_rows: tuple[Signature, np.ndarray, np.ndarray] | None = None
 
-    def entered_rows(self, sig: Signature) -> np.ndarray:
-        """Per-sample gradient rows of the region with signature sig: the
-        vertex's rows with those of the samples whose states differ
-        recomputed. The last result is kept for the pivot that follows."""
+    def _masks(self, sig: Signature) -> list[np.ndarray]:
+        """Region masks of sig; the last result is kept for the pivot."""
+        if sig is self.v.signature:
+            return self.masks
+        if self._last_masks is None or self._last_masks[0] is not sig:
+            self._last_masks = (sig, orc.region_masks(sig))
+        return self._last_masks[1]
+
+    def entered_rows(self, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample gradient rows of the region with signature sig, and the
+        samples whose states differ from the vertex's: the rows are the
+        vertex's with those samples' rows recomputed. The last result is
+        kept for the pivot that follows."""
         if self._last_rows is not None and self._last_rows[0] is sig:
-            return self._last_rows[1]
+            return self._last_rows[1:]
         rows = self.v.rows
         changed = sig.differing_samples(self.v.signature)
         if changed.size:
@@ -370,8 +410,14 @@ class _VertexWork:
                 [(a[changed] > 0).astype(float) for a in sig.neurons],
                 sig.residuals[changed].astype(float),
             )
-        self._last_rows = (sig, rows)
-        return rows
+        self._last_rows = (sig, rows, changed)
+        return rows, changed
+
+    def _derivative(self, sig: Signature, d: np.ndarray) -> float:
+        """Loss derivative along d in the region with signature sig."""
+        rows, _ = self.entered_rows(sig)
+        g = self.g if rows is self.v.rows else orc.gradient_from_rows(self.o, rows)
+        return float(g @ d)
 
     def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray | None:
         """Unnormalized direction that releases active[pos] to the side its
@@ -469,7 +515,7 @@ class _VertexWork:
     def _settled_direction(self, pos: int, sign: int, sig: Signature) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
         of the region with signature sig, all recomputed."""
-        masks = orc.region_masks(sig)
+        masks = self._masks(sig)
         cols = np.column_stack([orc.constraint_normal(self.o, masks, a) for a in self.v.active])
         rhs = np.zeros(self.o.dim)
         rhs[pos] = float(sign)
@@ -491,7 +537,7 @@ class _VertexWork:
         at the vertex, so once a probe has measured the actual sides it
         stays authoritative.
         """
-        dvals = orc.constraint_jvp_flat(self.o, orc.region_masks(sig), d)
+        dvals = orc.constraint_jvp_flat(self.o, self._masks(sig), d)
         floor = 1e-12 * float(np.max(np.abs(dvals)))
         for idx in self.coincident_idx:
             dv = float(dvals[idx])
@@ -501,40 +547,56 @@ class _VertexWork:
                     sig = sig.with_state(idx, state)
         return sig
 
-    def candidate(self, pos: int, sign: int, probe: bool) -> EdgeCandidate:
-        """Settle the batch side that releases active[pos] to `sign`.
-
-        At a vertex with coincident surfaces their states are first set by
-        the linearized guess; with probe=True the entered signature is then
-        verified at a point just inside the edge, and the probe's ratio test
-        gives the edge's first crossing. Only a guess or probe that changes
-        the entered region solves the direction again (_settled_direction),
-        until the region is self-consistent; otherwise the side keeps the
-        batch's direction and derivative.
-        """
-        o, v = self.o, self.v
+    def _settle(self, pos: int, sign: int) -> tuple:
+        """The batch side that releases active[pos] to `sign`, with the
+        coincident surfaces' states set by the linearized guess until it
+        holds: (round, direction, entered signature, derivative), where
+        round counts the direction solves. Only a guess that changes the
+        entered region solves the direction again (_settled_direction);
+        otherwise the side keeps the batch's direction and derivative."""
         try:
             side = self._batch[(pos, sign)]
         except KeyError:
             raise DegenerateVertex("edge solve hit dependent normals") from None
         d, sig, deriv = side.direction, side.entered, side.derivative
-        guess = bool(self.coincident_idx)
         for round_ in range(_STABILIZE_ROUNDS):
             if round_:
                 d, deriv = self._settled_direction(pos, sign, sig), None
-            if guess:
+            if self.coincident_idx:
                 guessed = self._coincident_guess(sig, d)
                 if guessed is not sig:
                     sig = guessed
                     continue
             if deriv is None:
-                rows = self.entered_rows(sig)
-                g = self.g if rows is v.rows else orc.gradient_from_rows(o, rows)
-                deriv = float(g @ d)
-            if not probe:
-                return EdgeCandidate(side.leaving, sign, d, sig, deriv)
+                deriv = self._derivative(sig, d)
+            return round_, d, sig, deriv
+        raise DegenerateVertex("entered-region signature failed to stabilize")
 
-            dvals = orc.constraint_jvp_flat(o, orc.region_masks(sig), d)
+    def candidate(self, pos: int, sign: int, probe: bool) -> EdgeCandidate:
+        """Settle the batch side that releases active[pos] to `sign`.
+
+        The side is settled once per vertex (_settle). With probe=True the
+        entered signature is then confirmed at a point just inside the
+        edge, resuming at the round where the side settled, and the probe's
+        ratio test gives the edge's first crossing. The probe point's
+        region is read from the edge's JVP (_probe_agrees); only when that
+        check fails does a forward pass resolve it. A probe that finds
+        another region solves the direction again for it, within the same
+        round limit as the guesses.
+        """
+        key = (pos, sign)
+        if key not in self._settled:
+            self._settled[key] = self._settle(pos, sign)
+        round_, d, sig, deriv = self._settled[key]
+        leaving = self.v.active[pos]
+        if not probe:
+            return EdgeCandidate(leaving, sign, d, sig, deriv)
+        o, v = self.o, self.v
+        # After a forward pass has resolved sig, its states off the excluded
+        # surfaces need not match the vertex's, which _probe_agrees assumes.
+        measured = False
+        while True:
+            dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
             try:
                 crossing = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
             except NoCrossing:
@@ -547,12 +609,51 @@ class _VertexWork:
                         "a surface crosses pathologically close to the vertex"
                     )
                 eps = min(eps, 0.5 * t_first)
+            if not measured and self._probe_agrees(sig, dvals, eps):
+                return EdgeCandidate(leaving, sign, d, sig, deriv, crossing)
             q = v.point + eps * d
             sig_q = orc.resolve_signature(o, orc.forward_values(o, q), fallback=sig)
             if sig_q.equals(sig):
-                return EdgeCandidate(side.leaving, sign, d, sig, deriv, crossing)
-            sig, guess = sig_q, False
-        raise DegenerateVertex("entered-region signature failed to stabilize")
+                return EdgeCandidate(leaving, sign, d, sig, deriv, crossing)
+            round_ += 1
+            if round_ == _STABILIZE_ROUNDS:
+                raise DegenerateVertex("entered-region signature failed to stabilize")
+            sig, measured = sig_q, True
+            d = self._settled_direction(pos, sign, sig)
+            deriv = self._derivative(sig, d)
+
+    def _probe_agrees(self, sig: Signature, dvals: np.ndarray, eps: float) -> bool:
+        """Whether a forward pass at the probe point, eps along the edge
+        whose constraint JVP in region sig is dvals, would resolve to sig.
+
+        Along the edge every constraint value is affine, with slope dvals,
+        for as long as no surface changes side. Every surface outside the
+        excluded set (the active and the coincident ones) has, at the
+        vertex, the sign of its state in sig: sig differs from the vertex's
+        region only on excluded surfaces, and validate=True checks the
+        vertex. Of those surfaces, the ones the ratio test sees moving
+        toward zero first cross at t_first >= 2 eps, so at eps each keeps at
+        least half its value; the ones below its 1e-12 floor move by less
+        than act/4 within eps, which is checked here. So none changes side
+        before the probe point. Each excluded surface is required to lie on
+        sig's side, or within _PROBE_MARGIN * act of zero, both at the
+        vertex and at the probe point (flat + eps * dvals); layer by layer,
+        being affine in between, it keeps that side along the whole
+        segment. Then every hidden unit follows sig's masks there, the
+        network is the masked one up to the margin, and a forward pass at
+        the probe point reads flat + eps * dvals up to round-off. So
+        resolve_signature returns sig: a value within the margin, far below
+        act, reads as zero, and zero states fall back to sig. A failing
+        check says only that the JVP cannot decide.
+        """
+        act = self.o.tol.act
+        if eps * 1e-12 * float(np.max(np.abs(dvals))) >= 0.25 * act:
+            return False
+        states = _gather(sig.neurons + (sig.residuals,), self.excluded_at)
+        at_vertex = self.excluded_flat
+        at_probe = at_vertex + eps * dvals[self.excluded_idx]
+        low = np.minimum(states * at_vertex, states * at_probe)
+        return bool(np.all(low >= -_PROBE_MARGIN * act))
 
 
 def _selection_key(c: EdgeCandidate):
@@ -610,10 +711,13 @@ def vertex_step(
     p_new = v.point + t * chosen.direction
     active_new = list(v.active)
     active_new[chosen_pos] = hit
+    located_new = list(work.located)
+    located_new[chosen_pos] = o.layout.locate(hit)
     # Only the entering column and the columns of samples whose states
     # changed can differ from the vertex's normals.
-    masks_e = orc.region_masks(entered)
-    changed = set(entered.differing_samples(v.signature).tolist())
+    rows_new, changed_samples = work.entered_rows(entered)
+    masks_e = work._masks(entered)
+    changed = set(changed_samples.tolist())
     cols = v.normals.copy()
     for q, idx in enumerate(active_new):
         if q == chosen_pos or work.located[q][1] in changed:
@@ -622,7 +726,7 @@ def vertex_step(
         fact = factorize(cols)
     except SingularMatrix as e:
         raise DegenerateVertex(f"new vertex normal matrix is singular: {e}") from None
-    p_new, flat_new, loss_new = _polish(o, p_new, active_new, fact)
+    p_new, flat_new, loss_new = _polish(o, p_new, located_new, fact)
     if loss_new > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
             f"loss rose from {work.loss!r} to {loss_new!r} in one pivot"
@@ -635,7 +739,7 @@ def vertex_step(
         factorization=fact,
         flat=flat_new,
         loss=loss_new,
-        rows=work.entered_rows(entered),
+        rows=rows_new,
     )
     if limits.validate:
         _validate_vertex(o, v_new)
@@ -663,6 +767,14 @@ def _validate_vertex(o, v):
         raise DegenerateVertex(f"active values drifted to {worst:.3e}")
     if v.factorization.near_singular:
         raise DegenerateVertex("vertex normal matrix is near singular")
+    # Every surface off the vertex has the sign of its state, which the
+    # probe's JVP check (_VertexWork._probe_agrees) relies on.
+    now = orc.signature_from_values(o, vals)
+    for side, state in zip(
+        now.neurons + (now.residuals,), v.signature.neurons + (v.signature.residuals,)
+    ):
+        if np.any((side != 0) & (side != state)):
+            raise DegenerateVertex("a surface off the vertex lies outside its region")
     masks = orc.region_masks(v.signature)
     fresh = {
         "constraint values": (flat, v.flat),

@@ -11,7 +11,9 @@ from vertexwalk.oracle import (
     Tolerances,
     affine_piece,
     constraint_eval,
+    _ratio_from_arrays,
     constraint_values_flat,
+    crossing_candidates,
     forward_values,
     gradient_from_rows,
     make_oracle,
@@ -24,6 +26,7 @@ from vertexwalk.oracle import (
     region_sigma,
     region_signature,
     sample_gradient_rows,
+    states_flat,
     tag_index,
     value,
 )
@@ -420,6 +423,28 @@ class TestRatioTest:
         for idx in (-1, o.n_constraints):
             with pytest.raises(InvalidTag):
                 ratio_test(o, p, d, sig, [idx])
+
+
+    def test_states_judge_toward_and_clip_at_zero(self):
+        # Surface 0 sits at zero and surface 1 a rounding step past it; both
+        # move against their state, so judged by state both lie ahead and
+        # are hit at step 0. By value only surface 2 is ahead.
+        flat = np.array([0.0, -1e-17, 2.0, 0.0])
+        dvals = np.array([-1.0, -1.0, -1.0, 1.0])
+        states = np.ones(4, dtype=np.int8)
+        assert crossing_candidates(flat, dvals, []).tolist() == [False, False, True, False]
+        assert crossing_candidates(flat, dvals, [], states).tolist() == [True, True, True, False]
+        assert _ratio_from_arrays(flat, dvals, []) == (2.0, 2)
+        assert _ratio_from_arrays(flat, dvals, [], states) == (0.0, 0)
+        assert _ratio_from_arrays(flat, dvals, [0], states) == (0.0, 1)
+
+    def test_states_flat_follow_the_flat_order(self):
+        o, _ = build_instance(22, (2, 3, 2, 2), 5)
+        p = interior_point(o, SplitMix64(122))
+        states = states_flat(region_signature(o, p))
+        assert states.dtype == np.int8
+        flat = constraint_values_flat(o, forward_values(o, p))
+        assert np.array_equal(states, np.sign(flat))
 
 
 class TestRegionInvariants:

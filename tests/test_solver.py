@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,28 @@ class TestDescendToVertex:
         o, _ = build_instance(35, (1, 1, 1), 3)
         vertex, records = descend_to_vertex(o, np.zeros(2), LIMITS)
         assert len(vertex.active) == 2
+
+    @pytest.mark.parametrize("widths, seed", [((2, 2, 1), 1), ((3, 3, 2, 1), 0)])
+    def test_stays_in_its_starting_region(self, widths, seed):
+        # On these quantized instances a step ends on a second surface as
+        # well (on (2, 2, 1), surfaces 3 and 19 at the same t), which stays
+        # inactive at zero. Judged by the starting region's states, the next
+        # direction that would take it across hits it at step 0.
+        o, p0, rng = quantized_instance(widths, seed, 30)
+        vertex, records = descend_to_vertex(o, p0, LIMITS, rng)
+        points = [r[0] for r in records]
+        assert any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
+        off = np.abs(flat) > o.tol.act
+        assert np.array_equal(np.sign(flat[off]), orc.states_flat(vertex.signature)[off])
+
+    def test_validate_rejects_a_surface_off_its_side(self):
+        o, vertex = reference_scale_vertex()
+        off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
+        idx = int(off[0])
+        sig = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
+        with pytest.raises(DegenerateVertex, match="outside its region"):
+            solver._validate_vertex(o, replace(vertex, signature=sig))
 
 
 class TestEdgeDirections:
@@ -303,6 +327,148 @@ class TestVertexStep:
             vertex = new_vertex
             steps += 1
         assert steps >= 1
+
+
+def probe_walks():
+    """(label, oracle, start, limits, rng) of the walks the probe tests run:
+    the degenerate corpus, a capped reference-scale walk and a capped
+    D = 100 walk (caps count the D phase-1 steps). Each call builds fresh
+    instances and generators."""
+    for widths, seed in TestDegenerateCorpus.INSTANCES:
+        o, p0, rng = quantized_instance(widths, seed)
+        yield f"widths={widths} seed={seed}", o, p0, SolverLimits(300, validate=True), rng
+    o, p0 = build_instance(84, (4, 5, 4, 3, 2, 1), 500)
+    yield "reference scale", o, p0, SolverLimits(60, validate=True), None
+    o, p0 = build_instance(85, (4, 20, 4, 3, 2, 1), 500)
+    yield "D = 100", o, p0, SolverLimits(130, validate=True), None
+
+
+class TestProbe:
+    """The chosen edge's probe reads the entered region from the edge's JVP
+    (_VertexWork._probe_agrees) and runs a forward pass only when that
+    check fails."""
+
+    def test_forced_fallback_gives_the_same_walks(self, monkeypatch):
+        normal = [minimize(o, p0, limits, rng)[1] for _, o, p0, limits, rng in probe_walks()]
+        monkeypatch.setattr(_VertexWork, "_probe_agrees", lambda *args: False)
+        for (label, o, p0, limits, rng), want in zip(probe_walks(), normal):
+            _, got = minimize(o, p0, limits, rng)
+            assert np.array_equal(got.points, want.points), label
+            assert np.array_equal(got.losses, want.losses), label
+
+    def test_passing_check_matches_a_forward_pass(self, monkeypatch):
+        checks, shadowed = [], []
+        agrees, candidate = _VertexWork._probe_agrees, _VertexWork.candidate
+
+        def recording_agrees(work, *args):
+            checks.append(agrees(work, *args))
+            return checks[-1]
+
+        def shadowed_candidate(work, pos, sign, probe):
+            checks.clear()
+            c = candidate(work, pos, sign, probe)
+            if probe and checks and checks[-1]:
+                # The check passed and the probe returned on it.
+                eps = solver._PROBE * (1.0 + work.pnorm)
+                if c.crossing is not None:
+                    eps = min(eps, 0.5 * c.crossing[0])
+                vals = orc.forward_values(work.o, work.v.point + eps * c.direction)
+                resolved = orc.resolve_signature(work.o, vals, fallback=c.entered)
+                shadowed.append(resolved.equals(c.entered))
+            return c
+
+        monkeypatch.setattr(_VertexWork, "_probe_agrees", recording_agrees)
+        monkeypatch.setattr(_VertexWork, "candidate", shadowed_candidate)
+        for label, o, p0, limits, rng in probe_walks():
+            before = len(shadowed)
+            minimize(o, p0, limits, rng)
+            assert len(shadowed) > before, label
+        assert all(shadowed)
+
+    def test_two_forward_passes_per_pivot(self, monkeypatch):
+        o, p0 = build_instance(84, (4, 5, 4, 3, 2, 1), 500)
+        vertex, _ = descend_to_vertex(o, p0, SolverLimits())
+        calls = {"forward_values": 0, "resolve_signature": 0}
+        for name in calls:
+            fn = getattr(orc, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(orc, name, counted)
+        pivots = 20
+        for _ in range(pivots):
+            outcome = vertex_step(o, vertex, SolverLimits())
+            assert outcome is not None
+            vertex, _ = outcome
+        # Both passes are the polish's; the probe's check decided every edge.
+        assert calls == {"forward_values": 2 * pivots, "resolve_signature": 0}
+
+    def test_failing_check_falls_back_to_the_changed_region(self, monkeypatch):
+        # The linearized guess left no corpus probe whose region the forward
+        # pass changed (0 of 13,950), so this vertex withholds the guess:
+        # the coincident surface keeps the vertex's state, which the edge
+        # leaves, the check fails, and the fallback's forward pass resolves
+        # the region the guess would have given.
+        o, p0, rng = quantized_instance((2, 3, 2, 1), 1)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        guessed = _VertexWork(o, vertex).candidate(5, -1, probe=True)
+
+        checks, changes = [], []
+        agrees, resolve = _VertexWork._probe_agrees, orc.resolve_signature
+
+        def recording_agrees(work, *args):
+            checks.append(agrees(work, *args))
+            return checks[-1]
+
+        def recording_resolve(o, vals, fallback):
+            sig = resolve(o, vals, fallback)
+            changes.append(not sig.equals(fallback))
+            return sig
+
+        monkeypatch.setattr(_VertexWork, "_probe_agrees", recording_agrees)
+        monkeypatch.setattr(orc, "resolve_signature", recording_resolve)
+        monkeypatch.setattr(_VertexWork, "_coincident_guess", lambda work, sig, d: sig)
+        work = _VertexWork(o, vertex)
+        assert len(work.coincident_idx) == 1
+        c = work.candidate(5, -1, probe=True)
+        assert checks == [False]
+        assert changes == [True, False]
+        assert c.entered.equals(guessed.entered)
+        assert np.array_equal(c.direction, guessed.direction)
+        assert c.crossing == guessed.crossing
+
+    def test_probe_resumes_where_the_side_settled(self, monkeypatch):
+        o, p0, rng = quantized_instance((2, 3, 2, 1), 2)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        calls = []
+        for name in ("_coincident_guess", "_settled_direction"):
+            fn = getattr(_VertexWork, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(_VertexWork, name, counted)
+        work = _VertexWork(o, vertex)
+        assert work.coincident_idx
+        tau = 1e-9 * (1.0 + abs(work.loss))
+        descending = [key for key, c in work.edges().items() if c.derivative < -tau]
+        assert descending
+        settled = 0
+        for key in descending:
+            fresh = _VertexWork(o, vertex).candidate(*key, probe=True)
+            settled += "_settled_direction" in calls
+            calls.clear()
+            resumed = work.candidate(*key, probe=True)
+            assert calls == [], key
+            assert resumed.entered.equals(fresh.entered), key
+            assert np.array_equal(resumed.direction, fresh.direction), key
+            assert resumed.derivative == fresh.derivative, key
+            assert resumed.crossing == fresh.crossing, key
+        # Some sides re-solved their direction while settling.
+        assert settled
 
 
 class TestMinimize:
