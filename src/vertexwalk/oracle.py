@@ -350,32 +350,32 @@ def release_corrections(
     o: OracleInstance,
     masks: list[np.ndarray],
     sigma: np.ndarray,
+    rows: np.ndarray,
     released: list[tuple[int, int, int]],
     dirs: np.ndarray,
 ) -> np.ndarray:
     """Slope change of each released sample's own loss term when its state flips.
 
-    released[q] is the (state array, sample, unit) of one surface and
-    dirs[:, q] a direction. Entry q is that sample's loss derivative along
-    dirs[:, q] with the state flipped, minus the same with the state of the
-    region given by masks and sigma: the difference of the sample's two
-    gradient rows, applied to the direction's first-layer pre-activation
-    change.
+    masks and sigma give a region and rows its per-sample gradient rows
+    (sample_gradient_rows). released[q] is the (state array, sample, unit)
+    of one surface and dirs[:, q] a direction. Entry q is that sample's
+    loss derivative along dirs[:, q] with the state flipped, minus the same
+    in the region: the difference of the sample's flipped row and its row
+    in rows, applied to the direction's first-layer pre-activation change.
+    Only the flipped rows are computed; a row computed alone equals the
+    same row of rows bit for bit.
     """
-    arrays, samples, units = (np.array(c, dtype=int) for c in zip(*released))
+    arrays, samples, units = np.asarray(released, dtype=int).T
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-    # Per released sample: its mask rows, then its residual signs.
-    ref = [m[samples] for m in masks] + [sigma[samples]]
-    new = [a.copy() for a in ref]
+    # Per released sample: its mask rows, then its residual signs, flipped.
+    new = [m[samples] for m in masks] + [sigma[samples]]
     for l, a in enumerate(new):
         q = np.flatnonzero(arrays == l)
         old = a[q, units[q]]
         a[q, units[q]] = -old if l == len(masks) else 1.0 - old
-    both = [np.concatenate(pair) for pair in zip(ref, new)]
-    rows = sample_gradient_rows(o, both[:-1], both[-1])
-    n = len(samples)
-    return np.sum((rows[n:] - rows[:n]) * dz, axis=1)
+    flipped = sample_gradient_rows(o, new[:-1], new[-1])
+    return np.sum((flipped - rows[samples]) * dz, axis=1)
 
 
 def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:
@@ -412,17 +412,25 @@ def constraint_normal(
 ) -> np.ndarray:
     """Region-local gradient of the constraint with flat index idx."""
     array, i, k = o.layout.locate(idx)
-    xrow = o.x_aug[i]
+    return sample_normal(o, [m[i] for m in masks], array, i, k)
+
+
+def sample_normal(
+    o: OracleInstance, mask_rows: list[np.ndarray], array: int, sample: int, unit: int
+) -> np.ndarray:
+    """constraint_normal of the surface at (state array, sample, unit), from
+    that sample's rows of the masks alone: mask_rows[l] = masks[l][sample]."""
+    xrow = o.x_aug[sample]
     if array == 0:
         grad = np.zeros((o.arch.widths[1], xrow.shape[0]))
-        grad[k] = xrow
+        grad[unit] = xrow
         return grad.ravel()
-    # Hidden unit k of layer array+1, or output k for a residual (whose
-    # value is target minus output, hence the sign flip).
-    v = o.fixed[array - 1].weight[k]
+    # Hidden unit `unit` of layer array+1, or an output for a residual
+    # (whose value is target minus output, hence the sign flip).
+    v = o.fixed[array - 1].weight[unit]
     for m in range(array - 1, 0, -1):
-        v = (v * masks[m][i]) @ o.fixed[m - 1].weight
-    grad = ((v * masks[0][i])[:, None] * xrow[None, :]).ravel()
+        v = (v * mask_rows[m]) @ o.fixed[m - 1].weight
+    grad = ((v * mask_rows[0])[:, None] * xrow[None, :]).ravel()
     return -grad if array == o.arch.hidden_depth else grad
 
 
@@ -511,7 +519,10 @@ def ratio_test(
     vals = forward_values(o, p)
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
-    return _ratio_from_arrays(flat, dvals, active)
+    crossing, _ = _ratio_from_arrays(flat, dvals, active)
+    if crossing is None:
+        raise NoCrossing("no inactive constraint decreases toward zero")
+    return crossing
 
 
 def crossing_candidates(
@@ -519,21 +530,24 @@ def crossing_candidates(
     dvals: np.ndarray,
     active_idx: list[int],
     states: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mask of constraints moving strictly toward zero along a direction.
+) -> tuple[np.ndarray, float]:
+    """Mask of constraints moving strictly toward zero along a direction,
+    and the floor below which a directional derivative counts as zero.
 
     "Toward" means against the sign of the value, or, when `states` (flat
     order) is given, against the state: a surface at zero, or on the wrong
     side of its state by round-off, then still counts as ahead.
-    Directional derivatives below 1e-12 of the largest one are round-off
-    from orthogonality-by-construction, not real movement, and are dropped.
+    Directional derivatives up to the floor, 1e-12 of the largest one, are
+    round-off from orthogonality-by-construction, not real movement, and
+    are dropped.
     """
     mag = np.abs(dvals)
+    floor = 1e-12 * float(np.max(mag))
     side = flat if states is None else states
-    toward = (side * dvals < 0.0) & (mag > 1e-12 * float(np.max(mag)))
+    toward = (side * dvals < 0.0) & (mag > floor)
     if active_idx:
         toward[np.asarray(active_idx, dtype=int)] = False
-    return toward
+    return toward, floor
 
 
 def _ratio_from_arrays(
@@ -541,16 +555,17 @@ def _ratio_from_arrays(
     dvals: np.ndarray,
     active_idx: list[int],
     states: np.ndarray | None = None,
-) -> tuple[float, int]:
-    """First crossing step and the flat index it hits; ties resolve to the
-    smallest index. With `states`, candidates are taken by state
-    (crossing_candidates) and a surface already at or past zero is hit at
-    step 0."""
-    toward = np.flatnonzero(crossing_candidates(flat, dvals, active_idx, states))
+) -> tuple[tuple[float, int] | None, float]:
+    """The first crossing (step, flat index it hits), or None when no
+    surface lies ahead, and crossing_candidates' floor. Ties resolve to the
+    smallest index. With `states`, candidates are taken by state and a
+    surface already at or past zero is hit at step 0."""
+    mask, floor = crossing_candidates(flat, dvals, active_idx, states)
+    toward = np.flatnonzero(mask)
     if not toward.size:
-        raise NoCrossing("no inactive constraint decreases toward zero")
+        return None, floor
     t = -flat[toward] / dvals[toward]
     if states is not None:
         t = np.maximum(t, 0.0)
     j = int(np.argmin(t))
-    return float(t[j]), int(toward[j])
+    return (float(t[j]), int(toward[j])), floor

@@ -11,35 +11,44 @@ direction has a non-negative one-sided loss derivative, i.e. at a vertex
 that is an edge-local minimum.
 
 Every release side of every vertex is first priced in one batch from the
-inverse N^-T of its normal matrix: the edge direction of (pos, +-1) is +-
-column pos, normalized. On the side the reference signature already has,
-the derivative is g . d. Across the released surface only the released
-sample's own loss term changes, so one batched kernel
-(oracle.release_corrections) adds that change for every position. A
-release that bends k deeper active surfaces of the same sample changes k
-normals on its flipped side; that side's direction is column pos with a
-rank-k (Woodbury) correction from the same inverse.
+inverse N^-T of its normal matrix, into one (D, 2) derivative table whose
+columns hold the signs +1 and -1; no per-side object is built. The edge
+direction of (pos, +-1) is +- column pos, normalized. On the side the
+reference signature already has, the derivative is g . d. Across the
+released surface only the released sample's own loss term changes, so one
+batched kernel (oracle.release_corrections) adds that change for every
+position, against the reference rows the vertex carries. A release that
+bends k deeper active surfaces of the same sample changes k normals on its
+flipped side; that side's direction is column pos with a rank-k (Woodbury)
+correction from the same inverse. A side without an edge is NaN.
 
-candidate() only settles a batch side. Surfaces above the first layer are
-themselves only piecewise affine in p, and surfaces coincident at the
+The pivot picks from a copy of the table, in one order: least derivative,
+then least leaving index, then sign +1 before -1 (np.lexsort). The picked
+side is settled and probed (candidate(), the only place an EdgeCandidate
+is built) and writes its settled derivative back; the pivot takes the
+first pick that has already been probed. Surfaces above the first layer
+are themselves only piecewise affine in p, and surfaces coincident at the
 vertex are crossed at step zero, so the batch's entered region is
 provisional: at a vertex with coincident surfaces a linearized guess sets
-their states, and the chosen edge is confirmed by probing a point just
-inside it, whose ratio test is the pivot's. The probe reads the point's
-region from the edge's JVP, which its ratio test needs anyway: when every
-active and coincident surface lies on the entered region's side there, or
-within a margin far below the activity tolerance of zero, a forward pass
-would resolve to that region, so none runs; otherwise one does. Only when
-a guess or the probe changes the entered region is the direction solved
+their states, every side is settled into the same table before the pick,
+and the chosen edge is confirmed by probing a point just inside it, whose
+ratio test is the pivot's. The probe reads the point's region from the
+edge's JVP, which its ratio test needs anyway: when every active and
+coincident surface lies on the entered region's side there, or within a
+margin far below the activity tolerance of zero, a forward pass would
+resolve to that region, so none runs; otherwise one does. Only when a
+guess or the probe changes the entered region is the direction solved
 again, against normals recomputed for that region (a few rounds at most,
 or the side is reported degenerate). Each side is settled once per vertex,
 and a probe resumes where its side's settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
-constraint values (from the polish) and the per-sample gradient rows of
-its region; entered regions and the next vertex recompute only the rows of
-samples whose states differ, and the next normal matrix recomputes only
-the entering column and the columns of samples whose states differ. The
+constraint values (from the polish), the (array, sample, unit) rows of its
+active surfaces, and the region masks and per-sample gradient rows of its
+region; the next vertex takes the entered region's masks the probe built,
+entered regions and the next vertex recompute only the rows of samples
+whose states differ, and the next normal matrix recomputes only the
+entering column and the columns of samples whose states differ. The
 polish reads the active values of its two forward passes directly and
 flattens only the kept point's, so these are the pivot's only forward
 passes. The normal matrix is still refactorized from scratch at every
@@ -64,7 +73,6 @@ from .errors import (
     DegenerateVertex,
     DependentNormals,
     MonotonicityViolation,
-    NoCrossing,
     NumericalStall,
     SingularMatrix,
     UnboundedEdge,
@@ -98,31 +106,37 @@ class SolverLimits:
 @dataclass
 class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
-    normals (columns), the reference signature of a full-dimensional region
-    adjacent to it, every constraint value at the point (flat order), the
-    loss there, and the per-sample gradient rows of the reference region
-    (oracle.sample_gradient_rows)."""
+    (state array, sample, unit) rows (layout.locate; int array (D, 3)),
+    their normals (columns), the reference signature of a full-dimensional
+    region adjacent to it, every constraint value at the point (flat
+    order), the loss there, and the region masks (oracle.region_masks) and
+    per-sample gradient rows (oracle.sample_gradient_rows) of the reference
+    region."""
 
     point: np.ndarray
     active: list[int]
+    located: np.ndarray
     normals: np.ndarray
     signature: Signature
     factorization: Factorization
     flat: np.ndarray
     loss: float
+    masks: list[np.ndarray]
     rows: np.ndarray
 
 
 @dataclass
 class EdgeCandidate:
-    """One pivot option: release `leaving` (a flat constraint index) to side
-    `sign` and move along `direction`, whose entered-region loss derivative
-    is `derivative`.
+    """One settled release side: release `leaving` (a flat constraint
+    index) to side `sign` and move along `direction`, whose entered-region
+    loss derivative is `derivative`. Sides are ranked in the derivative
+    table of _VertexWork; this object is built only for a side that is
+    probed (or settled on request).
 
     The entered region is `region` with the state of `leaving` set to
-    `sign`; it is built when first read, since most sides are only ranked.
-    A probed side carries in `crossing` the (step, flat index) of the first
-    surface its edge hits, or None when it hits none.
+    `sign`; it is built when first read. A probed side carries in
+    `crossing` the (step, flat index) of the first surface its edge hits,
+    or None when it hits none.
     """
 
     leaving: int
@@ -250,12 +264,9 @@ def descend_to_vertex(
         if pnorm > tau:
             d = proj / pnorm
             dvals = orc.constraint_jvp_flat(o, masks, d)
-            try:
-                crossing = orc._ratio_from_arrays(flat, dvals, active, states)
-            except NoCrossing:
-                raise UnboundedEdge(
-                    "strictly descending ray crossed no surface in phase 1"
-                ) from None
+            crossing, _ = orc._ratio_from_arrays(flat, dvals, active, states)
+            if crossing is None:
+                raise UnboundedEdge("strictly descending ray crossed no surface in phase 1")
         else:
             # The loss is flat on the remaining null space; take any basis
             # direction that does not ascend and still hits a surface.
@@ -270,12 +281,10 @@ def descend_to_vertex(
                     break
                 cand = s * basis[:, j]
                 dvals = orc.constraint_jvp_flat(o, masks, cand)
-                try:
-                    crossing = orc._ratio_from_arrays(flat, dvals, active, states)
+                crossing, _ = orc._ratio_from_arrays(flat, dvals, active, states)
+                if crossing is not None:
                     d = cand
                     break
-                except NoCrossing:
-                    continue
             if crossing is None:
                 raise NumericalStall(
                     f"no progress direction with {len(active)} of {o.dim} constraints"
@@ -296,16 +305,19 @@ def descend_to_vertex(
         fact = factorize(nmat)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, [o.layout.locate(a) for a in active], fact, vals)
+    located = np.array([o.layout.locate(a) for a in active])
+    p, flat, loss = _polish(o, p, located, fact, vals)
     records[-1] = (p.copy(), loss, len(active))
     vertex = VertexState(
         point=p,
         active=active,
+        located=located,
         normals=nmat,
         signature=sig,
         factorization=fact,
         flat=flat,
         loss=loss,
+        masks=masks,
         rows=rows,
     )
     if limits.validate:
@@ -316,10 +328,10 @@ def descend_to_vertex(
 def _polish(o, p, located, fact, vals=None):
     """One Newton correction pulling the point back onto the active surfaces.
 
-    `located` holds the (state array, sample, unit) of each active surface
-    and `vals`, when given, the constraint values at p. Returns the point
-    with its flat constraint values and its loss; only the kept point's
-    values are flattened.
+    `located` holds the (state array, sample, unit) rows of the active
+    surfaces and `vals`, when given, the constraint values at p. Returns
+    the point with its flat constraint values and its loss; only the kept
+    point's values are flattened.
     """
     if vals is None:
         vals = orc.forward_values(o, p)
@@ -338,48 +350,57 @@ def _polish(o, p, located, fact, vals=None):
     return p, orc.constraint_values_flat(o, vals), vals.loss
 
 
-def _gather(arrays, located) -> np.ndarray:
+def _gather(arrays, located: np.ndarray) -> np.ndarray:
     """The entries of per-layer arrays (hidden layers, then residuals) at
-    the given (array, sample, unit) positions."""
-    return np.array([arrays[a][i, k] for a, i, k in located])
+    the given (array, sample, unit) rows."""
+    return np.array([arrays[a][i, k] for a, i, k in located.tolist()])
 
 
 # --- phase 2 -------------------------------------------------------------------
 
 
+# The release sign of each column of a derivative table.
+_SIGNS = (1, -1)
+
+
 class _VertexWork:
-    """Caches shared by all edge candidates at one vertex."""
+    """Caches shared by all release sides at one vertex."""
 
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
         self.flat = v.flat
         self.loss = v.loss
-        self.masks = orc.region_masks(v.signature)
+        self.masks = v.masks
         self.sigma = orc.region_sigma(v.signature)
         self.g = orc.gradient_from_rows(o, v.rows)
         self.pnorm = float(np.linalg.norm(v.point))
-        # (state array, sample, unit) of each active constraint.
-        self.located = [o.layout.locate(a) for a in v.active]
+        self.located = v.located
         # Releasing a hidden unit bends the normals of the active surfaces
-        # deeper in the same sample's network; affected[pos] lists them.
-        by_sample: dict[int, list[tuple[int, int]]] = {}
-        for q, (array, i, _) in enumerate(self.located):
-            by_sample.setdefault(i, []).append((q, array))
-        self.affected = [
-            [q for q, array_q in by_sample[i] if array_q > array]
-            for array, i, _ in self.located
-        ]
+        # deeper in the same sample's network; affected[pos] lists them, for
+        # each position that has any. Only positions that share their
+        # sample with another can have any.
+        samples = v.located[:, 1]
+        shared = np.flatnonzero(np.bincount(samples)[samples] > 1).tolist()
+        by_sample: dict[int, list[int]] = {}
+        for q in shared:
+            by_sample.setdefault(samples[q], []).append(q)
+        self.affected: dict[int, list[int]] = {}
+        for group in by_sample.values():
+            for pos in group:
+                deeper = [q for q in group if v.located[q, 0] > v.located[pos, 0]]
+                if deeper:
+                    self.affected[pos] = deeper
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction.
-        near = np.flatnonzero(np.abs(self.flat) <= o.tol.act)
-        active_set = set(v.active)
-        self.coincident_idx = [int(i) for i in near if int(i) not in active_set]
+        near = np.abs(self.flat) <= o.tol.act
+        near[v.active] = False
+        self.coincident_idx = np.flatnonzero(near).tolist()
         self.excluded_idx = v.active + self.coincident_idx
-        self.excluded_at = self.located + [o.layout.locate(i) for i in self.coincident_idx]
+        coincident_at = np.array([o.layout.locate(i) for i in self.coincident_idx], dtype=int)
+        self.excluded_at = np.concatenate([v.located, coincident_at.reshape(-1, 3)])
         self.excluded_flat = self.flat[self.excluded_idx]
-        self._edges: dict[tuple[int, int], EdgeCandidate] | None = None
         # (round, direction, entered signature, derivative) of each side
         # settled by _settle, where the probe resumes.
         self._settled: dict[tuple[int, int], tuple] = {}
@@ -430,15 +451,15 @@ class _VertexWork:
         own normal, so M^T B is the identity up to rounding at a vertex with
         nonsingular normals. None when M^T B is exactly singular: then the
         entered normals are dependent (det N' = det N det M^T B), there is
-        no edge, and candidate() rejects the side for the same reason.
+        no edge, and _settled_direction would fail on the side as well.
         """
-        array, i, k = self.located[pos]
+        array, i, k = self.located[pos].tolist()
         affected = self.affected[pos]
-        masks = list(self.masks)
-        masks[array] = masks[array].copy()
-        masks[array][i, k] = 1.0 - masks[array][i, k]
+        rows = [m[i] for m in self.masks]
+        rows[array] = rows[array].copy()
+        rows[array][k] = 1.0 - rows[array][k]
         new = np.column_stack(
-            [orc.constraint_normal(self.o, masks, self.v.active[q]) for q in affected]
+            [orc.sample_normal(self.o, rows, *self.located[q].tolist()) for q in affected]
         )
         c = inv_t[:, pos]
         basis = inv_t[:, affected]
@@ -449,68 +470,59 @@ class _VertexWork:
         return c - basis @ y
 
     @cached_property
-    def _batch(self) -> dict[tuple[int, int], EdgeCandidate]:
+    def _batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both release sides of every position, priced from one inverse:
-        the direction of (pos, sign) is sign times column pos of N^-T,
-        rank-k corrected on a flipped side that bends affected surfaces, and
-        normalized. On the reference side the derivative is g . d; across
-        the released surface only its own sample's loss term changes, which
-        release_corrections supplies for all positions at once. A flipped
-        side whose entered normals collapse has no edge and is left out."""
+        (table, units, flip_units, ref).
+
+        ref[pos] is the state the reference region gives active[pos]. The
+        direction of (pos, sign) is sign times column pos of units, the
+        normalized N^-T, when sign is ref[pos], and of flip_units on the
+        other side, where a release that bends affected surfaces is rank-k
+        corrected (_bent_direction). table[pos, 0] and table[pos, 1] are
+        the entered-region loss derivatives of signs +1 and -1: g . d on
+        the reference side; across the released surface only its own
+        sample's loss term changes, which release_corrections supplies for
+        all positions at once from the carried rows. A flipped side whose
+        entered normals collapse has no edge and is NaN."""
         o, v = self.o, self.v
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
         flip_units = units.copy()
-        collapsed = set()
-        for pos, affected in enumerate(self.affected):
-            if affected:
-                d = self._bent_direction(inv_t, pos)
-                if d is None:
-                    collapsed.add(pos)
-                else:
-                    flip_units[:, pos] = d / np.linalg.norm(d)
-        slopes = (self.g @ units).tolist()
-        flipped = (
-            self.g @ flip_units
-            + orc.release_corrections(o, self.masks, self.sigma, self.located, flip_units)
-        ).tolist()
-        # Directions are views of these, one array per side of the release.
-        dirs = {1: (units, flip_units), -1: (-units, -flip_units)}
-        states = v.signature.neurons + (v.signature.residuals,)
-        out = {}
-        for pos, (a, (array, i, k)) in enumerate(zip(v.active, self.located)):
-            ref = int(states[array][i, k])
-            for sign in (1, -1):
-                if sign == ref:
-                    c = EdgeCandidate(
-                        a, sign, dirs[sign][0][:, pos], v.signature, sign * slopes[pos]
-                    )
-                elif pos in collapsed:
-                    continue
-                else:
-                    c = EdgeCandidate(
-                        a, sign, dirs[sign][1][:, pos], v.signature, sign * flipped[pos]
-                    )
-                out[(pos, sign)] = c
-        return out
+        collapsed = []
+        for pos in self.affected:
+            d = self._bent_direction(inv_t, pos)
+            if d is None:
+                collapsed.append(pos)
+            else:
+                flip_units[:, pos] = d / np.linalg.norm(d)
+        slopes = self.g @ units
+        flipped = self.g @ flip_units + orc.release_corrections(
+            o, self.masks, self.sigma, v.rows, self.located, flip_units
+        )
+        flipped[collapsed] = np.nan
+        ref = _gather(v.signature.neurons + (v.signature.residuals,), self.located)
+        on_ref = ref > 0
+        table = np.empty((len(ref), 2))
+        table[:, 0] = np.where(on_ref, slopes, flipped)
+        table[:, 1] = -np.where(on_ref, flipped, slopes)
+        return table, units, flip_units, ref
 
-    def edges(self) -> dict[tuple[int, int], EdgeCandidate]:
-        """Every release side priced without probing, keyed by (pos, sign):
-        the batch, each side settled by candidate() at a vertex with
-        coincident surfaces. A side whose entered-region normals collapse
-        has no transversal edge and is left out. The result is computed once
-        per vertex; callers copy it before changing it.
-        """
-        if self._edges is None and not self.coincident_idx:
-            self._edges = self._batch
-        elif self._edges is None:
-            self._edges = {}
-            for key in self._batch:
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The (D, 2) derivative table of the release sides that
+        vertex_step ranks: column 0 holds sign +1 and column 1 sign -1, and
+        a side without an edge is NaN. It is the batch's table, with every
+        side settled into it (_settle) at a vertex with coincident
+        surfaces; a side that fails to settle is NaN as well."""
+        table = self._batch[0]
+        if self.coincident_idx:
+            table = table.copy()
+            for pos, col in zip(*np.nonzero(~np.isnan(table))):
                 try:
-                    self._edges[key] = self.candidate(*key, probe=False)
+                    table[pos, col] = self._settle(int(pos), _SIGNS[col])[3]
                 except DegenerateVertex:
-                    continue
-        return self._edges
+                    table[pos, col] = np.nan
+        return table
 
     def _settled_direction(self, pos: int, sign: int, sig: Signature) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
@@ -553,12 +565,24 @@ class _VertexWork:
         holds: (round, direction, entered signature, derivative), where
         round counts the direction solves. Only a guess that changes the
         entered region solves the direction again (_settled_direction);
-        otherwise the side keeps the batch's direction and derivative."""
-        try:
-            side = self._batch[(pos, sign)]
-        except KeyError:
-            raise DegenerateVertex("edge solve hit dependent normals") from None
-        d, sig, deriv = side.direction, side.entered, side.derivative
+        otherwise the side keeps the batch's direction and derivative.
+        Each side is settled once per vertex."""
+        key = (pos, sign)
+        if key not in self._settled:
+            self._settled[key] = self._settle_once(pos, sign)
+        return self._settled[key]
+
+    def _settle_once(self, pos: int, sign: int) -> tuple:
+        table, units, flip_units, ref = self._batch
+        deriv = float(table[pos, _SIGNS.index(sign)])
+        if np.isnan(deriv):
+            raise DegenerateVertex("edge solve hit dependent normals")
+        sig = self.v.signature
+        if sign == ref[pos]:
+            d = sign * units[:, pos]
+        else:
+            d = sign * flip_units[:, pos]
+            sig = sig.with_state(self.v.active[pos], sign)
         for round_ in range(_STABILIZE_ROUNDS):
             if round_:
                 d, deriv = self._settled_direction(pos, sign, sig), None
@@ -584,10 +608,7 @@ class _VertexWork:
         another region solves the direction again for it, within the same
         round limit as the guesses.
         """
-        key = (pos, sign)
-        if key not in self._settled:
-            self._settled[key] = self._settle(pos, sign)
-        round_, d, sig, deriv = self._settled[key]
+        round_, d, sig, deriv = self._settle(pos, sign)
         leaving = self.v.active[pos]
         if not probe:
             return EdgeCandidate(leaving, sign, d, sig, deriv)
@@ -597,10 +618,7 @@ class _VertexWork:
         measured = False
         while True:
             dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
-            try:
-                crossing = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
-            except NoCrossing:
-                crossing = None
+            crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
             eps = _PROBE * (1.0 + self.pnorm)
             if crossing is not None:
                 t_first = crossing[0]
@@ -609,7 +627,7 @@ class _VertexWork:
                         "a surface crosses pathologically close to the vertex"
                     )
                 eps = min(eps, 0.5 * t_first)
-            if not measured and self._probe_agrees(sig, dvals, eps):
+            if not measured and self._probe_agrees(sig, dvals, eps, floor):
                 return EdgeCandidate(leaving, sign, d, sig, deriv, crossing)
             q = v.point + eps * d
             sig_q = orc.resolve_signature(o, orc.forward_values(o, q), fallback=sig)
@@ -622,9 +640,12 @@ class _VertexWork:
             d = self._settled_direction(pos, sign, sig)
             deriv = self._derivative(sig, d)
 
-    def _probe_agrees(self, sig: Signature, dvals: np.ndarray, eps: float) -> bool:
+    def _probe_agrees(
+        self, sig: Signature, dvals: np.ndarray, eps: float, floor: float
+    ) -> bool:
         """Whether a forward pass at the probe point, eps along the edge
-        whose constraint JVP in region sig is dvals, would resolve to sig.
+        whose constraint JVP in region sig is dvals, would resolve to sig;
+        floor is the ratio test's: 1e-12 of the largest |dvals|.
 
         Along the edge every constraint value is affine, with slope dvals,
         for as long as no surface changes side. Every surface outside the
@@ -633,8 +654,8 @@ class _VertexWork:
         region only on excluded surfaces, and validate=True checks the
         vertex. Of those surfaces, the ones the ratio test sees moving
         toward zero first cross at t_first >= 2 eps, so at eps each keeps at
-        least half its value; the ones below its 1e-12 floor move by less
-        than act/4 within eps, which is checked here. So none changes side
+        least half its value; the ones up to its floor move by less than
+        act/4 within eps, which is checked here. So none changes side
         before the probe point. Each excluded surface is required to lie on
         sig's side, or within _PROBE_MARGIN * act of zero, both at the
         vertex and at the probe point (flat + eps * dvals); layer by layer,
@@ -647,7 +668,7 @@ class _VertexWork:
         check says only that the JVP cannot decide.
         """
         act = self.o.tol.act
-        if eps * 1e-12 * float(np.max(np.abs(dvals))) >= 0.25 * act:
+        if eps * floor >= 0.25 * act:
             return False
         states = _gather(sig.neurons + (sig.residuals,), self.excluded_at)
         at_vertex = self.excluded_flat
@@ -656,8 +677,16 @@ class _VertexWork:
         return bool(np.all(low >= -_PROBE_MARGIN * act))
 
 
-def _selection_key(c: EdgeCandidate):
-    return (c.derivative, c.leaving, 0 if c.sign > 0 else 1)
+def _steepest(table: np.ndarray, leaving: np.ndarray, tau: float) -> tuple[int, int] | None:
+    """(pos, column) of the side of the derivative table to take next: the
+    least derivative below -tau, ties broken by the smaller leaving index
+    (leaving[pos], a flat index), then by sign +1 before -1. None when no
+    side descends; NaN sides never do."""
+    pos, col = np.nonzero(table < -tau)
+    if not pos.size:
+        return None
+    j = np.lexsort((col, leaving[pos], table[pos, col]))[0]
+    return int(pos[j]), int(col[j])
 
 
 def vertex_step(
@@ -670,33 +699,35 @@ def vertex_step(
 
     Returns None when every edge has derivative >= -desc_tol (scaled), i.e.
     the vertex is an edge-local minimum. A caller that keeps the vertex's
-    _VertexWork passes it as `work`, so its priced edges can be reused.
+    _VertexWork passes it as `work`, so its derivative table can be reused.
     """
     limits = limits or SolverLimits()
     work = work or _VertexWork(o, v)
     tau = limits.desc_tol * (1.0 + abs(work.loss))
 
-    # A release side whose entered-region normals collapse has no
-    # transversal edge (e.g. the entered side kills every path through a
-    # same-sample deeper active surface); edges() skips such sides, and a
-    # stall with skipped sides is re-verified by sampling before the run
-    # accepts convergence.
-    entries = dict(work.edges())
-    confirmed: set[tuple[int, int]] = set()
-    for _ in range(4 * len(entries) + 4):
-        descending = [(key, c) for key, c in entries.items() if c.derivative < -tau]
-        if not descending:
+    # Sides are picked from a copy of the derivative table. A release side
+    # whose entered-region normals collapse has no transversal edge (e.g.
+    # the entered side kills every path through a same-sample deeper
+    # active surface) and is NaN there; a stall with such sides is
+    # re-verified by sampling before the run accepts convergence. A probed
+    # side writes its settled derivative back, or NaN when it has no edge;
+    # the pivot takes the first pick that has already been probed.
+    table = work.table.copy()
+    leaving = np.array(v.active)
+    probed: dict[tuple[int, int], EdgeCandidate] = {}
+    for _ in range(4 * int(np.count_nonzero(~np.isnan(table))) + 4):
+        side = _steepest(table, leaving, tau)
+        if side is None:
             return None
-        key, best = min(descending, key=lambda kc: _selection_key(kc[1]))
-        if key in confirmed:
-            chosen, chosen_pos = best, key[0]
+        if side in probed:
+            chosen_pos, chosen = side[0], probed[side]
             break
         try:
-            entries[key] = work.candidate(key[0], key[1], probe=True)
+            probed[side] = work.candidate(side[0], _SIGNS[side[1]], probe=True)
         except DegenerateVertex:
-            del entries[key]
+            table[side] = np.nan
             continue
-        confirmed.add(key)
+        table[side] = probed[side].derivative
     else:
         raise DegenerateVertex("edge selection did not settle")
 
@@ -711,17 +742,20 @@ def vertex_step(
     p_new = v.point + t * chosen.direction
     active_new = list(v.active)
     active_new[chosen_pos] = hit
-    located_new = list(work.located)
+    located_new = v.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
     # Only the entering column and the columns of samples whose states
-    # changed can differ from the vertex's normals.
+    # changed can differ from the vertex's normals. The entered region's
+    # masks are the ones the probe built.
     rows_new, changed_samples = work.entered_rows(entered)
     masks_e = work._masks(entered)
-    changed = set(changed_samples.tolist())
+    changed = np.zeros(o.n_samples, dtype=bool)
+    changed[changed_samples] = True
+    redo = changed[v.located[:, 1]]
+    redo[chosen_pos] = True
     cols = v.normals.copy()
-    for q, idx in enumerate(active_new):
-        if q == chosen_pos or work.located[q][1] in changed:
-            cols[:, q] = orc.constraint_normal(o, masks_e, idx)
+    for q in np.flatnonzero(redo).tolist():
+        cols[:, q] = orc.constraint_normal(o, masks_e, active_new[q])
     try:
         fact = factorize(cols)
     except SingularMatrix as e:
@@ -734,11 +768,13 @@ def vertex_step(
     v_new = VertexState(
         point=p_new,
         active=active_new,
+        located=located_new,
         normals=cols,
         signature=entered,
         factorization=fact,
         flat=flat_new,
         loss=loss_new,
+        masks=masks_e,
         rows=rows_new,
     )
     if limits.validate:
@@ -760,6 +796,8 @@ def _validate_vertex(o, v):
         raise DegenerateVertex(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
         raise DegenerateVertex("active set contains duplicate constraints")
+    if not np.array_equal(v.located, [o.layout.locate(a) for a in v.active]):
+        raise DegenerateVertex("carried active rows differ from layout.locate")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
     worst = float(np.max(np.abs(flat[v.active])))
@@ -776,6 +814,8 @@ def _validate_vertex(o, v):
         if np.any((side != 0) & (side != state)):
             raise DegenerateVertex("a surface off the vertex lies outside its region")
     masks = orc.region_masks(v.signature)
+    if len(masks) != len(v.masks) or not all(map(np.array_equal, masks, v.masks)):
+        raise DegenerateVertex("carried region masks differ from a recomputation")
     fresh = {
         "constraint values": (flat, v.flat),
         "loss": (vals.loss, v.loss),
@@ -826,6 +866,8 @@ def _swapped_states(o, v, coincident, seen):
             key = frozenset(new_active)
             if key in seen:
                 continue
+            located = v.located.copy()
+            located[pos] = o.layout.locate(idx)
             cols = v.normals.copy()
             cols[:, pos] = col
             try:
@@ -833,7 +875,9 @@ def _swapped_states(o, v, coincident, seen):
             except SingularMatrix:
                 continue
             seen.add(key)
-            yield replace(v, active=new_active, normals=cols, factorization=fact)
+            yield replace(
+                v, active=new_active, located=located, normals=cols, factorization=fact
+            )
 
 
 def _escape_if_degenerate(work, limits, rng):
@@ -841,10 +885,10 @@ def _escape_if_degenerate(work, limits, rng):
     escaping the vertex through an exchanged active set, or None when the
     vertex passes the sampled local-minimality check (or shows no
     degeneracy at all: no coincident surface and no side left out of the
-    edges that vertex_step has just priced)."""
+    derivative table that vertex_step has just ranked)."""
     o, v = work.o, work.v
     coincident = work.coincident_idx
-    if not coincident and len(work.edges()) == 2 * len(v.active):
+    if not coincident and not np.isnan(work.table).any():
         return None
     radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
     if not _sampled_descent(o, v.point, radius, 200, rng):

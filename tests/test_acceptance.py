@@ -3,13 +3,18 @@
 or on the 2-parameter toys, at the stated tolerances, and prints one
 PASS/FAIL line."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vertexwalk
 from vertexwalk import oracle as orc
 from vertexwalk.analysis import (
     _linear_fit,
@@ -53,6 +58,41 @@ REFERENCE_RUNS = {
     18: (8830, 719.9825751050981),
     19: (27, 753.11819454644),
 }
+
+
+# SHA-256 of the points and then the losses (float64 bytes) of capped
+# walks of the three benchmark shapes, run with one BLAS thread: reference
+# scale, N = 8000 and D = 100. A change to any pivot, or to the last bit of
+# any point or loss, shows here.
+CAPPED_WALKS = {
+    "ref seed 6, 120 iterations": (
+        {"seed": 6, "max_iterations": 120},
+        "7aac8f9210e0fcc805cbb5074496a8c4977cf6e249edf02d7e29da748f9e4562",
+    ),
+    "N = 8000 seed 0, 40 iterations": (
+        {"seed": 0, "samples": 8000, "max_iterations": 40},
+        "b892217eb97997966c447fb83d66edeff2c9e4ec97e936cb063348c7491d606f",
+    ),
+    "D = 100 seed 0, 120 iterations": (
+        {"seed": 0, "widths": [4, 20, 4, 3, 2, 1], "max_iterations": 120},
+        "14dfc291ff8461322b408efd3703709c429d281020ac3cfff98d460f55baaa45",
+    ),
+}
+
+_CAPPED_WALK_SCRIPT = """
+import hashlib, json, sys
+from vertexwalk.experiment import ExperimentConfig, generate_instance
+from vertexwalk.solver import minimize
+
+digests = {}
+for label, fields in json.loads(sys.argv[1]).items():
+    cfg = ExperimentConfig(**fields)
+    oracle, p0, rng = generate_instance(cfg)
+    _, traj = minimize(oracle, p0, cfg.solver_limits(), rng)
+    assert len(traj) - 1 == cfg.max_iterations, label
+    digests[label] = hashlib.sha256(traj.points.tobytes() + traj.losses.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
 
 
 def _solve_paper_seed(seed: int):
@@ -307,6 +347,29 @@ class TestReferenceTrajectories:
             if len(traj) - 1 != iterations or abs(got - final_loss) > 1e-9 * final_loss:
                 bad.append((seed, len(traj) - 1, got))
         assert not bad, f"walks differ from the recorded reference: {bad}"
+
+
+    def test_capped_walks_bit_identical(self):
+        # A fresh interpreter with one BLAS thread, as paper_runs has.
+        src = str(Path(vertexwalk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=path,
+            PYTHONWARNINGS="error::RuntimeWarning",
+        )
+        fields = {label: f for label, (f, _) in CAPPED_WALKS.items()}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_WALK_SCRIPT, json.dumps(fields)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got == {label: digest for label, (_, digest) in CAPPED_WALKS.items()}
 
 
 class TestCriterion8Reproducibility:

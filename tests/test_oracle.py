@@ -36,6 +36,25 @@ from vertexwalk.prng import SplitMix64
 ROW_INSTANCES = [((4, 5, 4, 3, 2, 1), 500), ((4, 20, 4, 3, 2, 1), 500), ((3, 4, 3, 2), 40)]
 
 
+def _two_half_corrections(o, masks, sigma, released, dirs):
+    """release_corrections as computed before the reference rows were
+    carried: reference and flipped rows of the released samples in one
+    sample_gradient_rows call, reference half first."""
+    arrays, samples, units = (np.array(c, dtype=int) for c in zip(*released))
+    dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
+    dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
+    ref = [m[samples] for m in masks] + [sigma[samples]]
+    new = [a.copy() for a in ref]
+    for l, a in enumerate(new):
+        q = np.flatnonzero(arrays == l)
+        old = a[q, units[q]]
+        a[q, units[q]] = -old if l == len(masks) else 1.0 - old
+    both = [np.concatenate(pair) for pair in zip(ref, new)]
+    rows = sample_gradient_rows(o, both[:-1], both[-1])
+    n = len(samples)
+    return np.sum((rows[n:] - rows[:n]) * dz, axis=1)
+
+
 def tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(2.0,)):
     """widths (1,1,1) instance with one hidden unit and explicit data."""
     arch = Architecture((1, 1, 1))
@@ -150,11 +169,34 @@ class TestAffinePiece:
         g = region_gradient(o, masks, sigma)
         idx = list(range(o.n_constraints))
         dirs = SplitMix64(121).uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        got = release_corrections(o, masks, sigma, [o.layout.locate(i) for i in idx], dirs)
+        rows = sample_gradient_rows(o, masks, sigma)
+        got = release_corrections(o, masks, sigma, rows, [o.layout.locate(i) for i in idx], dirs)
         for q, i in enumerate(idx):
             flipped = sig.with_state(i, -sig.state_of(i))
             g_new = region_gradient(o, region_masks(flipped), region_sigma(flipped))
             assert got[q] == pytest.approx(float((g_new - g) @ dirs[:, q]), abs=1e-10)
+
+    @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
+    def test_carried_reference_rows_give_the_same_bits(self, widths, n_samples):
+        # release_corrections takes each released sample's reference row
+        # from the region's rows instead of computing it next to the
+        # flipped row; the corrections must keep every bit.
+        o, _ = build_instance(15, widths, n_samples)
+        rng = SplitMix64(150)
+        sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
+        masks, sigma = region_masks(sig), region_sigma(sig)
+        rows = sample_gradient_rows(o, masks, sigma)
+        # D surfaces, as at a vertex: every state array, samples repeated.
+        h = o.hidden_total
+        picks = rng.uniform_block(o.dim, 0, 1)
+        idx = [int(u * n_samples * h) for u in picks[:-4]]
+        idx += [n_samples * h + int(u * n_samples * o.arch.output_dim) for u in picks[-4:-1]]
+        idx += [idx[0] - idx[0] % h + h - 1]
+        released = [o.layout.locate(i) for i in idx]
+        assert {a for a, _, _ in released} == set(range(o.arch.hidden_depth + 1))
+        dirs = rng.uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
+        got = release_corrections(o, masks, sigma, rows, released, dirs)
+        assert np.array_equal(got, _two_half_corrections(o, masks, sigma, released, dirs))
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
     def test_gradient_rows_of_any_subset_equal_full_rows(self, widths, n_samples):
@@ -432,11 +474,15 @@ class TestRatioTest:
         flat = np.array([0.0, -1e-17, 2.0, 0.0])
         dvals = np.array([-1.0, -1.0, -1.0, 1.0])
         states = np.ones(4, dtype=np.int8)
-        assert crossing_candidates(flat, dvals, []).tolist() == [False, False, True, False]
-        assert crossing_candidates(flat, dvals, [], states).tolist() == [True, True, True, False]
-        assert _ratio_from_arrays(flat, dvals, []) == (2.0, 2)
-        assert _ratio_from_arrays(flat, dvals, [], states) == (0.0, 0)
-        assert _ratio_from_arrays(flat, dvals, [0], states) == (0.0, 1)
+        toward, floor = crossing_candidates(flat, dvals, [])
+        assert toward.tolist() == [False, False, True, False] and floor == 1e-12
+        toward, _ = crossing_candidates(flat, dvals, [], states)
+        assert toward.tolist() == [True, True, True, False]
+        assert _ratio_from_arrays(flat, dvals, []) == ((2.0, 2), 1e-12)
+        assert _ratio_from_arrays(flat, dvals, [], states) == ((0.0, 0), 1e-12)
+        assert _ratio_from_arrays(flat, dvals, [0], states) == ((0.0, 1), 1e-12)
+        # Nothing ahead: no crossing, and still the floor.
+        assert _ratio_from_arrays(flat, -dvals, [1]) == (None, 1e-12)
 
     def test_states_flat_follow_the_flat_order(self):
         o, _ = build_instance(22, (2, 3, 2, 2), 5)

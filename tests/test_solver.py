@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,47 @@ def entered_signature(o, vertex, pos, sign, d):
     else:
         raise AssertionError("every step crosses a surface")
     return orc.resolve_signature(o, vals, vertex.signature.with_state(vertex.active[pos], sign))
+
+
+def priced_sides(work):
+    """Every release side of the derivative table that has an edge, settled
+    into an EdgeCandidate and keyed by (pos, sign)."""
+    pos, col = np.nonzero(~np.isnan(work.table))
+    return {
+        (p, s): work.candidate(p, s, probe=False)
+        for p, s in zip(pos.tolist(), [(1, -1)[c] for c in col.tolist()])
+    }
+
+
+def selection_key(c):
+    """The order in which vertex_step takes edges: least derivative, then
+    least leaving index, then sign +1 before -1."""
+    return (c.derivative, c.leaving, 0 if c.sign > 0 else 1)
+
+
+def brute_force_pick(sides, tau):
+    """(pos, sign) of the descending side that selection_key puts first."""
+    descending = [(key, c) for key, c in sides.items() if c.derivative < -tau]
+    if not descending:
+        return None
+    return min(descending, key=lambda kc: selection_key(kc[1]))[0]
+
+
+def table_pick(table, leaving, tau):
+    """(pos, sign) that vertex_step's table selection takes."""
+    side = solver._steepest(table, np.asarray(leaving), tau)
+    return None if side is None else (side[0], (1, -1)[side[1]])
+
+
+def table_sides(table, leaving):
+    """The sides of a derivative table that have an edge, as stand-ins
+    carrying what selection_key reads."""
+    return {
+        (pos, sign): SimpleNamespace(derivative=table[pos, col], leaving=leaving[pos], sign=sign)
+        for pos in range(len(leaving))
+        for col, sign in enumerate((1, -1))
+        if not np.isnan(table[pos, col])
+    }
 
 
 def edge_solve(o, vertex, masks, pos, sign):
@@ -146,6 +188,21 @@ class TestDescendToVertex:
         off = np.abs(flat) > o.tol.act
         assert np.array_equal(np.sign(flat[off]), orc.states_flat(vertex.signature)[off])
 
+    def test_validate_rejects_stale_carried_rows_and_masks(self):
+        o, vertex = reference_scale_vertex()
+        solver._validate_vertex(o, vertex)
+        off = np.flatnonzero(np.abs(vertex.flat[: o.n_samples * o.hidden_total]) > o.tol.act)
+        idx = int(off[0])
+        stale = orc.region_masks(vertex.signature.with_state(idx, -vertex.signature.state_of(idx)))
+        with pytest.raises(DegenerateVertex, match="region masks"):
+            solver._validate_vertex(o, replace(vertex, masks=stale))
+        with pytest.raises(DegenerateVertex, match="region masks"):
+            solver._validate_vertex(o, replace(vertex, masks=vertex.masks[:-1]))
+        located = vertex.located.copy()
+        located[0] = located[1]
+        with pytest.raises(DegenerateVertex, match="active rows"):
+            solver._validate_vertex(o, replace(vertex, located=located))
+
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
         off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
@@ -170,7 +227,7 @@ class TestEdgeDirections:
     def test_candidate_invariants(self):
         o, p0 = build_instance(36, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        cands = list(_VertexWork(o, vertex).edges().values())
+        cands = list(priced_sides(_VertexWork(o, vertex)).values())
         assert len(cands) <= 2 * o.dim
         for c in cands:
             assert np.linalg.norm(c.direction) == pytest.approx(1.0, abs=1e-12)
@@ -189,7 +246,7 @@ class TestEdgeDirections:
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
-        for c in _VertexWork(o, vertex).edges().values():
+        for c in priced_sides(_VertexWork(o, vertex)).values():
             fd = (orc.value(o, vertex.point + delta * c.direction) - v0) / delta
             assert fd == pytest.approx(c.derivative, rel=1e-4, abs=1e-7)
 
@@ -216,9 +273,9 @@ class TestEdgeDirections:
         affected_sides = 0
         for o, vertex in cases:
             work = _VertexWork(o, vertex)
-            edges = work.edges()
+            edges = priced_sides(work)
             assert len(edges) == 2 * o.dim
-            affected_sides += 2 * sum(map(bool, work.affected))
+            affected_sides += 2 * len(work.affected)
             tol = 1e-9 * (1.0 + float(np.sum(np.abs(work.g))))
             for (pos, sign), c in edges.items():
                 assert c.leaving == vertex.active[pos] and c.sign == sign
@@ -246,7 +303,7 @@ class TestEdgeDirections:
 
         def outcomes():
             work = _VertexWork(o, vertex)
-            skipped = set(sides) - set(work.edges())
+            skipped = set(sides) - set(priced_sides(work))
             rejected, dependent = set(), set()
             for pos, sign in sides:
                 try:
@@ -263,19 +320,20 @@ class TestEdgeDirections:
         assert outcomes() == (set(), set(), set())
 
         work = _VertexWork(o, vertex)
-        pos = next(q for q, affected in enumerate(work.affected) if affected)
-        killed = vertex.active[work.affected[pos][0]]
-        array, i, k = work.located[pos]
+        pos = next(iter(work.affected))
+        killed = work.located[work.affected[pos][0]].tolist()
+        array, _, k = work.located[pos].tolist()
         flipped_on = vertex.signature.state_of(vertex.active[pos]) < 0
-        normal = orc.constraint_normal
+        normal = orc.sample_normal
 
-        def killing_normal(o, masks, idx):
-            col = normal(o, masks, idx)
-            if idx == killed and (masks[array][i, k] > 0) == flipped_on:
+        def killing_normal(o, mask_rows, *at):
+            col = normal(o, mask_rows, *at)
+            if list(at) == killed and (mask_rows[array][k] > 0) == flipped_on:
                 return np.zeros_like(col)
             return col
 
-        monkeypatch.setattr(orc, "constraint_normal", killing_normal)
+        # Both the batch's bent normals and constraint_normal go through it.
+        monkeypatch.setattr(orc, "sample_normal", killing_normal)
         skipped, rejected, dependent = outcomes()
         assert skipped == rejected == dependent == {(pos, 1 if flipped_on else -1)}
 
@@ -283,7 +341,7 @@ class TestEdgeDirections:
         o, vertex = reference_scale_vertex()
         delta = 1e-6
         v0 = orc.value(o, vertex.point)
-        cands = list(_VertexWork(o, vertex).edges().values())
+        cands = list(priced_sides(_VertexWork(o, vertex)).values())
         assert len(cands) == 2 * o.dim
         for c in cands[::5]:
             fd = (orc.value(o, vertex.point + delta * c.direction) - v0) / delta
@@ -327,6 +385,123 @@ class TestVertexStep:
             vertex = new_vertex
             steps += 1
         assert steps >= 1
+
+
+class TestSelection:
+    """vertex_step picks from the derivative table in selection_key's order."""
+
+    TAU = 1e-9
+
+    def check(self, table, leaving, expect):
+        sides = table_sides(table, leaving)
+        assert brute_force_pick(sides, self.TAU) == expect
+        assert table_pick(table, leaving, self.TAU) == expect
+
+    def test_equal_derivatives_break_by_leaving_then_sign(self):
+        # Positions are not in leaving order, so an order by position
+        # would pick another side.
+        table = np.array([[-2.0, -2.0], [-1.0, -2.0], [-2.0, 0.5]])
+        self.check(table, [40, 7, 19], (1, -1))
+        self.check(table, [4, 7, 19], (0, 1))
+        self.check(np.array([[-2.0, -2.0]]), [5], (0, 1))
+        self.check(np.array([[0.5, -2.0], [-2.0, 0.5]]), [5, 6], (0, -1))
+
+    def test_collapsed_sides_are_never_picked(self):
+        nan = np.nan
+        self.check(np.array([[nan, -3.0], [-3.0, nan]]), [9, 4], (1, 1))
+        self.check(np.array([[nan, -1.0], [-3.0, nan]]), [9, 4], (1, 1))
+        self.check(np.array([[nan, nan], [0.0, nan]]), [9, 4], None)
+
+    def test_a_probed_side_whose_derivative_moved(self):
+        table = np.array([[-3.0, 1.0], [-2.0, -2.5], [-2.5, 0.0]])
+        leaving = [11, 3, 8]
+        self.check(table, leaving, (0, 1))
+        table[0, 0] = -2.5  # settled shallower: now tied, and 3 < 8 < 11
+        self.check(table, leaving, (1, -1))
+        table[1, 1] = np.nan  # the probe found no edge
+        self.check(table, leaving, (2, 1))
+        table[2, 0] = -2.5  # settled unchanged, so the pivot takes it
+        self.check(table, leaving, (2, 1))
+
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(
+            st.sampled_from([-3.0, -1.0, -1.0, -1e-10, 0.0, 2.0, np.nan]), min_size=2, max_size=16
+        ),
+        seed=st.integers(0, 2**16),
+        moves=st.lists(st.sampled_from([-3.0, -1.0, 0.0, np.nan]), max_size=4),
+    )
+    def test_random_tables_with_ties(self, values, seed, moves):
+        if len(values) % 2:
+            values = values[:-1]
+        table = np.array(values).reshape(-1, 2)
+        order = np.argsort(SplitMix64(seed).uniform_block(len(table), 0, 1))
+        leaving = (3 * order + 1).tolist()
+        for value in moves + [None]:
+            expect = brute_force_pick(table_sides(table, leaving), self.TAU)
+            assert table_pick(table, leaving, self.TAU) == expect
+            if expect is None or value is None:
+                break
+            table[expect[0], (1, -1).index(expect[1])] = value
+
+    def test_vertices_match_the_brute_force_pick(self):
+        cases = [reference_scale_vertex()]
+        o, p0, rng = quantized_instance((2, 3, 2, 1), 0)
+        cases.append((o, descend_to_vertex(o, p0, LIMITS, rng)[0]))
+        for o, vertex in cases:
+            work = _VertexWork(o, vertex)
+            tau = 1e-9 * (1.0 + abs(work.loss))
+            sides = priced_sides(_VertexWork(o, vertex))
+            assert table_pick(work.table, vertex.active, tau) == brute_force_pick(sides, tau)
+        assert work.coincident_idx
+
+    def test_vertex_step_takes_the_next_side_when_a_probe_moves_one(self, monkeypatch):
+        o, vertex = reference_scale_vertex()
+        tau = 1e-9 * (1.0 + abs(vertex.loss))
+        sides = priced_sides(_VertexWork(o, vertex))
+        first = brute_force_pick(sides, tau)
+        probed = []
+        candidate = _VertexWork.candidate
+
+        def moving(work, pos, sign, probe):
+            c = candidate(work, pos, sign, probe)
+            if probe:
+                probed.append((pos, sign))
+                if (pos, sign) == first:
+                    c = replace(c, derivative=0.0)
+            return c
+
+        monkeypatch.setattr(_VertexWork, "candidate", moving)
+        _, record = vertex_step(o, vertex, SolverLimits())
+        sides[first].derivative = 0.0
+        second = brute_force_pick(sides, tau)
+        assert probed == [first, second]
+        assert record.leaving == vertex.active[second[0]]
+        assert record.derivative == sides[second].derivative
+
+
+class TestPricingObjects:
+    def test_a_simple_vertex_builds_only_the_probed_sides(self, monkeypatch):
+        built, probes = [], []
+        edge_candidate, candidate = solver.EdgeCandidate, _VertexWork.candidate
+
+        def counting_candidate(*args, **kwargs):
+            built.append(None)
+            return edge_candidate(*args, **kwargs)
+
+        def counting_probe(work, pos, sign, probe):
+            assert not work.coincident_idx
+            probes.append(probe)
+            return candidate(work, pos, sign, probe)
+
+        monkeypatch.setattr(solver, "EdgeCandidate", counting_candidate)
+        monkeypatch.setattr(_VertexWork, "candidate", counting_probe)
+        o, p0 = build_instance(85, (4, 20, 4, 3, 2, 1), 500)
+        vertex, _ = descend_to_vertex(o, p0, SolverLimits())
+        for _ in range(5):
+            vertex, _ = vertex_step(o, vertex, SolverLimits())
+        assert len(probes) >= 5 and all(probes)
+        assert len(built) == len(probes)
 
 
 def probe_walks():
@@ -454,7 +629,7 @@ class TestProbe:
         work = _VertexWork(o, vertex)
         assert work.coincident_idx
         tau = 1e-9 * (1.0 + abs(work.loss))
-        descending = [key for key, c in work.edges().items() if c.derivative < -tau]
+        descending = [key for key, c in priced_sides(work).items() if c.derivative < -tau]
         assert descending
         settled = 0
         for key in descending:
@@ -552,13 +727,13 @@ class TestDegenerateCorpus:
 
     def test_quantized_instances_converge(self, monkeypatch):
         coincident_visits = []
-        edges = _VertexWork.edges
+        init = _VertexWork.__init__
 
-        def counting_edges(work):
+        def counting_init(work, *args):
+            init(work, *args)
             coincident_visits.append(bool(work.coincident_idx))
-            return edges(work)
 
-        monkeypatch.setattr(_VertexWork, "edges", counting_edges)
+        monkeypatch.setattr(_VertexWork, "__init__", counting_init)
         runs_with_coincident = 0
         for widths, seed in self.INSTANCES:
             coincident_visits.clear()
