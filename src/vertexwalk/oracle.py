@@ -25,6 +25,7 @@ and b_1[k] in the last column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,24 @@ class ConstraintLayout:
             return array, sample, unit
         sample, unit = divmod(idx - self.n_samples * h, self.output_dim)
         return self.depth, sample, unit
+
+    def locate_many(self, idx) -> np.ndarray:
+        """locate of every flat index in idx, as an int array (len(idx), 3)."""
+        idx = np.asarray(idx, dtype=np.intp)
+        cut = self.n_samples * len(self.neuron_pos)
+        sample, rest = np.divmod(idx, len(self.neuron_pos))
+        out = np.empty((idx.size, 3), dtype=np.intp)
+        out[:, ::2] = self._neuron_rows[rest]
+        out[:, 1] = sample
+        res = idx >= cut
+        if res.any():
+            out[res, 0] = self.depth
+            out[res, 1], out[res, 2] = np.divmod(idx[res] - cut, self.output_dim)
+        return out
+
+    @cached_property
+    def _neuron_rows(self) -> np.ndarray:
+        return np.array(self.neuron_pos, dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,12 @@ or the side is reported degenerate). Each side is settled once per vertex,
 and a probe resumes where its side's settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
-constraint values (from the polish), the (array, sample, unit) rows of its
-active surfaces, and the region masks and per-sample gradient rows of its
-region; the next vertex takes the entered region's masks the probe built,
-entered regions and the next vertex recompute only the rows of samples
-whose states differ, and the next normal matrix recomputes only the
-entering column and the columns of samples whose states differ. The
+constraint values (from the polish) and the region masks and per-sample
+gradient rows of its region; the next vertex takes the entered region's
+masks the probe built, entered regions and the next vertex recompute only
+the rows of samples whose states differ, and the next normal matrix
+recomputes only the entering column and the columns of samples whose
+states differ. The
 polish reads the active values of its two forward passes directly and
 flattens only the kept point's, so these are the pivot's only forward
 passes. The normal matrix is still refactorized from scratch at every
@@ -106,8 +106,7 @@ class SolverLimits:
 @dataclass
 class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
-    (state array, sample, unit) rows (layout.locate; int array (D, 3)),
-    their normals (columns), the reference signature of a full-dimensional
+    normals (columns), the reference signature of a full-dimensional
     region adjacent to it, every constraint value at the point (flat
     order), the loss there, and the region masks (oracle.region_masks) and
     per-sample gradient rows (oracle.sample_gradient_rows) of the reference
@@ -115,7 +114,6 @@ class VertexState:
 
     point: np.ndarray
     active: list[int]
-    located: np.ndarray
     normals: np.ndarray
     signature: Signature
     factorization: Factorization
@@ -131,12 +129,11 @@ class EdgeCandidate:
     index) to side `sign` and move along `direction`, whose entered-region
     loss derivative is `derivative`. Sides are ranked in the derivative
     table of _VertexWork; this object is built only for a side that is
-    probed (or settled on request).
+    probed.
 
     The entered region is `region` with the state of `leaving` set to
-    `sign`; it is built when first read. A probed side carries in
-    `crossing` the (step, flat index) of the first surface its edge hits,
-    or None when it hits none.
+    `sign`; it is built when first read. `crossing` holds the (step, flat
+    index) of the first surface the edge hits, or None when it hits none.
     """
 
     leaving: int
@@ -305,13 +302,11 @@ def descend_to_vertex(
         fact = factorize(nmat)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    located = np.array([o.layout.locate(a) for a in active])
-    p, flat, loss = _polish(o, p, located, fact, vals)
+    p, flat, loss = _polish(o, p, o.layout.locate_many(active), fact, vals)
     records[-1] = (p.copy(), loss, len(active))
     vertex = VertexState(
         point=p,
         active=active,
-        located=located,
         normals=nmat,
         signature=sig,
         factorization=fact,
@@ -375,12 +370,13 @@ class _VertexWork:
         self.sigma = orc.region_sigma(v.signature)
         self.g = orc.gradient_from_rows(o, v.rows)
         self.pnorm = float(np.linalg.norm(v.point))
-        self.located = v.located
+        # (state array, sample, unit) rows of the active surfaces.
+        self.located = o.layout.locate_many(v.active)
         # Releasing a hidden unit bends the normals of the active surfaces
         # deeper in the same sample's network; affected[pos] lists them, for
         # each position that has any. Only positions that share their
         # sample with another can have any.
-        samples = v.located[:, 1]
+        samples = self.located[:, 1]
         shared = np.flatnonzero(np.bincount(samples)[samples] > 1).tolist()
         by_sample: dict[int, list[int]] = {}
         for q in shared:
@@ -388,7 +384,7 @@ class _VertexWork:
         self.affected: dict[int, list[int]] = {}
         for group in by_sample.values():
             for pos in group:
-                deeper = [q for q in group if v.located[q, 0] > v.located[pos, 0]]
+                deeper = [q for q in group if self.located[q, 0] > self.located[pos, 0]]
                 if deeper:
                     self.affected[pos] = deeper
         # Inactive surfaces passing through the vertex itself (degeneracy):
@@ -398,8 +394,9 @@ class _VertexWork:
         near[v.active] = False
         self.coincident_idx = np.flatnonzero(near).tolist()
         self.excluded_idx = v.active + self.coincident_idx
-        coincident_at = np.array([o.layout.locate(i) for i in self.coincident_idx], dtype=int)
-        self.excluded_at = np.concatenate([v.located, coincident_at.reshape(-1, 3)])
+        self.excluded_at = np.concatenate(
+            [self.located, o.layout.locate_many(self.coincident_idx)]
+        )
         self.excluded_flat = self.flat[self.excluded_idx]
         # (round, direction, entered signature, derivative) of each side
         # settled by _settle, where the probe resumes.
@@ -596,22 +593,20 @@ class _VertexWork:
             return round_, d, sig, deriv
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
-    def candidate(self, pos: int, sign: int, probe: bool) -> EdgeCandidate:
-        """Settle the batch side that releases active[pos] to `sign`.
+    def candidate(self, pos: int, sign: int) -> EdgeCandidate:
+        """Settle and probe the batch side that releases active[pos] to `sign`.
 
-        The side is settled once per vertex (_settle). With probe=True the
-        entered signature is then confirmed at a point just inside the
-        edge, resuming at the round where the side settled, and the probe's
-        ratio test gives the edge's first crossing. The probe point's
-        region is read from the edge's JVP (_probe_agrees); only when that
-        check fails does a forward pass resolve it. A probe that finds
-        another region solves the direction again for it, within the same
-        round limit as the guesses.
+        The side is settled once per vertex (_settle). Its entered
+        signature is then confirmed at a point just inside the edge,
+        resuming at the round where the side settled, and the probe's ratio
+        test gives the edge's first crossing. The probe point's region is
+        read from the edge's JVP (_probe_agrees); only when that check
+        fails does a forward pass resolve it. A probe that finds another
+        region solves the direction again for it, within the same round
+        limit as the guesses.
         """
         round_, d, sig, deriv = self._settle(pos, sign)
         leaving = self.v.active[pos]
-        if not probe:
-            return EdgeCandidate(leaving, sign, d, sig, deriv)
         o, v = self.o, self.v
         # After a forward pass has resolved sig, its states off the excluded
         # surfaces need not match the vertex's, which _probe_agrees assumes.
@@ -723,7 +718,7 @@ def vertex_step(
             chosen_pos, chosen = side[0], probed[side]
             break
         try:
-            probed[side] = work.candidate(side[0], _SIGNS[side[1]], probe=True)
+            probed[side] = work.candidate(side[0], _SIGNS[side[1]])
         except DegenerateVertex:
             table[side] = np.nan
             continue
@@ -742,7 +737,7 @@ def vertex_step(
     p_new = v.point + t * chosen.direction
     active_new = list(v.active)
     active_new[chosen_pos] = hit
-    located_new = v.located.copy()
+    located_new = work.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
     # Only the entering column and the columns of samples whose states
     # changed can differ from the vertex's normals. The entered region's
@@ -751,7 +746,7 @@ def vertex_step(
     masks_e = work._masks(entered)
     changed = np.zeros(o.n_samples, dtype=bool)
     changed[changed_samples] = True
-    redo = changed[v.located[:, 1]]
+    redo = changed[work.located[:, 1]]
     redo[chosen_pos] = True
     cols = v.normals.copy()
     for q in np.flatnonzero(redo).tolist():
@@ -768,7 +763,6 @@ def vertex_step(
     v_new = VertexState(
         point=p_new,
         active=active_new,
-        located=located_new,
         normals=cols,
         signature=entered,
         factorization=fact,
@@ -796,8 +790,6 @@ def _validate_vertex(o, v):
         raise DegenerateVertex(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
         raise DegenerateVertex("active set contains duplicate constraints")
-    if not np.array_equal(v.located, [o.layout.locate(a) for a in v.active]):
-        raise DegenerateVertex("carried active rows differ from layout.locate")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
     worst = float(np.max(np.abs(flat[v.active])))
@@ -866,8 +858,6 @@ def _swapped_states(o, v, coincident, seen):
             key = frozenset(new_active)
             if key in seen:
                 continue
-            located = v.located.copy()
-            located[pos] = o.layout.locate(idx)
             cols = v.normals.copy()
             cols[:, pos] = col
             try:
@@ -875,9 +865,7 @@ def _swapped_states(o, v, coincident, seen):
             except SingularMatrix:
                 continue
             seen.add(key)
-            yield replace(
-                v, active=new_active, located=located, normals=cols, factorization=fact
-            )
+            yield replace(v, active=new_active, normals=cols, factorization=fact)
 
 
 def _escape_if_degenerate(work, limits, rng):

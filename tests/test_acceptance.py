@@ -60,38 +60,79 @@ REFERENCE_RUNS = {
 }
 
 
-# SHA-256 of the points and then the losses (float64 bytes) of capped
-# walks of the three benchmark shapes, run with one BLAS thread: reference
-# scale, N = 8000 and D = 100. A change to any pivot, or to the last bit of
-# any point or loss, shows here.
+# Capped walks of the three benchmark shapes, run with one BLAS thread:
+# reference scale, N = 8000 and D = 100. Each entry holds the walk's fields,
+# then two pins:
+# - SHA-256 of every pivot's (leaving, entering) as int64, the final loss
+#   and the sum of all losses. Pivots are exact integers and the losses are
+#   checked at 1e-9 relative, so this pin holds on any machine.
+# - SHA-256 of the points and then the losses (float64 bytes). This pin
+#   shows a change to the last bit of any point or loss, but those bits
+#   depend on the BLAS kernel the CPU selects (OpenBLAS picks Haswell,
+#   SkylakeX, Zen, ... kernels), so it holds only on hardware that selects
+#   the kernels it was recorded with: a 2-CPU x86-64 VM, scipy-openblas
+#   0.3.31. When only this pin fails, the walk took the same path and
+#   differs in rounding; on the recording hardware that is still a change.
 CAPPED_WALKS = {
     "ref seed 6, 120 iterations": (
         {"seed": 6, "max_iterations": 120},
+        (
+            "ed08f4e0a6ef8fdb460ef17de03dd497c2e3fb6c901b02943b9821c1dabc4116",
+            740.6538509868964,
+            89811.12729949404,
+        ),
         "7aac8f9210e0fcc805cbb5074496a8c4977cf6e249edf02d7e29da748f9e4562",
     ),
     "N = 8000 seed 0, 40 iterations": (
         {"seed": 0, "samples": 8000, "max_iterations": 40},
+        (
+            "1ec2e8fa8c4c5970f1752f1bde69a833f54e8280513eff42e80479ef47c164d0",
+            12833.354895763918,
+            526182.814519161,
+        ),
         "b892217eb97997966c447fb83d66edeff2c9e4ec97e936cb063348c7491d606f",
     ),
     "D = 100 seed 0, 120 iterations": (
         {"seed": 0, "widths": [4, 20, 4, 3, 2, 1], "max_iterations": 120},
+        (
+            "7d008b0c23ba1603cd891093c62490f2cf8b87f31fc19a3ddf398bdd7e1bdd10",
+            2515.0953597422276,
+            314748.05830903345,
+        ),
         "14dfc291ff8461322b408efd3703709c429d281020ac3cfff98d460f55baaa45",
     ),
 }
 
 _CAPPED_WALK_SCRIPT = """
 import hashlib, json, sys
+import numpy as np
+from vertexwalk import solver
 from vertexwalk.experiment import ExperimentConfig, generate_instance
-from vertexwalk.solver import minimize
 
-digests = {}
+pivots = []
+step = solver.vertex_step
+
+def recording_step(*args, **kwargs):
+    out = step(*args, **kwargs)
+    if out is not None:
+        pivots.append((out[1].leaving, out[1].entering))
+    return out
+
+solver.vertex_step = recording_step
+walks = {}
 for label, fields in json.loads(sys.argv[1]).items():
+    pivots.clear()
     cfg = ExperimentConfig(**fields)
     oracle, p0, rng = generate_instance(cfg)
-    _, traj = minimize(oracle, p0, cfg.solver_limits(), rng)
+    _, traj = solver.minimize(oracle, p0, cfg.solver_limits(), rng)
     assert len(traj) - 1 == cfg.max_iterations, label
-    digests[label] = hashlib.sha256(traj.points.tobytes() + traj.losses.tobytes()).hexdigest()
-print(json.dumps(digests))
+    walks[label] = {
+        "pivots": hashlib.sha256(np.array(pivots, dtype=np.int64).tobytes()).hexdigest(),
+        "final loss": float(traj.losses[-1]),
+        "loss sum": float(traj.losses.sum()),
+        "bits": hashlib.sha256(traj.points.tobytes() + traj.losses.tobytes()).hexdigest(),
+    }
+print(json.dumps(walks))
 """
 
 
@@ -349,7 +390,8 @@ class TestReferenceTrajectories:
         assert not bad, f"walks differ from the recorded reference: {bad}"
 
 
-    def test_capped_walks_bit_identical(self):
+    @pytest.fixture(scope="class")
+    def capped_walks(self):
         # A fresh interpreter with one BLAS thread, as paper_runs has.
         src = str(Path(vertexwalk.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -360,7 +402,7 @@ class TestReferenceTrajectories:
             PYTHONPATH=path,
             PYTHONWARNINGS="error::RuntimeWarning",
         )
-        fields = {label: f for label, (f, _) in CAPPED_WALKS.items()}
+        fields = {label: f for label, (f, _, _) in CAPPED_WALKS.items()}
         proc = subprocess.run(
             [sys.executable, "-c", _CAPPED_WALK_SCRIPT, json.dumps(fields)],
             env=env,
@@ -368,8 +410,24 @@ class TestReferenceTrajectories:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
-        assert got == {label: digest for label, (_, digest) in CAPPED_WALKS.items()}
+        return json.loads(proc.stdout)
+
+    def test_capped_walks_take_the_recorded_pivots(self, capped_walks):
+        bad = []
+        for label, (_, (pivots, final, total), _) in CAPPED_WALKS.items():
+            got = capped_walks[label]
+            if (
+                got["pivots"] != pivots
+                or not np.isclose(got["final loss"], final, rtol=1e-9, atol=0.0)
+                or not np.isclose(got["loss sum"], total, rtol=1e-9, atol=0.0)
+            ):
+                bad.append((label, got))
+        assert not bad, f"walks differ from the recorded pivots and losses: {bad}"
+
+    def test_capped_walks_bit_identical(self, capped_walks):
+        # Tied to the recording hardware; see CAPPED_WALKS.
+        got = {label: walk["bits"] for label, walk in capped_walks.items()}
+        assert got == {label: bits for label, (_, _, bits) in CAPPED_WALKS.items()}
 
 
 class TestCriterion8Reproducibility:

@@ -385,6 +385,10 @@ class TestEnumerateConstraints:
             for idx, (layer, sample, unit) in enumerate(order):
                 assert tag_index(o, layer, sample, unit) == idx
                 assert o.layout.locate(idx) == (layer - 1, sample, unit)
+            rows = [(layer - 1, sample, unit) for layer, sample, unit in order]
+            shuffled = np.random.default_rng(0).permutation(len(order))
+            assert o.layout.locate_many(shuffled).tolist() == [list(rows[i]) for i in shuffled]
+            assert o.layout.locate_many([]).shape == (0, 3)
 
     def test_flat_values_align_with_tags(self):
         o, p = build_instance(20, (2, 3, 1), 4)

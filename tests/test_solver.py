@@ -70,10 +70,10 @@ def entered_signature(o, vertex, pos, sign, d):
 
 def priced_sides(work):
     """Every release side of the derivative table that has an edge, settled
-    into an EdgeCandidate and keyed by (pos, sign)."""
+    (not probed) into an EdgeCandidate and keyed by (pos, sign)."""
     pos, col = np.nonzero(~np.isnan(work.table))
     return {
-        (p, s): work.candidate(p, s, probe=False)
+        (p, s): solver.EdgeCandidate(work.v.active[p], s, *work._settle(p, s)[1:])
         for p, s in zip(pos.tolist(), [(1, -1)[c] for c in col.tolist()])
     }
 
@@ -188,7 +188,7 @@ class TestDescendToVertex:
         off = np.abs(flat) > o.tol.act
         assert np.array_equal(np.sign(flat[off]), orc.states_flat(vertex.signature)[off])
 
-    def test_validate_rejects_stale_carried_rows_and_masks(self):
+    def test_validate_rejects_stale_carried_masks(self):
         o, vertex = reference_scale_vertex()
         solver._validate_vertex(o, vertex)
         off = np.flatnonzero(np.abs(vertex.flat[: o.n_samples * o.hidden_total]) > o.tol.act)
@@ -198,10 +198,6 @@ class TestDescendToVertex:
             solver._validate_vertex(o, replace(vertex, masks=stale))
         with pytest.raises(DegenerateVertex, match="region masks"):
             solver._validate_vertex(o, replace(vertex, masks=vertex.masks[:-1]))
-        located = vertex.located.copy()
-        located[0] = located[1]
-        with pytest.raises(DegenerateVertex, match="active rows"):
-            solver._validate_vertex(o, replace(vertex, located=located))
 
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
@@ -307,7 +303,7 @@ class TestEdgeDirections:
             rejected, dependent = set(), set()
             for pos, sign in sides:
                 try:
-                    work.candidate(pos, sign, probe=False)
+                    work._settle(pos, sign)
                 except DegenerateVertex:
                     rejected.add((pos, sign))
                 entered = vertex.signature.with_state(vertex.active[pos], sign)
@@ -463,12 +459,11 @@ class TestSelection:
         probed = []
         candidate = _VertexWork.candidate
 
-        def moving(work, pos, sign, probe):
-            c = candidate(work, pos, sign, probe)
-            if probe:
-                probed.append((pos, sign))
-                if (pos, sign) == first:
-                    c = replace(c, derivative=0.0)
+        def moving(work, pos, sign):
+            c = candidate(work, pos, sign)
+            probed.append((pos, sign))
+            if (pos, sign) == first:
+                c = replace(c, derivative=0.0)
             return c
 
         monkeypatch.setattr(_VertexWork, "candidate", moving)
@@ -489,10 +484,10 @@ class TestPricingObjects:
             built.append(None)
             return edge_candidate(*args, **kwargs)
 
-        def counting_probe(work, pos, sign, probe):
+        def counting_probe(work, pos, sign):
             assert not work.coincident_idx
-            probes.append(probe)
-            return candidate(work, pos, sign, probe)
+            probes.append((pos, sign))
+            return candidate(work, pos, sign)
 
         monkeypatch.setattr(solver, "EdgeCandidate", counting_candidate)
         monkeypatch.setattr(_VertexWork, "candidate", counting_probe)
@@ -500,7 +495,7 @@ class TestPricingObjects:
         vertex, _ = descend_to_vertex(o, p0, SolverLimits())
         for _ in range(5):
             vertex, _ = vertex_step(o, vertex, SolverLimits())
-        assert len(probes) >= 5 and all(probes)
+        assert len(probes) >= 5
         assert len(built) == len(probes)
 
 
@@ -539,10 +534,10 @@ class TestProbe:
             checks.append(agrees(work, *args))
             return checks[-1]
 
-        def shadowed_candidate(work, pos, sign, probe):
+        def shadowed_candidate(work, pos, sign):
             checks.clear()
-            c = candidate(work, pos, sign, probe)
-            if probe and checks and checks[-1]:
+            c = candidate(work, pos, sign)
+            if checks and checks[-1]:
                 # The check passed and the probe returned on it.
                 eps = solver._PROBE * (1.0 + work.pnorm)
                 if c.crossing is not None:
@@ -588,7 +583,7 @@ class TestProbe:
         # the region the guess would have given.
         o, p0, rng = quantized_instance((2, 3, 2, 1), 1)
         vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
-        guessed = _VertexWork(o, vertex).candidate(5, -1, probe=True)
+        guessed = _VertexWork(o, vertex).candidate(5, -1)
 
         checks, changes = [], []
         agrees, resolve = _VertexWork._probe_agrees, orc.resolve_signature
@@ -607,7 +602,7 @@ class TestProbe:
         monkeypatch.setattr(_VertexWork, "_coincident_guess", lambda work, sig, d: sig)
         work = _VertexWork(o, vertex)
         assert len(work.coincident_idx) == 1
-        c = work.candidate(5, -1, probe=True)
+        c = work.candidate(5, -1)
         assert checks == [False]
         assert changes == [True, False]
         assert c.entered.equals(guessed.entered)
@@ -633,10 +628,10 @@ class TestProbe:
         assert descending
         settled = 0
         for key in descending:
-            fresh = _VertexWork(o, vertex).candidate(*key, probe=True)
+            fresh = _VertexWork(o, vertex).candidate(*key)
             settled += "_settled_direction" in calls
             calls.clear()
-            resumed = work.candidate(*key, probe=True)
+            resumed = work.candidate(*key)
             assert calls == [], key
             assert resumed.entered.equals(fresh.entered), key
             assert np.array_equal(resumed.direction, fresh.direction), key
