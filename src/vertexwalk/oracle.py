@@ -122,11 +122,14 @@ class Signature:
 
     def differing_samples(self, other: "Signature") -> np.ndarray:
         """Samples with any state that differs from `other`'s, ascending."""
-        diff = np.zeros(self.residuals.shape[0], dtype=bool)
-        for a, b in zip(self.neurons + (self.residuals,), other.neurons + (other.residuals,)):
-            if a is not b:
-                diff |= np.any(a != b, axis=1)
-        return np.flatnonzero(diff)
+        # The sample of each differing entry: on narrow rows this beats a
+        # per-row np.any by an order of magnitude.
+        diff = [
+            np.flatnonzero(a != b) // a.shape[1]
+            for a, b in zip(self.neurons + (self.residuals,), other.neurons + (other.residuals,))
+            if a is not b
+        ]
+        return np.unique(np.concatenate(diff)) if diff else np.empty(0, dtype=np.intp)
 
     def equals(self, other: "Signature") -> bool:
         if len(self.neurons) != len(other.neurons):
@@ -569,16 +572,82 @@ def crossing_candidates(
     return toward, floor
 
 
+@dataclass(frozen=True)
+class RatioScreen:
+    """What the screened ratio test needs of the constraint values at one
+    point, computed once for every direction tested from it: their
+    magnitudes |flat|, the largest of them, and the mask of the excluded
+    surfaces, which the test skips."""
+
+    magnitude: np.ndarray
+    top: float
+    excluded: np.ndarray
+
+
+# The screen first looks at the surfaces with |value| up to this fraction of
+# the largest, and widens by _SCREEN_GROWTH while they hold no candidate.
+_SCREEN_START = 3e-3
+_SCREEN_GROWTH = 8.0
+# Relative margin of the screen's bound, far above its rounding error.
+_SCREEN_MARGIN = 1e-9
+
+
 def _ratio_from_arrays(
     flat: np.ndarray,
     dvals: np.ndarray,
     active_idx: list[int],
     states: np.ndarray | None = None,
+    screen: RatioScreen | None = None,
 ) -> tuple[tuple[float, int] | None, float]:
     """The first crossing (step, flat index it hits), or None when no
     surface lies ahead, and crossing_candidates' floor. Ties resolve to the
     smallest index. With `states`, candidates are taken by state and a
-    surface already at or past zero is hit at step 0."""
+    surface already at or past zero is hit at step 0.
+
+    Given a RatioScreen of flat whose excluded mask holds active_idx (and
+    no states), the test first looks only at the surfaces near zero; the
+    answer is the full scan's, bit for bit.
+
+    Every candidate's step is t_j = |flat_j| / |dvals_j| >= |flat_j| / M,
+    with M the largest |dvals|. Screened to the surfaces with |flat| <= c,
+    the test finds the best step t_S among them. Once t_S M (1 + margin)
+    <= c, every surface outside the screen has, rounded division being
+    monotone, a step at least the rounded c / M, which the margin keeps
+    strictly above t_S: none beats or ties with it. Otherwise c becomes that
+    bound (one more round then settles it) or, when the screen holds no
+    candidate, grows; once c reaches the largest |flat|, the full scan
+    runs. The floor stays 1e-12 of M, over all entries. States carry no
+    such bound (a surface past zero by its state is hit at step 0), so
+    they take the full scan.
+    """
+    if screen is None or states is not None:
+        return _full_scan(flat, dvals, active_idx, states)
+    slope = float(np.max(np.abs(dvals)))
+    floor = 1e-12 * slope
+    c = _SCREEN_START * screen.top
+    while c < screen.top:
+        near = np.flatnonzero(screen.magnitude <= c)
+        f, dv = flat[near], dvals[near]
+        toward = np.flatnonzero((f * dv < 0.0) & (np.abs(dv) > floor) & ~screen.excluded[near])
+        if not toward.size:
+            c *= _SCREEN_GROWTH
+            continue
+        t = -f[toward] / dv[toward]
+        j = int(np.argmin(t))
+        bound = float(t[j]) * slope * (1.0 + _SCREEN_MARGIN)
+        if bound <= c:
+            return (float(t[j]), int(near[toward[j]])), floor
+        c = bound
+    return _full_scan(flat, dvals, active_idx)
+
+
+def _full_scan(
+    flat: np.ndarray,
+    dvals: np.ndarray,
+    active_idx: list[int],
+    states: np.ndarray | None = None,
+) -> tuple[tuple[float, int] | None, float]:
+    """_ratio_from_arrays over every surface."""
     mask, floor = crossing_candidates(flat, dvals, active_idx, states)
     toward = np.flatnonzero(mask)
     if not toward.size:

@@ -36,22 +36,27 @@ ratio test is the pivot's. The probe reads the point's region from the
 edge's JVP, which its ratio test needs anyway: when every active and
 coincident surface lies on the entered region's side there, or within a
 margin far below the activity tolerance of zero, a forward pass would
-resolve to that region, so none runs; otherwise one does. Only when a
-guess or the probe changes the entered region is the direction solved
-again, against normals recomputed for that region (a few rounds at most,
-or the side is reported degenerate). Each side is settled once per vertex,
-and a probe resumes where its side's settling stopped.
+resolve to that region, so none runs; otherwise one does. That ratio
+test is screened (oracle._ratio_from_arrays with a RatioScreen, built once
+per vertex from |flat| and the excluded surfaces): it looks for the first
+crossing among the surfaces near zero first, widening the screen until no
+surface outside it can beat or tie with the best step, so the answer is
+the full scan's, bit for bit. Only when a guess or the probe changes the
+entered region is the direction solved again, against normals recomputed
+for that region (a few rounds at most, or the side is reported
+degenerate). Each side is settled once per vertex, and a probe resumes
+where its side's settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the region masks and per-sample
 gradient rows of its region; the next vertex takes the entered region's
-masks the probe built, entered regions and the next vertex recompute only
-the rows of samples whose states differ, and the next normal matrix
+masks the probe built, an entered region rebuilds only the masks of the
+state arrays it changed, entered regions and the next vertex recompute
+only the rows of samples whose states differ, and the next normal matrix
 recomputes only the entering column and the columns of samples whose
-states differ. The
-polish reads the active values of its two forward passes directly and
-flattens only the kept point's, so these are the pivot's only forward
-passes. The normal matrix is still refactorized from scratch at every
+states differ. The polish reads the active values of its two forward
+passes directly and flattens only the kept point's, so these are the
+pivot's only forward passes. The normal matrix is still refactorized from scratch at every
 pivot; at the problem sizes this package targets, robustness is worth far
 more than the saved cubic term. With validate=True every carried array is
 checked against a recomputation from scratch, and every surface off the
@@ -389,10 +394,14 @@ class _VertexWork:
                     self.affected[pos] = deeper
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
-        # entered-side states are set by the crossing direction.
-        near = np.abs(self.flat) <= o.tol.act
-        near[v.active] = False
-        self.coincident_idx = np.flatnonzero(near).tolist()
+        # entered-side states are set by the crossing direction. The ratio
+        # test's screen shares |flat| and skips the excluded mask.
+        magnitude = np.abs(self.flat)
+        excluded = magnitude <= o.tol.act
+        excluded[v.active] = False
+        self.coincident_idx = np.flatnonzero(excluded).tolist()
+        excluded[v.active] = True
+        self.screen = orc.RatioScreen(magnitude, float(np.max(magnitude)), excluded)
         self.excluded_idx = v.active + self.coincident_idx
         self.excluded_at = np.concatenate(
             [self.located, o.layout.locate_many(self.coincident_idx)]
@@ -405,11 +414,18 @@ class _VertexWork:
         self._last_rows: tuple[Signature, np.ndarray, np.ndarray] | None = None
 
     def _masks(self, sig: Signature) -> list[np.ndarray]:
-        """Region masks of sig; the last result is kept for the pivot."""
+        """Region masks of sig; the last result is kept for the pivot.
+        A state array sig shares with the vertex's signature (with_state
+        shares the arrays it leaves unchanged) keeps the vertex's mask;
+        masks are never written in place."""
         if sig is self.v.signature:
             return self.masks
         if self._last_masks is None or self._last_masks[0] is not sig:
-            self._last_masks = (sig, orc.region_masks(sig))
+            masks = [
+                m if a is b else (a > 0).astype(float)
+                for a, b, m in zip(sig.neurons, self.v.signature.neurons, self.masks)
+            ]
+            self._last_masks = (sig, masks)
         return self._last_masks[1]
 
     def entered_rows(self, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
@@ -613,7 +629,9 @@ class _VertexWork:
         measured = False
         while True:
             dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
-            crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.excluded_idx)
+            crossing, floor = orc._ratio_from_arrays(
+                self.flat, dvals, self.excluded_idx, screen=self.screen
+            )
             eps = _PROBE * (1.0 + self.pnorm)
             if crossing is not None:
                 t_first = crossing[0]

@@ -8,6 +8,8 @@ from conftest import build_instance, interior_point
 from vertexwalk.errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
 from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward_batch, l1_loss
 from vertexwalk.oracle import (
+    RatioScreen,
+    Signature,
     Tolerances,
     affine_piece,
     constraint_eval,
@@ -30,6 +32,7 @@ from vertexwalk.oracle import (
     tag_index,
     value,
 )
+from vertexwalk import oracle as orc
 from vertexwalk.prng import SplitMix64
 
 # Reference scale, D = 100 and two outputs.
@@ -139,6 +142,41 @@ class TestRegionSignature:
             for states, z in zip(sig.neurons, pres):
                 clear = np.abs(z) > o.tol.act
                 assert np.array_equal(states[clear], np.sign(z[clear]).astype(np.int8))
+
+    def test_differing_samples_match_the_per_row_definition(self):
+        def per_row(a_sig, b_sig):
+            diff = np.zeros(a_sig.residuals.shape[0], dtype=bool)
+            for a, b in zip(a_sig.neurons + (a_sig.residuals,), b_sig.neurons + (b_sig.residuals,)):
+                diff |= np.any(a != b, axis=1)
+            return np.flatnonzero(diff)
+
+        # Residual arrays of width 1, as at the paper widths.
+        o, _ = build_instance(17, (3, 4, 2, 1), 40)
+        rng = np.random.default_rng(170)
+
+        def random_sig():
+            arrays = [rng.integers(-1, 2, size=(40, w)).astype(np.int8) for w in (4, 2, 1)]
+            return Signature(tuple(arrays[:-1]), arrays[-1], o.layout)
+
+        base = random_sig()
+        pairs = [(base, base), (random_sig(), base)]
+        # No difference in copied arrays, and every sample different.
+        copied = Signature(tuple(a.copy() for a in base.neurons), base.residuals.copy(), o.layout)
+        pairs.append((copied, base))
+        pairs.append((Signature(tuple(-a - (a == 0) for a in base.neurons), base.residuals, o.layout), base))
+        # A few changed entries, with arrays shared by identity.
+        for frac in (0.01, 0.1, 0.5):
+            sig = base
+            for idx in np.flatnonzero(rng.random(o.n_constraints) < frac).tolist():
+                sig = sig.with_state(idx, -sig.state_of(idx) or 1)
+            pairs.append((sig, base))
+        for a, b in pairs:
+            got = a.differing_samples(b)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, per_row(a, b))
+        assert pairs[0][0].differing_samples(pairs[0][1]).size == 0
+        assert pairs[2][0].differing_samples(pairs[2][1]).size == 0
+        assert pairs[3][0].differing_samples(pairs[3][1]).tolist() == list(range(40))
 
 
 class TestAffinePiece:
@@ -495,6 +533,117 @@ class TestRatioTest:
         assert states.dtype == np.int8
         flat = constraint_values_flat(o, forward_values(o, p))
         assert np.array_equal(states, np.sign(flat))
+
+
+def _screened_and_full(flat, dvals, excluded):
+    """The screened ratio test and the full scan on the same arrays."""
+    magnitude = np.abs(flat)
+    screen = RatioScreen(magnitude, float(np.max(magnitude)), excluded)
+    skip = np.flatnonzero(excluded).tolist()
+    return (
+        _ratio_from_arrays(flat, dvals, skip, screen=screen),
+        _ratio_from_arrays(flat, dvals, skip),
+    )
+
+
+# Few distinct magnitudes, so that steps tie. With the largest |value|
+# 1000 the first screen keeps |value| <= 3: ties fall inside and outside
+# it. Slopes of 1e-14 and 1e-12 lie at or below the floor.
+VALUE_MAGNITUDES = (0.0, 1e-13, 1e-9, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 1000.0)
+SLOPE_MAGNITUDES = (0.0, 1e-14, 1e-12, 0.5, 1.0, 2.0)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from(magnitudes), st.sampled_from((1.0, -1.0))).map(
+        lambda ms: ms[0] * ms[1]
+    )
+
+
+class TestScreenedRatio:
+    """The screened phase-2 ratio test gives the full scan's answer, bit
+    for bit: the same step, the same index among ties, the same floor."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_full_scan(self, data):
+        n = data.draw(st.integers(1, 24))
+        entries = st.lists(_signed(VALUE_MAGNITUDES), min_size=n, max_size=n)
+        if data.draw(st.booleans()):
+            # One |value| everywhere.
+            size = data.draw(st.sampled_from(VALUE_MAGNITUDES))
+            flat = size * np.array(data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n)))
+        else:
+            flat = np.array(data.draw(entries))
+        dvals = np.array(data.draw(st.lists(_signed(SLOPE_MAGNITUDES), min_size=n, max_size=n)))
+        excluded = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        screened, full = _screened_and_full(flat, dvals, excluded)
+        assert screened == full
+
+    @pytest.mark.parametrize(
+        "flat,dvals,excluded",
+        [
+            ([2.0], [-1.0], [False]),  # a single entry
+            ([2.0], [-1.0], [True]),  # a single excluded entry
+            ([0.0, 0.0], [-1.0, 1.0], [False, False]),  # every value zero
+            ([1.0, -2.0, 1000.0], [1.0, -1.0, 1.0], [False] * 3),  # nothing ahead
+            ([3.0, -3.0, 3.0, -3.0], [-1.0, 1.0, -2.0, 2.0], [False] * 4),  # equal |value|, ties
+            ([0.5, 1000.0, 1000.0], [1.0, -1.0, -1.0], [False] * 3),  # ties past every screen
+        ],
+    )
+    def test_edge_cases(self, flat, dvals, excluded):
+        screened, full = _screened_and_full(np.array(flat), np.array(dvals), np.array(excluded))
+        assert screened == full
+
+    def test_the_floor_spans_every_entry(self):
+        # The only surface ahead moves at 1e-13 of the largest derivative,
+        # which belongs to a surface outside the first screen: it is below
+        # the floor, though not below 1e-12 of the screened derivatives.
+        flat, dvals = np.array([1e-13, 1000.0]), np.array([-1e-13, 1.0])
+        screened, full = _screened_and_full(flat, dvals, np.zeros(2, dtype=bool))
+        assert screened == full == (None, 1e-12)
+
+    def test_no_surface_outside_the_screen_ties(self):
+        # Surface 1 lies in the first screen (|value| <= 3) and surface 0
+        # outside it, one rounding step beyond t * M, the screen's bound
+        # without its margin; both are hit at the same step, and the
+        # smaller index wins.
+        flat = np.array([5.555555555555556, 2.0, 1000.0])
+        dvals = np.array([-1.25, -0.45, 1.25])
+        t = -flat[1] / dvals[1]
+        assert -flat[0] / dvals[0] == t and flat[0] > t * 1.25
+        screened, full = _screened_and_full(flat, dvals, np.zeros(3, dtype=bool))
+        assert screened == full == ((t, 0), 1.25e-12)
+
+    def test_walk_replay_matches_the_full_scan(self, monkeypatch):
+        # Every phase-2 ratio test of a capped N = 2000 walk, 30 pivots past
+        # phase 1, against the full scan; most never reach it.
+        from vertexwalk.experiment import ExperimentConfig, generate_instance
+        from vertexwalk.solver import minimize
+
+        ratio, full_scan = orc._ratio_from_arrays, orc._full_scan
+        calls, scans = [], []
+
+        def replayed(flat, dvals, active_idx, states=None, screen=None):
+            before = len(scans)
+            got = ratio(flat, dvals, active_idx, states, screen)
+            if screen is not None:
+                calls.append((got, full_scan(flat, dvals, active_idx), len(scans) > before))
+            return got
+
+        def counted(*args):
+            scans.append(None)
+            return full_scan(*args)
+
+        monkeypatch.setattr(orc, "_ratio_from_arrays", replayed)
+        monkeypatch.setattr(orc, "_full_scan", counted)
+        cfg = ExperimentConfig(seed=3, samples=2000, max_iterations=25 + 30)
+        o, p0, rng = generate_instance(cfg)
+        _, traj = minimize(o, p0, cfg.solver_limits(), rng)
+        assert len(traj) - 1 - traj.phase1_len == 30
+        assert len(calls) >= 30
+        for got, want, _ in calls:
+            assert got == want
+        assert sum(scanned for _, _, scanned in calls) < len(calls) // 2
 
 
 class TestRegionInvariants:

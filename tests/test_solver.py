@@ -498,6 +498,29 @@ class TestPricingObjects:
         assert len(probes) >= 5
         assert len(built) == len(probes)
 
+    def test_entered_masks_share_the_arrays_they_keep(self):
+        o, p0 = build_instance(36, (2, 3, 2, 1), 10)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        ref = vertex.signature
+        h = o.hidden_total
+        # One surface of each state array, two of them, and a region whose
+        # arrays are all new (resolve_signature builds every one).
+        first, second, residual = 3 * h, 3 * h + o.layer_offset(2), o.n_samples * h + 3
+
+        def flip(sig, idx):
+            return sig.with_state(idx, -sig.state_of(idx))
+
+        sigs = [flip(ref, first), flip(ref, second), flip(ref, residual)]
+        sigs.append(flip(flip(ref, first), second))
+        sigs.append(orc.resolve_signature(o, orc.forward_values(o, vertex.point), ref))
+        for sig in sigs:
+            work = _VertexWork(o, vertex)
+            masks = work._masks(sig)
+            assert all(map(np.array_equal, masks, orc.region_masks(sig)))
+            for a, b, m, kept in zip(sig.neurons, ref.neurons, masks, work.masks):
+                assert (m is kept) == (a is b)
+        assert work._masks(ref) is work.masks
+
 
 def probe_walks():
     """(label, oracle, start, limits, rng) of the walks the probe tests run:
