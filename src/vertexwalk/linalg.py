@@ -23,13 +23,15 @@ NEAR_SINGULAR_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class Factorization:
-    """LU factorization of a square matrix with a 1-norm condition estimate."""
+    """LU factorization (LAPACK getrf) of a square matrix of size n.
+
+    It carries no condition estimate: near_singular estimates one from the
+    factorization and the matrix, for the callers that check it.
+    """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
-    condition: float
-    near_singular: bool
 
 
 def factorize(a: np.ndarray) -> Factorization:
@@ -44,7 +46,6 @@ def factorize(a: np.ndarray) -> Factorization:
     if not np.all(np.isfinite(a)):
         raise ShapeMismatch("matrix entries must be finite")
     n = a.shape[0]
-    anorm = scipy.linalg.norm(a, 1) if n else 0.0
     # LAPACK getrf directly: scipy's lu_factor wrapper costs as much as the
     # factorization at these sizes. Singularity is detected below with our
     # own pivot rule, not from getrf's info.
@@ -58,23 +59,23 @@ def factorize(a: np.ndarray) -> Factorization:
         raise SingularMatrix(
             f"numerical rank below {n} (min pivot {np.min(pivots) if n else 0:.3e})"
         )
-    rcond = _rcond(lu, anorm)
-    condition = np.inf if rcond == 0.0 else 1.0 / rcond
-    return Factorization(
-        lu=lu,
-        piv=piv,
-        n=n,
-        condition=condition,
-        near_singular=rcond < NEAR_SINGULAR_RCOND,
-    )
+    return Factorization(lu=lu, piv=piv, n=n)
 
 
-def _rcond(lu: np.ndarray, anorm: float) -> float:
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm)
+def rcond(f: Factorization, a: np.ndarray) -> float:
+    """LAPACK's (gecon) estimate of the reciprocal 1-norm condition number
+    of a from its factorization f; 0 when the estimate fails."""
+    anorm = scipy.linalg.norm(a, 1) if f.n else 0.0
+    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (f.lu,))[0]
+    rc, info = gecon(f.lu, anorm)
     if info != 0:
         return 0.0
-    return float(rcond)
+    return float(rc)
+
+
+def near_singular(f: Factorization, a: np.ndarray) -> bool:
+    """Whether a, factorized as f, has rcond below NEAR_SINGULAR_RCOND."""
+    return rcond(f, a) < NEAR_SINGULAR_RCOND
 
 
 def solve(

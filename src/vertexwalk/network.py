@@ -37,10 +37,6 @@ class Architecture:
         return len(self.widths) - 2
 
     @property
-    def input_dim(self) -> int:
-        return self.widths[0]
-
-    @property
     def output_dim(self) -> int:
         return self.widths[-1]
 
@@ -90,11 +86,6 @@ class NetworkParams:
                     f"layer fan-in {hi.fan_in} does not match previous fan-out {lo.fan_out}"
                 )
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    @property
-    def architecture(self) -> Architecture:
-        widths = (self.layers[0].fan_in,) + tuple(l.fan_out for l in self.layers)
-        return Architecture(widths)
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,6 @@ class ConstraintValues:
 
     preacts: tuple[np.ndarray, ...]
     residuals: np.ndarray
-    outputs: np.ndarray
     loss: float
 
 
@@ -265,7 +264,6 @@ def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
     return ConstraintValues(
         preacts=tuple(preacts),
         residuals=residuals,
-        outputs=outputs,
         loss=float(np.sum(np.abs(residuals))),
     )
 
@@ -408,13 +406,6 @@ def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -
         h = (h @ layer.weight.T + layer.bias) * masks[l - 1]
     out = o.fixed[-1]
     return h @ out.weight.T + out.bias
-
-
-def masked_value(o: OracleInstance, sig: Signature, p: np.ndarray) -> float:
-    """Affine surrogate of the loss for a fixed signature, exact on the region."""
-    p = _check_point(o, p)
-    f = _masked_outputs(o, region_masks(sig), p)
-    return float(np.sum(region_sigma(sig) * (o.data.targets - f)))
 
 
 def affine_piece(o: OracleInstance, sig: Signature) -> AffinePiece:

@@ -42,25 +42,27 @@ per vertex from |flat| and the excluded surfaces): it looks for the first
 crossing among the surfaces near zero first, widening the screen until no
 surface outside it can beat or tie with the best step, so the answer is
 the full scan's, bit for bit. Only when a guess or the probe changes the
-entered region is the direction solved again, against normals recomputed
-for that region (a few rounds at most, or the side is reported
-degenerate). Each side is settled once per vertex, and a probe resumes
-where its side's settling stopped.
+entered region is the direction solved again, against that region's
+normals (a few rounds at most, or the side is reported degenerate). Each
+side is settled once per vertex, and a probe resumes where its side's
+settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the region masks and per-sample
 gradient rows of its region; the next vertex takes the entered region's
 masks the probe built, an entered region rebuilds only the masks of the
 state arrays it changed, entered regions and the next vertex recompute
-only the rows of samples whose states differ, and the next normal matrix
-recomputes only the entering column and the columns of samples whose
-states differ. The polish reads the active values of its two forward
-passes directly and flattens only the kept point's, so these are the
-pivot's only forward passes. The normal matrix is still refactorized from scratch at every
-pivot; at the problem sizes this package targets, robustness is worth far
-more than the saved cubic term. With validate=True every carried array is
-checked against a recomputation from scratch, and every surface off the
-vertex against the side its state gives it.
+only the rows of samples whose states differ, and every normal matrix of
+a region, for a re-solve as for the next vertex (_VertexWork.normals),
+recomputes only the columns of those samples and the entering column.
+Both phases build a vertex in _new_vertex. The polish reads the active
+values of its two forward passes directly and flattens only the kept
+point's, so these are the pivot's only forward passes. The normal matrix
+is still refactorized from scratch at every pivot; at the problem sizes
+this package targets, robustness is worth far more than the saved cubic
+term. With validate=True every carried array is checked against a
+recomputation from scratch, and every surface off the vertex against the
+side its state gives it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,15 @@ from .errors import (
     SingularMatrix,
     UnboundedEdge,
 )
-from .linalg import Factorization, factorize, nullspace_basis, project_nullspace, rank_extends, solve
+from .linalg import (
+    Factorization,
+    factorize,
+    near_singular,
+    nullspace_basis,
+    project_nullspace,
+    rank_extends,
+    solve,
+)
 from .oracle import OracleInstance, Signature
 from .prng import SplitMix64
 
@@ -302,17 +312,27 @@ def descend_to_vertex(
         vals = orc.forward_values(o, p)
         records.append((p.copy(), vals.loss, len(active)))
 
-    nmat = np.column_stack(normal_cols)
+    located = o.layout.locate_many(active)
+    normals = np.column_stack(normal_cols)
+    vertex = _new_vertex(o, p, active, located, normals, sig, masks, rows, limits, vals)
+    records[-1] = (vertex.point.copy(), vertex.loss, len(active))
+    return vertex, records
+
+
+def _new_vertex(o, p, active, located, normals, sig, masks, rows, limits, vals=None):
+    """The vertex of the surfaces `active` (their rows `located` and normal
+    matrix `normals`) near p, in the region with signature sig, masks and
+    gradient rows: the matrix is factorized, p polished (vals: the values at
+    p, when known) and, with limits.validate, the vertex checked."""
     try:
-        fact = factorize(nmat)
+        fact = factorize(normals)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, o.layout.locate_many(active), fact, vals)
-    records[-1] = (p.copy(), loss, len(active))
+    p, flat, loss = _polish(o, p, located, fact, vals)
     vertex = VertexState(
         point=p,
         active=active,
-        normals=nmat,
+        normals=normals,
         signature=sig,
         factorization=fact,
         flat=flat,
@@ -322,7 +342,7 @@ def descend_to_vertex(
     )
     if limits.validate:
         _validate_vertex(o, vertex)
-    return vertex, records
+    return vertex
 
 
 def _polish(o, p, located, fact, vals=None):
@@ -447,6 +467,23 @@ class _VertexWork:
         self._last_rows = (sig, rows, changed)
         return rows, changed
 
+    def normals(
+        self, sig: Signature, active: list[int], entering: int | None = None
+    ) -> np.ndarray:
+        """Normal matrix of the surfaces `active` in the region with
+        signature sig: the vertex's, with the columns of samples whose
+        states differ in sig (entered_rows) and column `entering` (a new
+        surface) recomputed. A normal depends on its own sample's states
+        alone, so a kept column equals its recomputation bit for bit."""
+        _, changed = self.entered_rows(sig)
+        redo = (self.located[:, 1, None] == changed).any(axis=1)
+        if entering is not None:
+            redo[entering] = True
+        cols = self.v.normals.copy()
+        for q in np.flatnonzero(redo).tolist():
+            cols[:, q] = orc.constraint_normal(self.o, self._masks(sig), active[q])
+        return cols
+
     def _derivative(self, sig: Signature, d: np.ndarray) -> float:
         """Loss derivative along d in the region with signature sig."""
         rows, _ = self.entered_rows(sig)
@@ -539,9 +576,8 @@ class _VertexWork:
 
     def _settled_direction(self, pos: int, sign: int, sig: Signature) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
-        of the region with signature sig, all recomputed."""
-        masks = self._masks(sig)
-        cols = np.column_stack([orc.constraint_normal(self.o, masks, a) for a in self.v.active])
+        of the region with signature sig."""
+        cols = self.normals(sig, self.v.active)
         rhs = np.zeros(self.o.dim)
         rhs[pos] = float(sign)
         try:
@@ -757,46 +793,21 @@ def vertex_step(
     active_new[chosen_pos] = hit
     located_new = work.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
-    # Only the entering column and the columns of samples whose states
-    # changed can differ from the vertex's normals. The entered region's
-    # masks are the ones the probe built.
-    rows_new, changed_samples = work.entered_rows(entered)
-    masks_e = work._masks(entered)
-    changed = np.zeros(o.n_samples, dtype=bool)
-    changed[changed_samples] = True
-    redo = changed[work.located[:, 1]]
-    redo[chosen_pos] = True
-    cols = v.normals.copy()
-    for q in np.flatnonzero(redo).tolist():
-        cols[:, q] = orc.constraint_normal(o, masks_e, active_new[q])
-    try:
-        fact = factorize(cols)
-    except SingularMatrix as e:
-        raise DegenerateVertex(f"new vertex normal matrix is singular: {e}") from None
-    p_new, flat_new, loss_new = _polish(o, p_new, located_new, fact)
-    if loss_new > work.loss + 1e-10 * (1.0 + abs(work.loss)):
+    # The entered region's masks are the ones the probe built.
+    normals = work.normals(entered, active_new, chosen_pos)
+    rows, _ = work.entered_rows(entered)
+    masks = work._masks(entered)
+    v_new = _new_vertex(o, p_new, active_new, located_new, normals, entered, masks, rows, limits)
+    if v_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
-            f"loss rose from {work.loss!r} to {loss_new!r} in one pivot"
+            f"loss rose from {work.loss!r} to {v_new.loss!r} in one pivot"
         )
-    v_new = VertexState(
-        point=p_new,
-        active=active_new,
-        normals=cols,
-        signature=entered,
-        factorization=fact,
-        flat=flat_new,
-        loss=loss_new,
-        masks=masks_e,
-        rows=rows_new,
-    )
-    if limits.validate:
-        _validate_vertex(o, v_new)
     record = StepRecord(
         leaving=chosen.leaving,
         entering=hit,
         step=float(t),
         derivative=chosen.derivative,
-        loss=loss_new,
+        loss=v_new.loss,
     )
     return v_new, record
 
@@ -813,7 +824,7 @@ def _validate_vertex(o, v):
     worst = float(np.max(np.abs(flat[v.active])))
     if worst > o.tol.act:
         raise DegenerateVertex(f"active values drifted to {worst:.3e}")
-    if v.factorization.near_singular:
+    if near_singular(v.factorization, v.normals):
         raise DegenerateVertex("vertex normal matrix is near singular")
     # Every surface off the vertex has the sign of its state, which the
     # probe's JVP check (_VertexWork._probe_agrees) relies on.

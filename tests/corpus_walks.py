@@ -1,0 +1,71 @@
+"""Run the quantized degenerate corpus and print one JSON line per walk.
+
+The corpus is 8 width sets x N in {12, 30} x seeds 0-24 (400 walks) of
+conftest.quantized_instance, each capped at 400 iterations and run with
+one BLAS thread. Each line holds the instance (widths, N, seed) and either
+the walk's status, iteration count, final loss and the sha256 of its
+points and losses, or the type of the error it raised. Two versions of the
+solver walk the same paths exactly when their outputs are identical:
+
+    PYTHONPATH=src python tests/corpus_walks.py > walks.jsonl
+
+The file is not collected by pytest.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from conftest import quantized_instance  # noqa: E402
+from vertexwalk.solver import SolverLimits, minimize  # noqa: E402
+
+WIDTHS = (
+    (2, 3, 2, 1),
+    (2, 2, 1),
+    (3, 4, 3, 1),
+    (2, 4, 1),
+    (3, 3, 2, 1),
+    (3, 4, 2),
+    (1, 2, 1),
+    (2, 3, 3, 2),
+)
+SAMPLES = (12, 30)
+SEEDS = range(25)
+CAP = 400
+
+
+def walk(widths, n_samples, seed) -> dict:
+    o, p0, rng = quantized_instance(widths, seed, n_samples)
+    line = {"widths": list(widths), "n": n_samples, "seed": seed}
+    try:
+        _, traj = minimize(o, p0, SolverLimits(max_iterations=CAP), rng)
+    except Exception as e:  # the record names the error; the corpus goes on
+        line["error"] = type(e).__name__
+        return line
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(traj.points).tobytes())
+    digest.update(np.ascontiguousarray(traj.losses).tobytes())
+    line.update(
+        status=traj.reason,
+        iterations=len(traj) - 1,
+        loss=float(traj.losses[-1]),
+        sha256=digest.hexdigest(),
+    )
+    return line
+
+
+def main() -> None:
+    for widths in WIDTHS:
+        for n_samples in SAMPLES:
+            for seed in SEEDS:
+                print(json.dumps(walk(widths, n_samples, seed), sort_keys=True), flush=True)
+
+
+if __name__ == "__main__":
+    main()

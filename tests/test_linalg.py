@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 from vertexwalk.errors import DependentNormals, ShapeMismatch, SingularMatrix
 from vertexwalk.linalg import (
     factorize,
+    near_singular,
     nullspace_basis,
     project_nullspace,
     rank_extends,
+    rcond,
     solve,
 )
 from vertexwalk.prng import SplitMix64
@@ -59,9 +61,15 @@ class TestFactorizeSolve:
             factorize(a)
 
     def test_condition_estimate(self):
-        f = factorize(np.diag([1.0, 1e-6]))
-        assert f.condition == pytest.approx(1e6, rel=0.1)
-        assert not f.near_singular
+        a = np.diag([1.0, 1e-6])
+        f = factorize(a)
+        assert 1.0 / rcond(f, a) == pytest.approx(1e6, rel=0.1)
+        assert not near_singular(f, a)
+        # Unit pivots pass factorize's rule, yet the condition number of
+        # this triangular matrix grows like 2^n.
+        a = np.eye(60) - np.triu(np.ones((60, 60)), 1)
+        f = factorize(a)
+        assert near_singular(f, a)
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):

@@ -19,7 +19,6 @@ from vertexwalk.oracle import (
     forward_values,
     gradient_from_rows,
     make_oracle,
-    masked_value,
     network_params,
     ratio_test,
     release_corrections,
@@ -293,13 +292,6 @@ class TestAffinePiece:
             piece = affine_piece(o, region_signature(o, p))
             predicted = piece.gradient @ p + piece.intercept
             assert predicted == pytest.approx(value(o, p), rel=1e-10)
-
-    def test_masked_value_matches_inside_region(self):
-        o, _ = build_instance(11, (2, 2, 1), 10)
-        rng = SplitMix64(111)
-        p = interior_point(o, rng, min_clear=1e-4)
-        sig = region_signature(o, p)
-        assert masked_value(o, sig, p) == pytest.approx(value(o, p), rel=1e-12)
 
     def test_zero_states_rejected(self):
         o = tiny_instance()

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import build_instance, quantized_instance
 from vertexwalk import oracle as orc
 from vertexwalk import solver
-from vertexwalk.errors import DegenerateVertex
+from vertexwalk.errors import DegenerateVertex, MonotonicityViolation, SingularMatrix
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
 from vertexwalk.oracle import make_oracle
@@ -382,6 +382,31 @@ class TestVertexStep:
             steps += 1
         assert steps >= 1
 
+    def test_a_pivot_whose_loss_rises_raises(self, monkeypatch):
+        o, p0 = build_instance(38, (2, 3, 2, 1), 12)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        polish = solver._polish
+
+        def rising(*args):
+            p, flat, loss = polish(*args)
+            return p, flat, loss + 1.0
+
+        monkeypatch.setattr(solver, "_polish", rising)
+        with pytest.raises(MonotonicityViolation):
+            vertex_step(o, vertex, SolverLimits())
+
+    def test_both_phases_build_their_vertex_one_way(self, monkeypatch):
+        o, p0 = build_instance(38, (2, 3, 2, 1), 12)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+
+        def singular(a):
+            raise SingularMatrix("forced")
+
+        monkeypatch.setattr(solver, "factorize", singular)
+        for build in (lambda: descend_to_vertex(o, p0, LIMITS), lambda: vertex_step(o, vertex)):
+            with pytest.raises(DegenerateVertex, match="^vertex normal matrix is singular: forced$"):
+                build()
+
 
 class TestSelection:
     """vertex_step picks from the derivative table in selection_key's order."""
@@ -662,6 +687,30 @@ class TestProbe:
             assert resumed.crossing == fresh.crossing, key
         # Some sides re-solved their direction while settling.
         assert settled
+
+    def test_region_normals_equal_their_recomputation(self, monkeypatch):
+        # _VertexWork.normals keeps the columns of samples whose states do
+        # not change. The pivot's matrix is carried and checked by
+        # validate=True; a re-solve's is not, so every matrix is checked here
+        # against all D columns recomputed in its region.
+        built = {"re-solve": 0, "pivot": 0}
+        wrong = []
+        normals = _VertexWork.normals
+
+        def checked(work, sig, active, entering=None):
+            cols = normals(work, sig, active, entering)
+            masks = orc.region_masks(sig)
+            want = np.column_stack([orc.constraint_normal(work.o, masks, a) for a in active])
+            if not np.array_equal(cols, want):
+                wrong.append((label, entering))
+            built["re-solve" if entering is None else "pivot"] += 1
+            return cols
+
+        monkeypatch.setattr(_VertexWork, "normals", checked)
+        for label, o, p0, limits, rng in probe_walks():
+            minimize(o, p0, limits, rng)
+        assert wrong == []
+        assert built["re-solve"] and built["pivot"], built
 
 
 class TestMinimize:
