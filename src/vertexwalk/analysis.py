@@ -47,10 +47,10 @@ class PhaseSegmentation:
 
 def step_distances(traj: Trajectory) -> SeriesStats:
     """Euclidean distances between consecutive iterates; entry t is
-    ||p_{t+1} - p_t||."""
+    ||p_{t+1} - p_t||, read from the trajectory's step lengths."""
     if len(traj) < 2:
         raise TooShort("need at least two iterates for step distances")
-    return SeriesStats(raw=np.linalg.norm(np.diff(traj.points, axis=0), axis=1))
+    return SeriesStats(raw=traj.step_lengths[1:])
 
 
 def running_mean(series: np.ndarray, window: int = 40) -> np.ndarray:
@@ -215,7 +215,7 @@ def vertex_density_proxy(traj: Trajectory, window: int = 40) -> SeriesStats:
     """Reciprocal running-mean step distance over post-vertex iterates;
     larger values mean denser vertices. Entries whose mean vanishes are
     reported as +inf."""
-    steps = np.linalg.norm(np.diff(traj.points[traj.phase1_len :], axis=0), axis=1)
+    steps = traj.step_lengths[traj.phase1_len + 1 :]
     if steps.size < 1:
         raise TooShort("need at least two post-vertex iterates")
     mean = running_mean(steps, window)

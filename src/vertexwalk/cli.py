@@ -29,31 +29,30 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--widths", type=str, help="comma-separated layer widths")
     p.add_argument("--samples", type=int, help="number of training samples")
-    p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
+    p.add_argument("--max-iter", type=int, dest="max_iterations", help="iteration cap")
     p.add_argument("--layer", type=int, help="1-based index of the trained layer")
+    _add_window_flags(p)
+
+
+def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean-window", type=int, dest="mean_window", default=None,
                    help="running-mean window (default 40)")
     p.add_argument("--fit-window", type=int, dest="fit_window", default=None,
                    help="phase-fit window (default 50)")
 
 
+# Config fields set by the flag whose dest has the same name.
+_FLAG_FIELDS = ("seed", "samples", "max_iterations", "layer", "mean_window", "fit_window")
+
+
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.widths is not None:
+    """The --config file's config (or the defaults) with the flags given
+    applied; a subcommand without some of the flags leaves their fields."""
+    path = getattr(args, "config", None)
+    cfg = ExperimentConfig.from_file(path) if path else ExperimentConfig()
+    updates = {k: getattr(args, k) for k in _FLAG_FIELDS if getattr(args, k, None) is not None}
+    if getattr(args, "widths", None) is not None:
         updates["widths"] = tuple(_int_list(args.widths))
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    if args.max_iter is not None:
-        updates["max_iterations"] = args.max_iter
-    if args.layer is not None:
-        updates["layer"] = args.layer
-    if args.mean_window is not None:
-        updates["mean_window"] = args.mean_window
-    if args.fit_window is not None:
-        updates["fit_window"] = args.fit_window
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -74,11 +73,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # The windows are checked, and default, as in a run's config.
+    cfg = _build_config(args)
     summary = analyze_files(
         args.traj,
         args.out,
-        mean_window=args.mean_window or 40,
-        fit_window=args.fit_window or 50,
+        mean_window=cfg.mean_window,
+        fit_window=cfg.fit_window,
+        r2_threshold=cfg.r2_threshold,
     )
     print(json.dumps(summary, sort_keys=True, indent=1))
     return 0
@@ -153,8 +155,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="re-analyze a stored trajectory CSV")
     p_an.add_argument("--traj", type=str, required=True, help="trajectory.csv path")
     p_an.add_argument("--out", type=str, required=True)
-    p_an.add_argument("--mean-window", type=int, dest="mean_window", default=None)
-    p_an.add_argument("--fit-window", type=int, dest="fit_window", default=None)
+    _add_window_flags(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_ver = sub.add_parser(

@@ -40,7 +40,11 @@ class DegenerateStart(Degenerate):
 
 
 class DegenerateVertex(Degenerate):
-    """Edge-direction signature stabilization failed at a vertex."""
+    """A vertex could not be built, priced or left: a hit normal or the
+    normal matrix is (near) singular, the polish or validation fails, an
+    edge's direction or entered signature does not settle, a surface
+    crosses pathologically close to it, or no exchanged active set escapes
+    a degenerate one."""
 
 
 class NumericalStall(RuntimeError):

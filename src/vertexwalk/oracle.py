@@ -532,51 +532,52 @@ def ratio_test(
     vals = forward_values(o, p)
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
-    crossing, _ = _ratio_from_arrays(flat, dvals, active)
+    excluded = np.zeros(flat.size, dtype=bool)
+    excluded[active] = True
+    crossing, _ = _ratio_from_arrays(flat, dvals, RatioScreen(flat, np.abs(flat), excluded))
     if crossing is None:
         raise NoCrossing("no inactive constraint decreases toward zero")
     return crossing
 
 
-def crossing_candidates(
-    flat: np.ndarray,
-    dvals: np.ndarray,
-    active_idx: list[int],
-    states: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Mask of constraints moving strictly toward zero along a direction,
-    and the floor below which a directional derivative counts as zero.
+@dataclass(frozen=True)
+class RatioScreen:
+    """What the ratio test needs of the constraint values at one point,
+    computed once for every direction tested from it.
 
-    "Toward" means against the sign of the value, or, when `states` (flat
-    order) is given, against the state: a surface at zero, or on the wrong
-    side of its state by round-off, then still counts as ahead.
+    side: the signs that decide whether a surface lies ahead (it does when
+    side * dvals < 0): the values themselves, or the states of a region,
+    which also put a surface at zero, or past it by round-off, ahead.
+    magnitude: |flat| where side * flat > 0, else 0.
+    excluded: the mask of the surfaces the test skips.
+    """
+
+    side: np.ndarray
+    magnitude: np.ndarray
+    excluded: np.ndarray
+
+    @cached_property
+    def top(self) -> float:
+        """The largest magnitude."""
+        return float(np.max(self.magnitude, initial=0.0))
+
+
+def crossing_candidates(dvals: np.ndarray, screen: RatioScreen) -> tuple[np.ndarray, float]:
+    """Mask of constraints moving strictly toward zero along a direction,
+    judged by screen.side and skipping screen.excluded, and the floor below
+    which a directional derivative counts as zero.
+
     Directional derivatives up to the floor, 1e-12 of the largest one, are
     round-off from orthogonality-by-construction, not real movement, and
     are dropped.
     """
     mag = np.abs(dvals)
     floor = 1e-12 * float(np.max(mag))
-    side = flat if states is None else states
-    toward = (side * dvals < 0.0) & (mag > floor)
-    if active_idx:
-        toward[np.asarray(active_idx, dtype=int)] = False
-    return toward, floor
+    return (screen.side * dvals < 0.0) & (mag > floor) & ~screen.excluded, floor
 
 
-@dataclass(frozen=True)
-class RatioScreen:
-    """What the screened ratio test needs of the constraint values at one
-    point, computed once for every direction tested from it: their
-    magnitudes |flat|, the largest of them, and the mask of the excluded
-    surfaces, which the test skips."""
-
-    magnitude: np.ndarray
-    top: float
-    excluded: np.ndarray
-
-
-# The screen first looks at the surfaces with |value| up to this fraction of
-# the largest, and widens by _SCREEN_GROWTH while they hold no candidate.
+# The screen first looks at the surfaces with magnitude up to this fraction
+# of the largest, and widens by _SCREEN_GROWTH while they hold no candidate.
 _SCREEN_START = 3e-3
 _SCREEN_GROWTH = 8.0
 # Relative margin of the screen's bound, far above its rounding error.
@@ -584,67 +585,55 @@ _SCREEN_MARGIN = 1e-9
 
 
 def _ratio_from_arrays(
-    flat: np.ndarray,
-    dvals: np.ndarray,
-    active_idx: list[int],
-    states: np.ndarray | None = None,
-    screen: RatioScreen | None = None,
+    flat: np.ndarray, dvals: np.ndarray, screen: RatioScreen
 ) -> tuple[tuple[float, int] | None, float]:
     """The first crossing (step, flat index it hits), or None when no
-    surface lies ahead, and crossing_candidates' floor. Ties resolve to the
-    smallest index. With `states`, candidates are taken by state and a
-    surface already at or past zero is hit at step 0.
+    surface lies ahead, and crossing_candidates' floor. Steps are clipped
+    at 0, so a surface at or past zero by its side is hit at step 0; ties
+    resolve to the smallest index.
 
-    Given a RatioScreen of flat whose excluded mask holds active_idx (and
-    no states), the test first looks only at the surfaces near zero; the
-    answer is the full scan's, bit for bit.
-
-    Every candidate's step is t_j = |flat_j| / |dvals_j| >= |flat_j| / M,
-    with M the largest |dvals|. Screened to the surfaces with |flat| <= c,
-    the test finds the best step t_S among them. Once t_S M (1 + margin)
-    <= c, every surface outside the screen has, rounded division being
-    monotone, a step at least the rounded c / M, which the margin keeps
-    strictly above t_S: none beats or ties with it. Otherwise c becomes that
-    bound (one more round then settles it) or, when the screen holds no
-    candidate, grows; once c reaches the largest |flat|, the full scan
-    runs. The floor stays 1e-12 of M, over all entries. States carry no
-    such bound (a surface past zero by its state is hit at step 0), so
-    they take the full scan.
+    The test first looks only at the surfaces near zero; the answer is the
+    full scan's, bit for bit. Every candidate with side * flat > 0 has
+    magnitude |flat_j| and step t_j = |flat_j| / |dvals_j| >= |flat_j| / M,
+    with M the largest |dvals|; every other candidate has magnitude 0 and
+    step 0. Screened to the surfaces with magnitude <= c, the test finds
+    the best step t_S among them. Once t_S M (1 + margin) <= c, every
+    surface outside the screen has, rounded division being monotone, a step
+    at least the rounded c / M, which the margin keeps strictly above t_S:
+    none beats or ties with it. Otherwise c becomes that bound (one more
+    round then settles it) or, when the screen holds no candidate, grows;
+    once c reaches the largest magnitude, the full scan runs. The floor
+    stays 1e-12 of M, over all entries.
     """
-    if screen is None or states is not None:
-        return _full_scan(flat, dvals, active_idx, states)
     slope = float(np.max(np.abs(dvals)))
     floor = 1e-12 * slope
     c = _SCREEN_START * screen.top
     while c < screen.top:
         near = np.flatnonzero(screen.magnitude <= c)
-        f, dv = flat[near], dvals[near]
-        toward = np.flatnonzero((f * dv < 0.0) & (np.abs(dv) > floor) & ~screen.excluded[near])
+        dv = dvals[near]
+        toward = np.flatnonzero(
+            (screen.side[near] * dv < 0.0) & (np.abs(dv) > floor) & ~screen.excluded[near]
+        )
         if not toward.size:
             c *= _SCREEN_GROWTH
             continue
-        t = -f[toward] / dv[toward]
+        t = np.maximum(-flat[near[toward]] / dv[toward], 0.0)
         j = int(np.argmin(t))
         bound = float(t[j]) * slope * (1.0 + _SCREEN_MARGIN)
         if bound <= c:
             return (float(t[j]), int(near[toward[j]])), floor
         c = bound
-    return _full_scan(flat, dvals, active_idx)
+    return _full_scan(flat, dvals, screen)
 
 
 def _full_scan(
-    flat: np.ndarray,
-    dvals: np.ndarray,
-    active_idx: list[int],
-    states: np.ndarray | None = None,
+    flat: np.ndarray, dvals: np.ndarray, screen: RatioScreen
 ) -> tuple[tuple[float, int] | None, float]:
     """_ratio_from_arrays over every surface."""
-    mask, floor = crossing_candidates(flat, dvals, active_idx, states)
+    mask, floor = crossing_candidates(dvals, screen)
     toward = np.flatnonzero(mask)
     if not toward.size:
         return None, floor
-    t = -flat[toward] / dvals[toward]
-    if states is not None:
-        t = np.maximum(t, 0.0)
+    t = np.maximum(-flat[toward] / dvals[toward], 0.0)
     j = int(np.argmin(t))
     return (float(t[j]), int(toward[j])), floor

@@ -36,16 +36,17 @@ ratio test is the pivot's. The probe reads the point's region from the
 edge's JVP, which its ratio test needs anyway: when every active and
 coincident surface lies on the entered region's side there, or within a
 margin far below the activity tolerance of zero, a forward pass would
-resolve to that region, so none runs; otherwise one does. That ratio
-test is screened (oracle._ratio_from_arrays with a RatioScreen, built once
-per vertex from |flat| and the excluded surfaces): it looks for the first
-crossing among the surfaces near zero first, widening the screen until no
-surface outside it can beat or tie with the best step, so the answer is
-the full scan's, bit for bit. Only when a guess or the probe changes the
-entered region is the direction solved again, against that region's
-normals (a few rounds at most, or the side is reported degenerate). Each
-side is settled once per vertex, and a probe resumes where its side's
-settling stopped.
+resolve to that region, so none runs; otherwise one does. Every ratio
+test, phase 1's and the probe's, is one screened test
+(oracle._ratio_from_arrays with a RatioScreen: phase 1 builds one per step
+that judges surfaces by the starting region's states, the pivot one per
+vertex that judges them by value): it looks for the first crossing among
+the surfaces near zero first, widening the screen until no surface outside
+it can beat or tie with the best step, so the answer is the full scan's,
+bit for bit. Only when a guess or the probe changes the entered region is
+the direction solved again, against that region's normals (a few rounds at
+most, or the side is reported degenerate). Each side is settled once per
+vertex, and a probe resumes where its side's settling stopped.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the region masks and per-sample
@@ -254,10 +255,14 @@ def descend_to_vertex(
 
     records = [(p.copy(), vals.loss, 0)]
     active: list[int] = []
+    excluded = np.zeros(states.size, dtype=bool)
     normal_cols: list[np.ndarray] = []
 
     while len(active) < o.dim:
         flat = orc.constraint_values_flat(o, vals)
+        # One screen per step, shared by the fallback directions. States are
+        # +-1: the magnitude is |flat| on a surface's own side, else 0.
+        screen = orc.RatioScreen(states, np.maximum(states * flat, 0.0), excluded)
         tau = limits.desc_tol * (1.0 + abs(vals.loss))
 
         d = None
@@ -276,7 +281,7 @@ def descend_to_vertex(
         if pnorm > tau:
             d = proj / pnorm
             dvals = orc.constraint_jvp_flat(o, masks, d)
-            crossing, _ = orc._ratio_from_arrays(flat, dvals, active, states)
+            crossing, _ = orc._ratio_from_arrays(flat, dvals, screen)
             if crossing is None:
                 raise UnboundedEdge("strictly descending ray crossed no surface in phase 1")
         else:
@@ -293,7 +298,7 @@ def descend_to_vertex(
                     break
                 cand = s * basis[:, j]
                 dvals = orc.constraint_jvp_flat(o, masks, cand)
-                crossing, _ = orc._ratio_from_arrays(flat, dvals, active, states)
+                crossing, _ = orc._ratio_from_arrays(flat, dvals, screen)
                 if crossing is not None:
                     d = cand
                     break
@@ -308,6 +313,7 @@ def descend_to_vertex(
         if limits.validate and not rank_extends(normal_cols, nhit):
             raise DegenerateVertex("hit constraint normal did not extend the basis")
         active.append(hit)
+        excluded[hit] = True
         normal_cols.append(nhit)
         vals = orc.forward_values(o, p)
         records.append((p.copy(), vals.loss, len(active)))
@@ -421,7 +427,7 @@ class _VertexWork:
         excluded[v.active] = False
         self.coincident_idx = np.flatnonzero(excluded).tolist()
         excluded[v.active] = True
-        self.screen = orc.RatioScreen(magnitude, float(np.max(magnitude)), excluded)
+        self.screen = orc.RatioScreen(self.flat, magnitude, excluded)
         self.excluded_idx = v.active + self.coincident_idx
         self.excluded_at = np.concatenate(
             [self.located, o.layout.locate_many(self.coincident_idx)]
@@ -665,9 +671,7 @@ class _VertexWork:
         measured = False
         while True:
             dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
-            crossing, floor = orc._ratio_from_arrays(
-                self.flat, dvals, self.excluded_idx, screen=self.screen
-            )
+            crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.screen)
             eps = _PROBE * (1.0 + self.pnorm)
             if crossing is not None:
                 t_first = crossing[0]

@@ -229,3 +229,26 @@ class TestVertexDensityProxy:
         proxy = vertex_density_proxy(traj, window=7)
         steps = np.linalg.norm(np.diff(pts[5:], axis=0), axis=1)
         assert_allclose(proxy.raw, 1.0 / running_mean(steps, 7))
+
+
+class TestLoadedTrajectory:
+    """A trajectory loaded without points.csv has zero placeholder points;
+    the step series come from its stored step lengths all the same."""
+
+    def test_steps_without_points(self, tmp_path):
+        from vertexwalk.experiment import ExperimentConfig, load_trajectory_csv, run
+
+        cfg = ExperimentConfig(seed=2, widths=(2, 3, 2, 1), samples=20)
+        art = run(cfg, tmp_path)
+        assert art.status == "converged"
+        bare = load_trajectory_csv(tmp_path / "trajectory.csv")
+        with_points = load_trajectory_csv(tmp_path / "trajectory.csv", tmp_path / "points.csv")
+        assert not bare.points.any()
+        steps = step_distances(bare).raw
+        assert np.array_equal(steps, art.trajectory.step_lengths[1:]) and steps.all()
+        # With points present, the stored lengths are the recomputed ones.
+        recomputed = np.linalg.norm(np.diff(with_points.points, axis=0), axis=1)
+        assert np.array_equal(step_distances(with_points).raw, recomputed)
+        proxy = vertex_density_proxy(bare, window=5).raw
+        assert np.array_equal(proxy, vertex_density_proxy(art.trajectory, window=5).raw)
+        assert np.isfinite(proxy).all()

@@ -476,6 +476,35 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "b" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--mean-window", "0"], ["--mean-window", "-5"], ["--fit-window", "1"]]
+    )
+    def test_analyze_checks_windows_like_run(self, tmp_path, capsys, flags):
+        run(ExperimentConfig(seed=4, **TOY), tmp_path / "a")
+        argv = ["analyze", "--traj", str(tmp_path / "a" / "trajectory.csv"), "--out", str(tmp_path / "b")]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "b").exists()
+        assert main(["run", *flags, "--widths", "1,1,1"]) == 2
+
+    def test_analyze_defaults_are_the_configs(self, tmp_path, monkeypatch):
+        import vertexwalk.cli as cli
+
+        seen = {}
+
+        def recorded(traj, out, **windows):
+            seen.update(windows)
+            return {}
+
+        monkeypatch.setattr(cli, "analyze_files", recorded)
+        assert main(["analyze", "--traj", "t.csv", "--out", str(tmp_path)]) == 0
+        cfg = ExperimentConfig()
+        assert seen == {"mean_window": cfg.mean_window, "fit_window": cfg.fit_window,
+                        "r2_threshold": cfg.r2_threshold}
+        assert main(["analyze", "--traj", "t.csv", "--out", str(tmp_path), "--fit-window", "7"]) == 0
+        assert seen["fit_window"] == 7 and seen["mean_window"] == cfg.mean_window
+
     def test_verify_subcommand(self, capsys):
         code = main(["verify", "--seeds", "1"])
         out = capsys.readouterr().out

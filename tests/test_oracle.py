@@ -13,6 +13,7 @@ from vertexwalk.oracle import (
     Tolerances,
     affine_piece,
     constraint_eval,
+    _full_scan,
     _ratio_from_arrays,
     constraint_values_flat,
     crossing_candidates,
@@ -508,15 +509,21 @@ class TestRatioTest:
         flat = np.array([0.0, -1e-17, 2.0, 0.0])
         dvals = np.array([-1.0, -1.0, -1.0, 1.0])
         states = np.ones(4, dtype=np.int8)
-        toward, floor = crossing_candidates(flat, dvals, [])
+        none = np.zeros(4, dtype=bool)
+        by_value = _screen(flat, none)
+        by_state = _screen(flat, none, states)
+        assert by_state.magnitude.tolist() == [0.0, 0.0, 2.0, 0.0]
+        toward, floor = crossing_candidates(dvals, by_value)
         assert toward.tolist() == [False, False, True, False] and floor == 1e-12
-        toward, _ = crossing_candidates(flat, dvals, [], states)
+        toward, _ = crossing_candidates(dvals, by_state)
         assert toward.tolist() == [True, True, True, False]
-        assert _ratio_from_arrays(flat, dvals, []) == ((2.0, 2), 1e-12)
-        assert _ratio_from_arrays(flat, dvals, [], states) == ((0.0, 0), 1e-12)
-        assert _ratio_from_arrays(flat, dvals, [0], states) == ((0.0, 1), 1e-12)
+        assert _ratio_from_arrays(flat, dvals, by_value) == ((2.0, 2), 1e-12)
+        assert _ratio_from_arrays(flat, dvals, by_state) == ((0.0, 0), 1e-12)
+        first = _screen(flat, np.array([True, False, False, False]), states)
+        assert _ratio_from_arrays(flat, dvals, first) == ((0.0, 1), 1e-12)
         # Nothing ahead: no crossing, and still the floor.
-        assert _ratio_from_arrays(flat, -dvals, [1]) == (None, 1e-12)
+        second = _screen(flat, np.array([False, True, False, False]))
+        assert _ratio_from_arrays(flat, -dvals, second) == (None, 1e-12)
 
     def test_states_flat_follow_the_flat_order(self):
         o, _ = build_instance(22, (2, 3, 2, 2), 5)
@@ -527,21 +534,40 @@ class TestRatioTest:
         assert np.array_equal(states, np.sign(flat))
 
 
-def _screened_and_full(flat, dvals, excluded):
-    """The screened ratio test and the full scan on the same arrays."""
-    magnitude = np.abs(flat)
-    screen = RatioScreen(magnitude, float(np.max(magnitude)), excluded)
-    skip = np.flatnonzero(excluded).tolist()
-    return (
-        _ratio_from_arrays(flat, dvals, skip, screen=screen),
-        _ratio_from_arrays(flat, dvals, skip),
-    )
+def _screen(flat, excluded, states=None):
+    """The ratio test's screen of flat, judged by value or by states."""
+    if states is None:
+        return RatioScreen(flat, np.abs(flat), excluded)
+    return RatioScreen(states, np.maximum(states * flat, 0.0), excluded)
+
+
+def _first_crossing_loop(flat, dvals, screen):
+    """The first crossing, one surface at a time."""
+    floor = 1e-12 * max(abs(float(v)) for v in dvals)
+    best = None
+    for j, (f, dv) in enumerate(zip(flat.tolist(), dvals.tolist())):
+        if screen.excluded[j] or abs(dv) <= floor or not float(screen.side[j]) * dv < 0.0:
+            continue
+        t = max(-f / dv, 0.0)
+        if best is None or t < best[0]:
+            best = (t, j)
+    return best, floor
+
+
+def _screened_and_full(flat, dvals, excluded, states=None):
+    """The screened ratio test and the full scan on the same screen; the
+    full scan is first checked against a loop over the surfaces."""
+    screen = _screen(flat, excluded, states)
+    full = _full_scan(flat, dvals, screen)
+    assert full == _first_crossing_loop(flat, dvals, screen)
+    return _ratio_from_arrays(flat, dvals, screen), full
 
 
 # Few distinct magnitudes, so that steps tie. With the largest |value|
 # 1000 the first screen keeps |value| <= 3: ties fall inside and outside
-# it. Slopes of 1e-14 and 1e-12 lie at or below the floor.
-VALUE_MAGNITUDES = (0.0, 1e-13, 1e-9, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 1000.0)
+# it. Slopes of 1e-14 and 1e-12 lie at or below the floor. Values of 0 and
+# +-1e-17 sit at or a rounding step off zero, on either side of a state.
+VALUE_MAGNITUDES = (0.0, 1e-17, 1e-13, 1e-9, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 1000.0)
 SLOPE_MAGNITUDES = (0.0, 1e-14, 1e-12, 0.5, 1.0, 2.0)
 
 
@@ -552,10 +578,11 @@ def _signed(magnitudes):
 
 
 class TestScreenedRatio:
-    """The screened phase-2 ratio test gives the full scan's answer, bit
-    for bit: the same step, the same index among ties, the same floor."""
+    """The screened ratio test gives the full scan's answer, bit for bit,
+    judged by value (phase 2) or by state (phase 1): the same step, the
+    same index among ties, the same floor."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_equals_the_full_scan(self, data):
         n = data.draw(st.integers(1, 24))
@@ -568,7 +595,15 @@ class TestScreenedRatio:
             flat = np.array(data.draw(entries))
         dvals = np.array(data.draw(st.lists(_signed(SLOPE_MAGNITUDES), min_size=n, max_size=n)))
         excluded = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-        screened, full = _screened_and_full(flat, dvals, excluded)
+        states = None
+        if data.draw(st.booleans()):
+            # States drawn apart from the values, so that surfaces sit on,
+            # at or past zero by their state.
+            states = np.array(
+                data.draw(st.lists(st.sampled_from((1, -1, 0)), min_size=n, max_size=n)),
+                dtype=np.int8,
+            )
+        screened, full = _screened_and_full(flat, dvals, excluded, states)
         assert screened == full
 
     @pytest.mark.parametrize(
@@ -585,6 +620,20 @@ class TestScreenedRatio:
     def test_edge_cases(self, flat, dvals, excluded):
         screened, full = _screened_and_full(np.array(flat), np.array(dvals), np.array(excluded))
         assert screened == full
+
+    def test_state_judged_edge_cases(self):
+        # A surface past zero by its state far from zero (surface 0) is hit
+        # at step 0 ahead of one just inside the first screen (surface 2);
+        # with every surface past zero, no screen holds a magnitude.
+        flat, dvals = np.array([-1000.0, 1000.0, 2.0]), np.array([-1.0, -1.0, -1.0])
+        states = np.ones(3, dtype=np.int8)
+        none = np.zeros(3, dtype=bool)
+        screened, full = _screened_and_full(flat, dvals, none, states)
+        assert screened == full == ((0.0, 0), 1e-12)
+        screened, full = _screened_and_full(flat, dvals, none, -states)
+        assert screened == full == (None, 1e-12)
+        screened, full = _screened_and_full(-np.abs(flat), dvals, none, states)
+        assert screened == full == ((0.0, 0), 1e-12)
 
     def test_the_floor_spans_every_entry(self):
         # The only surface ahead moves at 1e-13 of the largest derivative,
@@ -607,19 +656,19 @@ class TestScreenedRatio:
         assert screened == full == ((t, 0), 1.25e-12)
 
     def test_walk_replay_matches_the_full_scan(self, monkeypatch):
-        # Every phase-2 ratio test of a capped N = 2000 walk, 30 pivots past
-        # phase 1, against the full scan; most never reach it.
+        # Every ratio test of a capped N = 2000 walk, phase 1's D and those
+        # of 30 pivots past it, against the full scan; most never reach it.
         from vertexwalk.experiment import ExperimentConfig, generate_instance
         from vertexwalk.solver import minimize
 
         ratio, full_scan = orc._ratio_from_arrays, orc._full_scan
         calls, scans = [], []
 
-        def replayed(flat, dvals, active_idx, states=None, screen=None):
+        def replayed(flat, dvals, screen):
             before = len(scans)
-            got = ratio(flat, dvals, active_idx, states, screen)
-            if screen is not None:
-                calls.append((got, full_scan(flat, dvals, active_idx), len(scans) > before))
+            got = ratio(flat, dvals, screen)
+            by_state = screen.side is not flat
+            calls.append((got, full_scan(flat, dvals, screen), len(scans) > before, by_state))
             return got
 
         def counted(*args):
@@ -632,10 +681,11 @@ class TestScreenedRatio:
         o, p0, rng = generate_instance(cfg)
         _, traj = minimize(o, p0, cfg.solver_limits(), rng)
         assert len(traj) - 1 - traj.phase1_len == 30
-        assert len(calls) >= 30
-        for got, want, _ in calls:
+        assert sum(by_state for *_, by_state in calls) >= o.dim
+        assert sum(not by_state for *_, by_state in calls) >= 30
+        for got, want, _, _ in calls:
             assert got == want
-        assert sum(scanned for _, _, scanned in calls) < len(calls) // 2
+        assert sum(scanned for _, _, scanned, _ in calls) < len(calls) // 2
 
 
 class TestRegionInvariants:
