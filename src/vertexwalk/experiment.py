@@ -226,9 +226,8 @@ def _write_series(
     steps = traj.step_lengths[1:]
     _write_csv(out / "step_length.csv", "iteration,step_length", zip(t[1:], steps))
     mean = analysis.running_mean(steps, mean_window)
-    _write_csv(
-        out / "step_length_mean40.csv", "iteration,step_length_mean40", zip(t[1:], mean)
-    )
+    name = f"step_length_mean{mean_window}"
+    _write_csv(out / f"{name}.csv", f"iteration,{name}", zip(t[1:], mean))
     if with_points:
         dist = np.linalg.norm(traj.points - traj.points[-1][None, :], axis=1)
         _write_csv(out / "dist_to_final.csv", "iteration,dist_to_final", zip(t, dist))
@@ -274,6 +273,8 @@ def summarize(
             summary["exp_phase_end"] = seg.exp_end
             mid = (seg.exp_start + seg.exp_end) // 2
             window = min(mid + 1 - traj.phase1_len, 4 * fit_window)
+            if window < 3:
+                raise TooShort("under 3 phase-2 losses up to the exponential midpoint")
             est = analysis.estimate_loss_floor(traj.losses[: mid + 1], window=window)
         except (NoExponentialPhase, TooShort):
             if len(traj.phase2_losses) >= 3:

@@ -85,40 +85,31 @@ class ConstraintLayout:
 class Signature:
     """Tri-state activation pattern: -1/0/+1 per hidden unit and residual.
 
-    `neurons[l-1]` holds the states of hidden layer l as an int8 array of
-    shape (N, n_l); `residuals` holds the residual signs (N, n_out). A
-    signature with no zero entries identifies a full-dimensional region.
-    Single states are read and replaced by flat constraint index.
+    `states` holds one int8 array per state array of the layout, in
+    `layout.locate`'s order: states[l-1] the (N, n_l) states of hidden
+    layer l, states[L] the (N, n_out) residual signs. A signature with no
+    zero entries identifies a full-dimensional region. Single states are
+    read and replaced by flat constraint index.
     """
 
-    neurons: tuple[np.ndarray, ...]
-    residuals: np.ndarray
+    states: tuple[np.ndarray, ...]
     layout: ConstraintLayout = field(repr=False, compare=False)
 
     @property
     def has_zeros(self) -> bool:
-        return any(np.any(a == 0) for a in self.neurons) or bool(
-            np.any(self.residuals == 0)
-        )
+        return any(np.any(a == 0) for a in self.states)
 
     def state_of(self, idx: int) -> int:
         array, i, k = self.layout.locate(idx)
-        if array < len(self.neurons):
-            return int(self.neurons[array][i, k])
-        return int(self.residuals[i, k])
+        return int(self.states[array][i, k])
 
     def with_state(self, idx: int, state: int) -> "Signature":
         """Copy with one entry replaced; unmodified arrays are shared."""
         array, i, k = self.layout.locate(idx)
-        if array < len(self.neurons):
-            neurons = list(self.neurons)
-            arr = neurons[array].copy()
-            arr[i, k] = state
-            neurons[array] = arr
-            return Signature(tuple(neurons), self.residuals, self.layout)
-        res = self.residuals.copy()
-        res[i, k] = state
-        return Signature(self.neurons, res, self.layout)
+        states = list(self.states)
+        states[array] = states[array].copy()
+        states[array][i, k] = state
+        return Signature(tuple(states), self.layout)
 
     def differing_samples(self, other: "Signature") -> np.ndarray:
         """Samples with any state that differs from `other`'s, ascending."""
@@ -126,17 +117,15 @@ class Signature:
         # per-row np.any by an order of magnitude.
         diff = [
             np.flatnonzero(a != b) // a.shape[1]
-            for a, b in zip(self.neurons + (self.residuals,), other.neurons + (other.residuals,))
+            for a, b in zip(self.states, other.states)
             if a is not b
         ]
         return np.unique(np.concatenate(diff)) if diff else np.empty(0, dtype=np.intp)
 
     def equals(self, other: "Signature") -> bool:
-        if len(self.neurons) != len(other.neurons):
-            return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.neurons, other.neurons)
-        ) and np.array_equal(self.residuals, other.residuals)
+        return len(self.states) == len(other.states) and all(
+            map(np.array_equal, self.states, other.states)
+        )
 
 
 @dataclass(frozen=True)
@@ -150,10 +139,11 @@ class AffinePiece:
 
 @dataclass(frozen=True)
 class ConstraintValues:
-    """All constraint values at one point: pre-activations and residuals."""
+    """All constraint values at one point, one array per state array in
+    `ConstraintLayout.locate`'s order: the pre-activations of each hidden
+    layer, then the residuals (targets minus outputs); and the loss."""
 
-    preacts: tuple[np.ndarray, ...]
-    residuals: np.ndarray
+    arrays: tuple[np.ndarray, ...]
     loss: float
 
 
@@ -252,20 +242,16 @@ def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
     p = _check_point(o, p)
     pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
     z = o.x_aug @ pmat.T
-    preacts = [z]
+    arrays = [z]
     h = relu(z)
     for layer in o.fixed[:-1]:
         z = h @ layer.weight.T + layer.bias
-        preacts.append(z)
+        arrays.append(z)
         h = relu(z)
     out = o.fixed[-1]
-    outputs = h @ out.weight.T + out.bias
-    residuals = o.data.targets - outputs
-    return ConstraintValues(
-        preacts=tuple(preacts),
-        residuals=residuals,
-        loss=float(np.sum(np.abs(residuals))),
-    )
+    r = o.data.targets - (h @ out.weight.T + out.bias)
+    arrays.append(r)
+    return ConstraintValues(arrays=tuple(arrays), loss=float(np.sum(np.abs(r))))
 
 
 def value(o: OracleInstance, p: np.ndarray) -> float:
@@ -280,12 +266,7 @@ def _states(arr: np.ndarray, act_tol: float) -> np.ndarray:
 
 
 def signature_from_values(o: OracleInstance, vals: ConstraintValues) -> Signature:
-    act = o.tol.act
-    return Signature(
-        neurons=tuple(_states(z, act) for z in vals.preacts),
-        residuals=_states(vals.residuals, act),
-        layout=o.layout,
-    )
+    return Signature(tuple(_states(a, o.tol.act) for a in vals.arrays), o.layout)
 
 
 def region_signature(o: OracleInstance, p: np.ndarray) -> Signature:
@@ -302,27 +283,26 @@ def resolve_signature(
     whose closure contains the point.
     """
     sig = signature_from_values(o, vals)
-    neurons = []
-    for s, f in zip(sig.neurons, fallback.neurons):
-        merged = np.where(s == 0, f, s)
-        neurons.append(merged)
-    residuals = np.where(sig.residuals == 0, fallback.residuals, sig.residuals)
-    return Signature(tuple(neurons), residuals, sig.layout)
+    states = tuple(np.where(s == 0, f, s) for s, f in zip(sig.states, fallback.states))
+    return Signature(states, sig.layout)
 
 
 # --- region-local affine data ------------------------------------------------
 
-# Low-level helpers work on plain mask/sign arrays so the solver can reuse
-# buffers across many nearby queries. masks[l-1] is float (N, n_l) with 1.0
-# where the unit is on; sigma is float (N, n_out) holding residual signs.
+# Low-level helpers work on plain float masks so the solver can reuse them
+# across many nearby queries. The masks come in the state arrays' order:
+# masks[l-1] is (N, n_l) with 1.0 where a unit of hidden layer l is on, and
+# masks[L] is (N, n_out) holding the residual signs.
 
 
 def region_masks(sig: Signature) -> list[np.ndarray]:
-    return [(a > 0).astype(float) for a in sig.neurons]
+    return [region_mask(sig, array) for array in range(len(sig.states))]
 
 
-def region_sigma(sig: Signature) -> np.ndarray:
-    return sig.residuals.astype(float)
+def region_mask(sig: Signature, array: int) -> np.ndarray:
+    """The float mask of one state array of sig (see region_masks)."""
+    a = sig.states[array]
+    return a.astype(float) if array == sig.layout.depth else (a > 0).astype(float)
 
 
 def _backcumulate(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
@@ -338,19 +318,18 @@ def _backcumulate(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     return b
 
 
-def sample_gradient_rows(
-    o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray
-) -> np.ndarray:
+def sample_gradient_rows(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     """Per-sample rows R of the region gradient, one per row of the masks.
 
-    Row r is the first-layer sensitivity sum_j (-sigma_rj) u_{r,j}, gated by
-    the sample's first-layer mask, so that the gradient over all samples is
+    With sigma = masks[L], the residual signs, row r is the first-layer
+    sensitivity sum_j (-sigma_rj) u_{r,j}, gated by the sample's
+    first-layer mask, so that the gradient over all samples is
     gradient_from_rows(o, R). A row depends on its own sample's masks and
     signs only: rows computed for any subset of samples equal, bit for bit,
     the same rows computed over all of them.
     """
     b = _backcumulate(o, masks)
-    w = -np.einsum("ij,ijk->ik", sigma, b)
+    w = -np.einsum("ij,ijk->ik", masks[-1], b)
     return w * masks[0]
 
 
@@ -359,25 +338,22 @@ def gradient_from_rows(o: OracleInstance, rows: np.ndarray) -> np.ndarray:
     return (rows.T @ o.x_aug).ravel()
 
 
-def region_gradient(
-    o: OracleInstance, masks: list[np.ndarray], sigma: np.ndarray
-) -> np.ndarray:
+def region_gradient(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     """Loss gradient on the region: sum_{i,j} (-sigma_ij) d f_ij / dp."""
-    return gradient_from_rows(o, sample_gradient_rows(o, masks, sigma))
+    return gradient_from_rows(o, sample_gradient_rows(o, masks))
 
 
 def release_corrections(
     o: OracleInstance,
     masks: list[np.ndarray],
-    sigma: np.ndarray,
     rows: np.ndarray,
     released: list[tuple[int, int, int]],
     dirs: np.ndarray,
 ) -> np.ndarray:
     """Slope change of each released sample's own loss term when its state flips.
 
-    masks and sigma give a region and rows its per-sample gradient rows
-    (sample_gradient_rows). released[q] is the (state array, sample, unit)
+    masks (region_masks) give a region and rows its per-sample gradient
+    rows (sample_gradient_rows). released[q] is the (state array, sample, unit)
     of one surface and dirs[:, q] a direction. Entry q is that sample's
     loss derivative along dirs[:, q] with the state flipped, minus the same
     in the region: the difference of the sample's flipped row and its row
@@ -388,13 +364,13 @@ def release_corrections(
     arrays, samples, units = np.asarray(released, dtype=int).T
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-    # Per released sample: its mask rows, then its residual signs, flipped.
-    new = [m[samples] for m in masks] + [sigma[samples]]
+    # Per released sample: its mask rows and residual signs, flipped.
+    new = [m[samples] for m in masks]
     for l, a in enumerate(new):
         q = np.flatnonzero(arrays == l)
         old = a[q, units[q]]
-        a[q, units[q]] = -old if l == len(masks) else 1.0 - old
-    flipped = sample_gradient_rows(o, new[:-1], new[-1])
+        a[q, units[q]] = -old if l == o.arch.hidden_depth else 1.0 - old
+    flipped = sample_gradient_rows(o, new)
     return np.sum((flipped - rows[samples]) * dz, axis=1)
 
 
@@ -413,10 +389,9 @@ def affine_piece(o: OracleInstance, sig: Signature) -> AffinePiece:
     if sig.has_zeros:
         raise AmbiguousSignature("signature has zero states; resolve sides first")
     masks = region_masks(sig)
-    sigma = region_sigma(sig)
-    g = region_gradient(o, masks, sigma)
+    g = region_gradient(o, masks)
     f0 = _masked_outputs(o, masks, np.zeros(o.dim))
-    intercept = float(np.sum(sigma * (o.data.targets - f0)))
+    intercept = float(np.sum(masks[-1] * (o.data.targets - f0)))
     return AffinePiece(gradient=g, intercept=intercept, signature=sig)
 
 
@@ -475,27 +450,27 @@ def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
     return o.n_samples * o.hidden_total + sample * o.arch.output_dim + unit
 
 
-def _flatten(
-    hidden: tuple[np.ndarray, ...] | list[np.ndarray], residuals: np.ndarray
-) -> np.ndarray:
-    """Per-sample hidden arrays side by side, then the residual block, in
-    flat constraint order, copied once into one buffer of the residuals'
+def _flatten(arrays: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:
+    """One per-sample array per state array, in the state arrays' order,
+    laid out in flat constraint order (the hidden arrays side by side, then
+    the residual block) and copied once into one buffer of the last array's
     dtype."""
-    n, h = residuals.shape[0], sum(a.shape[1] for a in hidden)
-    out = np.empty(n * h + residuals.size, dtype=residuals.dtype)
+    *hidden, last = arrays
+    n, h = last.shape[0], sum(a.shape[1] for a in hidden)
+    out = np.empty(n * h + last.size, dtype=last.dtype)
     np.concatenate(hidden, axis=1, out=out[: n * h].reshape(n, h))
-    out[n * h :] = residuals.ravel()
+    out[n * h :] = last.ravel()
     return out
 
 
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
     """All constraint values in flat index order."""
-    return _flatten(vals.preacts, vals.residuals)
+    return _flatten(vals.arrays)
 
 
 def states_flat(sig: Signature) -> np.ndarray:
     """Every state of sig in flat index order, as int8."""
-    return _flatten(sig.neurons, sig.residuals)
+    return _flatten(sig.states)
 
 
 def constraint_jvp_flat(
@@ -510,8 +485,8 @@ def constraint_jvp_flat(
         dz = dh @ layer.weight.T
         pieces.append(dz)
         dh = dz * masks[l - 1]
-    dout = dh @ o.fixed[-1].weight.T
-    return _flatten(pieces, -dout)
+    pieces.append(-(dh @ o.fixed[-1].weight.T))
+    return _flatten(pieces)
 
 
 def ratio_test(

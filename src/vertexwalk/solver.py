@@ -124,9 +124,9 @@ class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
     normals (columns), the reference signature of a full-dimensional
     region adjacent to it, every constraint value at the point (flat
-    order), the loss there, and the region masks (oracle.region_masks) and
-    per-sample gradient rows (oracle.sample_gradient_rows) of the reference
-    region."""
+    order), the loss there, and the region masks (oracle.region_masks: the
+    hidden masks, then the residual signs) and per-sample gradient rows
+    (oracle.sample_gradient_rows) of the reference region."""
 
     point: np.ndarray
     active: list[int]
@@ -246,7 +246,7 @@ def descend_to_vertex(
         tries += 1
 
     masks = orc.region_masks(sig)
-    rows = orc.sample_gradient_rows(o, masks, orc.region_sigma(sig))
+    rows = orc.sample_gradient_rows(o, masks)
     g = orc.gradient_from_rows(o, rows)
     # Crossings are judged against the starting region's states, so a
     # surface left at zero by a tied hit is hit at step 0 the moment a
@@ -361,12 +361,12 @@ def _polish(o, p, located, fact, vals=None):
     """
     if vals is None:
         vals = orc.forward_values(o, p)
-    act_vals = _gather(vals.preacts + (vals.residuals,), located)
+    act_vals = _gather(vals.arrays, located)
     worst = float(np.max(np.abs(act_vals)))
     delta = solve(fact, -act_vals, transpose=True)
     q = p + delta
     vals_q = orc.forward_values(o, q)
-    worst_q = float(np.max(np.abs(_gather(vals_q.preacts + (vals_q.residuals,), located))))
+    worst_q = float(np.max(np.abs(_gather(vals_q.arrays, located))))
     if worst_q < worst:
         p, vals, worst = q, vals_q, worst_q
     if worst > o.tol.act:
@@ -377,8 +377,8 @@ def _polish(o, p, located, fact, vals=None):
 
 
 def _gather(arrays, located: np.ndarray) -> np.ndarray:
-    """The entries of per-layer arrays (hidden layers, then residuals) at
-    the given (array, sample, unit) rows."""
+    """The entries of per-sample arrays in the state arrays' order (hidden
+    layers, then residuals) at the given (array, sample, unit) rows."""
     return np.array([arrays[a][i, k] for a, i, k in located.tolist()])
 
 
@@ -398,26 +398,19 @@ class _VertexWork:
         self.flat = v.flat
         self.loss = v.loss
         self.masks = v.masks
-        self.sigma = orc.region_sigma(v.signature)
         self.g = orc.gradient_from_rows(o, v.rows)
         self.pnorm = float(np.linalg.norm(v.point))
         # (state array, sample, unit) rows of the active surfaces.
         self.located = o.layout.locate_many(v.active)
         # Releasing a hidden unit bends the normals of the active surfaces
         # deeper in the same sample's network; affected[pos] lists them, for
-        # each position that has any. Only positions that share their
-        # sample with another can have any.
-        samples = self.located[:, 1]
-        shared = np.flatnonzero(np.bincount(samples)[samples] > 1).tolist()
-        by_sample: dict[int, list[int]] = {}
-        for q in shared:
-            by_sample.setdefault(samples[q], []).append(q)
-        self.affected: dict[int, list[int]] = {}
-        for group in by_sample.values():
-            for pos in group:
-                deeper = [q for q in group if self.located[q, 0] > self.located[pos, 0]]
-                if deeper:
-                    self.affected[pos] = deeper
+        # each position that has any.
+        array, sample = self.located[:, 0], self.located[:, 1]
+        bends = (sample[:, None] == sample) & (array[:, None] < array)
+        self.affected = {
+            pos: np.flatnonzero(bends[pos]).tolist()
+            for pos in np.flatnonzero(bends.any(axis=1)).tolist()
+        }
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction. The ratio
@@ -448,8 +441,8 @@ class _VertexWork:
             return self.masks
         if self._last_masks is None or self._last_masks[0] is not sig:
             masks = [
-                m if a is b else (a > 0).astype(float)
-                for a, b, m in zip(sig.neurons, self.v.signature.neurons, self.masks)
+                m if a is b else orc.region_mask(sig, l)
+                for l, (a, b, m) in enumerate(zip(sig.states, self.v.signature.states, self.masks))
             ]
             self._last_masks = (sig, masks)
         return self._last_masks[1]
@@ -466,9 +459,7 @@ class _VertexWork:
         if changed.size:
             rows = rows.copy()
             rows[changed] = orc.sample_gradient_rows(
-                self.o,
-                [(a[changed] > 0).astype(float) for a in sig.neurons],
-                sig.residuals[changed].astype(float),
+                self.o, [m[changed] for m in self._masks(sig)]
             )
         self._last_rows = (sig, rows, changed)
         return rows, changed
@@ -553,10 +544,10 @@ class _VertexWork:
                 flip_units[:, pos] = d / np.linalg.norm(d)
         slopes = self.g @ units
         flipped = self.g @ flip_units + orc.release_corrections(
-            o, self.masks, self.sigma, v.rows, self.located, flip_units
+            o, self.masks, v.rows, self.located, flip_units
         )
         flipped[collapsed] = np.nan
-        ref = _gather(v.signature.neurons + (v.signature.residuals,), self.located)
+        ref = _gather(v.signature.states, self.located)
         on_ref = ref > 0
         table = np.empty((len(ref), 2))
         table[:, 0] = np.where(on_ref, slopes, flipped)
@@ -723,7 +714,7 @@ class _VertexWork:
         act = self.o.tol.act
         if eps * floor >= 0.25 * act:
             return False
-        states = _gather(sig.neurons + (sig.residuals,), self.excluded_at)
+        states = _gather(sig.states, self.excluded_at)
         at_vertex = self.excluded_flat
         at_probe = at_vertex + eps * dvals[self.excluded_idx]
         low = np.minimum(states * at_vertex, states * at_probe)
@@ -833,9 +824,7 @@ def _validate_vertex(o, v):
     # Every surface off the vertex has the sign of its state, which the
     # probe's JVP check (_VertexWork._probe_agrees) relies on.
     now = orc.signature_from_values(o, vals)
-    for side, state in zip(
-        now.neurons + (now.residuals,), v.signature.neurons + (v.signature.residuals,)
-    ):
+    for side, state in zip(now.states, v.signature.states):
         if np.any((side != 0) & (side != state)):
             raise DegenerateVertex("a surface off the vertex lies outside its region")
     masks = orc.region_masks(v.signature)
@@ -848,10 +837,7 @@ def _validate_vertex(o, v):
             np.column_stack([orc.constraint_normal(o, masks, idx) for idx in v.active]),
             v.normals,
         ),
-        "gradient rows": (
-            orc.sample_gradient_rows(o, masks, orc.region_sigma(v.signature)),
-            v.rows,
-        ),
+        "gradient rows": (orc.sample_gradient_rows(o, masks), v.rows),
     }
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):

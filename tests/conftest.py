@@ -42,10 +42,7 @@ def interior_point(o: OracleInstance, rng: SplitMix64, scale=5.0, min_clear=1e-4
     for _ in range(tries):
         p = rng.uniform_block(o.dim, -scale, scale)
         vals = forward_values(o, p)
-        smallest = min(
-            min(float(np.min(np.abs(z))) for z in vals.preacts),
-            float(np.min(np.abs(vals.residuals))),
-        )
+        smallest = min(float(np.min(np.abs(a))) for a in vals.arrays)
         if smallest > min_clear:
             return p
     raise AssertionError("could not sample an interior point")

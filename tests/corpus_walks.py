@@ -2,10 +2,16 @@
 
 The corpus is 8 width sets x N in {12, 30} x seeds 0-24 (400 walks) of
 conftest.quantized_instance, each capped at 400 iterations and run with
-one BLAS thread. Each line holds the instance (widths, N, seed) and either
-the walk's status, iteration count, final loss and the sha256 of its
-points and losses, or the type of the error it raised. Two versions of the
-solver walk the same paths exactly when their outputs are identical:
+one BLAS thread and validate=True, so every vertex's carried arrays (the
+constraint values, the region masks with the residual signs, the normal
+matrix and the per-sample gradient rows) are checked against a
+recomputation from scratch. Each line holds the instance (widths, N,
+seed) and either the walk's status, iteration count, final loss and the
+sha256 of its points and losses, or the type of the error it raised. A
+failed check raises DegenerateVertex, from which minimize restarts, so
+the line of a walk with one holds "error": "validation: <message>"
+whatever its outcome. Two versions of the solver walk the same paths
+exactly when their outputs are identical:
 
     PYTHONPATH=src python tests/corpus_walks.py > walks.jsonl
 
@@ -23,6 +29,8 @@ import json  # noqa: E402
 import numpy as np  # noqa: E402
 
 from conftest import quantized_instance  # noqa: E402
+from vertexwalk import solver  # noqa: E402
+from vertexwalk.errors import DegenerateVertex  # noqa: E402
 from vertexwalk.solver import SolverLimits, minimize  # noqa: E402
 
 WIDTHS = (
@@ -44,7 +52,7 @@ def walk(widths, n_samples, seed) -> dict:
     o, p0, rng = quantized_instance(widths, seed, n_samples)
     line = {"widths": list(widths), "n": n_samples, "seed": seed}
     try:
-        _, traj = minimize(o, p0, SolverLimits(max_iterations=CAP), rng)
+        _, traj = minimize(o, p0, SolverLimits(max_iterations=CAP, validate=True), rng)
     except Exception as e:  # the record names the error; the corpus goes on
         line["error"] = type(e).__name__
         return line
@@ -61,10 +69,26 @@ def walk(widths, n_samples, seed) -> dict:
 
 
 def main() -> None:
+    # The messages of the current walk's failed vertex checks.
+    failed: list[str] = []
+    validate = solver._validate_vertex
+
+    def recorded(o, v):
+        try:
+            validate(o, v)
+        except DegenerateVertex as e:
+            failed.append(str(e))
+            raise
+
+    solver._validate_vertex = recorded
     for widths in WIDTHS:
         for n_samples in SAMPLES:
             for seed in SEEDS:
-                print(json.dumps(walk(widths, n_samples, seed), sort_keys=True), flush=True)
+                failed.clear()
+                line = walk(widths, n_samples, seed)
+                if failed:
+                    line["error"] = f"validation: {failed[0]}"
+                print(json.dumps(line, sort_keys=True), flush=True)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vertexwalk.analysis import estimate_loss_floor
 from vertexwalk.cli import main
 from vertexwalk.errors import InvalidConfig
 from vertexwalk.experiment import (
@@ -131,17 +132,10 @@ class TestRun:
         assert dist[-1] == 0.0
 
     def test_headers_exact(self, tmp_path):
-        run(ExperimentConfig(seed=3, **TOY), tmp_path)
-        expect = {
-            "loss.csv": "iteration,loss",
-            "step_length.csv": "iteration,step_length",
-            "step_length_mean40.csv": "iteration,step_length_mean40",
-            "dist_to_final.csv": "iteration,dist_to_final",
-            "trajectory.csv": "iteration,loss,step_length,active_count,phase",
-        }
-        for name, header in expect.items():
-            first = (tmp_path / name).read_text().splitlines()[0]
-            assert first == header
+        _check_headers(tmp_path, ExperimentConfig(seed=3, **TOY))
+
+    def test_mean_header_follows_the_window(self, tmp_path):
+        _check_headers(tmp_path, ExperimentConfig(seed=3, mean_window=7, **TOY))
 
     def test_iteration_cap_still_writes(self, tmp_path):
         cfg = ExperimentConfig(seed=3, widths=(1, 1, 1), samples=5, max_iterations=1)
@@ -199,6 +193,22 @@ class TestRun:
 
 
 class TestSummarize:
+    @pytest.mark.parametrize("fit_window", [3, 4])
+    def test_short_midpoint_window_takes_the_tail_estimate(self, tmp_path, fit_window):
+        # The exponential phase starts at the first post-vertex window and
+        # is short, so only 2 phase-2 losses lie up to its midpoint; the
+        # floor comes from the tail estimate instead.
+        cfg = ExperimentConfig(seed=3, widths=(2, 3, 2, 1), samples=20, fit_window=fit_window)
+        art = run(cfg, tmp_path)
+        summary = art.summary
+        assert art.status == "converged"
+        mid = (summary["exp_phase_start"] + summary["exp_phase_end"]) // 2
+        assert mid + 1 - summary["phase1_len"] < 3
+        phase2 = len(art.trajectory.phase2_losses)
+        tail = estimate_loss_floor(art.trajectory.losses, window=min(phase2, 2 * fit_window))
+        assert summary["floor_estimate"] == tail.floor
+        assert summary["decay_ratio"] == tail.ratio
+
     @pytest.mark.parametrize("tail", [[100.0, 99.0, 98.0], [100.0, 99.0, 98.0, 97.0]])
     def test_short_linear_tail_leaves_floor_unset(self, tail):
         # No delta-squared triple of an exactly linear tail is acceptable,
@@ -306,10 +316,36 @@ class TestAnalyze:
             tmp_path / "orig" / "trajectory.csv", tmp_path / "re"
         )
         assert summary["status"] == "analyzed"
-        for name in ("loss.csv", "step_length.csv", "dist_to_final.csv"):
+        names = sorted(p.name for p in (tmp_path / "orig").glob("*.csv"))
+        assert names == [
+            "dist_to_final.csv",
+            "loss.csv",
+            "points.csv",
+            "step_length.csv",
+            "step_length_mean40.csv",
+            "trajectory.csv",
+        ]
+        assert sorted(p.name for p in (tmp_path / "re").glob("*.csv")) == names
+        for name in names:
             a = (tmp_path / "orig" / name).read_bytes()
             b = (tmp_path / "re" / name).read_bytes()
-            assert a == b
+            assert a == b, name
+
+        def derived(path):
+            data = json.loads(path.read_text())
+            return {k: v for k, v in data.items() if k not in ("status", "fingerprint")}
+
+        assert derived(tmp_path / "re" / "summary.json") == derived(
+            tmp_path / "orig" / "summary.json"
+        )
+
+    def test_mean_window_names_its_file(self, tmp_path):
+        run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
+        run(ExperimentConfig(seed=6, mean_window=7, **TOY), tmp_path / "seven")
+        analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", mean_window=7)
+        assert not (tmp_path / "re" / "step_length_mean40.csv").exists()
+        a = (tmp_path / "seven" / "step_length_mean7.csv").read_bytes()
+        assert (tmp_path / "re" / "step_length_mean7.csv").read_bytes() == a
 
     @pytest.mark.parametrize(
         "text",
@@ -510,6 +546,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out
+
+
+def _check_headers(out: Path, cfg: ExperimentConfig) -> None:
+    """Run cfg into out and check every series header; the running-mean
+    file and its column are named for the window."""
+    run(cfg, out)
+    mean = f"step_length_mean{cfg.mean_window}"
+    expect = {
+        "loss.csv": "iteration,loss",
+        "step_length.csv": "iteration,step_length",
+        f"{mean}.csv": f"iteration,{mean}",
+        "dist_to_final.csv": "iteration,dist_to_final",
+        "trajectory.csv": "iteration,loss,step_length,active_count,phase",
+    }
+    for name, header in expect.items():
+        first = (out / name).read_text().splitlines()[0]
+        assert first == header
+    assert [p.name for p in out.glob("step_length_mean*")] == [f"{mean}.csv"]
 
 
 def _column(path: Path, idx: int) -> np.ndarray:

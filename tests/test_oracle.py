@@ -10,7 +10,6 @@ from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward_b
 from vertexwalk.oracle import (
     RatioScreen,
     Signature,
-    Tolerances,
     affine_piece,
     constraint_eval,
     _full_scan,
@@ -25,7 +24,6 @@ from vertexwalk.oracle import (
     release_corrections,
     region_gradient,
     region_masks,
-    region_sigma,
     region_signature,
     sample_gradient_rows,
     states_flat,
@@ -39,21 +37,21 @@ from vertexwalk.prng import SplitMix64
 ROW_INSTANCES = [((4, 5, 4, 3, 2, 1), 500), ((4, 20, 4, 3, 2, 1), 500), ((3, 4, 3, 2), 40)]
 
 
-def _two_half_corrections(o, masks, sigma, released, dirs):
+def _two_half_corrections(o, masks, released, dirs):
     """release_corrections as computed before the reference rows were
     carried: reference and flipped rows of the released samples in one
     sample_gradient_rows call, reference half first."""
     arrays, samples, units = (np.array(c, dtype=int) for c in zip(*released))
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-    ref = [m[samples] for m in masks] + [sigma[samples]]
+    ref = [m[samples] for m in masks]
     new = [a.copy() for a in ref]
     for l, a in enumerate(new):
         q = np.flatnonzero(arrays == l)
         old = a[q, units[q]]
-        a[q, units[q]] = -old if l == len(masks) else 1.0 - old
+        a[q, units[q]] = -old if l == len(masks) - 1 else 1.0 - old
     both = [np.concatenate(pair) for pair in zip(ref, new)]
-    rows = sample_gradient_rows(o, both[:-1], both[-1])
+    rows = sample_gradient_rows(o, both)
     n = len(samples)
     return np.sum((rows[n:] - rows[:n]) * dz, axis=1)
 
@@ -122,14 +120,14 @@ class TestRegionSignature:
     def test_all_positive_states(self):
         o = tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(10.0,))
         sig = region_signature(o, np.array([1.0, 1.0]))
-        assert sig.neurons[0][0, 0] == 1
-        assert sig.residuals[0, 0] == 1
+        assert sig.states[0][0, 0] == 1
+        assert sig.states[-1][0, 0] == 1
 
     def test_half_tolerance_is_zero_state(self):
         o = tiny_instance(xs=(1.0,), ys=(5.0,))
         z = 0.5 * o.tol.act
         sig = region_signature(o, np.array([z, 0.0]))
-        assert sig.neurons[0][0, 0] == 0
+        assert sig.states[0][0, 0] == 0
         assert sig.has_zeros
 
     def test_consistent_with_forward_trace(self):
@@ -139,14 +137,14 @@ class TestRegionSignature:
             p = rng.uniform_block(o.dim, -4, 4)
             sig = region_signature(o, p)
             pres, _ = forward_batch(network_params(o, p), o.data.inputs)
-            for states, z in zip(sig.neurons, pres):
+            for states, z in zip(sig.states[:-1], pres, strict=True):
                 clear = np.abs(z) > o.tol.act
                 assert np.array_equal(states[clear], np.sign(z[clear]).astype(np.int8))
 
     def test_differing_samples_match_the_per_row_definition(self):
         def per_row(a_sig, b_sig):
-            diff = np.zeros(a_sig.residuals.shape[0], dtype=bool)
-            for a, b in zip(a_sig.neurons + (a_sig.residuals,), b_sig.neurons + (b_sig.residuals,)):
+            diff = np.zeros(a_sig.states[-1].shape[0], dtype=bool)
+            for a, b in zip(a_sig.states, b_sig.states):
                 diff |= np.any(a != b, axis=1)
             return np.flatnonzero(diff)
 
@@ -156,14 +154,15 @@ class TestRegionSignature:
 
         def random_sig():
             arrays = [rng.integers(-1, 2, size=(40, w)).astype(np.int8) for w in (4, 2, 1)]
-            return Signature(tuple(arrays[:-1]), arrays[-1], o.layout)
+            return Signature(tuple(arrays), o.layout)
 
         base = random_sig()
         pairs = [(base, base), (random_sig(), base)]
         # No difference in copied arrays, and every sample different.
-        copied = Signature(tuple(a.copy() for a in base.neurons), base.residuals.copy(), o.layout)
+        copied = Signature(tuple(a.copy() for a in base.states), o.layout)
         pairs.append((copied, base))
-        pairs.append((Signature(tuple(-a - (a == 0) for a in base.neurons), base.residuals, o.layout), base))
+        hidden_flipped = tuple(-a - (a == 0) for a in base.states[:-1])
+        pairs.append((Signature(hidden_flipped + base.states[-1:], o.layout), base))
         # A few changed entries, with arrays shared by identity.
         for frac in (0.01, 0.1, 0.5):
             sig = base
@@ -187,12 +186,12 @@ class TestAffinePiece:
         for _ in range(300):
             p = rng.uniform_block(o.dim, -4, 4)
             vals = forward_values(o, p)
-            dead = np.flatnonzero(np.all(vals.preacts[0] < -1e-6, axis=1))
+            dead = np.flatnonzero(np.all(vals.arrays[0] < -1e-6, axis=1))
             if dead.size == 0:
                 continue
             found = True
             sig = region_signature(o, p)
-            rows = sample_gradient_rows(o, region_masks(sig), region_sigma(sig))
+            rows = sample_gradient_rows(o, region_masks(sig))
             assert_allclose(rows[int(dead[0])], np.zeros(o.arch.widths[1]))
             break
         assert found
@@ -203,15 +202,15 @@ class TestAffinePiece:
         o, _ = build_instance(12, (2, 3, 2, 2), 8)
         p = interior_point(o, SplitMix64(120))
         sig = region_signature(o, p)
-        masks, sigma = region_masks(sig), region_sigma(sig)
-        g = region_gradient(o, masks, sigma)
+        masks = region_masks(sig)
+        g = region_gradient(o, masks)
         idx = list(range(o.n_constraints))
         dirs = SplitMix64(121).uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        rows = sample_gradient_rows(o, masks, sigma)
-        got = release_corrections(o, masks, sigma, rows, [o.layout.locate(i) for i in idx], dirs)
+        rows = sample_gradient_rows(o, masks)
+        got = release_corrections(o, masks, rows, [o.layout.locate(i) for i in idx], dirs)
         for q, i in enumerate(idx):
             flipped = sig.with_state(i, -sig.state_of(i))
-            g_new = region_gradient(o, region_masks(flipped), region_sigma(flipped))
+            g_new = region_gradient(o, region_masks(flipped))
             assert got[q] == pytest.approx(float((g_new - g) @ dirs[:, q]), abs=1e-10)
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
@@ -222,8 +221,8 @@ class TestAffinePiece:
         o, _ = build_instance(15, widths, n_samples)
         rng = SplitMix64(150)
         sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
-        masks, sigma = region_masks(sig), region_sigma(sig)
-        rows = sample_gradient_rows(o, masks, sigma)
+        masks = region_masks(sig)
+        rows = sample_gradient_rows(o, masks)
         # D surfaces, as at a vertex: every state array, samples repeated.
         h = o.hidden_total
         picks = rng.uniform_block(o.dim, 0, 1)
@@ -233,8 +232,8 @@ class TestAffinePiece:
         released = [o.layout.locate(i) for i in idx]
         assert {a for a, _, _ in released} == set(range(o.arch.hidden_depth + 1))
         dirs = rng.uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        got = release_corrections(o, masks, sigma, rows, released, dirs)
-        assert np.array_equal(got, _two_half_corrections(o, masks, sigma, released, dirs))
+        got = release_corrections(o, masks, rows, released, dirs)
+        assert np.array_equal(got, _two_half_corrections(o, masks, released, dirs))
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
     def test_gradient_rows_of_any_subset_equal_full_rows(self, widths, n_samples):
@@ -243,13 +242,13 @@ class TestAffinePiece:
         o, _ = build_instance(13, widths, n_samples)
         rng = SplitMix64(130)
         sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
-        masks, sigma = region_masks(sig), region_sigma(sig)
-        full = sample_gradient_rows(o, masks, sigma)
+        masks = region_masks(sig)
+        full = sample_gradient_rows(o, masks)
         assert full.shape == (n_samples, o.arch.widths[1])
-        assert np.array_equal(gradient_from_rows(o, full), region_gradient(o, masks, sigma))
+        assert np.array_equal(gradient_from_rows(o, full), region_gradient(o, masks))
         for size in (1, 2, 7, n_samples // 3):
             pick = np.sort(np.argsort(rng.uniform_block(n_samples))[:size])
-            sub = sample_gradient_rows(o, [m[pick] for m in masks], sigma[pick])
+            sub = sample_gradient_rows(o, [m[pick] for m in masks])
             assert np.array_equal(sub, full[pick])
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
@@ -257,7 +256,7 @@ class TestAffinePiece:
         o, _ = build_instance(14, widths, n_samples)
         rng = SplitMix64(140)
         sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
-        full = sample_gradient_rows(o, region_masks(sig), region_sigma(sig))
+        full = sample_gradient_rows(o, region_masks(sig))
         # One surface in every state array: each hidden layer and the residuals.
         h = o.hidden_total
         sample = int(rng.uniform(0, n_samples))
@@ -267,12 +266,10 @@ class TestAffinePiece:
             flipped = sig.with_state(i, -sig.state_of(i))
             changed = flipped.differing_samples(sig)
             assert changed.tolist() == [sample]
-            masks, sigma = region_masks(flipped), region_sigma(flipped)
+            masks = region_masks(flipped)
             rows = full.copy()
-            rows[changed] = sample_gradient_rows(
-                o, [m[changed] for m in masks], sigma[changed]
-            )
-            assert np.array_equal(gradient_from_rows(o, rows), region_gradient(o, masks, sigma))
+            rows[changed] = sample_gradient_rows(o, [m[changed] for m in masks])
+            assert np.array_equal(gradient_from_rows(o, rows), region_gradient(o, masks))
 
     def test_gradient_matches_central_differences(self):
         from vertexwalk.bruteforce import fd_gradient
@@ -314,7 +311,7 @@ class TestConstraintEval:
         assert block[k, 3] == 1.0
         assert_allclose(block[1 - k], np.zeros(4))
         vals = forward_values(o, p)
-        assert val == pytest.approx(float(vals.preacts[0][i, k]), abs=1e-14)
+        assert val == pytest.approx(float(vals.arrays[0][i, k]), abs=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         o, _ = build_instance(13, (2, 3, 2, 2), 8)
@@ -376,10 +373,7 @@ def _constraint_value(o, p, surface):
     """Value of the surface (layer, sample, unit), layer L+1 for residuals,
     read directly from the forward pass."""
     layer, sample, unit = surface
-    vals = forward_values(o, p)
-    if layer <= o.arch.hidden_depth:
-        return float(vals.preacts[layer - 1][sample, unit])
-    return float(vals.residuals[sample, unit])
+    return float(forward_values(o, p).arrays[layer - 1][sample, unit])
 
 
 def _documented_order(o):
@@ -427,6 +421,23 @@ class TestEnumerateConstraints:
         flat = constraint_values_flat(o, vals)
         for idx, surface in enumerate(_documented_order(o)):
             assert flat[idx] == pytest.approx(_constraint_value(o, p, surface), abs=1e-14)
+
+    def test_region_arrays_follow_locate(self):
+        # Values, states and masks hold L + 1 arrays in locate's order; the
+        # masks are 1.0 for an on hidden unit and the sign for a residual.
+        o, p = build_instance(20, (2, 3, 2, 2), 4)
+        vals = forward_values(o, p)
+        sig = region_signature(o, p)
+        masks = region_masks(sig)
+        depth = o.arch.hidden_depth
+        assert len(vals.arrays) == len(sig.states) == len(masks) == depth + 1
+        flat, states = constraint_values_flat(o, vals), states_flat(sig)
+        for idx in range(o.n_constraints):
+            a, i, k = o.layout.locate(idx)
+            state = sig.state_of(idx)
+            assert flat[idx] == vals.arrays[a][i, k]
+            assert states[idx] == sig.states[a][i, k] == state
+            assert masks[a][i, k] == (state if a == depth else float(state > 0))
 
 
 class TestRatioTest:
@@ -722,7 +733,7 @@ class TestRegionInvariants:
         for _ in range(20):
             p = rng.uniform_block(o.dim, -4, 4)
             vals = forward_values(o, p)
-            total = float(np.sum(np.abs(vals.residuals)))
+            total = float(np.sum(np.abs(vals.arrays[-1])))
             assert value(o, p) == pytest.approx(total, rel=1e-12)
 
     def test_crossing_flips_exactly_one_state(self):
@@ -740,10 +751,9 @@ class TestRegionInvariants:
             eps = 1e-7 * (1 + t_star)
             before = region_signature(o, p + (t_star - eps) * d)
             after = region_signature(o, p + (t_star + eps) * d)
-            diff = 0
-            for a, b in zip(before.neurons, after.neurons):
-                diff += int(np.count_nonzero(a != b))
-            diff += int(np.count_nonzero(before.residuals != after.residuals))
+            diff = sum(
+                int(np.count_nonzero(a != b)) for a, b in zip(before.states, after.states)
+            )
             if diff == 0:
                 continue  # probe landed inside the activity band; skip
             assert diff == 1

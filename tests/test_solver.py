@@ -191,11 +191,13 @@ class TestDescendToVertex:
     def test_validate_rejects_stale_carried_masks(self):
         o, vertex = reference_scale_vertex()
         solver._validate_vertex(o, vertex)
-        off = np.flatnonzero(np.abs(vertex.flat[: o.n_samples * o.hidden_total]) > o.tol.act)
-        idx = int(off[0])
-        stale = orc.region_masks(vertex.signature.with_state(idx, -vertex.signature.state_of(idx)))
-        with pytest.raises(DegenerateVertex, match="region masks"):
-            solver._validate_vertex(o, replace(vertex, masks=stale))
+        # A stale hidden state and a stale residual sign: the masks carry both.
+        off = np.abs(vertex.flat) > o.tol.act
+        cut = o.n_samples * o.hidden_total
+        for idx in (int(np.flatnonzero(off[:cut])[0]), cut + int(np.flatnonzero(off[cut:])[0])):
+            flipped = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
+            with pytest.raises(DegenerateVertex, match="region masks"):
+                solver._validate_vertex(o, replace(vertex, masks=orc.region_masks(flipped)))
         with pytest.raises(DegenerateVertex, match="region masks"):
             solver._validate_vertex(o, replace(vertex, masks=vertex.masks[:-1]))
 
@@ -281,7 +283,7 @@ class TestEdgeDirections:
                 assert_allclose(
                     c.direction, edge_solve(o, vertex, masks, pos, sign), rtol=0, atol=1e-12
                 )
-                g_entered = orc.region_gradient(o, masks, orc.region_sigma(entered))
+                g_entered = orc.region_gradient(o, masks)
                 assert abs(c.derivative - float(g_entered @ c.direction)) <= tol
         assert affected_sides > 0
 
@@ -542,9 +544,30 @@ class TestPricingObjects:
             work = _VertexWork(o, vertex)
             masks = work._masks(sig)
             assert all(map(np.array_equal, masks, orc.region_masks(sig)))
-            for a, b, m, kept in zip(sig.neurons, ref.neurons, masks, work.masks):
+            for a, b, m, kept in zip(sig.states, ref.states, masks, work.masks, strict=True):
                 assert (m is kept) == (a is b)
         assert work._masks(ref) is work.masks
+
+    def test_affected_lists_the_deeper_surfaces_of_each_sample(self):
+        # Reference: the per-pair definition as a loop over the located rows.
+        o, p0, rng = quantized_instance((2, 3, 3, 2), 0)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        found = 0
+        for _ in range(20):
+            work = _VertexWork(o, vertex)
+            rows = [o.layout.locate(idx) for idx in vertex.active]
+            want = {}
+            for pos, (array, sample, _) in enumerate(rows):
+                deeper = [q for q, (a, s, _) in enumerate(rows) if s == sample and a > array]
+                if deeper:
+                    want[pos] = deeper
+            assert work.affected == want
+            found += len(want)
+            outcome = vertex_step(o, vertex, LIMITS, work)
+            if outcome is None:
+                break
+            vertex = outcome[0]
+        assert found > 0
 
 
 def probe_walks():
