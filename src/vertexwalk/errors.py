@@ -41,10 +41,18 @@ class DegenerateStart(Degenerate):
 
 class DegenerateVertex(Degenerate):
     """A vertex could not be built, priced or left: a hit normal or the
-    normal matrix is (near) singular, the polish or validation fails, an
-    edge's direction or entered signature does not settle, a surface
-    crosses pathologically close to it, or no exchanged active set escapes
-    a degenerate one."""
+    normal matrix is singular, the polish fails, an edge's direction or
+    entered signature does not settle, a surface crosses pathologically
+    close to it, a probe finds another entered region than its side's,
+    the probe rejects every descending side, or no exchanged active set
+    escapes a degenerate one."""
+
+
+class ValidationFailure(RuntimeError):
+    """A vertex checked with SolverLimits(validate=True) carries an array
+    that differs from its recomputation, or its active set, active values,
+    normal matrix or region fail their checks. It is not Degenerate: a
+    perturbed restart would hide the fault."""
 
 
 class NumericalStall(RuntimeError):

@@ -229,7 +229,7 @@ def _write_series(
     name = f"step_length_mean{mean_window}"
     _write_csv(out / f"{name}.csv", f"iteration,{name}", zip(t[1:], mean))
     if with_points:
-        dist = np.linalg.norm(traj.points - traj.points[-1][None, :], axis=1)
+        dist = analysis.distance_to_final(traj).raw
         _write_csv(out / "dist_to_final.csv", "iteration,dist_to_final", zip(t, dist))
     phase = np.where(t < traj.phase1_len, 1, 2)
     _write_csv(

@@ -22,31 +22,31 @@ bends k deeper active surfaces of the same sample changes k normals on its
 flipped side; that side's direction is column pos with a rank-k (Woodbury)
 correction from the same inverse. A side without an edge is NaN.
 
-The pivot picks from a copy of the table, in one order: least derivative,
-then least leaving index, then sign +1 before -1 (np.lexsort). The picked
-side is settled and probed (candidate(), the only place an EdgeCandidate
-is built) and writes its settled derivative back; the pivot takes the
-first pick that has already been probed. Surfaces above the first layer
+The pivot ranks the descending sides of the table once, in one order:
+least derivative, then least leaving index, then sign +1 before -1
+(np.lexsort), and takes the first side its probe confirms (candidate(),
+the only place an EdgeCandidate is built). Surfaces above the first layer
 are themselves only piecewise affine in p, and surfaces coincident at the
 vertex are crossed at step zero, so the batch's entered region is
 provisional: at a vertex with coincident surfaces a linearized guess sets
-their states, every side is settled into the same table before the pick,
-and the chosen edge is confirmed by probing a point just inside it, whose
-ratio test is the pivot's. The probe reads the point's region from the
-edge's JVP, which its ratio test needs anyway: when every active and
-coincident surface lies on the entered region's side there, or within a
-margin far below the activity tolerance of zero, a forward pass would
-resolve to that region, so none runs; otherwise one does. Every ratio
-test, phase 1's and the probe's, is one screened test
-(oracle._ratio_from_arrays with a RatioScreen: phase 1 builds one per step
-that judges surfaces by the starting region's states, the pivot one per
-vertex that judges them by value): it looks for the first crossing among
-the surfaces near zero first, widening the screen until no surface outside
-it can beat or tie with the best step, so the answer is the full scan's,
-bit for bit. Only when a guess or the probe changes the entered region is
-the direction solved again, against that region's normals (a few rounds at
-most, or the side is reported degenerate). Each side is settled once per
-vertex, and a probe resumes where its side's settling stopped.
+their states, and every side is settled into the same table before the
+ranking. Only when a guess changes the entered region is the direction
+solved again, against that region's normals (a few rounds at most, or the
+side is reported degenerate); each side is settled once per vertex, so a
+probed side's derivative is its table entry. The probe, at a point just
+inside the edge, confirms the settled region, and its ratio test is the
+pivot's. It reads the point's region from the edge's JVP, which its ratio
+test needs anyway: when every active and coincident surface lies on the
+entered region's side there, or within a margin far below the activity
+tolerance of zero, a forward pass would resolve to that region, so none
+runs; otherwise one does, and a probe that resolves to another region
+rejects the side. Every ratio test, phase 1's and the probe's, is one
+screened test (oracle._ratio_from_arrays with a RatioScreen: phase 1
+builds one per step that judges surfaces by the starting region's states,
+the pivot one per vertex that judges them by value): it looks for the
+first crossing among the surfaces near zero first, widening the screen
+until no surface outside it can beat or tie with the best step, so the
+answer is the full scan's, bit for bit.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
 constraint values (from the polish) and the region masks and per-sample
@@ -84,6 +84,7 @@ from .errors import (
     NumericalStall,
     SingularMatrix,
     UnboundedEdge,
+    ValidationFailure,
 )
 from .linalg import (
     Factorization,
@@ -100,7 +101,7 @@ from .prng import SplitMix64
 _RESTART_SEED = 0x7E57ED5EED
 # Perturbed restarts after a Degenerate error before the error propagates.
 _RESTARTS = 2
-# Solve/probe rounds before an entered-region signature counts as unstable.
+# Guess/solve rounds before an entered-region signature counts as unstable.
 _STABILIZE_ROUNDS = 5
 # A probe point sits this far inside an edge, times (1 + |p|), capped by
 # half the edge's first crossing.
@@ -142,28 +143,20 @@ class VertexState:
 @dataclass
 class EdgeCandidate:
     """One settled release side: release `leaving` (a flat constraint
-    index) to side `sign` and move along `direction`, whose entered-region
-    loss derivative is `derivative`. Sides are ranked in the derivative
-    table of _VertexWork; this object is built only for a side that is
-    probed.
-
-    The entered region is `region` with the state of `leaving` set to
-    `sign`; it is built when first read. `crossing` holds the (step, flat
-    index) of the first surface the edge hits, or None when it hits none.
+    index) to side `sign` and move along `direction` into the region with
+    signature `entered` (which gives `leaving` the state `sign`), whose
+    loss derivative along it is `derivative`. Sides are ranked in the
+    derivative table of _VertexWork; this object is built only for a side
+    that is probed. `crossing` holds the (step, flat index) of the first
+    surface the edge hits, or None when it hits none.
     """
 
     leaving: int
     sign: int
     direction: np.ndarray
-    region: Signature = field(repr=False)
+    entered: Signature = field(repr=False)
     derivative: float
     crossing: tuple[float, int] | None = None
-
-    @cached_property
-    def entered(self) -> Signature:
-        if self.region.state_of(self.leaving) == self.sign:
-            return self.region
-        return self.region.with_state(self.leaving, self.sign)
 
 
 @dataclass(frozen=True)
@@ -426,8 +419,8 @@ class _VertexWork:
             [self.located, o.layout.locate_many(self.coincident_idx)]
         )
         self.excluded_flat = self.flat[self.excluded_idx]
-        # (round, direction, entered signature, derivative) of each side
-        # settled by _settle, where the probe resumes.
+        # (direction, entered signature, derivative) of each side settled
+        # by _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
         self._last_masks: tuple[Signature, list[np.ndarray]] | None = None
         self._last_rows: tuple[Signature, np.ndarray, np.ndarray] | None = None
@@ -566,7 +559,7 @@ class _VertexWork:
             table = table.copy()
             for pos, col in zip(*np.nonzero(~np.isnan(table))):
                 try:
-                    table[pos, col] = self._settle(int(pos), _SIGNS[col])[3]
+                    table[pos, col] = self._settle(int(pos), _SIGNS[col])[2]
                 except DegenerateVertex:
                     table[pos, col] = np.nan
         return table
@@ -591,9 +584,9 @@ class _VertexWork:
 
         Surfaces through the vertex are crossed at step zero, so the entered
         region lies on the side the direction moves into. This linearized
-        guess only seeds the settling: a coincident surface can itself bend
-        at the vertex, so once a probe has measured the actual sides it
-        stays authoritative.
+        guess only sets the settled region: a coincident surface can itself
+        bend at the vertex, so the probe confirms the region or rejects the
+        side.
         """
         dvals = orc.constraint_jvp_flat(self.o, self._masks(sig), d)
         floor = 1e-12 * float(np.max(np.abs(dvals)))
@@ -608,11 +601,10 @@ class _VertexWork:
     def _settle(self, pos: int, sign: int) -> tuple:
         """The batch side that releases active[pos] to `sign`, with the
         coincident surfaces' states set by the linearized guess until it
-        holds: (round, direction, entered signature, derivative), where
-        round counts the direction solves. Only a guess that changes the
-        entered region solves the direction again (_settled_direction);
-        otherwise the side keeps the batch's direction and derivative.
-        Each side is settled once per vertex."""
+        holds: (direction, entered signature, derivative). Only a guess
+        that changes the entered region solves the direction again
+        (_settled_direction); otherwise the side keeps the batch's
+        direction and derivative. Each side is settled once per vertex."""
         key = (pos, sign)
         if key not in self._settled:
             self._settled[key] = self._settle_once(pos, sign)
@@ -639,50 +631,34 @@ class _VertexWork:
                     continue
             if deriv is None:
                 deriv = self._derivative(sig, d)
-            return round_, d, sig, deriv
+            return d, sig, deriv
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
     def candidate(self, pos: int, sign: int) -> EdgeCandidate:
         """Settle and probe the batch side that releases active[pos] to `sign`.
 
         The side is settled once per vertex (_settle). Its entered
-        signature is then confirmed at a point just inside the edge,
-        resuming at the round where the side settled, and the probe's ratio
-        test gives the edge's first crossing. The probe point's region is
-        read from the edge's JVP (_probe_agrees); only when that check
-        fails does a forward pass resolve it. A probe that finds another
-        region solves the direction again for it, within the same round
-        limit as the guesses.
+        signature is then confirmed at a point just inside the edge, and
+        the probe's ratio test gives the edge's first crossing. The probe
+        point's region is read from the edge's JVP (_probe_agrees); only
+        when that check fails does a forward pass resolve it. A probe that
+        finds another region rejects the side with DegenerateVertex.
         """
-        round_, d, sig, deriv = self._settle(pos, sign)
-        leaving = self.v.active[pos]
+        d, sig, deriv = self._settle(pos, sign)
         o, v = self.o, self.v
-        # After a forward pass has resolved sig, its states off the excluded
-        # surfaces need not match the vertex's, which _probe_agrees assumes.
-        measured = False
-        while True:
-            dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
-            crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.screen)
-            eps = _PROBE * (1.0 + self.pnorm)
-            if crossing is not None:
-                t_first = crossing[0]
-                if t_first <= 1e-12 * (1.0 + self.pnorm):
-                    raise DegenerateVertex(
-                        "a surface crosses pathologically close to the vertex"
-                    )
-                eps = min(eps, 0.5 * t_first)
-            if not measured and self._probe_agrees(sig, dvals, eps, floor):
-                return EdgeCandidate(leaving, sign, d, sig, deriv, crossing)
-            q = v.point + eps * d
-            sig_q = orc.resolve_signature(o, orc.forward_values(o, q), fallback=sig)
-            if sig_q.equals(sig):
-                return EdgeCandidate(leaving, sign, d, sig, deriv, crossing)
-            round_ += 1
-            if round_ == _STABILIZE_ROUNDS:
-                raise DegenerateVertex("entered-region signature failed to stabilize")
-            sig, measured = sig_q, True
-            d = self._settled_direction(pos, sign, sig)
-            deriv = self._derivative(sig, d)
+        dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
+        crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.screen)
+        eps = _PROBE * (1.0 + self.pnorm)
+        if crossing is not None:
+            t_first = crossing[0]
+            if t_first <= 1e-12 * (1.0 + self.pnorm):
+                raise DegenerateVertex("a surface crosses pathologically close to the vertex")
+            eps = min(eps, 0.5 * t_first)
+        if not self._probe_agrees(sig, dvals, eps, floor):
+            vals = orc.forward_values(o, v.point + eps * d)
+            if not orc.resolve_signature(o, vals, fallback=sig).equals(sig):
+                raise DegenerateVertex("the probe found another entered region")
+        return EdgeCandidate(v.active[pos], sign, d, sig, deriv, crossing)
 
     def _probe_agrees(
         self, sig: Signature, dvals: np.ndarray, eps: float, floor: float
@@ -721,16 +697,14 @@ class _VertexWork:
         return bool(np.all(low >= -_PROBE_MARGIN * act))
 
 
-def _steepest(table: np.ndarray, leaving: np.ndarray, tau: float) -> tuple[int, int] | None:
-    """(pos, column) of the side of the derivative table to take next: the
-    least derivative below -tau, ties broken by the smaller leaving index
-    (leaving[pos], a flat index), then by sign +1 before -1. None when no
-    side descends; NaN sides never do."""
+def _descending(table: np.ndarray, leaving: np.ndarray, tau: float) -> list[tuple[int, int]]:
+    """(pos, column) of every side of the derivative table whose derivative
+    is below -tau (NaN sides never are), in the order the pivot tries them:
+    least derivative first, ties broken by the smaller leaving index
+    (leaving[pos], a flat index), then by sign +1 before -1."""
     pos, col = np.nonzero(table < -tau)
-    if not pos.size:
-        return None
-    j = np.lexsort((col, leaving[pos], table[pos, col]))[0]
-    return int(pos[j]), int(col[j])
+    order = np.lexsort((col, leaving[pos], table[pos, col]))
+    return list(zip(pos[order].tolist(), col[order].tolist()))
 
 
 def vertex_step(
@@ -742,38 +716,32 @@ def vertex_step(
     """One pivot: follow the steepest descending edge to the next vertex.
 
     Returns None when every edge has derivative >= -desc_tol (scaled), i.e.
-    the vertex is an edge-local minimum. A caller that keeps the vertex's
-    _VertexWork passes it as `work`, so its derivative table can be reused.
+    the vertex is an edge-local minimum, and raises DegenerateVertex when
+    some edge descends but the probe rejects every descending side. A
+    caller that keeps the vertex's _VertexWork passes it as `work`, so its
+    derivative table can be reused.
     """
     limits = limits or SolverLimits()
     work = work or _VertexWork(o, v)
     tau = limits.desc_tol * (1.0 + abs(work.loss))
 
-    # Sides are picked from a copy of the derivative table. A release side
-    # whose entered-region normals collapse has no transversal edge (e.g.
-    # the entered side kills every path through a same-sample deeper
-    # active surface) and is NaN there; a stall with such sides is
-    # re-verified by sampling before the run accepts convergence. A probed
-    # side writes its settled derivative back, or NaN when it has no edge;
-    # the pivot takes the first pick that has already been probed.
-    table = work.table.copy()
-    leaving = np.array(v.active)
-    probed: dict[tuple[int, int], EdgeCandidate] = {}
-    for _ in range(4 * int(np.count_nonzero(~np.isnan(table))) + 4):
-        side = _steepest(table, leaving, tau)
-        if side is None:
-            return None
-        if side in probed:
-            chosen_pos, chosen = side[0], probed[side]
-            break
+    # The descending sides are tried in the table's order, and the pivot
+    # takes the first one its probe confirms. A release side whose
+    # entered-region normals collapse has no transversal edge (e.g. the
+    # entered side kills every path through a same-sample deeper active
+    # surface) and is NaN in the table; a stall with such sides is
+    # re-verified by sampling before the run accepts convergence.
+    sides = _descending(work.table, np.array(v.active), tau)
+    if not sides:
+        return None
+    for chosen_pos, col in sides:
         try:
-            probed[side] = work.candidate(side[0], _SIGNS[side[1]])
+            chosen = work.candidate(chosen_pos, _SIGNS[col])
         except DegenerateVertex:
-            table[side] = np.nan
             continue
-        table[side] = probed[side].derivative
+        break
     else:
-        raise DegenerateVertex("edge selection did not settle")
+        raise DegenerateVertex("the probe rejected every descending side")
 
     if chosen.crossing is None:
         raise UnboundedEdge(
@@ -809,27 +777,28 @@ def vertex_step(
 
 def _validate_vertex(o, v):
     """Check a vertex's active set and every array it carries against a
-    recomputation from scratch; carried arrays must match bit for bit."""
+    recomputation from scratch; carried arrays must match bit for bit. A
+    failed check raises ValidationFailure."""
     if len(v.active) != o.dim:
-        raise DegenerateVertex(f"active set has {len(v.active)} constraints, expected {o.dim}")
+        raise ValidationFailure(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
-        raise DegenerateVertex("active set contains duplicate constraints")
+        raise ValidationFailure("active set contains duplicate constraints")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
     worst = float(np.max(np.abs(flat[v.active])))
     if worst > o.tol.act:
-        raise DegenerateVertex(f"active values drifted to {worst:.3e}")
+        raise ValidationFailure(f"active values drifted to {worst:.3e}")
     if near_singular(v.factorization, v.normals):
-        raise DegenerateVertex("vertex normal matrix is near singular")
+        raise ValidationFailure("vertex normal matrix is near singular")
     # Every surface off the vertex has the sign of its state, which the
     # probe's JVP check (_VertexWork._probe_agrees) relies on.
     now = orc.signature_from_values(o, vals)
     for side, state in zip(now.states, v.signature.states):
         if np.any((side != 0) & (side != state)):
-            raise DegenerateVertex("a surface off the vertex lies outside its region")
+            raise ValidationFailure("a surface off the vertex lies outside its region")
     masks = orc.region_masks(v.signature)
     if len(masks) != len(v.masks) or not all(map(np.array_equal, masks, v.masks)):
-        raise DegenerateVertex("carried region masks differ from a recomputation")
+        raise ValidationFailure("carried region masks differ from a recomputation")
     fresh = {
         "constraint values": (flat, v.flat),
         "loss": (vals.loss, v.loss),
@@ -841,7 +810,7 @@ def _validate_vertex(o, v):
     }
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):
-            raise DegenerateVertex(f"carried {name} differ from a recomputation")
+            raise ValidationFailure(f"carried {name} differ from a recomputation")
 
 
 # --- degenerate vertices ---------------------------------------------------

@@ -8,9 +8,9 @@ matrix and the per-sample gradient rows) are checked against a
 recomputation from scratch. Each line holds the instance (widths, N,
 seed) and either the walk's status, iteration count, final loss and the
 sha256 of its points and losses, or the type of the error it raised. A
-failed check raises DegenerateVertex, from which minimize restarts, so
-the line of a walk with one holds "error": "validation: <message>"
-whatever its outcome. Two versions of the solver walk the same paths
+failed check raises ValidationFailure, from which minimize does not
+restart, so the line of a walk with one holds "error":
+"ValidationFailure". Two versions of the solver walk the same paths
 exactly when their outputs are identical:
 
     PYTHONPATH=src python tests/corpus_walks.py > walks.jsonl
@@ -29,8 +29,6 @@ import json  # noqa: E402
 import numpy as np  # noqa: E402
 
 from conftest import quantized_instance  # noqa: E402
-from vertexwalk import solver  # noqa: E402
-from vertexwalk.errors import DegenerateVertex  # noqa: E402
 from vertexwalk.solver import SolverLimits, minimize  # noqa: E402
 
 WIDTHS = (
@@ -69,25 +67,10 @@ def walk(widths, n_samples, seed) -> dict:
 
 
 def main() -> None:
-    # The messages of the current walk's failed vertex checks.
-    failed: list[str] = []
-    validate = solver._validate_vertex
-
-    def recorded(o, v):
-        try:
-            validate(o, v)
-        except DegenerateVertex as e:
-            failed.append(str(e))
-            raise
-
-    solver._validate_vertex = recorded
     for widths in WIDTHS:
         for n_samples in SAMPLES:
             for seed in SEEDS:
-                failed.clear()
                 line = walk(widths, n_samples, seed)
-                if failed:
-                    line["error"] = f"validation: {failed[0]}"
                 print(json.dumps(line, sort_keys=True), flush=True)
 
 

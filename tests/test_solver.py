@@ -10,7 +10,12 @@ from numpy.testing import assert_allclose
 from conftest import build_instance, quantized_instance
 from vertexwalk import oracle as orc
 from vertexwalk import solver
-from vertexwalk.errors import DegenerateVertex, MonotonicityViolation, SingularMatrix
+from vertexwalk.errors import (
+    DegenerateVertex,
+    MonotonicityViolation,
+    SingularMatrix,
+    ValidationFailure,
+)
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
 from vertexwalk.oracle import make_oracle
@@ -73,7 +78,7 @@ def priced_sides(work):
     (not probed) into an EdgeCandidate and keyed by (pos, sign)."""
     pos, col = np.nonzero(~np.isnan(work.table))
     return {
-        (p, s): solver.EdgeCandidate(work.v.active[p], s, *work._settle(p, s)[1:])
+        (p, s): solver.EdgeCandidate(work.v.active[p], s, *work._settle(p, s))
         for p, s in zip(pos.tolist(), [(1, -1)[c] for c in col.tolist()])
     }
 
@@ -84,18 +89,25 @@ def selection_key(c):
     return (c.derivative, c.leaving, 0 if c.sign > 0 else 1)
 
 
+def brute_force_order(sides, tau):
+    """(pos, sign) of every descending side, in selection_key's order."""
+    descending = [(key, c) for key, c in sides.items() if c.derivative < -tau]
+    return [key for key, _ in sorted(descending, key=lambda kc: selection_key(kc[1]))]
+
+
 def brute_force_pick(sides, tau):
     """(pos, sign) of the descending side that selection_key puts first."""
-    descending = [(key, c) for key, c in sides.items() if c.derivative < -tau]
-    if not descending:
-        return None
-    return min(descending, key=lambda kc: selection_key(kc[1]))[0]
+    return next(iter(brute_force_order(sides, tau)), None)
+
+
+def table_order(table, leaving, tau):
+    """(pos, sign) of the sides vertex_step tries, in its order."""
+    return [(pos, (1, -1)[col]) for pos, col in solver._descending(table, np.asarray(leaving), tau)]
 
 
 def table_pick(table, leaving, tau):
-    """(pos, sign) that vertex_step's table selection takes."""
-    side = solver._steepest(table, np.asarray(leaving), tau)
-    return None if side is None else (side[0], (1, -1)[side[1]])
+    """(pos, sign) that vertex_step's table selection tries first."""
+    return next(iter(table_order(table, leaving, tau)), None)
 
 
 def table_sides(table, leaving):
@@ -196,17 +208,37 @@ class TestDescendToVertex:
         cut = o.n_samples * o.hidden_total
         for idx in (int(np.flatnonzero(off[:cut])[0]), cut + int(np.flatnonzero(off[cut:])[0])):
             flipped = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
-            with pytest.raises(DegenerateVertex, match="region masks"):
+            with pytest.raises(ValidationFailure, match="region masks"):
                 solver._validate_vertex(o, replace(vertex, masks=orc.region_masks(flipped)))
-        with pytest.raises(DegenerateVertex, match="region masks"):
+        with pytest.raises(ValidationFailure, match="region masks"):
             solver._validate_vertex(o, replace(vertex, masks=vertex.masks[:-1]))
+
+    def test_a_failed_check_ends_the_run(self, monkeypatch):
+        # A fault in the carried masks: a rebuilt residual array is
+        # converted like a hidden mask, so a flipped residual sign reads 0
+        # instead of -1. The check catches it at some pivot of this walk;
+        # a restart from a perturbed start would walk on and converge.
+        masks = _VertexWork._masks
+
+        def hidden_like(work, sig):
+            got = masks(work, sig)
+            if got is work.masks:
+                return got
+            kept = work.masks[-1]
+            residual = got[-1] if got[-1] is kept else (sig.states[-1] > 0).astype(float)
+            return got[:-1] + [residual]
+
+        monkeypatch.setattr(_VertexWork, "_masks", hidden_like)
+        o, p0, rng = quantized_instance((3, 4, 3, 1), 0, 12)
+        with pytest.raises(ValidationFailure, match="region masks"):
+            minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
 
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
         off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
         idx = int(off[0])
         sig = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
-        with pytest.raises(DegenerateVertex, match="outside its region"):
+        with pytest.raises(ValidationFailure, match="outside its region"):
             solver._validate_vertex(o, replace(vertex, signature=sig))
 
 
@@ -411,7 +443,8 @@ class TestVertexStep:
 
 
 class TestSelection:
-    """vertex_step picks from the derivative table in selection_key's order."""
+    """vertex_step tries the descending sides of the derivative table in
+    selection_key's order and takes the first one its probe confirms."""
 
     TAU = 1e-9
 
@@ -435,37 +468,21 @@ class TestSelection:
         self.check(np.array([[nan, -1.0], [-3.0, nan]]), [9, 4], (1, 1))
         self.check(np.array([[nan, nan], [0.0, nan]]), [9, 4], None)
 
-    def test_a_probed_side_whose_derivative_moved(self):
-        table = np.array([[-3.0, 1.0], [-2.0, -2.5], [-2.5, 0.0]])
-        leaving = [11, 3, 8]
-        self.check(table, leaving, (0, 1))
-        table[0, 0] = -2.5  # settled shallower: now tied, and 3 < 8 < 11
-        self.check(table, leaving, (1, -1))
-        table[1, 1] = np.nan  # the probe found no edge
-        self.check(table, leaving, (2, 1))
-        table[2, 0] = -2.5  # settled unchanged, so the pivot takes it
-        self.check(table, leaving, (2, 1))
-
     @settings(max_examples=200)
     @given(
         values=st.lists(
             st.sampled_from([-3.0, -1.0, -1.0, -1e-10, 0.0, 2.0, np.nan]), min_size=2, max_size=16
         ),
         seed=st.integers(0, 2**16),
-        moves=st.lists(st.sampled_from([-3.0, -1.0, 0.0, np.nan]), max_size=4),
     )
-    def test_random_tables_with_ties(self, values, seed, moves):
+    def test_random_tables_with_ties(self, values, seed):
         if len(values) % 2:
             values = values[:-1]
         table = np.array(values).reshape(-1, 2)
         order = np.argsort(SplitMix64(seed).uniform_block(len(table), 0, 1))
         leaving = (3 * order + 1).tolist()
-        for value in moves + [None]:
-            expect = brute_force_pick(table_sides(table, leaving), self.TAU)
-            assert table_pick(table, leaving, self.TAU) == expect
-            if expect is None or value is None:
-                break
-            table[expect[0], (1, -1).index(expect[1])] = value
+        expect = brute_force_order(table_sides(table, leaving), self.TAU)
+        assert table_order(table, leaving, self.TAU) == expect
 
     def test_vertices_match_the_brute_force_pick(self):
         cases = [reference_scale_vertex()]
@@ -475,31 +492,51 @@ class TestSelection:
             work = _VertexWork(o, vertex)
             tau = 1e-9 * (1.0 + abs(work.loss))
             sides = priced_sides(_VertexWork(o, vertex))
-            assert table_pick(work.table, vertex.active, tau) == brute_force_pick(sides, tau)
+            assert table_order(work.table, vertex.active, tau) == brute_force_order(sides, tau)
         assert work.coincident_idx
 
-    def test_vertex_step_takes_the_next_side_when_a_probe_moves_one(self, monkeypatch):
+    def test_vertex_step_takes_the_next_side_when_a_probe_rejects_one(self, monkeypatch):
         o, vertex = reference_scale_vertex()
         tau = 1e-9 * (1.0 + abs(vertex.loss))
         sides = priced_sides(_VertexWork(o, vertex))
-        first = brute_force_pick(sides, tau)
+        first, second = brute_force_order(sides, tau)[:2]
         probed = []
         candidate = _VertexWork.candidate
 
-        def moving(work, pos, sign):
-            c = candidate(work, pos, sign)
+        def rejecting_first(work, pos, sign):
             probed.append((pos, sign))
             if (pos, sign) == first:
-                c = replace(c, derivative=0.0)
-            return c
+                raise DegenerateVertex("rejected")
+            return candidate(work, pos, sign)
 
-        monkeypatch.setattr(_VertexWork, "candidate", moving)
+        monkeypatch.setattr(_VertexWork, "candidate", rejecting_first)
         _, record = vertex_step(o, vertex, SolverLimits())
-        sides[first].derivative = 0.0
-        second = brute_force_pick(sides, tau)
         assert probed == [first, second]
         assert record.leaving == vertex.active[second[0]]
         assert record.derivative == sides[second].derivative
+
+    def test_a_vertex_whose_descending_sides_are_all_rejected_raises(self, monkeypatch):
+        # Only a vertex where no side descends is a minimum: one whose
+        # descending sides the probe all rejects is reported degenerate,
+        # even with no coincident surface for the escape to look at.
+        o, vertex = reference_scale_vertex()
+        toy = convex_regression_toy()
+        minimum, _ = descend_to_vertex(toy, minimize(toy, np.array([0.9, 1.4]))[0])
+        probed = []
+
+        def rejecting(work, pos, sign):
+            probed.append((pos, sign))
+            raise DegenerateVertex("rejected")
+
+        monkeypatch.setattr(_VertexWork, "candidate", rejecting)
+        assert vertex_step(toy, minimum) is None
+        assert probed == []
+        work = _VertexWork(o, vertex)
+        assert not work.coincident_idx
+        with pytest.raises(DegenerateVertex, match="^the probe rejected every descending side$"):
+            vertex_step(o, vertex, SolverLimits(), work)
+        tau = 1e-9 * (1.0 + abs(vertex.loss))
+        assert probed == table_order(work.table, vertex.active, tau)
 
 
 class TestPricingObjects:
@@ -646,15 +683,16 @@ class TestProbe:
         # Both passes are the polish's; the probe's check decided every edge.
         assert calls == {"forward_values": 2 * pivots, "resolve_signature": 0}
 
-    def test_failing_check_falls_back_to_the_changed_region(self, monkeypatch):
+    def test_failing_check_rejects_the_changed_region(self, monkeypatch):
         # The linearized guess left no corpus probe whose region the forward
         # pass changed (0 of 13,950), so this vertex withholds the guess:
         # the coincident surface keeps the vertex's state, which the edge
         # leaves, the check fails, and the fallback's forward pass resolves
-        # the region the guess would have given.
+        # another region, which rejects the side. With the guess, the
+        # same side is confirmed.
         o, p0, rng = quantized_instance((2, 3, 2, 1), 1)
         vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
-        guessed = _VertexWork(o, vertex).candidate(5, -1)
+        _VertexWork(o, vertex).candidate(5, -1)
 
         checks, changes = [], []
         agrees, resolve = _VertexWork._probe_agrees, orc.resolve_signature
@@ -673,12 +711,10 @@ class TestProbe:
         monkeypatch.setattr(_VertexWork, "_coincident_guess", lambda work, sig, d: sig)
         work = _VertexWork(o, vertex)
         assert len(work.coincident_idx) == 1
-        c = work.candidate(5, -1)
+        with pytest.raises(DegenerateVertex, match="^the probe found another entered region$"):
+            work.candidate(5, -1)
         assert checks == [False]
-        assert changes == [True, False]
-        assert c.entered.equals(guessed.entered)
-        assert np.array_equal(c.direction, guessed.direction)
-        assert c.crossing == guessed.crossing
+        assert changes == [True]
 
     def test_probe_resumes_where_the_side_settled(self, monkeypatch):
         o, p0, rng = quantized_instance((2, 3, 2, 1), 2)
