@@ -24,6 +24,7 @@ from .network import Architecture, LayerParams, NetworkParams, TrainingSet, forw
 from .oracle import (
     AffinePiece,
     OracleInstance,
+    Region,
     Signature,
     Tolerances,
     affine_piece,

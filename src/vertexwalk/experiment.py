@@ -399,7 +399,8 @@ def sweep(
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header and numeric rows of a CSV series file with at least one row."""
+    """Header and numeric rows of a CSV series file with at least one row,
+    every value finite."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except OSError as e:
@@ -416,6 +417,8 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
             rows.append([float(v) for v in cells])
         except ValueError:
             raise InvalidConfig(f"{path} line {n}: non-numeric field") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise InvalidConfig(f"{path} line {n}: non-finite field")
     return header, np.array(rows)
 
 
@@ -425,15 +428,24 @@ def load_trajectory_csv(
     """Rebuild a Trajectory from trajectory.csv (plus points.csv when
     available; without it the iterate coordinates are zero placeholders and
     distance-to-final cannot be recomputed). A malformed file raises
-    InvalidConfig."""
+    InvalidConfig: the iterations must run 0..n-1, the step lengths and
+    active counts be non-negative, the counts integers, and the phases 1s
+    followed by 2s."""
     header, data = _read_table(traj_path)
     expect = ["iteration", "loss", "step_length", "active_count", "phase"]
     if header != expect:
         raise InvalidConfig(f"unexpected trajectory header {header}")
-    losses = data[:, 1]
-    steps = data[:, 2]
-    counts = data[:, 3].astype(int)
-    phase1_len = int(np.sum(data[:, 4] == 1))
+    iterations, losses, steps, counts, phase = data.T
+    if not np.array_equal(iterations, np.arange(len(data))):
+        raise InvalidConfig(f"{traj_path}: iterations are not 0..{len(data) - 1}")
+    if np.any(steps < 0):
+        raise InvalidConfig(f"{traj_path}: negative step length")
+    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        raise InvalidConfig(f"{traj_path}: active counts must be non-negative integers")
+    if not (np.all((phase == 1) | (phase == 2)) and np.all(np.diff(phase) >= 0)):
+        raise InvalidConfig(f"{traj_path}: phases must be 1s followed by 2s")
+    counts = counts.astype(int)
+    phase1_len = int(np.sum(phase == 1))
     points = np.zeros((len(losses), 1))
     if points_path and Path(points_path).exists():
         points = _read_table(points_path)[1][:, 1:]

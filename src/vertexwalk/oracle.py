@@ -111,17 +111,6 @@ class Signature:
         states[array][i, k] = state
         return Signature(tuple(states), self.layout)
 
-    def differing_samples(self, other: "Signature") -> np.ndarray:
-        """Samples with any state that differs from `other`'s, ascending."""
-        # The sample of each differing entry: on narrow rows this beats a
-        # per-row np.any by an order of magnitude.
-        diff = [
-            np.flatnonzero(a != b) // a.shape[1]
-            for a, b in zip(self.states, other.states)
-            if a is not b
-        ]
-        return np.unique(np.concatenate(diff)) if diff else np.empty(0, dtype=np.intp)
-
     def equals(self, other: "Signature") -> bool:
         return len(self.states) == len(other.states) and all(
             map(np.array_equal, self.states, other.states)
@@ -296,13 +285,11 @@ def resolve_signature(
 
 
 def region_masks(sig: Signature) -> list[np.ndarray]:
-    return [region_mask(sig, array) for array in range(len(sig.states))]
-
-
-def region_mask(sig: Signature, array: int) -> np.ndarray:
-    """The float mask of one state array of sig (see region_masks)."""
-    a = sig.states[array]
-    return a.astype(float) if array == sig.layout.depth else (a > 0).astype(float)
+    depth = sig.layout.depth
+    return [
+        a.astype(float) if array == depth else (a > 0).astype(float)
+        for array, a in enumerate(sig.states)
+    ]
 
 
 def _backcumulate(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
@@ -341,6 +328,56 @@ def gradient_from_rows(o: OracleInstance, rows: np.ndarray) -> np.ndarray:
 def region_gradient(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     """Loss gradient on the region: sum_{i,j} (-sigma_ij) d f_ij / dp."""
     return gradient_from_rows(o, sample_gradient_rows(o, masks))
+
+
+@dataclass(frozen=True, eq=False)
+class Region:
+    """A full-dimensional region: its signature, its masks (region_masks)
+    and its per-sample gradient rows (sample_gradient_rows).
+
+    A region derived by with_state from another keeps that region's mask
+    arrays, except the ones it changes, and its rows as `base_rows`;
+    `changed` lists, ascending, the samples whose states may differ from
+    the ones base_rows were computed for. The rows are built on first use,
+    recomputing only those samples' rows, which equal the same rows
+    computed over all samples bit for bit. Masks are never written in place.
+    """
+
+    o: OracleInstance = field(repr=False)
+    signature: Signature
+    masks: tuple[np.ndarray, ...] = field(repr=False)
+    base_rows: np.ndarray = field(repr=False)
+    changed: tuple[int, ...] = ()
+
+    def with_state(self, idx: int, state: int) -> "Region":
+        """The region with surface idx set to `state`; only the state array
+        and mask that hold it are copied."""
+        array, i, k = self.signature.layout.locate(idx)
+        masks = list(self.masks)
+        masks[array] = masks[array].copy()
+        masks[array][i, k] = state if array == self.signature.layout.depth else state > 0
+        changed = self.changed if i in self.changed else tuple(sorted((*self.changed, i)))
+        sig = self.signature.with_state(idx, state)
+        return Region(self.o, sig, tuple(masks), self.base_rows, changed)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        if not self.changed:
+            return self.base_rows
+        changed = list(self.changed)
+        rows = self.base_rows.copy()
+        rows[changed] = sample_gradient_rows(self.o, [m[changed] for m in self.masks])
+        return rows
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return gradient_from_rows(self.o, self.rows)
+
+
+def make_region(o: OracleInstance, sig: Signature) -> Region:
+    """The region with signature sig, built from scratch."""
+    masks = tuple(region_masks(sig))
+    return Region(o, sig, masks, sample_gradient_rows(o, masks))
 
 
 def release_corrections(

@@ -49,28 +49,29 @@ until no surface outside it can beat or tie with the best step, so the
 answer is the full scan's, bit for bit.
 
 A pivot carries what it leaves unchanged. VertexState holds the vertex's
-constraint values (from the polish) and the region masks and per-sample
-gradient rows of its region; the next vertex takes the entered region's
-masks the probe built, an entered region rebuilds only the masks of the
-state arrays it changed, entered regions and the next vertex recompute
-only the rows of samples whose states differ, and every normal matrix of
-a region, for a re-solve as for the next vertex (_VertexWork.normals),
-recomputes only the columns of those samples and the entering column.
-Both phases build a vertex in _new_vertex. The polish reads the active
-values of its two forward passes directly and flattens only the kept
-point's, so these are the pivot's only forward passes. The normal matrix
-is still refactorized from scratch at every pivot; at the problem sizes
-this package targets, robustness is worth far more than the saved cubic
-term. With validate=True every carried array is checked against a
+constraint values (from the polish) and its region (oracle.Region: the
+signature, masks and per-sample gradient rows). An entered region is the
+vertex's with a few states set (Region.with_state): it copies only the
+masks it changes, records the samples it touches, and builds its rows on
+first use, recomputing only theirs. Every normal matrix of an entered
+region, for a re-solve as for the next vertex (_VertexWork.normals),
+recomputes only the columns of those samples and the entering column. The
+next vertex takes the entered region the probe confirmed. Both phases
+build a vertex in _new_vertex. The polish reads the active values of its
+two forward passes directly and flattens only the kept point's, so these
+are the pivot's only forward passes. The normal matrix is still
+refactorized from scratch at every pivot; at the problem sizes this
+package targets, robustness is worth far more than the saved cubic term.
+With validate=True every carried array is checked against a
 recomputation from scratch, and every surface off the vertex against the
 side its state gives it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -95,7 +96,7 @@ from .linalg import (
     rank_extends,
     solve,
 )
-from .oracle import OracleInstance, Signature
+from .oracle import OracleInstance, Region, Signature
 from .prng import SplitMix64
 
 _RESTART_SEED = 0x7E57ED5EED
@@ -123,29 +124,26 @@ class SolverLimits:
 @dataclass
 class VertexState:
     """A vertex: point, the flat indices of its D active constraints, their
-    normals (columns), the reference signature of a full-dimensional
-    region adjacent to it, every constraint value at the point (flat
-    order), the loss there, and the region masks (oracle.region_masks: the
-    hidden masks, then the residual signs) and per-sample gradient rows
-    (oracle.sample_gradient_rows) of the reference region."""
+    normals (columns) in `region`, the reference region (a full-dimensional
+    region adjacent to the vertex, with its signature, masks and gradient
+    rows), every constraint value at the point (flat order) and the loss
+    there."""
 
     point: np.ndarray
     active: list[int]
     normals: np.ndarray
-    signature: Signature
+    region: Region
     factorization: Factorization
     flat: np.ndarray
     loss: float
-    masks: list[np.ndarray]
-    rows: np.ndarray
 
 
 @dataclass
 class EdgeCandidate:
     """One settled release side: release `leaving` (a flat constraint
-    index) to side `sign` and move along `direction` into the region with
-    signature `entered` (which gives `leaving` the state `sign`), whose
-    loss derivative along it is `derivative`. Sides are ranked in the
+    index) to side `sign` and move along `direction` into the region
+    `entered` (which gives `leaving` the state `sign`), whose loss
+    derivative along it is `derivative`. Sides are ranked in the
     derivative table of _VertexWork; this object is built only for a side
     that is probed. `crossing` holds the (step, flat index) of the first
     surface the edge hits, or None when it hits none.
@@ -154,7 +152,7 @@ class EdgeCandidate:
     leaving: int
     sign: int
     direction: np.ndarray
-    entered: Signature = field(repr=False)
+    entered: Region = field(repr=False)
     derivative: float
     crossing: tuple[float, int] | None = None
 
@@ -238,9 +236,8 @@ def descend_to_vertex(
         sig = orc.signature_from_values(o, vals)
         tries += 1
 
-    masks = orc.region_masks(sig)
-    rows = orc.sample_gradient_rows(o, masks)
-    g = orc.gradient_from_rows(o, rows)
+    region = orc.make_region(o, sig)
+    g = region.gradient
     # Crossings are judged against the starting region's states, so a
     # surface left at zero by a tied hit is hit at step 0 the moment a
     # direction would take it across, instead of being crossed unseen.
@@ -273,7 +270,7 @@ def descend_to_vertex(
         pnorm = float(np.linalg.norm(proj))
         if pnorm > tau:
             d = proj / pnorm
-            dvals = orc.constraint_jvp_flat(o, masks, d)
+            dvals = orc.constraint_jvp_flat(o, region.masks, d)
             crossing, _ = orc._ratio_from_arrays(flat, dvals, screen)
             if crossing is None:
                 raise UnboundedEdge("strictly descending ray crossed no surface in phase 1")
@@ -290,7 +287,7 @@ def descend_to_vertex(
                 if deriv > tau:
                     break
                 cand = s * basis[:, j]
-                dvals = orc.constraint_jvp_flat(o, masks, cand)
+                dvals = orc.constraint_jvp_flat(o, region.masks, cand)
                 crossing, _ = orc._ratio_from_arrays(flat, dvals, screen)
                 if crossing is not None:
                     d = cand
@@ -302,7 +299,7 @@ def descend_to_vertex(
 
         t, hit = crossing
         p = p + t * d
-        nhit = orc.constraint_normal(o, masks, hit)
+        nhit = orc.constraint_normal(o, region.masks, hit)
         if limits.validate and not rank_extends(normal_cols, nhit):
             raise DegenerateVertex("hit constraint normal did not extend the basis")
         active.append(hit)
@@ -313,16 +310,16 @@ def descend_to_vertex(
 
     located = o.layout.locate_many(active)
     normals = np.column_stack(normal_cols)
-    vertex = _new_vertex(o, p, active, located, normals, sig, masks, rows, limits, vals)
+    vertex = _new_vertex(o, p, active, located, normals, region, limits, vals)
     records[-1] = (vertex.point.copy(), vertex.loss, len(active))
     return vertex, records
 
 
-def _new_vertex(o, p, active, located, normals, sig, masks, rows, limits, vals=None):
+def _new_vertex(o, p, active, located, normals, region, limits, vals=None):
     """The vertex of the surfaces `active` (their rows `located` and normal
-    matrix `normals`) near p, in the region with signature sig, masks and
-    gradient rows: the matrix is factorized, p polished (vals: the values at
-    p, when known) and, with limits.validate, the vertex checked."""
+    matrix `normals`) near p, in `region`: the matrix is factorized, p
+    polished (vals: the values at p, when known) and, with limits.validate,
+    the vertex checked."""
     try:
         fact = factorize(normals)
     except SingularMatrix as e:
@@ -332,12 +329,10 @@ def _new_vertex(o, p, active, located, normals, sig, masks, rows, limits, vals=N
         point=p,
         active=active,
         normals=normals,
-        signature=sig,
+        region=region,
         factorization=fact,
         flat=flat,
         loss=loss,
-        masks=masks,
-        rows=rows,
     )
     if limits.validate:
         _validate_vertex(o, vertex)
@@ -390,8 +385,6 @@ class _VertexWork:
         self.v = v
         self.flat = v.flat
         self.loss = v.loss
-        self.masks = v.masks
-        self.g = orc.gradient_from_rows(o, v.rows)
         self.pnorm = float(np.linalg.norm(v.point))
         # (state array, sample, unit) rows of the active surfaces.
         self.located = o.layout.locate_many(v.active)
@@ -419,66 +412,25 @@ class _VertexWork:
             [self.located, o.layout.locate_many(self.coincident_idx)]
         )
         self.excluded_flat = self.flat[self.excluded_idx]
-        # (direction, entered signature, derivative) of each side settled
-        # by _settle.
+        # (direction, entered region, derivative) of each side settled by
+        # _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
-        self._last_masks: tuple[Signature, list[np.ndarray]] | None = None
-        self._last_rows: tuple[Signature, np.ndarray, np.ndarray] | None = None
-
-    def _masks(self, sig: Signature) -> list[np.ndarray]:
-        """Region masks of sig; the last result is kept for the pivot.
-        A state array sig shares with the vertex's signature (with_state
-        shares the arrays it leaves unchanged) keeps the vertex's mask;
-        masks are never written in place."""
-        if sig is self.v.signature:
-            return self.masks
-        if self._last_masks is None or self._last_masks[0] is not sig:
-            masks = [
-                m if a is b else orc.region_mask(sig, l)
-                for l, (a, b, m) in enumerate(zip(sig.states, self.v.signature.states, self.masks))
-            ]
-            self._last_masks = (sig, masks)
-        return self._last_masks[1]
-
-    def entered_rows(self, sig: Signature) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample gradient rows of the region with signature sig, and the
-        samples whose states differ from the vertex's: the rows are the
-        vertex's with those samples' rows recomputed. The last result is
-        kept for the pivot that follows."""
-        if self._last_rows is not None and self._last_rows[0] is sig:
-            return self._last_rows[1:]
-        rows = self.v.rows
-        changed = sig.differing_samples(self.v.signature)
-        if changed.size:
-            rows = rows.copy()
-            rows[changed] = orc.sample_gradient_rows(
-                self.o, [m[changed] for m in self._masks(sig)]
-            )
-        self._last_rows = (sig, rows, changed)
-        return rows, changed
 
     def normals(
-        self, sig: Signature, active: list[int], entering: int | None = None
+        self, region: Region, active: list[int], entering: int | None = None
     ) -> np.ndarray:
-        """Normal matrix of the surfaces `active` in the region with
-        signature sig: the vertex's, with the columns of samples whose
-        states differ in sig (entered_rows) and column `entering` (a new
-        surface) recomputed. A normal depends on its own sample's states
-        alone, so a kept column equals its recomputation bit for bit."""
-        _, changed = self.entered_rows(sig)
-        redo = (self.located[:, 1, None] == changed).any(axis=1)
+        """Normal matrix of the surfaces `active` in `region`, one derived
+        from the vertex's by with_state: the vertex's, with the columns of
+        region.changed's samples and column `entering` (a new surface)
+        recomputed. A normal depends on its own sample's states alone, so a
+        kept column equals its recomputation bit for bit."""
+        redo = (self.located[:, 1, None] == np.array(region.changed, dtype=np.intp)).any(axis=1)
         if entering is not None:
             redo[entering] = True
         cols = self.v.normals.copy()
         for q in np.flatnonzero(redo).tolist():
-            cols[:, q] = orc.constraint_normal(self.o, self._masks(sig), active[q])
+            cols[:, q] = orc.constraint_normal(self.o, region.masks, active[q])
         return cols
-
-    def _derivative(self, sig: Signature, d: np.ndarray) -> float:
-        """Loss derivative along d in the region with signature sig."""
-        rows, _ = self.entered_rows(sig)
-        g = self.g if rows is self.v.rows else orc.gradient_from_rows(self.o, rows)
-        return float(g @ d)
 
     def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray | None:
         """Unnormalized direction that releases active[pos] to the side its
@@ -495,7 +447,7 @@ class _VertexWork:
         """
         array, i, k = self.located[pos].tolist()
         affected = self.affected[pos]
-        rows = [m[i] for m in self.masks]
+        rows = [m[i] for m in self.v.region.masks]
         rows[array] = rows[array].copy()
         rows[array][k] = 1.0 - rows[array][k]
         new = np.column_stack(
@@ -524,7 +476,7 @@ class _VertexWork:
         sample's loss term changes, which release_corrections supplies for
         all positions at once from the carried rows. A flipped side whose
         entered normals collapse has no edge and is NaN."""
-        o, v = self.o, self.v
+        o, v, region = self.o, self.v, self.v.region
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
         flip_units = units.copy()
@@ -535,12 +487,12 @@ class _VertexWork:
                 collapsed.append(pos)
             else:
                 flip_units[:, pos] = d / np.linalg.norm(d)
-        slopes = self.g @ units
-        flipped = self.g @ flip_units + orc.release_corrections(
-            o, self.masks, v.rows, self.located, flip_units
+        slopes = region.gradient @ units
+        flipped = region.gradient @ flip_units + orc.release_corrections(
+            o, region.masks, region.rows, self.located, flip_units
         )
         flipped[collapsed] = np.nan
-        ref = _gather(v.signature.states, self.located)
+        ref = _gather(region.signature.states, self.located)
         on_ref = ref > 0
         table = np.empty((len(ref), 2))
         table[:, 0] = np.where(on_ref, slopes, flipped)
@@ -564,10 +516,10 @@ class _VertexWork:
                     table[pos, col] = np.nan
         return table
 
-    def _settled_direction(self, pos: int, sign: int, sig: Signature) -> np.ndarray:
+    def _settled_direction(self, pos: int, sign: int, region: Region) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
-        of the region with signature sig."""
-        cols = self.normals(sig, self.v.active)
+        of `region`."""
+        cols = self.normals(region, self.v.active)
         rhs = np.zeros(self.o.dim)
         rhs[pos] = float(sign)
         try:
@@ -579,8 +531,8 @@ class _VertexWork:
             raise DegenerateVertex("edge solve produced a degenerate direction")
         return d / nd
 
-    def _coincident_guess(self, sig: Signature, d: np.ndarray) -> Signature:
-        """sig with every coincident surface set to the side d moves into.
+    def _coincident_guess(self, region: Region, d: np.ndarray) -> Region:
+        """region with every coincident surface set to the side d moves into.
 
         Surfaces through the vertex are crossed at step zero, so the entered
         region lies on the side the direction moves into. This linearized
@@ -588,20 +540,20 @@ class _VertexWork:
         bend at the vertex, so the probe confirms the region or rejects the
         side.
         """
-        dvals = orc.constraint_jvp_flat(self.o, self._masks(sig), d)
+        dvals = orc.constraint_jvp_flat(self.o, region.masks, d)
         floor = 1e-12 * float(np.max(np.abs(dvals)))
         for idx in self.coincident_idx:
             dv = float(dvals[idx])
             if abs(dv) > floor:
                 state = 1 if dv > 0 else -1
-                if sig.state_of(idx) != state:
-                    sig = sig.with_state(idx, state)
-        return sig
+                if region.signature.state_of(idx) != state:
+                    region = region.with_state(idx, state)
+        return region
 
     def _settle(self, pos: int, sign: int) -> tuple:
         """The batch side that releases active[pos] to `sign`, with the
         coincident surfaces' states set by the linearized guess until it
-        holds: (direction, entered signature, derivative). Only a guess
+        holds: (direction, entered region, derivative). Only a guess
         that changes the entered region solves the direction again
         (_settled_direction); otherwise the side keeps the batch's
         direction and derivative. Each side is settled once per vertex."""
@@ -615,38 +567,38 @@ class _VertexWork:
         deriv = float(table[pos, _SIGNS.index(sign)])
         if np.isnan(deriv):
             raise DegenerateVertex("edge solve hit dependent normals")
-        sig = self.v.signature
+        region = self.v.region
         if sign == ref[pos]:
             d = sign * units[:, pos]
         else:
             d = sign * flip_units[:, pos]
-            sig = sig.with_state(self.v.active[pos], sign)
+            region = region.with_state(self.v.active[pos], sign)
         for round_ in range(_STABILIZE_ROUNDS):
             if round_:
-                d, deriv = self._settled_direction(pos, sign, sig), None
+                d, deriv = self._settled_direction(pos, sign, region), None
             if self.coincident_idx:
-                guessed = self._coincident_guess(sig, d)
-                if guessed is not sig:
-                    sig = guessed
+                guessed = self._coincident_guess(region, d)
+                if guessed is not region:
+                    region = guessed
                     continue
             if deriv is None:
-                deriv = self._derivative(sig, d)
-            return d, sig, deriv
+                deriv = float(region.gradient @ d)
+            return d, region, deriv
         raise DegenerateVertex("entered-region signature failed to stabilize")
 
     def candidate(self, pos: int, sign: int) -> EdgeCandidate:
         """Settle and probe the batch side that releases active[pos] to `sign`.
 
         The side is settled once per vertex (_settle). Its entered
-        signature is then confirmed at a point just inside the edge, and
+        region is then confirmed at a point just inside the edge, and
         the probe's ratio test gives the edge's first crossing. The probe
         point's region is read from the edge's JVP (_probe_agrees); only
         when that check fails does a forward pass resolve it. A probe that
         finds another region rejects the side with DegenerateVertex.
         """
-        d, sig, deriv = self._settle(pos, sign)
-        o, v = self.o, self.v
-        dvals = orc.constraint_jvp_flat(o, self._masks(sig), d)
+        d, region, deriv = self._settle(pos, sign)
+        o, v, sig = self.o, self.v, region.signature
+        dvals = orc.constraint_jvp_flat(o, region.masks, d)
         crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.screen)
         eps = _PROBE * (1.0 + self.pnorm)
         if crossing is not None:
@@ -658,7 +610,7 @@ class _VertexWork:
             vals = orc.forward_values(o, v.point + eps * d)
             if not orc.resolve_signature(o, vals, fallback=sig).equals(sig):
                 raise DegenerateVertex("the probe found another entered region")
-        return EdgeCandidate(v.active[pos], sign, d, sig, deriv, crossing)
+        return EdgeCandidate(v.active[pos], sign, d, region, deriv, crossing)
 
     def _probe_agrees(
         self, sig: Signature, dvals: np.ndarray, eps: float, floor: float
@@ -756,11 +708,12 @@ def vertex_step(
     active_new[chosen_pos] = hit
     located_new = work.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
-    # The entered region's masks are the ones the probe built.
     normals = work.normals(entered, active_new, chosen_pos)
-    rows, _ = work.entered_rows(entered)
-    masks = work._masks(entered)
-    v_new = _new_vertex(o, p_new, active_new, located_new, normals, entered, masks, rows, limits)
+    # The new vertex's region is the entered one, re-rooted: its rows are
+    # its base and no sample counts as changed, so the rows of the vertex
+    # it leaves are not kept alive.
+    region = Region(o, entered.signature, entered.masks, entered.rows)
+    v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, limits)
     if v_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
             f"loss rose from {work.loss!r} to {v_new.loss!r} in one pivot"
@@ -793,11 +746,12 @@ def _validate_vertex(o, v):
     # Every surface off the vertex has the sign of its state, which the
     # probe's JVP check (_VertexWork._probe_agrees) relies on.
     now = orc.signature_from_values(o, vals)
-    for side, state in zip(now.states, v.signature.states):
+    for side, state in zip(now.states, v.region.signature.states):
         if np.any((side != 0) & (side != state)):
             raise ValidationFailure("a surface off the vertex lies outside its region")
-    masks = orc.region_masks(v.signature)
-    if len(masks) != len(v.masks) or not all(map(np.array_equal, masks, v.masks)):
+    region = orc.make_region(o, v.region.signature)
+    masks = region.masks
+    if len(masks) != len(v.region.masks) or not all(map(np.array_equal, masks, v.region.masks)):
         raise ValidationFailure("carried region masks differ from a recomputation")
     fresh = {
         "constraint values": (flat, v.flat),
@@ -806,7 +760,7 @@ def _validate_vertex(o, v):
             np.column_stack([orc.constraint_normal(o, masks, idx) for idx in v.active]),
             v.normals,
         ),
-        "gradient rows": (orc.sample_gradient_rows(o, masks), v.rows),
+        "gradient rows": (region.rows, v.region.rows),
     }
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):
@@ -821,10 +775,14 @@ def _validate_vertex(o, v):
 # active set alone are then incomplete: the true edge fan belongs to every
 # D-subset of the coincident surfaces. When the walk stalls at such a
 # vertex, minimality is verified by direction sampling, and on failure the
-# walk swaps coincident surfaces into the active set until an exchanged set
-# has a descending edge. An exchange does not move the point; the escape
-# step along that edge is an ordinary probed pivot, whose step the probe
-# keeps above 1e-12 (1 + |p|).
+# walk tries, in one pass, the active sets that swap one coincident surface
+# in for one active surface, and takes the first one with a descending edge.
+# A coincident surface is never active, so no two of these sets are equal.
+# An exchange does not move the point; the escape step along that edge is an
+# ordinary probed pivot, whose step the probe keeps above 1e-12 (1 + |p|).
+# An exchanged set whose pivot raises DegenerateVertex (say, the probe
+# rejects every descending side) is passed over like one without a
+# descending edge.
 
 
 def _sampled_descent(o, p, radius, directions, rng) -> bool:
@@ -836,32 +794,27 @@ def _sampled_descent(o, p, radius, directions, rng) -> bool:
     return False
 
 
-def _swapped_states(o, v, coincident, seen):
-    masks = orc.region_masks(v.signature)
+def _swapped_states(o, v, coincident):
     for idx in coincident:
-        col = orc.constraint_normal(o, masks, idx)
+        col = orc.constraint_normal(o, v.region.masks, idx)
         for pos in range(len(v.active)):
             new_active = list(v.active)
             new_active[pos] = idx
-            key = frozenset(new_active)
-            if key in seen:
-                continue
             cols = v.normals.copy()
             cols[:, pos] = col
             try:
                 fact = factorize(cols)
             except SingularMatrix:
                 continue
-            seen.add(key)
             yield replace(v, active=new_active, normals=cols, factorization=fact)
 
 
 def _escape_if_degenerate(work, limits, rng):
     """Called when no active edge of work's vertex descends. Returns a step
-    escaping the vertex through an exchanged active set, or None when the
-    vertex passes the sampled local-minimality check (or shows no
-    degeneracy at all: no coincident surface and no side left out of the
-    derivative table that vertex_step has just ranked)."""
+    escaping the vertex through one of the first 64 exchanged active sets,
+    or None when the vertex passes the sampled local-minimality check (or
+    shows no degeneracy at all: no coincident surface and no side left out
+    of the derivative table that vertex_step has just ranked)."""
     o, v = work.o, work.v
     coincident = work.coincident_idx
     if not coincident and not np.isnan(work.table).any():
@@ -869,17 +822,13 @@ def _escape_if_degenerate(work, limits, rng):
     radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
     if not _sampled_descent(o, v.point, radius, 200, rng):
         return None
-    seen = {frozenset(v.active)}
-    queue = deque(_swapped_states(o, v, coincident, seen))
-    budget = 64
-    while queue and budget > 0:
-        state = queue.popleft()
-        budget -= 1
-        outcome = vertex_step(o, state, limits)
+    for state in islice(_swapped_states(o, v, coincident), 64):
+        try:
+            outcome = vertex_step(o, state, limits)
+        except DegenerateVertex:
+            continue
         if outcome is not None:
             return outcome
-        if len(seen) < 512:
-            queue.extend(_swapped_states(o, state, coincident, seen))
     raise DegenerateVertex(
         "sampled descent exists at a degenerate vertex but no exchanged "
         "active set produced a descending edge"

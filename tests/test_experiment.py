@@ -22,6 +22,8 @@ from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import Trajectory
 
 TOY = dict(widths=(1, 1, 1), samples=5, max_iterations=500)
+TRAJ_HEADER = "iteration,loss,step_length,active_count,phase\n"
+TRAJ_ROWS = "0,3.5,0.0,0,1\n1,3.0,0.5,1,1\n2,2.0,0.5,2,2\n"
 
 SUMMARY_KEYS = {
     "final_loss",
@@ -347,14 +349,40 @@ class TestAnalyze:
         a = (tmp_path / "seven" / "step_length_mean7.csv").read_bytes()
         assert (tmp_path / "re" / "step_length_mean7.csv").read_bytes() == a
 
+    def test_wellformed_rows_load(self, tmp_path):
+        # The malformed cases below each change one field of these rows.
+        path = tmp_path / "trajectory.csv"
+        path.write_text(TRAJ_HEADER + TRAJ_ROWS)
+        traj = load_trajectory_csv(path)
+        assert traj.phase1_len == 2
+        assert traj.active_counts.tolist() == [0, 1, 2]
+
     @pytest.mark.parametrize(
         "text",
         [
-            "iteration,loss,step_length,active_count,phase\n",
-            "iteration,loss,step_length,active_count,phase\n0,3.5,0.0,0,1\n1,2.0,0.5\n",
-            "iteration,loss,step_length,active_count,phase\n0,3.5,0.0,0,x\n",
+            TRAJ_HEADER,
+            TRAJ_HEADER + "0,3.5,0.0,0,1\n1,2.0,0.5\n",
+            TRAJ_HEADER + "0,3.5,0.0,0,x\n",
+            TRAJ_HEADER + TRAJ_ROWS.replace("2,2.0,", "2,nan,"),
+            TRAJ_HEADER + TRAJ_ROWS.replace("2,2.0,", "2,inf,"),
+            TRAJ_HEADER + TRAJ_ROWS + "3,1.5,0.5,2,1\n",
+            TRAJ_HEADER + TRAJ_ROWS.replace(",2,2\n", ",2,3\n"),
+            TRAJ_HEADER + TRAJ_ROWS.replace(",2,2\n", ",2.5,2\n"),
+            TRAJ_HEADER + TRAJ_ROWS.replace("2,2.0,0.5,", "2,2.0,-1,"),
+            TRAJ_HEADER + "".join("0" + row[1:] + "\n" for row in TRAJ_ROWS.splitlines()),
         ],
-        ids=["header_only", "short_row", "non_numeric"],
+        ids=[
+            "header_only",
+            "short_row",
+            "non_numeric",
+            "nan_loss",
+            "inf_loss",
+            "phase_1_after_2",
+            "phase_3",
+            "fractional_count",
+            "negative_step",
+            "zero_iterations",
+        ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, text):
         path = tmp_path / "trajectory.csv"
@@ -365,6 +393,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_points_rejected(self, tmp_path):
+        run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
+        points = tmp_path / "orig" / "points.csv"
+        lines = points.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+        points.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re")
 
     def test_points_row_count_must_match(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")

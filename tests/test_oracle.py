@@ -9,7 +9,6 @@ from vertexwalk.errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeM
 from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward_batch, l1_loss
 from vertexwalk.oracle import (
     RatioScreen,
-    Signature,
     affine_piece,
     constraint_eval,
     _full_scan,
@@ -19,6 +18,7 @@ from vertexwalk.oracle import (
     forward_values,
     gradient_from_rows,
     make_oracle,
+    make_region,
     network_params,
     ratio_test,
     release_corrections,
@@ -141,41 +141,59 @@ class TestRegionSignature:
                 clear = np.abs(z) > o.tol.act
                 assert np.array_equal(states[clear], np.sign(z[clear]).astype(np.int8))
 
-    def test_differing_samples_match_the_per_row_definition(self):
-        def per_row(a_sig, b_sig):
-            diff = np.zeros(a_sig.states[-1].shape[0], dtype=bool)
-            for a, b in zip(a_sig.states, b_sig.states):
-                diff |= np.any(a != b, axis=1)
-            return np.flatnonzero(diff)
 
-        # Residual arrays of width 1, as at the paper widths.
-        o, _ = build_instance(17, (3, 4, 2, 1), 40)
-        rng = np.random.default_rng(170)
+# Hidden widths (4, 3) and two outputs, N = 40. The pool holds a few
+# surfaces of three samples in every state array, so that chains flip one
+# surface again and several surfaces of one sample.
+REGION_O, _ = build_instance(17, (3, 4, 3, 2), 40)
+REGION_POOL = [s * 7 + u for s in (0, 5, 39) for u in (0, 4, 6)]
+REGION_POOL += [40 * 7 + 2 * s + j for s in (0, 5) for j in (0, 1)]
 
-        def random_sig():
-            arrays = [rng.integers(-1, 2, size=(40, w)).astype(np.int8) for w in (4, 2, 1)]
-            return Signature(tuple(arrays), o.layout)
 
-        base = random_sig()
-        pairs = [(base, base), (random_sig(), base)]
-        # No difference in copied arrays, and every sample different.
-        copied = Signature(tuple(a.copy() for a in base.states), o.layout)
-        pairs.append((copied, base))
-        hidden_flipped = tuple(-a - (a == 0) for a in base.states[:-1])
-        pairs.append((Signature(hidden_flipped + base.states[-1:], o.layout), base))
-        # A few changed entries, with arrays shared by identity.
-        for frac in (0.01, 0.1, 0.5):
-            sig = base
-            for idx in np.flatnonzero(rng.random(o.n_constraints) < frac).tolist():
-                sig = sig.with_state(idx, -sig.state_of(idx) or 1)
-            pairs.append((sig, base))
-        for a, b in pairs:
-            got = a.differing_samples(b)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, per_row(a, b))
-        assert pairs[0][0].differing_samples(pairs[0][1]).size == 0
-        assert pairs[2][0].differing_samples(pairs[2][1]).size == 0
-        assert pairs[3][0].differing_samples(pairs[3][1]).tolist() == list(range(40))
+class TestRegion:
+    """Region.with_state chains must give the region a from-scratch build
+    gives, while sharing what they leave unchanged."""
+
+    @settings(max_examples=80)
+    @given(
+        flips=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(REGION_POOL), st.integers(0, REGION_O.n_constraints - 1)
+                ),
+                st.sampled_from([-1, 1]),
+            ),
+            max_size=10,
+        )
+    )
+    def test_with_state_chains_match_a_fresh_build(self, flips):
+        o = REGION_O
+        assert o.hidden_total == 7
+        base = make_region(o, region_signature(o, interior_point(o, SplitMix64(170))))
+        region = base
+        for idx, state in flips:
+            region = region.with_state(idx, state)
+        sig = region.signature
+        fresh = make_region(o, sig)
+        assert len(region.masks) == len(fresh.masks)
+        assert all(map(np.array_equal, region.masks, fresh.masks))
+        assert np.array_equal(region.rows, fresh.rows)
+        assert np.array_equal(region.gradient, fresh.gradient)
+        assert np.array_equal(region.gradient, region_gradient(o, region_masks(sig)))
+        # changed is ascending and covers every sample whose states differ.
+        differ = np.zeros(o.n_samples, dtype=bool)
+        for a, b in zip(sig.states, base.signature.states, strict=True):
+            differ |= np.any(a != b, axis=1)
+        assert list(region.changed) == sorted(set(region.changed))
+        assert set(np.flatnonzero(differ).tolist()) <= set(region.changed)
+        touched = {o.layout.locate(idx)[0] for idx, _ in flips}
+        for array in range(len(sig.states)):
+            kept = array not in touched
+            assert (sig.states[array] is base.signature.states[array]) == kept
+            assert (region.masks[array] is base.masks[array]) == kept
+        # Nothing was written in place.
+        assert all(map(np.array_equal, base.masks, region_masks(base.signature)))
+        assert np.array_equal(base.rows, sample_gradient_rows(o, region_masks(base.signature)))
 
 
 class TestAffinePiece:
@@ -255,21 +273,17 @@ class TestAffinePiece:
     def test_patched_rows_give_flipped_region_gradient(self, widths, n_samples):
         o, _ = build_instance(14, widths, n_samples)
         rng = SplitMix64(140)
-        sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
-        full = sample_gradient_rows(o, region_masks(sig))
+        region = make_region(o, region_signature(o, rng.uniform_block(o.dim, -5, 5)))
         # One surface in every state array: each hidden layer and the residuals.
         h = o.hidden_total
         sample = int(rng.uniform(0, n_samples))
         idx = [sample * h + o.layer_offset(l) for l in range(1, o.arch.hidden_depth + 1)]
         idx.append(n_samples * h + sample * o.arch.output_dim)
         for i in idx:
-            flipped = sig.with_state(i, -sig.state_of(i))
-            changed = flipped.differing_samples(sig)
-            assert changed.tolist() == [sample]
-            masks = region_masks(flipped)
-            rows = full.copy()
-            rows[changed] = sample_gradient_rows(o, [m[changed] for m in masks])
-            assert np.array_equal(gradient_from_rows(o, rows), region_gradient(o, masks))
+            flipped = region.with_state(i, -region.signature.state_of(i))
+            assert flipped.changed == (sample,)
+            masks = region_masks(flipped.signature)
+            assert np.array_equal(flipped.gradient, region_gradient(o, masks))
 
     def test_gradient_matches_central_differences(self):
         from vertexwalk.bruteforce import fd_gradient

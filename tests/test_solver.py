@@ -70,7 +70,8 @@ def entered_signature(o, vertex, pos, sign, d):
         step /= 2
     else:
         raise AssertionError("every step crosses a surface")
-    return orc.resolve_signature(o, vals, vertex.signature.with_state(vertex.active[pos], sign))
+    fallback = vertex.region.signature.with_state(vertex.active[pos], sign)
+    return orc.resolve_signature(o, vals, fallback)
 
 
 def priced_sides(work):
@@ -198,7 +199,7 @@ class TestDescendToVertex:
         assert any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
         flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
         off = np.abs(flat) > o.tol.act
-        assert np.array_equal(np.sign(flat[off]), orc.states_flat(vertex.signature)[off])
+        assert np.array_equal(np.sign(flat[off]), orc.states_flat(vertex.region.signature)[off])
 
     def test_validate_rejects_stale_carried_masks(self):
         o, vertex = reference_scale_vertex()
@@ -206,29 +207,33 @@ class TestDescendToVertex:
         # A stale hidden state and a stale residual sign: the masks carry both.
         off = np.abs(vertex.flat) > o.tol.act
         cut = o.n_samples * o.hidden_total
+        region = vertex.region
         for idx in (int(np.flatnonzero(off[:cut])[0]), cut + int(np.flatnonzero(off[cut:])[0])):
-            flipped = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
+            flipped = region.signature.with_state(idx, -region.signature.state_of(idx))
+            stale = replace(region, masks=tuple(orc.region_masks(flipped)))
             with pytest.raises(ValidationFailure, match="region masks"):
-                solver._validate_vertex(o, replace(vertex, masks=orc.region_masks(flipped)))
+                solver._validate_vertex(o, replace(vertex, region=stale))
+        short = replace(region, masks=region.masks[:-1])
         with pytest.raises(ValidationFailure, match="region masks"):
-            solver._validate_vertex(o, replace(vertex, masks=vertex.masks[:-1]))
+            solver._validate_vertex(o, replace(vertex, region=short))
 
     def test_a_failed_check_ends_the_run(self, monkeypatch):
-        # A fault in the carried masks: a rebuilt residual array is
-        # converted like a hidden mask, so a flipped residual sign reads 0
-        # instead of -1. The check catches it at some pivot of this walk;
-        # a restart from a perturbed start would walk on and converge.
-        masks = _VertexWork._masks
+        # A fault in the carried masks: with_state rebuilds the residual
+        # mask it copies like a hidden mask, so every residual sign of -1
+        # reads 0. The check catches it at some pivot of this walk; a
+        # restart from a perturbed start would walk on and converge.
+        with_state = orc.Region.with_state
 
-        def hidden_like(work, sig):
-            got = masks(work, sig)
-            if got is work.masks:
-                return got
-            kept = work.masks[-1]
-            residual = got[-1] if got[-1] is kept else (sig.states[-1] > 0).astype(float)
-            return got[:-1] + [residual]
+        def hidden_like(region, idx, state):
+            new = with_state(region, idx, state)
+            array = region.signature.layout.locate(idx)[0]
+            if array < region.signature.layout.depth:
+                return new
+            masks = list(new.masks)
+            masks[array] = (new.signature.states[array] > 0).astype(float)
+            return replace(new, masks=tuple(masks))
 
-        monkeypatch.setattr(_VertexWork, "_masks", hidden_like)
+        monkeypatch.setattr(orc.Region, "with_state", hidden_like)
         o, p0, rng = quantized_instance((3, 4, 3, 1), 0, 12)
         with pytest.raises(ValidationFailure, match="region masks"):
             minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
@@ -237,9 +242,10 @@ class TestDescendToVertex:
         o, vertex = reference_scale_vertex()
         off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
         idx = int(off[0])
-        sig = vertex.signature.with_state(idx, -vertex.signature.state_of(idx))
+        region = vertex.region
+        sig = region.signature.with_state(idx, -region.signature.state_of(idx))
         with pytest.raises(ValidationFailure, match="outside its region"):
-            solver._validate_vertex(o, replace(vertex, signature=sig))
+            solver._validate_vertex(o, replace(vertex, region=replace(region, signature=sig)))
 
 
 class TestEdgeDirections:
@@ -261,7 +267,7 @@ class TestEdgeDirections:
         assert len(cands) <= 2 * o.dim
         for c in cands:
             assert np.linalg.norm(c.direction) == pytest.approx(1.0, abs=1e-12)
-            masks = orc.region_masks(c.entered)
+            masks = orc.region_masks(c.entered.signature)
             pos = vertex.active.index(c.leaving)
             for q, idx in enumerate(vertex.active):
                 normal = orc.constraint_normal(o, masks, idx)
@@ -306,11 +312,11 @@ class TestEdgeDirections:
             edges = priced_sides(work)
             assert len(edges) == 2 * o.dim
             affected_sides += 2 * len(work.affected)
-            tol = 1e-9 * (1.0 + float(np.sum(np.abs(work.g))))
+            tol = 1e-9 * (1.0 + float(np.sum(np.abs(vertex.region.gradient))))
             for (pos, sign), c in edges.items():
                 assert c.leaving == vertex.active[pos] and c.sign == sign
                 entered = entered_signature(o, vertex, pos, sign, c.direction)
-                assert c.entered.equals(entered)
+                assert c.entered.signature.equals(entered)
                 masks = orc.region_masks(entered)
                 assert_allclose(
                     c.direction, edge_solve(o, vertex, masks, pos, sign), rtol=0, atol=1e-12
@@ -340,7 +346,7 @@ class TestEdgeDirections:
                     work._settle(pos, sign)
                 except DegenerateVertex:
                     rejected.add((pos, sign))
-                entered = vertex.signature.with_state(vertex.active[pos], sign)
+                entered = vertex.region.signature.with_state(vertex.active[pos], sign)
                 try:
                     edge_solve(o, vertex, orc.region_masks(entered), pos, sign)
                 except np.linalg.LinAlgError:
@@ -353,7 +359,7 @@ class TestEdgeDirections:
         pos = next(iter(work.affected))
         killed = work.located[work.affected[pos][0]].tolist()
         array, _, k = work.located[pos].tolist()
-        flipped_on = vertex.signature.state_of(vertex.active[pos]) < 0
+        flipped_on = vertex.region.signature.state_of(vertex.active[pos]) < 0
         normal = orc.sample_normal
 
         def killing_normal(o, mask_rows, *at):
@@ -562,29 +568,6 @@ class TestPricingObjects:
         assert len(probes) >= 5
         assert len(built) == len(probes)
 
-    def test_entered_masks_share_the_arrays_they_keep(self):
-        o, p0 = build_instance(36, (2, 3, 2, 1), 10)
-        vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        ref = vertex.signature
-        h = o.hidden_total
-        # One surface of each state array, two of them, and a region whose
-        # arrays are all new (resolve_signature builds every one).
-        first, second, residual = 3 * h, 3 * h + o.layer_offset(2), o.n_samples * h + 3
-
-        def flip(sig, idx):
-            return sig.with_state(idx, -sig.state_of(idx))
-
-        sigs = [flip(ref, first), flip(ref, second), flip(ref, residual)]
-        sigs.append(flip(flip(ref, first), second))
-        sigs.append(orc.resolve_signature(o, orc.forward_values(o, vertex.point), ref))
-        for sig in sigs:
-            work = _VertexWork(o, vertex)
-            masks = work._masks(sig)
-            assert all(map(np.array_equal, masks, orc.region_masks(sig)))
-            for a, b, m, kept in zip(sig.states, ref.states, masks, work.masks, strict=True):
-                assert (m is kept) == (a is b)
-        assert work._masks(ref) is work.masks
-
     def test_affected_lists_the_deeper_surfaces_of_each_sample(self):
         # Reference: the per-pair definition as a loop over the located rows.
         o, p0, rng = quantized_instance((2, 3, 3, 2), 0)
@@ -651,8 +634,9 @@ class TestProbe:
                 if c.crossing is not None:
                     eps = min(eps, 0.5 * c.crossing[0])
                 vals = orc.forward_values(work.o, work.v.point + eps * c.direction)
-                resolved = orc.resolve_signature(work.o, vals, fallback=c.entered)
-                shadowed.append(resolved.equals(c.entered))
+                entered = c.entered.signature
+                resolved = orc.resolve_signature(work.o, vals, fallback=entered)
+                shadowed.append(resolved.equals(entered))
             return c
 
         monkeypatch.setattr(_VertexWork, "_probe_agrees", recording_agrees)
@@ -740,7 +724,7 @@ class TestProbe:
             calls.clear()
             resumed = work.candidate(*key)
             assert calls == [], key
-            assert resumed.entered.equals(fresh.entered), key
+            assert resumed.entered.signature.equals(fresh.entered.signature), key
             assert np.array_equal(resumed.direction, fresh.direction), key
             assert resumed.derivative == fresh.derivative, key
             assert resumed.crossing == fresh.crossing, key
@@ -756,9 +740,9 @@ class TestProbe:
         wrong = []
         normals = _VertexWork.normals
 
-        def checked(work, sig, active, entering=None):
-            cols = normals(work, sig, active, entering)
-            masks = orc.region_masks(sig)
+        def checked(work, region, active, entering=None):
+            cols = normals(work, region, active, entering)
+            masks = orc.region_masks(region.signature)
             want = np.column_stack([orc.constraint_normal(work.o, masks, a) for a in active])
             if not np.array_equal(cols, want):
                 wrong.append((label, entering))
@@ -898,3 +882,44 @@ class TestDegenerateCorpus:
                 assert len(attempts) > 1, label
             else:
                 assert any(escapes), label
+
+    def test_escape_moves_past_an_exchanged_set_that_raises(self, monkeypatch):
+        # At this walk's escape, exchanged sets 16 and 17 both step. When
+        # set 16's pivot raises instead, the escape takes set 17's step.
+        escapes = []
+        escape = solver._escape_if_degenerate
+
+        def recording_escape(work, limits, rng):
+            state = rng.state
+            outcome = escape(work, limits, rng)
+            if outcome is not None:
+                escapes.append((work, limits, state))
+            return outcome
+
+        monkeypatch.setattr(solver, "_escape_if_degenerate", recording_escape)
+        o, p0, rng = quantized_instance((1, 2, 1), 14, 12)
+        minimize(o, p0, SolverLimits(400, validate=True), rng)
+        work, limits, state = escapes[0]
+
+        step = solver.vertex_step
+        exchanged = list(solver._swapped_states(o, work.v, work.coincident_idx))
+        stepping = [q for q, v in enumerate(exchanged) if step(o, v, limits) is not None]
+        assert stepping[:2] == [16, 17]
+        calls = []
+
+        def first_step_raises(o, v, limits=None, work=None):
+            calls.append(v.active)
+            outcome = step(o, v, limits, work)
+            if outcome is not None and len(calls) == stepping[0] + 1:
+                raise DegenerateVertex("rejected")
+            return outcome
+
+        monkeypatch.setattr(solver, "vertex_step", first_step_raises)
+        rng = SplitMix64(0)
+        rng.state = state
+        vertex, record = escape(work, limits, rng)
+        assert [v.active for v in exchanged[: len(calls)]] == calls
+        assert len(calls) == stepping[1] + 1
+        want_vertex, want_record = step(o, exchanged[stepping[1]], limits)
+        assert record == want_record
+        assert np.array_equal(vertex.point, want_vertex.point)
