@@ -250,7 +250,10 @@ def summarize(
     traj: Trajectory, status: str, fit_window: int, r2_threshold: float
 ) -> dict:
     """Summary of one trajectory: final loss, phase boundaries, and the
-    pre-convergence floor estimate made at the exponential-phase midpoint."""
+    pre-convergence floor estimate made at the exponential-phase midpoint.
+    floor_method says which estimate the floor fields hold: "midpoint",
+    "tail" (the fallback over the phase-2 tail, converged loss included)
+    or None when there is none."""
     losses = traj.losses
     summary = {
         "final_loss": float(losses[-1]),
@@ -261,11 +264,13 @@ def summarize(
         "exp_phase_end": None,
         "floor_estimate": None,
         "floor_estimate_error": None,
+        "floor_method": None,
         "decay_ratio": None,
         "r2": None,
         "status": status,
     }
     est = None
+    method = "midpoint"
     try:
         try:
             seg = analysis.segment_phases(traj, fit_window, r2_threshold)
@@ -277,6 +282,7 @@ def summarize(
                 raise TooShort("under 3 phase-2 losses up to the exponential midpoint")
             est = analysis.estimate_loss_floor(traj.losses[: mid + 1], window=window)
         except (NoExponentialPhase, TooShort):
+            method = "tail"
             if len(traj.phase2_losses) >= 3:
                 window = min(len(traj.phase2_losses), 2 * fit_window)
                 est = analysis.estimate_loss_floor(traj.losses, window=window)
@@ -288,6 +294,7 @@ def summarize(
         final = float(traj.losses[-1])
         summary["floor_estimate"] = est.floor
         summary["floor_estimate_error"] = abs(est.floor - final) / max(final, 1e-300)
+        summary["floor_method"] = method
         summary["decay_ratio"] = est.ratio
         summary["r2"] = est.r2
     return summary

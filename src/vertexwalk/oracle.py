@@ -20,6 +20,15 @@ as a (sample, unit) or (sample, output) pair.
 
 Point layout: p.reshape(n_1, n_0+1) puts row k of W_1 in columns 0..n_0-1
 and b_1[k] in the last column.
+
+The O(N H) passes (forward_values, constraint_jvp_flat and the flattening
+into flat constraint order) avoid numpy operations on narrow (N, n_l)
+operands that are broadcast or strided: numpy runs those as one short
+inner loop per sample. So each fixed layer's bias is tiled once per
+instance (OracleInstance.bias_rows) and added in place, and
+ConstraintLayout.flatten copies each hidden array into its columns of the
+flat buffer as one array of per-sample row records. Both give the bits of
+the plain forms.
 """
 
 from __future__ import annotations
@@ -45,13 +54,54 @@ class ConstraintLayout:
 
     The flat order: each sample's hidden units by (layer, unit), sample
     after sample, then the residuals by (sample, output). State array l-1
-    is hidden layer l and array L holds the residuals; tag_index encodes.
+    is hidden layer l and array L holds the residuals; tag_index encodes,
+    and flatten lays one per-sample array per state array out in it.
     """
 
     n_samples: int
     output_dim: int
     depth: int
     neuron_pos: tuple[tuple[int, int], ...]  # (array, unit) of each hidden unit
+
+    def flatten(self, arrays: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:
+        """One per-sample array per state array, all of one dtype, in the
+        state arrays' order, laid out in flat constraint order (the hidden
+        arrays side by side, then the residual block) and copied once into
+        one buffer.
+
+        Each hidden array goes into its columns of the (N, H) block in one
+        copy of per-sample row records: a row of the block is one record of
+        _row_dtype, and field l of it takes the raw bytes of row i of
+        hidden array l. np.concatenate(axis=1) into the block instead runs
+        one inner loop per sample over a few entries. An exact copy, so
+        the bits are the same.
+        """
+        *hidden, last = arrays
+        n = last.shape[0]
+        h = len(self.neuron_pos)
+        out = np.empty(n * h + last.size, dtype=last.dtype)
+        row = self._row_dtype(last.dtype.itemsize)
+        block = out[: n * h].view(row)
+        for name, a in zip(row.names, hidden):
+            block[name] = np.ascontiguousarray(a).view(row[name])[:, 0]
+        out[n * h :] = last.ravel()
+        return out
+
+    def _row_dtype(self, itemsize: int) -> np.dtype:
+        """A row of the (N, H) block, entries `itemsize` bytes wide, as a
+        record with one raw-bytes field per hidden layer. Built once per
+        item size: building it on every call costs more than the copy at
+        N = 500."""
+        row = self._row_dtypes.get(itemsize)
+        if row is None:
+            widths = np.bincount(self._neuron_rows[:, 0]).tolist()
+            row = np.dtype([(f"l{l}", f"V{itemsize * w}") for l, w in enumerate(widths)])
+            self._row_dtypes[itemsize] = row
+        return row
+
+    @cached_property
+    def _row_dtypes(self) -> dict[int, np.dtype]:
+        return {}
 
     def locate(self, idx: int) -> tuple[int, int, int]:
         h = len(self.neuron_pos)
@@ -141,6 +191,9 @@ class OracleInstance:
     """Immutable problem instance: architecture, frozen upper layers, data.
 
     Nothing point-dependent is cached; every query recomputes from p.
+    x_aug is the inputs with a column of ones appended, and bias_rows[m]
+    the bias of fixed layer m + 2 tiled to a C-contiguous (N, n_{m+2})
+    array, so that forward_values adds it in place (see there).
     """
 
     arch: Architecture
@@ -148,6 +201,7 @@ class OracleInstance:
     data: TrainingSet
     tol: Tolerances = field(default_factory=Tolerances)
     x_aug: np.ndarray = field(init=False, repr=False)
+    bias_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     layout: ConstraintLayout = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -171,6 +225,8 @@ class OracleInstance:
         x_aug[:, :-1] = self.data.inputs
         x_aug[:, -1] = 1.0
         object.__setattr__(self, "x_aug", x_aug)
+        rows = tuple(np.tile(layer.bias, (n, 1)) for layer in self.fixed)
+        object.__setattr__(self, "bias_rows", rows)
         pos = tuple((l, k) for l, w in enumerate(self.arch.hidden_widths) for k in range(w))
         layout = ConstraintLayout(n, self.arch.output_dim, depth, pos)
         object.__setattr__(self, "layout", layout)
@@ -227,18 +283,29 @@ def _check_point(o: OracleInstance, p: np.ndarray) -> np.ndarray:
 
 
 def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
-    """Every constraint value at p from one batched forward pass."""
+    """Every constraint value at p from one batched forward pass.
+
+    Each fixed layer's bias is added in place to the product, from the
+    pre-tiled o.bias_rows: a bias broadcast across an (N, n_l) operand with
+    n_l of 2 to 5 runs one inner loop per sample, several times slower than
+    the contiguous add. Every entry gets the same two IEEE operations as
+    (h @ W.T + b), and the targets minus that, so the bits are the same.
+    The products keep their operands as they are: a contiguous copy of
+    W.T is faster but can change the BLAS kernel, and with it the bits.
+    """
     p = _check_point(o, p)
     pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
     z = o.x_aug @ pmat.T
     arrays = [z]
     h = relu(z)
-    for layer in o.fixed[:-1]:
-        z = h @ layer.weight.T + layer.bias
+    for layer, rows in zip(o.fixed[:-1], o.bias_rows):
+        z = h @ layer.weight.T
+        z += rows
         arrays.append(z)
         h = relu(z)
-    out = o.fixed[-1]
-    r = o.data.targets - (h @ out.weight.T + out.bias)
+    r = h @ o.fixed[-1].weight.T
+    r += o.bias_rows[-1]
+    np.subtract(o.data.targets, r, out=r)
     arrays.append(r)
     return ConstraintValues(arrays=tuple(arrays), loss=float(np.sum(np.abs(r))))
 
@@ -487,27 +554,14 @@ def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
     return o.n_samples * o.hidden_total + sample * o.arch.output_dim + unit
 
 
-def _flatten(arrays: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:
-    """One per-sample array per state array, in the state arrays' order,
-    laid out in flat constraint order (the hidden arrays side by side, then
-    the residual block) and copied once into one buffer of the last array's
-    dtype."""
-    *hidden, last = arrays
-    n, h = last.shape[0], sum(a.shape[1] for a in hidden)
-    out = np.empty(n * h + last.size, dtype=last.dtype)
-    np.concatenate(hidden, axis=1, out=out[: n * h].reshape(n, h))
-    out[n * h :] = last.ravel()
-    return out
-
-
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:
     """All constraint values in flat index order."""
-    return _flatten(vals.arrays)
+    return o.layout.flatten(vals.arrays)
 
 
 def states_flat(sig: Signature) -> np.ndarray:
     """Every state of sig in flat index order, as int8."""
-    return _flatten(sig.states)
+    return sig.layout.flatten(sig.states)
 
 
 def constraint_jvp_flat(
@@ -523,7 +577,7 @@ def constraint_jvp_flat(
         pieces.append(dz)
         dh = dz * masks[l - 1]
     pieces.append(-(dh @ o.fixed[-1].weight.T))
-    return _flatten(pieces)
+    return o.layout.flatten(pieces)
 
 
 def ratio_test(

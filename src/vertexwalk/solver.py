@@ -48,7 +48,8 @@ first crossing among the surfaces near zero first, widening the screen
 until no surface outside it can beat or tie with the best step, so the
 answer is the full scan's, bit for bit.
 
-A pivot carries what it leaves unchanged. VertexState holds the vertex's
+A pivot carries what it leaves unchanged. VertexState holds the rows
+(state array, sample, unit) of its active surfaces, the vertex's
 constraint values (from the polish) and its region (oracle.Region: the
 signature, masks and per-sample gradient rows). An entered region is the
 vertex's with a few states set (Region.with_state): it copies only the
@@ -123,14 +124,15 @@ class SolverLimits:
 
 @dataclass
 class VertexState:
-    """A vertex: point, the flat indices of its D active constraints, their
-    normals (columns) in `region`, the reference region (a full-dimensional
-    region adjacent to the vertex, with its signature, masks and gradient
-    rows), every constraint value at the point (flat order) and the loss
-    there."""
+    """A vertex: point, the flat indices of its D active constraints and
+    their (state array, sample, unit) rows (`located`), their normals
+    (columns) in `region`, the reference region (a full-dimensional region
+    adjacent to the vertex, with its signature, masks and gradient rows),
+    every constraint value at the point (flat order) and the loss there."""
 
     point: np.ndarray
     active: list[int]
+    located: np.ndarray
     normals: np.ndarray
     region: Region
     factorization: Factorization
@@ -328,6 +330,7 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None):
     vertex = VertexState(
         point=p,
         active=active,
+        located=located,
         normals=normals,
         region=region,
         factorization=fact,
@@ -386,8 +389,7 @@ class _VertexWork:
         self.flat = v.flat
         self.loss = v.loss
         self.pnorm = float(np.linalg.norm(v.point))
-        # (state array, sample, unit) rows of the active surfaces.
-        self.located = o.layout.locate_many(v.active)
+        self.located = v.located
         # Releasing a hidden unit bends the normals of the active surfaces
         # deeper in the same sample's network; affected[pos] lists them, for
         # each position that has any.
@@ -408,9 +410,11 @@ class _VertexWork:
         excluded[v.active] = True
         self.screen = orc.RatioScreen(self.flat, magnitude, excluded)
         self.excluded_idx = v.active + self.coincident_idx
-        self.excluded_at = np.concatenate(
-            [self.located, o.layout.locate_many(self.coincident_idx)]
-        )
+        self.excluded_at = self.located
+        if self.coincident_idx:
+            self.excluded_at = np.concatenate(
+                [self.located, o.layout.locate_many(self.coincident_idx)]
+            )
         self.excluded_flat = self.flat[self.excluded_idx]
         # (direction, entered region, derivative) of each side settled by
         # _settle.
@@ -736,6 +740,8 @@ def _validate_vertex(o, v):
         raise ValidationFailure(f"active set has {len(v.active)} constraints, expected {o.dim}")
     if len(set(v.active)) != len(v.active):
         raise ValidationFailure("active set contains duplicate constraints")
+    if not np.array_equal(v.located, o.layout.locate_many(v.active)):
+        raise ValidationFailure("carried active rows differ from a recomputation")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
     worst = float(np.max(np.abs(flat[v.active])))
@@ -797,16 +803,21 @@ def _sampled_descent(o, p, radius, directions, rng) -> bool:
 def _swapped_states(o, v, coincident):
     for idx in coincident:
         col = orc.constraint_normal(o, v.region.masks, idx)
+        row = o.layout.locate(idx)
         for pos in range(len(v.active)):
             new_active = list(v.active)
             new_active[pos] = idx
+            located = v.located.copy()
+            located[pos] = row
             cols = v.normals.copy()
             cols[:, pos] = col
             try:
                 fact = factorize(cols)
             except SingularMatrix:
                 continue
-            yield replace(v, active=new_active, normals=cols, factorization=fact)
+            yield replace(
+                v, active=new_active, located=located, normals=cols, factorization=fact
+            )
 
 
 def _escape_if_degenerate(work, limits, rng):

@@ -26,7 +26,7 @@ from vertexwalk.analysis import (
 )
 from vertexwalk.bruteforce import arrangement_walk_2d, fd_gradient, line_scan, local_min_check
 from vertexwalk.errors import NoCrossing, NoExponentialPhase, TooShort
-from vertexwalk.experiment import ExperimentConfig, generate_instance, run
+from vertexwalk.experiment import ExperimentConfig, generate_instance, run, summarize
 from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import minimize
 
@@ -377,6 +377,18 @@ class TestCriterion7TwoPhaseReproduction:
         for line in lines:
             print(line)
         assert ok, f"two-phase reproduction on only {passes}/10 seeds"
+
+    def test_floor_method_names_the_estimate(self, paper_runs):
+        # Seed 6 has an exponential phase, so its floor is estimated at the
+        # phase's midpoint; seed 19 has none and takes the tail fallback.
+        cfg = ExperimentConfig()
+        methods = {
+            seed: summarize(
+                paper_runs[seed], "converged", cfg.fit_window, cfg.r2_threshold
+            )["floor_method"]
+            for seed in (6, 19)
+        }
+        assert methods == {6: "midpoint", 19: "tail"}
 
 
 class TestReferenceTrajectories:

@@ -33,6 +33,7 @@ SUMMARY_KEYS = {
     "exp_phase_end",
     "floor_estimate",
     "floor_estimate_error",
+    "floor_method",
     "decay_ratio",
     "r2",
     "status",
@@ -210,6 +211,8 @@ class TestSummarize:
         tail = estimate_loss_floor(art.trajectory.losses, window=min(phase2, 2 * fit_window))
         assert summary["floor_estimate"] == tail.floor
         assert summary["decay_ratio"] == tail.ratio
+        # The tail estimate includes the converged loss, and says so.
+        assert summary["floor_method"] == "tail"
 
     @pytest.mark.parametrize("tail", [[100.0, 99.0, 98.0], [100.0, 99.0, 98.0, 97.0]])
     def test_short_linear_tail_leaves_floor_unset(self, tail):
@@ -228,7 +231,7 @@ class TestSummarize:
         summary = summarize(traj, "converged", fit_window=50, r2_threshold=0.9)
         assert summary["final_loss"] == tail[-1]
         assert summary["iterations"] == losses.size - 1
-        for key in ("floor_estimate", "floor_estimate_error", "decay_ratio", "r2"):
+        for key in ("floor_estimate", "floor_estimate_error", "floor_method", "decay_ratio", "r2"):
             assert summary[key] is None
 
 

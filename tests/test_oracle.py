@@ -6,11 +6,20 @@ from numpy.testing import assert_allclose
 
 from conftest import build_instance, interior_point
 from vertexwalk.errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
-from vertexwalk.network import Architecture, LayerParams, TrainingSet, forward_batch, l1_loss
+from vertexwalk.network import (
+    Architecture,
+    LayerParams,
+    NetworkParams,
+    TrainingSet,
+    forward_batch,
+    l1_loss,
+    relu,
+)
 from vertexwalk.oracle import (
     RatioScreen,
     affine_piece,
     constraint_eval,
+    constraint_jvp_flat,
     _full_scan,
     _ratio_from_arrays,
     constraint_values_flat,
@@ -780,3 +789,58 @@ class TestRegionInvariants:
     def test_value_nonnegative(self, seed):
         o, p0 = build_instance(seed, (2, 2, 1), 4)
         assert value(o, p0) >= 0.0
+
+
+# Widths with one output, with n_out = 2, and at D = 100.
+FLAT_WIDTHS = [(2, 3, 2, 1), (3, 4, 3, 2), (4, 20, 4, 3, 2, 1)]
+
+
+class TestForwardAndFlattenBits:
+    """forward_values adds pre-tiled bias rows in place and flatten copies
+    per-sample row records; both must give the bits of the plain forms."""
+
+    @pytest.mark.parametrize("n", [1, 30, 500])
+    @pytest.mark.parametrize("widths", FLAT_WIDTHS)
+    def test_forward_values_match_forward_batch(self, widths, n):
+        o, p = build_instance(31, widths, n)
+        vals = forward_values(o, p)
+        pmat = p.reshape(widths[1], widths[0] + 1)
+        assert np.array_equal(vals.arrays[0], o.x_aug @ pmat.T)
+        # The fixed layers as a network of their own, fed the same
+        # first-layer activations.
+        pres, outputs = forward_batch(NetworkParams(o.fixed), relu(vals.arrays[0]))
+        assert len(vals.arrays) == len(pres) + 2
+        for got, want in zip(vals.arrays[1:-1], pres):
+            assert np.array_equal(got, want)
+        assert np.array_equal(vals.arrays[-1], o.data.targets - outputs)
+        for rows, layer in zip(o.bias_rows, o.fixed):
+            assert rows.flags.c_contiguous and rows.shape == (n, layer.fan_out)
+
+    @pytest.mark.parametrize("n", [1, 30, 500])
+    @pytest.mark.parametrize("widths", FLAT_WIDTHS)
+    def test_flatten_matches_concatenate(self, widths, n):
+        o, p = build_instance(32, widths, n)
+
+        def reference(arrays):
+            return np.concatenate(
+                [np.concatenate(arrays[:-1], axis=1).ravel(), arrays[-1].ravel()]
+            )
+
+        vals = forward_values(o, p)
+        sig = region_signature(o, p)
+        masks = region_masks(sig)
+        d = SplitMix64(132).uniform_block(o.dim, -1.0, 1.0)
+        # The JVP's pieces, as constraint_jvp_flat builds them.
+        dz = o.x_aug @ d.reshape(widths[1], widths[0] + 1).T
+        pieces = [dz]
+        for mask, layer in zip(masks, o.fixed):
+            dz = (dz * mask) @ layer.weight.T
+            pieces.append(dz)
+        pieces[-1] = -pieces[-1]
+        for got, arrays in [
+            (constraint_values_flat(o, vals), vals.arrays),
+            (states_flat(sig), sig.states),
+            (constraint_jvp_flat(o, masks, d), pieces),
+        ]:
+            want = reference(list(arrays))
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -238,6 +238,14 @@ class TestDescendToVertex:
         with pytest.raises(ValidationFailure, match="region masks"):
             minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
 
+    def test_validate_rejects_stale_carried_active_rows(self):
+        o, vertex = reference_scale_vertex()
+        assert np.array_equal(vertex.located, o.layout.locate_many(vertex.active))
+        stale = vertex.located.copy()
+        stale[0] = o.layout.locate(vertex.active[1])
+        with pytest.raises(ValidationFailure, match="active rows"):
+            solver._validate_vertex(o, replace(vertex, located=stale))
+
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
         off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
