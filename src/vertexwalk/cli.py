@@ -11,7 +11,14 @@ import numpy as np
 
 from . import bruteforce
 from .errors import Degenerate, Degenerate2D, InvalidConfig
-from .experiment import ExperimentConfig, analyze_files, generate_instance, run, sweep
+from .experiment import (
+    ExperimentConfig,
+    analyze_files,
+    check_seeds,
+    generate_instance,
+    run,
+    sweep,
+)
 from .solver import minimize
 
 _OK_STATUSES = ("converged", "max_iterations")
@@ -89,7 +96,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     """Cross-check solver runs against brute-force oracles on 2-parameter
     toys; prints one line per check."""
-    seeds = _int_list(args.seeds)
+    seeds = check_seeds(_int_list(args.seeds))
     failures = 0
     for seed in seeds:
         for n in (3, 5):

@@ -343,21 +343,34 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
     )
 
 
+def check_seeds(seeds) -> list[int]:
+    """The seed list as ints. An empty list, which would check nothing, or
+    one that names a seed twice, which would run it twice into one
+    seed_<n> directory and count it twice in every rate, raises
+    InvalidConfig."""
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise InvalidConfig("the seed list is empty")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise InvalidConfig(f"the seed list repeats {repeated}")
+    return seeds
+
+
 def sweep(
     config: ExperimentConfig, seeds, out_dir: str | Path | None = None
 ) -> dict:
     """Run every seed independently and aggregate the summaries.
 
-    An exception in one seed is recorded in its row as status
-    "error: <Type>: <message>" (with out_dir, the traceback goes to
-    seed_<n>/traceback.txt) and the sweep goes on.
+    The seed list must pass check_seeds. An exception in one seed is
+    recorded in its row as status "error: <Type>: <message>" (with
+    out_dir, the traceback goes to seed_<n>/traceback.txt) and the sweep
+    goes on.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise InvalidConfig("sweep needs at least one seed")
+    seeds = check_seeds(seeds)
     rows = []
     for seed in seeds:
-        cfg = replace(config, seed=int(seed))
+        cfg = replace(config, seed=seed)
         sub = Path(out_dir) / f"seed_{seed}" if out_dir else None
         try:
             row = dict(run(cfg, sub).summary)
@@ -367,34 +380,41 @@ def sweep(
             if sub:
                 sub.mkdir(parents=True, exist_ok=True)
                 (sub / "traceback.txt").write_text(traceback.format_exc())
-        row["seed"] = int(seed)
+        row["seed"] = seed
         rows.append(row)
 
     def rate(flag) -> float:
         return sum(1 for r in rows if flag(r)) / len(rows)
 
-    errors = sorted(
-        r["floor_estimate_error"]
-        for r in rows
-        if r.get("floor_estimate_error") is not None
-    )
-
-    def quantile(q: float):
-        if not errors:
+    def quantile(values: list[float], q: float):
+        if not values:
             return None
-        pos = q * (len(errors) - 1)
+        pos = q * (len(values) - 1)
         lo = int(pos)
-        hi = min(lo + 1, len(errors) - 1)
-        return errors[lo] + (errors[hi] - errors[lo]) * (pos - lo)
+        hi = min(lo + 1, len(values) - 1)
+        return values[lo] + (values[hi] - values[lo]) * (pos - lo)
 
+    def floor_errors(method=None) -> dict:
+        """Count, median and p90 of the floor errors of every run, or of
+        the runs whose floor estimate `method` gave."""
+        errors = sorted(
+            r["floor_estimate_error"]
+            for r in rows
+            if r.get("floor_estimate_error") is not None
+            and (method is None or r.get("floor_method") == method)
+        )
+        return {"count": len(errors), "median": quantile(errors, 0.5), "p90": quantile(errors, 0.9)}
+
+    mixed = floor_errors()
     aggregate = {
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "runs": rows,
         "monotone_rate": rate(lambda r: bool(r.get("monotone"))),
         "converged_rate": rate(lambda r: r.get("status") == "converged"),
         "exp_phase_rate": rate(lambda r: r.get("exp_phase_start") is not None),
-        "floor_error_median": quantile(0.5),
-        "floor_error_p90": quantile(0.9),
+        "floor_error_median": mixed["median"],
+        "floor_error_p90": mixed["p90"],
+        "floor_error_by_method": {m: floor_errors(m) for m in ("midpoint", "tail")},
     }
     if out_dir:
         out = Path(out_dir)

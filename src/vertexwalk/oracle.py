@@ -21,6 +21,17 @@ as a (sample, unit) or (sample, output) pair.
 Point layout: p.reshape(n_1, n_0+1) puts row k of W_1 in columns 0..n_0-1
 and b_1[k] in the last column.
 
+Per-sample gradient rows (sample_gradient_rows) depend on their own
+sample's masks alone, so a row computed in any batch equals, bit for bit,
+the same row computed over all samples. The solver relies on it to keep
+what a pivot leaves unchanged: a Region derived by with_state recomputes
+only its changed samples' rows, and the price of a release splits into a
+row delta (release_deltas: the sample's row with the surface's state
+flipped, minus its row in the region), which holds while the sample's
+masks do, and its application along a direction (release_corrections).
+Region.rerooted builds a pivot's new rows and the deltas it must redo in
+one sample_gradient_rows call.
+
 The O(N H) passes (forward_values, constraint_jvp_flat and the flattening
 into flat constraint order) avoid numpy operations on narrow (N, n_l)
 operands that are broadcast or strided: numpy runs those as one short
@@ -427,6 +438,28 @@ class Region:
         sig = self.signature.with_state(idx, state)
         return Region(self.o, sig, tuple(masks), self.base_rows, changed)
 
+    def rerooted(self, released) -> tuple["Region", np.ndarray]:
+        """This region with its rows as base rows and no changed sample,
+        and the release_deltas of the surfaces `released` ((state array,
+        sample, unit) rows) in it.
+
+        One sample_gradient_rows call computes both the changed samples'
+        rows and the released samples' flipped rows; a row does not depend
+        on the others in the call, so both equal their separate builds bit
+        for bit.
+        """
+        released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
+        changed = list(self.changed)
+        batch = [m[changed + released[:, 1].tolist()] for m in self.masks]
+        _flip_rows(self.o, batch, released, len(changed))
+        computed = sample_gradient_rows(self.o, batch)
+        rows = self.base_rows
+        if changed:
+            rows = rows.copy()
+            rows[changed] = computed[: len(changed)]
+        region = Region(self.o, self.signature, self.masks, rows)
+        return region, computed[len(changed) :] - rows[released[:, 1]]
+
     @cached_property
     def rows(self) -> np.ndarray:
         if not self.changed:
@@ -447,35 +480,52 @@ def make_region(o: OracleInstance, sig: Signature) -> Region:
     return Region(o, sig, masks, sample_gradient_rows(o, masks))
 
 
-def release_corrections(
+def _flip_rows(o: OracleInstance, rows: list[np.ndarray], released: np.ndarray, start: int = 0):
+    """Flip, in row start + q of the mask rows `rows` (one array per mask),
+    the state of released[q], a (state array, sample, unit) row: a hidden
+    unit's on/off, a residual's sign. A loop: a pivot flips about one."""
+    depth = o.arch.hidden_depth
+    for q, (array, _, unit) in enumerate(released.tolist(), start):
+        a = rows[array]
+        a[q, unit] = -a[q, unit] if array == depth else 1.0 - a[q, unit]
+
+
+def release_deltas(
     o: OracleInstance,
-    masks: list[np.ndarray],
+    masks: tuple[np.ndarray, ...] | list[np.ndarray],
     rows: np.ndarray,
-    released: list[tuple[int, int, int]],
-    dirs: np.ndarray,
+    released,
+) -> np.ndarray:
+    """Row delta of each released surface, one row per surface.
+
+    masks (region_masks) give a region and rows its per-sample gradient
+    rows (sample_gradient_rows). released[q] is the (state array, sample,
+    unit) of one surface; row q is that sample's gradient row with the
+    surface's state flipped, minus its row in rows. A delta depends only on
+    the region's masks and rows of its own sample, so it stays valid while
+    they do. Only the flipped rows are computed; a row computed alone
+    equals the same row computed over all samples bit for bit.
+    """
+    released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
+    samples = released[:, 1]
+    flipped = [m[samples] for m in masks]
+    _flip_rows(o, flipped, released)
+    return sample_gradient_rows(o, flipped) - rows[samples]
+
+
+def release_corrections(
+    o: OracleInstance, deltas: np.ndarray, samples: np.ndarray, dirs: np.ndarray
 ) -> np.ndarray:
     """Slope change of each released sample's own loss term when its state flips.
 
-    masks (region_masks) give a region and rows its per-sample gradient
-    rows (sample_gradient_rows). released[q] is the (state array, sample, unit)
-    of one surface and dirs[:, q] a direction. Entry q is that sample's
-    loss derivative along dirs[:, q] with the state flipped, minus the same
-    in the region: the difference of the sample's flipped row and its row
-    in rows, applied to the direction's first-layer pre-activation change.
-    Only the flipped rows are computed; a row computed alone equals the
-    same row of rows bit for bit.
+    deltas[q] is a release_deltas row of a surface of sample samples[q] and
+    dirs[:, q] a direction. Entry q is that sample's loss derivative along
+    dirs[:, q] with the state flipped, minus the same in the region: the
+    delta applied to the direction's first-layer pre-activation change.
     """
-    arrays, samples, units = np.asarray(released, dtype=int).T
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-    # Per released sample: its mask rows and residual signs, flipped.
-    new = [m[samples] for m in masks]
-    for l, a in enumerate(new):
-        q = np.flatnonzero(arrays == l)
-        old = a[q, units[q]]
-        a[q, units[q]] = -old if l == o.arch.hidden_depth else 1.0 - old
-    flipped = sample_gradient_rows(o, new)
-    return np.sum((flipped - rows[samples]) * dz, axis=1)
+    return np.sum(deltas * dz, axis=1)
 
 
 def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:

@@ -17,10 +17,12 @@ direction of (pos, +-1) is +- column pos, normalized. On the side the
 reference signature already has, the derivative is g . d. Across the
 released surface only the released sample's own loss term changes, so one
 batched kernel (oracle.release_corrections) adds that change for every
-position, against the reference rows the vertex carries. A release that
-bends k deeper active surfaces of the same sample changes k normals on its
-flipped side; that side's direction is column pos with a rank-k (Woodbury)
-correction from the same inverse. A side without an edge is NaN.
+position: each position's row delta (its sample's gradient row with the
+state flipped, minus its row in the region) applied along the new
+direction. A release that bends k deeper active surfaces of the same
+sample changes k normals on its flipped side; that side's direction is
+column pos with a rank-k (Woodbury) correction from the same inverse and
+those k bent normals. A side without an edge is NaN.
 
 The pivot ranks the descending sides of the table once, in one order:
 least derivative, then least leaving index, then sign +1 before -1
@@ -50,22 +52,32 @@ answer is the full scan's, bit for bit.
 
 A pivot carries what it leaves unchanged. VertexState holds the rows
 (state array, sample, unit) of its active surfaces, the vertex's
-constraint values (from the polish) and its region (oracle.Region: the
-signature, masks and per-sample gradient rows). An entered region is the
-vertex's with a few states set (Region.with_state): it copies only the
-masks it changes, records the samples it touches, and builds its rows on
-first use, recomputing only theirs. Every normal matrix of an entered
-region, for a re-solve as for the next vertex (_VertexWork.normals),
-recomputes only the columns of those samples and the entering column. The
-next vertex takes the entered region the probe confirmed. Both phases
-build a vertex in _new_vertex. The polish reads the active values of its
+constraint values (from the polish), its region (oracle.Region: the
+signature, masks and per-sample gradient rows) and, when a pivot reached
+it, its Pricing: per position the row delta, the reference state and the
+bent normals, which the Woodbury solve and release_corrections apply to
+each new inverse. An entered region is the vertex's with a few states set
+(Region.with_state): it copies only the masks it changes, records the
+samples it touches, and builds its rows on first use, recomputing only
+theirs. Every normal matrix of an entered region, for a re-solve as for
+the next vertex (_VertexWork.normals), recomputes only the columns of
+those samples and the entering column. The next vertex takes the entered
+region the probe confirmed, and a Pricing with only the redo set
+recomputed (_carried_pricing): the entering position and every position
+whose sample the entered region changed, and for the bent normals also
+the positions of the leaving and entering surfaces' samples. The redo
+set's delta rows and the entered region's changed rows come from one
+sample_gradient_rows call (Region.rerooted). A vertex that no pivot
+reached, phase 1's or an exchanged active set (dataclasses.replace drops
+the pricing), is priced from scratch. Both phases build a vertex in
+_new_vertex. The polish reads the active values of its
 two forward passes directly and flattens only the kept point's, so these
 are the pivot's only forward passes. The normal matrix is still
 refactorized from scratch at every pivot; at the problem sizes this
 package targets, robustness is worth far more than the saved cubic term.
-With validate=True every carried array is checked against a
-recomputation from scratch, and every surface off the vertex against the
-side its state gives it.
+With validate=True every carried array, the Pricing included, is
+checked against a recomputation from scratch, bit for bit, and every
+surface off the vertex against the side its state gives it.
 """
 
 from __future__ import annotations
@@ -128,7 +140,8 @@ class VertexState:
     their (state array, sample, unit) rows (`located`), their normals
     (columns) in `region`, the reference region (a full-dimensional region
     adjacent to the vertex, with its signature, masks and gradient rows),
-    every constraint value at the point (flat order) and the loss there."""
+    every constraint value at the point (flat order), the loss there and,
+    when a pivot reached the vertex, its Pricing."""
 
     point: np.ndarray
     active: list[int]
@@ -138,6 +151,30 @@ class VertexState:
     factorization: Factorization
     flat: np.ndarray
     loss: float
+    # Set by the pivot that reached the vertex. Not an __init__ argument,
+    # so dataclasses.replace (as _swapped_states uses it) drops it.
+    pricing: Pricing | None = field(default=None, init=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Pricing:
+    """What a vertex's derivative table needs of each active position
+    besides the inverse N^-T; all of it depends only on the vertex's region
+    and the rows `located` of its active surfaces.
+
+    deltas[pos]: the oracle.release_deltas row of active[pos].
+    ref[pos]: the state the region gives active[pos].
+    affected[pos]: the positions of the deeper active surfaces of the same
+    sample (whose normals a release of active[pos] bends), for each
+    position that has any, ascending.
+    bent[pos]: those surfaces' normals (columns) with active[pos]'s state
+    flipped, for each position in affected.
+    """
+
+    deltas: np.ndarray
+    ref: np.ndarray
+    affected: dict[int, list[int]]
+    bent: dict[int, np.ndarray]
 
 
 @dataclass
@@ -317,11 +354,11 @@ def descend_to_vertex(
     return vertex, records
 
 
-def _new_vertex(o, p, active, located, normals, region, limits, vals=None):
+def _new_vertex(o, p, active, located, normals, region, limits, vals=None, pricing=None):
     """The vertex of the surfaces `active` (their rows `located` and normal
-    matrix `normals`) near p, in `region`: the matrix is factorized, p
-    polished (vals: the values at p, when known) and, with limits.validate,
-    the vertex checked."""
+    matrix `normals`) near p, in `region`, carrying `pricing` when given:
+    the matrix is factorized, p polished (vals: the values at p, when
+    known) and, with limits.validate, the vertex checked."""
     try:
         fact = factorize(normals)
     except SingularMatrix as e:
@@ -337,6 +374,7 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None):
         flat=flat,
         loss=loss,
     )
+    vertex.pricing = pricing
     if limits.validate:
         _validate_vertex(o, vertex)
     return vertex
@@ -380,8 +418,87 @@ def _gather(arrays, located: np.ndarray) -> np.ndarray:
 _SIGNS = (1, -1)
 
 
+def _of_samples(located: np.ndarray, samples) -> np.ndarray:
+    """Mask of the rows of `located` whose sample is in `samples`."""
+    return (located[:, 1, None] == np.array(samples, dtype=np.intp)).any(axis=1)
+
+
+def _affected(located: np.ndarray) -> dict[int, list[int]]:
+    """Pricing.affected of the active surfaces at rows `located`: releasing
+    a hidden unit bends the normals of the active surfaces deeper in the
+    same sample's network."""
+    array, sample = located[:, 0], located[:, 1]
+    bends = (sample[:, None] == sample) & (array[:, None] < array)
+    return {
+        pos: np.flatnonzero(bends[pos]).tolist()
+        for pos in np.flatnonzero(bends.any(axis=1)).tolist()
+    }
+
+
+def _bent_normals(o, masks, located, pos: int, affected: list[int]) -> np.ndarray:
+    """Pricing.bent[pos]: the normals of the surfaces at positions
+    `affected`, from their sample's rows of masks with active[pos]'s
+    state flipped."""
+    array, i, k = located[pos].tolist()
+    rows = [m[i] for m in masks]
+    rows[array] = rows[array].copy()
+    rows[array][k] = 1.0 - rows[array][k]
+    return np.column_stack([orc.sample_normal(o, rows, *located[q].tolist()) for q in affected])
+
+
+def _pricing(o: OracleInstance, region: Region, located: np.ndarray) -> Pricing:
+    """The Pricing of the active surfaces at rows `located` in `region`,
+    built from scratch."""
+    affected = _affected(located)
+    return Pricing(
+        deltas=orc.release_deltas(o, region.masks, region.rows, located),
+        ref=_gather(region.signature.states, located),
+        affected=affected,
+        bent={pos: _bent_normals(o, region.masks, located, pos, qs) for pos, qs in affected.items()},
+    )
+
+
+def _carried_pricing(
+    o: OracleInstance,
+    pricing: Pricing,
+    entered: Region,
+    located: np.ndarray,
+    pos: int,
+    left: int,
+) -> tuple[Region, Pricing]:
+    """The next vertex's region (entered, re-rooted) and Pricing, after the
+    pivot that put a new surface at position pos (its rows `located`) and
+    released one of sample `left` into `entered`; `pricing` is the left
+    vertex's.
+
+    Everything a position carries depends only on its own sample's masks
+    and rows and on the active surfaces of that sample. So only the redo
+    set is recomputed: position pos and every position whose sample is in
+    entered.changed, and for the bent normals also every position of the
+    left and the entering surface's samples, whose affected lists change.
+    The redo set's delta rows share one sample_gradient_rows call with the
+    entered region's changed rows (Region.rerooted). Every kept entry
+    equals its recomputation bit for bit.
+    """
+    redo = _of_samples(located, entered.changed)
+    redo[pos] = True
+    region, fresh = entered.rerooted(located[redo])
+    deltas = pricing.deltas.copy()
+    deltas[redo] = fresh
+    ref = pricing.ref.copy()
+    ref[redo] = _gather(region.signature.states, located[redo])
+    affected = _affected(located)
+    rebend = redo | _of_samples(located, (left, located[pos, 1]))
+    bent = {
+        q: _bent_normals(o, region.masks, located, q, qs) if rebend[q] else pricing.bent[q]
+        for q, qs in affected.items()
+    }
+    return region, Pricing(deltas, ref, affected, bent)
+
+
 class _VertexWork:
-    """Caches shared by all release sides at one vertex."""
+    """Caches shared by all release sides at one vertex, and its Pricing:
+    the vertex's own when a pivot reached it, else built from scratch."""
 
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
@@ -390,15 +507,8 @@ class _VertexWork:
         self.loss = v.loss
         self.pnorm = float(np.linalg.norm(v.point))
         self.located = v.located
-        # Releasing a hidden unit bends the normals of the active surfaces
-        # deeper in the same sample's network; affected[pos] lists them, for
-        # each position that has any.
-        array, sample = self.located[:, 0], self.located[:, 1]
-        bends = (sample[:, None] == sample) & (array[:, None] < array)
-        self.affected = {
-            pos: np.flatnonzero(bends[pos]).tolist()
-            for pos in np.flatnonzero(bends.any(axis=1)).tolist()
-        }
+        self.pricing = v.pricing if v.pricing is not None else _pricing(o, v.region, v.located)
+        self.affected = self.pricing.affected
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction. The ratio
@@ -428,7 +538,7 @@ class _VertexWork:
         region.changed's samples and column `entering` (a new surface)
         recomputed. A normal depends on its own sample's states alone, so a
         kept column equals its recomputation bit for bit."""
-        redo = (self.located[:, 1, None] == np.array(region.changed, dtype=np.intp)).any(axis=1)
+        redo = _of_samples(self.located, region.changed)
         if entering is not None:
             redo[entering] = True
         cols = self.v.normals.copy()
@@ -441,24 +551,18 @@ class _VertexWork:
         reference state does not have, when that bends affected surfaces.
 
         Only the k affected normals change, so the new inverse is a rank-k
-        update of N^-T: with B = inv_t[:, affected] and the new normals M,
-        d = c - B y where (M^T B) y = M^T c and c = inv_t[:, pos]. The flip
-        moves each affected normal by a multiple of the released surface's
-        own normal, so M^T B is the identity up to rounding at a vertex with
-        nonsingular normals. None when M^T B is exactly singular: then the
-        entered normals are dependent (det N' = det N det M^T B), there is
-        no edge, and _settled_direction would fail on the side as well.
+        update of N^-T: with B = inv_t[:, affected] and the new normals M
+        (pricing.bent[pos]), d = c - B y where (M^T B) y = M^T c and
+        c = inv_t[:, pos]. The flip moves each affected normal by a
+        multiple of the released surface's own normal, so M^T B is the
+        identity up to rounding at a vertex with nonsingular normals. None
+        when M^T B is exactly singular: then the entered normals are
+        dependent (det N' = det N det M^T B), there is no edge, and
+        _settled_direction would fail on the side as well.
         """
-        array, i, k = self.located[pos].tolist()
-        affected = self.affected[pos]
-        rows = [m[i] for m in self.v.region.masks]
-        rows[array] = rows[array].copy()
-        rows[array][k] = 1.0 - rows[array][k]
-        new = np.column_stack(
-            [orc.sample_normal(self.o, rows, *self.located[q].tolist()) for q in affected]
-        )
+        new = self.pricing.bent[pos]
         c = inv_t[:, pos]
-        basis = inv_t[:, affected]
+        basis = inv_t[:, self.affected[pos]]
         try:
             y = np.linalg.solve(new.T @ basis, new.T @ c)
         except np.linalg.LinAlgError:
@@ -478,9 +582,9 @@ class _VertexWork:
         the entered-region loss derivatives of signs +1 and -1: g . d on
         the reference side; across the released surface only its own
         sample's loss term changes, which release_corrections supplies for
-        all positions at once from the carried rows. A flipped side whose
-        entered normals collapse has no edge and is NaN."""
-        o, v, region = self.o, self.v, self.v.region
+        all positions at once from the pricing's row deltas. A flipped side
+        whose entered normals collapse has no edge and is NaN."""
+        o, v, region, pricing = self.o, self.v, self.v.region, self.pricing
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
         flip_units = units.copy()
@@ -493,10 +597,10 @@ class _VertexWork:
                 flip_units[:, pos] = d / np.linalg.norm(d)
         slopes = region.gradient @ units
         flipped = region.gradient @ flip_units + orc.release_corrections(
-            o, region.masks, region.rows, self.located, flip_units
+            o, pricing.deltas, self.located[:, 1], flip_units
         )
         flipped[collapsed] = np.nan
-        ref = _gather(region.signature.states, self.located)
+        ref = pricing.ref
         on_ref = ref > 0
         table = np.empty((len(ref), 2))
         table[:, 0] = np.where(on_ref, slopes, flipped)
@@ -716,8 +820,11 @@ def vertex_step(
     # The new vertex's region is the entered one, re-rooted: its rows are
     # its base and no sample counts as changed, so the rows of the vertex
     # it leaves are not kept alive.
-    region = Region(o, entered.signature, entered.masks, entered.rows)
-    v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, limits)
+    left = int(work.located[chosen_pos, 1])
+    region, pricing = _carried_pricing(o, work.pricing, entered, located_new, chosen_pos, left)
+    v_new = _new_vertex(
+        o, p_new, active_new, located_new, normals, region, limits, pricing=pricing
+    )
     if v_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
             f"loss rose from {work.loss!r} to {v_new.loss!r} in one pivot"
@@ -768,6 +875,14 @@ def _validate_vertex(o, v):
         ),
         "gradient rows": (region.rows, v.region.rows),
     }
+    if v.pricing is not None:
+        carried, rebuilt = v.pricing, _pricing(o, region, v.located)
+        if carried.affected != rebuilt.affected or carried.bent.keys() != rebuilt.bent.keys():
+            raise ValidationFailure("carried affected positions differ from a recomputation")
+        fresh["pricing deltas"] = (rebuilt.deltas, carried.deltas)
+        fresh["pricing ref"] = (rebuilt.ref, carried.ref)
+        for pos, bent in rebuilt.bent.items():
+            fresh[f"bent normals of position {pos}"] = (bent, carried.bent[pos])
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):
             raise ValidationFailure(f"carried {name} differ from a recomputation")

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,6 +249,42 @@ class TestSweep:
         with pytest.raises(InvalidConfig):
             sweep(ExperimentConfig(**TOY), [])
 
+    def test_repeated_seed_rejected_before_any_run(self, tmp_path):
+        # Seed 1 twice would run twice into one seed_1 directory and count
+        # twice in every rate.
+        with pytest.raises(InvalidConfig, match=r"repeats \[1\]"):
+            sweep(ExperimentConfig(**TOY), [1, 2, 1], tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_floor_errors_reported_per_method(self, tmp_path, monkeypatch):
+        from vertexwalk import experiment as exp
+
+        floors = {
+            1: (0.1, "midpoint"),
+            2: (0.3, "midpoint"),
+            3: (0.0, "tail"),
+            4: (None, None),
+            5: (0.5, "midpoint"),
+        }
+
+        def fake_run(cfg, out_dir=None):
+            error, method = floors[cfg.seed]
+            summary = {"floor_estimate_error": error, "floor_method": method, "status": "converged"}
+            return SimpleNamespace(summary=summary)
+
+        monkeypatch.setattr(exp, "run", fake_run)
+        agg = sweep(ExperimentConfig(**TOY), list(floors), tmp_path)
+        by_method = agg["floor_error_by_method"]
+        assert by_method["tail"] == {"count": 1, "median": 0.0, "p90": 0.0}
+        midpoint = by_method["midpoint"]
+        assert midpoint["count"] == 3 and midpoint["median"] == 0.3
+        assert midpoint["p90"] == pytest.approx(0.46)
+        # The two mixed keys stay: every run with an estimate, both methods.
+        assert agg["floor_error_median"] == pytest.approx(0.2)
+        assert agg["floor_error_p90"] == pytest.approx(0.44)
+        on_disk = json.loads((tmp_path / "sweep.json").read_text())
+        assert on_disk["floor_error_by_method"] == by_method
+
     def test_continues_past_a_failing_seed(self, tmp_path, monkeypatch):
         from vertexwalk import experiment as exp
         from vertexwalk.errors import DegenerateVertex
@@ -483,6 +520,10 @@ class TestConfigValidation:
             ["run", "--config", "missing.json"],
             ["sweep", "--seeds", "1,x"],
             ["analyze", "--traj", "missing.csv", "--out", "re"],
+            ["sweep", "--seeds", ""],
+            ["sweep", "--seeds", "1,1", "--widths", "1,1,1", "--samples", "5"],
+            ["verify", "--seeds", ""],
+            ["verify", "--seeds", "2,0,2"],
         ],
     )
     def test_cli_reports_one_line_and_exits_2(self, tmp_path, capsys, monkeypatch, argv):

@@ -31,6 +31,7 @@ from vertexwalk.oracle import (
     network_params,
     ratio_test,
     release_corrections,
+    release_deltas,
     region_gradient,
     region_masks,
     region_signature,
@@ -204,6 +205,33 @@ class TestRegion:
         assert all(map(np.array_equal, base.masks, region_masks(base.signature)))
         assert np.array_equal(base.rows, sample_gradient_rows(o, region_masks(base.signature)))
 
+    @settings(max_examples=40)
+    @given(
+        flips=st.lists(
+            st.tuples(st.sampled_from(REGION_POOL), st.sampled_from([-1, 1])), max_size=6
+        ),
+        released=st.lists(
+            st.one_of(
+                st.sampled_from(REGION_POOL), st.integers(0, REGION_O.n_constraints - 1)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_rerooted_rows_and_deltas_match_separate_builds(self, flips, released):
+        # One sample_gradient_rows call gives the changed rows and the
+        # released surfaces' flipped rows; both must keep every bit.
+        o = REGION_O
+        region = make_region(o, region_signature(o, interior_point(o, SplitMix64(171))))
+        for idx, state in flips:
+            region = region.with_state(idx, state)
+        at = o.layout.locate_many(released)
+        rerooted, deltas = region.rerooted(at)
+        fresh = make_region(o, region.signature)
+        assert rerooted.changed == () and rerooted.masks is region.masks
+        assert np.array_equal(rerooted.rows, fresh.rows)
+        assert np.array_equal(deltas, release_deltas(o, fresh.masks, fresh.rows, at))
+
 
 class TestAffinePiece:
     def test_dead_first_layer_sample_contributes_nothing(self):
@@ -234,7 +262,9 @@ class TestAffinePiece:
         idx = list(range(o.n_constraints))
         dirs = SplitMix64(121).uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
         rows = sample_gradient_rows(o, masks)
-        got = release_corrections(o, masks, rows, [o.layout.locate(i) for i in idx], dirs)
+        released = o.layout.locate_many(idx)
+        deltas = release_deltas(o, masks, rows, released)
+        got = release_corrections(o, deltas, released[:, 1], dirs)
         for q, i in enumerate(idx):
             flipped = sig.with_state(i, -sig.state_of(i))
             g_new = region_gradient(o, region_masks(flipped))
@@ -242,9 +272,10 @@ class TestAffinePiece:
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
     def test_carried_reference_rows_give_the_same_bits(self, widths, n_samples):
-        # release_corrections takes each released sample's reference row
-        # from the region's rows instead of computing it next to the
-        # flipped row; the corrections must keep every bit.
+        # release_deltas takes each released sample's reference row from
+        # the region's rows instead of computing it next to the flipped
+        # row, and release_corrections applies the deltas apart from their
+        # build; the corrections must keep every bit.
         o, _ = build_instance(15, widths, n_samples)
         rng = SplitMix64(150)
         sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
@@ -259,7 +290,9 @@ class TestAffinePiece:
         released = [o.layout.locate(i) for i in idx]
         assert {a for a, _, _ in released} == set(range(o.arch.hidden_depth + 1))
         dirs = rng.uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        got = release_corrections(o, masks, rows, released, dirs)
+        deltas = release_deltas(o, masks, rows, released)
+        samples = np.array([i for _, i, _ in released])
+        got = release_corrections(o, deltas, samples, dirs)
         assert np.array_equal(got, _two_half_corrections(o, masks, released, dirs))
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)

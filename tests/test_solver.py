@@ -16,6 +16,7 @@ from vertexwalk.errors import (
     SingularMatrix,
     ValidationFailure,
 )
+from vertexwalk.experiment import ExperimentConfig, generate_instance
 from vertexwalk.linalg import factorize, solve
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
 from vertexwalk.oracle import make_oracle
@@ -245,6 +246,32 @@ class TestDescendToVertex:
         stale[0] = o.layout.locate(vertex.active[1])
         with pytest.raises(ValidationFailure, match="active rows"):
             solver._validate_vertex(o, replace(vertex, located=stale))
+
+    def test_validate_rejects_stale_carried_pricing(self):
+        # At D = 100 and N = 100 a vertex has positions with bent normals.
+        o, p0 = build_instance(2, (4, 20, 4, 3, 2, 1), 100)
+        vertex, _ = descend_to_vertex(o, p0, SolverLimits())
+        vertex, _ = vertex_step(o, vertex, SolverLimits())
+        pricing = vertex.pricing
+        assert pricing is not None and pricing.bent
+        solver._validate_vertex(o, vertex)
+        pos = next(iter(pricing.bent))
+        deltas = pricing.deltas.copy()
+        deltas[0, 0] = np.nextafter(deltas[0, 0], np.inf)
+        ref = pricing.ref.copy()
+        ref[0] = -ref[0]
+        bent = dict(pricing.bent)
+        bent[pos] = 2.0 * bent[pos]
+        affected = {q: qs for q, qs in pricing.affected.items() if q != pos}
+        for stale, match in (
+            (replace(pricing, deltas=deltas), "pricing deltas"),
+            (replace(pricing, ref=ref), "pricing ref"),
+            (replace(pricing, bent=bent), "bent normals"),
+            (replace(pricing, affected=affected), "affected"),
+        ):
+            vertex.pricing = stale
+            with pytest.raises(ValidationFailure, match=match):
+                solver._validate_vertex(o, vertex)
 
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
@@ -815,6 +842,103 @@ class TestMinimize:
         theta, traj = minimize(o, p0, SolverLimits(validate=True))
         assert np.all(np.diff(traj.losses) <= 1e-10 * (1 + traj.losses[:-1]))
         assert np.array_equal(traj.points[-1], theta)
+
+
+def scratch_work(o, v):
+    """A _VertexWork of v's point, active set and factorization with nothing
+    carried: the region is rebuilt by make_region and the pricing from
+    scratch."""
+    region = orc.make_region(o, v.region.signature)
+    bare = solver.VertexState(
+        v.point, v.active, v.located, v.normals, region, v.factorization, v.flat, v.loss
+    )
+    assert bare.pricing is None
+    return _VertexWork(o, bare)
+
+
+def assert_priced_as_from_scratch(o, v):
+    """v's pricing and derivative table equal, bit for bit, the ones built
+    from scratch; returns v's _VertexWork."""
+    work, fresh = _VertexWork(o, v), scratch_work(o, v)
+    got, want = work.pricing, fresh.pricing
+    assert got.affected == want.affected
+    assert np.array_equal(got.deltas, want.deltas)
+    assert np.array_equal(got.ref, want.ref)
+    assert got.bent.keys() == want.bent.keys()
+    assert all(np.array_equal(got.bent[pos], want.bent[pos]) for pos in want.bent)
+    assert np.array_equal(work.table, fresh.table, equal_nan=True)
+    return work
+
+
+class TestCarriedPricing:
+    """A pivot hands the next vertex its Pricing with only the redo set
+    recomputed; every carried table must equal one priced from scratch."""
+
+    def test_carried_tables_equal_tables_priced_from_scratch(self):
+        o, p0, rng = generate_instance(ExperimentConfig(seed=6))
+        vertex, _ = descend_to_vertex(o, p0, SolverLimits(), rng)
+        assert vertex.pricing is None
+        for _ in range(100):
+            work = assert_priced_as_from_scratch(o, vertex)
+            outcome = vertex_step(o, vertex, SolverLimits(), work)
+            assert outcome is not None
+            vertex = outcome[0]
+            assert vertex.pricing is not None
+        assert_priced_as_from_scratch(o, vertex)
+
+    def test_exchanged_sets_are_priced_from_scratch(self, monkeypatch):
+        # _swapped_states builds each exchanged set with dataclasses.replace
+        # from a vertex a pivot reached; nothing carried may survive it, and
+        # the vertex each exchanged set steps to carries its own pricing.
+        escapes = []
+        escape = solver._escape_if_degenerate
+
+        def recording_escape(work, limits, rng):
+            escapes.append((work, limits))
+            return escape(work, limits, rng)
+
+        monkeypatch.setattr(solver, "_escape_if_degenerate", recording_escape)
+        o, p0, rng = quantized_instance((1, 2, 1), 14, 12)
+        minimize(o, p0, SolverLimits(400, validate=True), rng)
+        work, limits = next((w, lim) for w, lim in escapes if w.coincident_idx)
+        assert work.v.pricing is not None
+        exchanged = list(solver._swapped_states(o, work.v, work.coincident_idx))
+        assert len(exchanged) > 1
+        stepped = 0
+        for state in exchanged:
+            assert state.pricing is None
+            assert_priced_as_from_scratch(o, state)
+            outcome = vertex_step(o, state, limits)
+            if outcome is not None:
+                assert outcome[0].pricing is not None
+                assert_priced_as_from_scratch(o, outcome[0])
+                stepped += 1
+        assert stepped > 0
+
+    def test_validated_walk_at_d100_redoes_several_positions(self, monkeypatch):
+        # The corpus stays at D <= 16, where a pivot rarely redoes more than
+        # the entering position. Here many do, and validate=True checks
+        # every carried pricing against a rebuild at every vertex.
+        redone, moved = [], []
+        carried = solver._carried_pricing
+
+        def recording(o, pricing, entered, located, pos, left):
+            region, new = carried(o, pricing, entered, located, pos, left)
+            redo = np.isin(located[:, 1], entered.changed)
+            redo[pos] = True
+            redone.append(int(redo.sum()))
+            changed = np.any(new.deltas != pricing.deltas, axis=1)
+            changed[pos] = False
+            moved.append(int(changed.sum()))
+            return region, new
+
+        monkeypatch.setattr(solver, "_carried_pricing", recording)
+        o, p0 = build_instance(2, (4, 20, 4, 3, 2, 1), 100)
+        _, traj = minimize(o, p0, SolverLimits(max_iterations=o.dim + 60, validate=True))
+        assert traj.reason == "max_iterations"
+        assert len(redone) == 60
+        assert sum(r >= 2 for r in redone) >= 10
+        assert sum(moved) > 0
 
 
 class TestDegenerateCorpus:
