@@ -5,7 +5,7 @@ function of the first layer's parameters with everything else frozen, is
 piecewise affine. This package minimizes it by pivoting between adjacent
 vertices of that landscape, records the full vertex trajectory, and
 provides the analytics (loss-floor extrapolation, phase segmentation,
-step-distance statistics) and brute-force verification oracles around it.
+step-distance statistics) and the two-parameter brute-force check around it.
 """
 
 from .analysis import (
@@ -20,21 +20,8 @@ from .analysis import (
     vertex_density_proxy,
 )
 from .experiment import ExperimentConfig, RunArtifacts, generate_instance, run, sweep
-from .network import Architecture, LayerParams, NetworkParams, TrainingSet, forward_batch, l1_loss
-from .oracle import (
-    AffinePiece,
-    OracleInstance,
-    Region,
-    Signature,
-    Tolerances,
-    affine_piece,
-    constraint_eval,
-    make_oracle,
-    ratio_test,
-    region_signature,
-    tag_index,
-    value,
-)
+from .network import Architecture, LayerParams, TrainingSet
+from .oracle import OracleInstance, Region, Signature, Tolerances, make_oracle, tag_index, value
 from .prng import SplitMix64
 from .solver import (
     EdgeCandidate,

@@ -152,7 +152,6 @@ def segment_phases(
     traj: Trajectory,
     fit_window: int = 50,
     r2_threshold: float = 0.9,
-    floor: float | None = None,
 ) -> PhaseSegmentation:
     """Split the post-vertex iterations into an exponential-decay phase and
     the fine-tuning phase after it.
@@ -160,15 +159,14 @@ def segment_phases(
     Log-linear fits of (loss - floor) slide over windows of `fit_window`
     iterations; the exponential phase is the longest contiguous run of
     windows with R^2 >= r2_threshold and negative slope, and everything
-    after it is fine tuning. The floor defaults to the delta-squared
-    extrapolation from the series tail.
+    after it is fine tuning. The floor is the delta-squared extrapolation
+    from the series tail.
     """
     losses = traj.phase2_losses
     n = losses.size
     if n < fit_window:
         raise TooShort(f"{n} post-vertex iterates < fit window {fit_window}")
-    if floor is None:
-        floor = estimate_loss_floor(losses, window=min(n, max(10, 2 * fit_window))).floor
+    floor = estimate_loss_floor(losses, window=min(n, max(10, 2 * fit_window))).floor
     scale = 1.0 + abs(float(losses[0]))
     excess = losses - floor
     usable = excess > 1e-14 * scale

@@ -1,8 +1,11 @@
-"""Independent brute-force checks for the piecewise-affine loss machinery.
+"""Brute-force ground truth for two-parameter instances.
 
-Everything in this module treats the loss and the raw constraint functions
-as black boxes evaluated pointwise; none of it reuses the region-local
-affine data (gradients, normals, ratio tests) that it exists to verify.
+arrangement_walk_2d enumerates every vertex of the kink-surface arrangement
+in a box and descends greedily along its edges; `vertexwalk verify` checks
+the solver's walks against it. It treats the loss and the raw constraint
+functions as black boxes evaluated pointwise and reuses none of the
+region-local affine data (gradients, normals, ratio tests) it exists to
+verify.
 """
 
 from __future__ import annotations
@@ -12,143 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate2D, RegionBoundaryTooClose, ShapeMismatch
+from .errors import Degenerate2D, ShapeMismatch
 from .network import relu
-from .oracle import (
-    OracleInstance,
-    constraint_values_flat,
-    forward_values,
-    value,
-)
-from .prng import SplitMix64
-
-
-@dataclass(frozen=True)
-class LineScanResult:
-    """Kink locations along a scanned segment and the slope on each interval."""
-
-    kinks: np.ndarray
-    slopes: np.ndarray
-    t_max: float
-
-
-def line_scan(
-    o: OracleInstance,
-    p: np.ndarray,
-    d: np.ndarray,
-    t_max: float,
-    resolution: int = 2000,
-) -> LineScanResult:
-    """Locate the kinks of t -> value(p + t d) on [0, t_max] by grid + bisection.
-
-    Slope changes are detected between consecutive grid intervals and each
-    one is localized by bisection to within 1e-9 * t_max. Interval slopes
-    are measured from interior samples between consecutive kinks.
-    """
-    if resolution < 1000:
-        raise ValueError("resolution must be at least 1000")
-    d = np.asarray(d, dtype=float)
-    if not np.any(d):
-        raise ValueError("direction must be nonzero")
-
-    def f(t: float) -> float:
-        return value(o, p + t * d)
-
-    ts = np.linspace(0.0, t_max, resolution + 1)
-    vs = np.array([f(t) for t in ts])
-    seg = np.diff(vs) / np.diff(ts)
-    sscale = 1.0 + float(np.max(np.abs(seg)))
-    change = np.abs(np.diff(seg)) > 1e-6 * sscale
-
-    kinks = []
-    for k in np.flatnonzero(change):
-        # Slope changes somewhere in (ts[k], ts[k+2]); the left-interval
-        # slope seg[k] is the reference for the bisection predicate.
-        kinks.append(_bisect_kink(f, ts[k], ts[k + 1], ts[k + 2], seg[k], t_max))
-    kinks = np.array(sorted(kinks))
-    # Merge kinks closer than the localization tolerance.
-    if kinks.size:
-        keep = [0]
-        for i in range(1, kinks.size):
-            if kinks[i] - kinks[keep[-1]] > 4e-9 * t_max:
-                keep.append(i)
-        kinks = kinks[keep]
-
-    bounds = np.concatenate([[0.0], kinks, [t_max]])
-    slopes = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a = lo + 0.25 * (hi - lo)
-        b = lo + 0.75 * (hi - lo)
-        slopes.append((f(b) - f(a)) / (b - a))
-    return LineScanResult(kinks=kinks, slopes=np.array(slopes), t_max=t_max)
-
-
-def _bisect_kink(f, left, mid, right, left_slope, t_max) -> float:
-    """Bisect for the kink inside (left, right), given the slope left of it."""
-    f_left = f(left)
-    lo, hi = left, right
-    # The predicate "segment [left, m] is still affine with slope left_slope"
-    # places the kink right of m; otherwise it is left of m.
-    while hi - lo > 1e-9 * t_max:
-        m = 0.5 * (lo + hi)
-        secant = (f(m) - f_left) / (m - left)
-        if abs(secant - left_slope) <= 1e-9 * (1.0 + abs(left_slope)):
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
-
-
-def fd_gradient(o: OracleInstance, p: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference loss gradient, valid strictly inside a region.
-
-    Raises RegionBoundaryTooClose when any constraint value sits within
-    10 * act_tol of zero at p.
-    """
-    p = np.asarray(p, dtype=float)
-    vals = forward_values(o, p)
-    flat = constraint_values_flat(o, vals)
-    if float(np.min(np.abs(flat))) <= 10.0 * o.tol.act:
-        raise RegionBoundaryTooClose(
-            "a constraint surface passes too close to the probe point"
-        )
-    g = np.empty(o.dim)
-    for j in range(o.dim):
-        e = np.zeros(o.dim)
-        e[j] = h
-        g[j] = (value(o, p + e) - value(o, p - e)) / (2.0 * h)
-    return g
-
-
-def local_min_check(
-    o: OracleInstance,
-    p: np.ndarray,
-    radius: float,
-    directions: int = 200,
-    seed: int = 0x10CA1,
-) -> tuple[bool, float]:
-    """Sample uniform unit directions; check value(p + radius u) >= value(p) - 1e-8.
-
-    Returns (all directions pass, worst increment) where the worst increment
-    is min_u value(p + radius u) - value(p); a negative number close to
-    -radius * slope indicates a descent direction.
-    """
-    if directions < 100:
-        raise ValueError("need at least 100 directions")
-    rng = SplitMix64(seed)
-    v0 = value(o, p)
-    worst = np.inf
-    ok = True
-    for _ in range(directions):
-        u = rng.unit_vector(o.dim)
-        dv = value(o, p + radius * u) - v0
-        worst = min(worst, dv)
-        if dv < -1e-8:
-            ok = False
-    return ok, float(worst)
-
-
-# --- 2-D arrangement ground truth ---------------------------------------------
+from .oracle import OracleInstance, value
 
 
 @dataclass(frozen=True)

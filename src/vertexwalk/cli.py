@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bruteforce
-from .errors import Degenerate, Degenerate2D, InvalidConfig
+from .errors import Degenerate, InvalidConfig
 from .experiment import (
     ExperimentConfig,
     analyze_files,
@@ -26,7 +26,7 @@ _OK_STATUSES = ("converged", "max_iterations")
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise InvalidConfig(f"expected comma-separated integers, got {text!r}") from None
 
@@ -113,11 +113,7 @@ def _cmd_verify(args) -> int:
             phase2 = traj.points[traj.phase1_len :]
             lo = np.minimum(phase2.min(axis=0), p0) - 1.0
             hi = np.maximum(phase2.max(axis=0), p0) + 1.0
-            try:
-                walk = bruteforce.arrangement_walk_2d(oracle, p0, box=(lo, hi))
-            except Degenerate2D as e:
-                print(f"SKIP  {label}: degenerate arrangement ({e})")
-                continue
+            walk = bruteforce.arrangement_walk_2d(oracle, p0, box=(lo, hi))
             ok = True
             if len(walk.vertices) == 0:
                 ok = False

@@ -13,17 +13,9 @@ class DependentNormals(ArithmeticError):
     """A set of constraint normals failed the linear-independence check."""
 
 
-class AmbiguousSignature(ValueError):
-    """An activation signature with zero states cannot define an affine piece."""
-
-
 class InvalidTag(ValueError):
-    """A flat constraint index, or the (layer, sample, unit) given to
-    oracle.tag_index, names no surface of the instance."""
-
-
-class NoCrossing(Exception):
-    """No inactive constraint decreases toward zero along the direction."""
+    """The (layer, sample, unit) given to oracle.tag_index names no surface
+    of the instance."""
 
 
 class UnboundedEdge(RuntimeError):
@@ -73,10 +65,6 @@ class NoExponentialPhase(ValueError):
 
 class IllConditioned(ArithmeticError):
     """Too few extrapolation triples were numerically acceptable."""
-
-
-class RegionBoundaryTooClose(ValueError):
-    """Point is too close to a constraint surface for finite differences."""
 
 
 class Degenerate2D(RuntimeError):

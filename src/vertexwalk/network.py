@@ -1,9 +1,11 @@
-"""Feed-forward ReLU networks and their L1 training loss.
+"""Feed-forward ReLU network shapes, layers and training data.
 
 A network with hidden depth L and widths (n_0, ..., n_{L+1}) maps
 x -> W_{L+1} h^{(L)} + b_{L+1} where h^{(l)} = max(0, W_l h^{(l-1)} + b_l)
-and h^{(0)} = x. The forward pass keeps every pre-activation because those
-values define the kink surfaces of the parameter-space loss landscape.
+and h^{(0)} = x. This module holds the validated pieces of such a network
+(its widths, one layer's parameters, the training set); the oracle runs
+the forward pass, keeping every pre-activation because those values define
+the kink surfaces of the parameter-space loss landscape.
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ class LayerParams:
 
 
 @dataclass(frozen=True)
-class NetworkParams:
-    """Full parameter vector theta = (layer_1, ..., layer_{L+1})."""
-
-    layers: tuple[LayerParams, ...]
-
-    def __post_init__(self):
-        if len(self.layers) < 2:
-            raise ShapeMismatch("need at least two layers (one hidden + output)")
-        for lo, hi in zip(self.layers, self.layers[1:]):
-            if hi.fan_in != lo.fan_out:
-                raise ShapeMismatch(
-                    f"layer fan-in {hi.fan_in} does not match previous fan-out {lo.fan_out}"
-                )
-        object.__setattr__(self, "layers", tuple(self.layers))
-
-
-@dataclass(frozen=True)
 class TrainingSet:
     """N input/target pairs, rows of `inputs` (N, n_0) and `targets` (N, n_out)."""
 
@@ -108,27 +93,3 @@ class TrainingSet:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
-
-
-def forward_batch(params: NetworkParams, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Batched forward pass: per-layer pre-activations (N, n_l) and outputs (N, n_out)."""
-    h = np.asarray(inputs, dtype=float)
-    if h.ndim != 2 or h.shape[1] != params.layers[0].fan_in:
-        raise ShapeMismatch("batch shape does not match first layer fan-in")
-    pres = []
-    for layer in params.layers[:-1]:
-        z = h @ layer.weight.T + layer.bias
-        pres.append(z)
-        h = relu(z)
-    out_layer = params.layers[-1]
-    return pres, h @ out_layer.weight.T + out_layer.bias
-
-
-def l1_loss(params: NetworkParams, data: TrainingSet) -> float:
-    """Sum of absolute errors over all samples and output coordinates."""
-    if data.inputs.shape[1] != params.layers[0].fan_in:
-        raise ShapeMismatch("data input dim does not match network")
-    if data.targets.shape[1] != params.layers[-1].fan_out:
-        raise ShapeMismatch("data target dim does not match network")
-    _, outputs = forward_batch(params, data.inputs)
-    return float(np.sum(np.abs(data.targets - outputs)))

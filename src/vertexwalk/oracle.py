@@ -49,8 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
-from .network import Architecture, LayerParams, NetworkParams, TrainingSet, relu
+from .errors import InvalidTag, ShapeMismatch
+from .network import Architecture, LayerParams, TrainingSet, relu
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -179,15 +179,6 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class AffinePiece:
-    """Loss restricted to one region: value(p) = gradient . p + intercept."""
-
-    gradient: np.ndarray
-    intercept: float
-    signature: Signature
-
-
-@dataclass(frozen=True)
 class ConstraintValues:
     """All constraint values at one point, one array per state array in
     `ConstraintLayout.locate`'s order: the pre-activations of each hidden
@@ -273,19 +264,6 @@ def make_oracle(
     )
 
 
-def decode_point(o: OracleInstance, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split p into (W_1, b_1)."""
-    p = _check_point(o, p)
-    mat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
-    return mat[:, :-1].copy(), mat[:, -1].copy()
-
-
-def network_params(o: OracleInstance, p: np.ndarray) -> NetworkParams:
-    """Assemble full NetworkParams with the first layer decoded from p."""
-    w1, b1 = decode_point(o, p)
-    return NetworkParams((LayerParams(w1, b1),) + o.fixed)
-
-
 def _check_point(o: OracleInstance, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (o.dim,):
@@ -334,10 +312,6 @@ def _states(arr: np.ndarray, act_tol: float) -> np.ndarray:
 
 def signature_from_values(o: OracleInstance, vals: ConstraintValues) -> Signature:
     return Signature(tuple(_states(a, o.tol.act) for a in vals.arrays), o.layout)
-
-
-def region_signature(o: OracleInstance, p: np.ndarray) -> Signature:
-    return signature_from_values(o, forward_values(o, p))
 
 
 def resolve_signature(
@@ -528,27 +502,6 @@ def release_corrections(
     return np.sum(deltas * dz, axis=1)
 
 
-def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:
-    """Outputs of the affine surrogate with frozen unit states."""
-    pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
-    h = (o.x_aug @ pmat.T) * masks[0]
-    for l, layer in enumerate(o.fixed[:-1], start=2):
-        h = (h @ layer.weight.T + layer.bias) * masks[l - 1]
-    out = o.fixed[-1]
-    return h @ out.weight.T + out.bias
-
-
-def affine_piece(o: OracleInstance, sig: Signature) -> AffinePiece:
-    """Gradient and intercept of the loss on a full-dimensional region."""
-    if sig.has_zeros:
-        raise AmbiguousSignature("signature has zero states; resolve sides first")
-    masks = region_masks(sig)
-    g = region_gradient(o, masks)
-    f0 = _masked_outputs(o, masks, np.zeros(o.dim))
-    intercept = float(np.sum(masks[-1] * (o.data.targets - f0)))
-    return AffinePiece(gradient=g, intercept=intercept, signature=sig)
-
-
 def constraint_normal(
     o: OracleInstance, masks: list[np.ndarray], idx: int
 ) -> np.ndarray:
@@ -574,21 +527,6 @@ def sample_normal(
         v = (v * mask_rows[m]) @ o.fixed[m - 1].weight
     grad = ((v * mask_rows[0])[:, None] * xrow[None, :]).ravel()
     return -grad if array == o.arch.hidden_depth else grad
-
-
-def _check_index(o: OracleInstance, idx: int) -> int:
-    if not 0 <= idx < o.n_constraints:
-        raise InvalidTag(f"flat index {idx} out of range [0, {o.n_constraints})")
-    return idx
-
-
-def constraint_eval(
-    o: OracleInstance, p: np.ndarray, sig: Signature, idx: int
-) -> tuple[float, np.ndarray]:
-    """Value and region-local gradient of the constraint with flat index idx."""
-    _check_index(o, idx)
-    v = float(constraint_values_flat(o, forward_values(o, p))[idx])
-    return v, constraint_normal(o, region_masks(sig), idx)
 
 
 def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
@@ -628,32 +566,6 @@ def constraint_jvp_flat(
         dh = dz * masks[l - 1]
     pieces.append(-(dh @ o.fixed[-1].weight.T))
     return o.layout.flatten(pieces)
-
-
-def ratio_test(
-    o: OracleInstance,
-    p: np.ndarray,
-    d: np.ndarray,
-    sig: Signature,
-    active: list[int] | tuple[int, ...],
-) -> tuple[float, int]:
-    """First positive step along d at which an inactive constraint hits zero,
-    and its flat index; `active` holds the flat indices to skip.
-
-    Candidates are constraints moving strictly toward zero; ties resolve to
-    the smallest index. Raises NoCrossing when nothing is hit.
-    """
-    p = _check_point(o, p)
-    active = [_check_index(o, idx) for idx in active]
-    vals = forward_values(o, p)
-    flat = constraint_values_flat(o, vals)
-    dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
-    excluded = np.zeros(flat.size, dtype=bool)
-    excluded[active] = True
-    crossing, _ = _ratio_from_arrays(flat, dvals, RatioScreen(flat, np.abs(flat), excluded))
-    if crossing is None:
-        raise NoCrossing("no inactive constraint decreases toward zero")
-    return crossing
 
 
 @dataclass(frozen=True)

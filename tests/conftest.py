@@ -51,7 +51,7 @@ def interior_point(o: OracleInstance, rng: SplitMix64, scale=5.0, min_clear=1e-4
 def slope_change_across(o, p, d, t_star):
     """Loss slope change across the crossing at p + t_star d along d, or
     None when no zero-free probe signature exists within a few widenings."""
-    from vertexwalk.oracle import affine_piece, region_signature
+    from reference import affine_piece, region_signature
 
     for mult in (1.0, 10.0, 100.0):
         eps = mult * 1e-7 * (1.0 + t_star)

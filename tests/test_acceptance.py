@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 import vertexwalk
-from vertexwalk import oracle as orc
+from reference import (
+    NoCrossing,
+    affine_piece,
+    fd_gradient,
+    line_scan,
+    local_min_check,
+    ratio_test,
+    region_signature,
+)
 from vertexwalk.analysis import (
     _linear_fit,
     distance_to_final,
@@ -24,8 +32,8 @@ from vertexwalk.analysis import (
     segment_phases,
     step_distances,
 )
-from vertexwalk.bruteforce import arrangement_walk_2d, fd_gradient, line_scan, local_min_check
-from vertexwalk.errors import NoCrossing, NoExponentialPhase, TooShort
+from vertexwalk.bruteforce import arrangement_walk_2d
+from vertexwalk.errors import NoExponentialPhase, TooShort
 from vertexwalk.experiment import ExperimentConfig, generate_instance, run, summarize
 from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import minimize
@@ -272,7 +280,7 @@ class TestCriterion5GradientCorrectness:
             rng = SplitMix64(1000 + seed)
             for _ in range(50):
                 p = interior_point(o, rng, min_clear=1e-2)
-                g = orc.affine_piece(o, orc.region_signature(o, p)).gradient
+                g = affine_piece(o, region_signature(o, p)).gradient
                 fd = fd_gradient(o, p, h=1e-5 * (1.0 + float(np.linalg.norm(p))))
                 if np.linalg.norm(fd - g) > 1e-6 * np.linalg.norm(g):
                     bad.append((seed, "gradient"))
@@ -283,9 +291,9 @@ class TestCriterion5GradientCorrectness:
                 attempts += 1
                 p = interior_point(o, rng, min_clear=1e-3)
                 d = rng.unit_vector(o.dim)
-                sig = orc.region_signature(o, p)
+                sig = region_signature(o, p)
                 try:
-                    t_star, _ = orc.ratio_test(o, p, d, sig, [])
+                    t_star, _ = ratio_test(o, p, d, sig, [])
                 except NoCrossing:
                     continue
                 if t_star > 5.0:

