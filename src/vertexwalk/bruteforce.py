@@ -1,11 +1,13 @@
 """Brute-force ground truth for two-parameter instances.
 
 arrangement_walk_2d enumerates every vertex of the kink-surface arrangement
-in a box and descends greedily along its edges; `vertexwalk verify` checks
-the solver's walks against it. It treats the loss and the raw constraint
-functions as black boxes evaluated pointwise and reuses none of the
-region-local affine data (gradients, normals, ratio tests) it exists to
-verify.
+in a box, with its loss, and links the vertices adjacent along a shared
+surface. It treats the loss and the raw constraint functions as black boxes
+evaluated pointwise and reuses none of the region-local affine data
+(gradients, normals, ratio tests) it exists to verify. check_walk_2d is the
+one cross-check of a solver walk against it: every vertex of the walk is a
+brute-force vertex, and the final one is a brute-force local minimum.
+`vertexwalk verify` and the acceptance tests both run it.
 """
 
 from __future__ import annotations
@@ -15,21 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate2D, ShapeMismatch
+from .errors import ShapeMismatch
 from .network import relu
 from .oracle import OracleInstance, value
 
 
 @dataclass(frozen=True)
 class Walk2D:
-    """Brute-force vertex enumeration and greedy descent for D = 2 instances."""
+    """Brute-force vertex enumeration of a D = 2 instance in a box: the
+    vertices, their losses, the vertices adjacent to each, and the vertices
+    where more than two surfaces meet."""
 
     vertices: np.ndarray  # (V, 2)
     values: np.ndarray  # (V,)
     adjacency: tuple[tuple[int, ...], ...]
-    path: tuple[int, ...]
-    minimum: np.ndarray
-    minimum_index: int
     degenerate_indices: tuple[int, ...] = ()
 
 
@@ -171,17 +172,15 @@ def arrangement_walk_2d(
     start: np.ndarray,
     box: tuple[np.ndarray, np.ndarray] | None = None,
     grid: int = 160,
-    strict: bool = False,
 ) -> Walk2D:
-    """Enumerate every pairwise constraint intersection inside a box, link
-    adjacent vertices along shared curves, and greedily descend to a local
-    minimum starting from the vertex nearest `start`.
+    """Enumerate every pairwise constraint intersection inside a box (by
+    default one around `start`) and link adjacent vertices along shared
+    curves.
 
     Points where more than two surfaces coincide are genuine arrangement
     vertices (every first-layer surface of one unit meets where that unit's
     parameter row vanishes); they are kept and reported through
-    `degenerate_indices`. With strict=True such a point raises
-    Degenerate2D instead.
+    `degenerate_indices`.
     """
     if o.dim != 2:
         raise ShapeMismatch("arrangement walk requires a 2-parameter instance")
@@ -205,7 +204,7 @@ def arrangement_walk_2d(
 
     neg = node_vals < 0.0
     zero = node_vals == 0.0
-    # One flag per cell and constraint: corners do not all share a strict sign.
+    # One flag per cell and constraint: corners do not all share one nonzero sign.
     def corner_stack(a):
         return np.stack(
             [a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]], axis=0
@@ -239,28 +238,48 @@ def arrangement_walk_2d(
             vertices.append(v)
             members.append(set(pair))
     degenerate = tuple(k for k, mem in enumerate(members) if len(mem) > 2)
-    if strict and degenerate:
-        k = degenerate[0]
-        raise Degenerate2D(
-            f"{len(members[k])} surfaces meet near {vertices[k]} within tolerance"
-        )
 
     verts = np.array(vertices) if vertices else np.empty((0, 2))
     vals = np.array([value(o, v) for v in verts]) if len(verts) else np.empty(0)
 
     adjacency = _link_vertices(o, verts, members, scale)
-    path, min_idx = _greedy_descent(verts, vals, adjacency, start)
-    minimum = verts[min_idx] if min_idx >= 0 else start
-
     return Walk2D(
         vertices=verts,
         values=vals,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
-        path=tuple(path),
-        minimum=np.asarray(minimum, dtype=float),
-        minimum_index=min_idx,
         degenerate_indices=degenerate,
     )
+
+
+def check_walk_2d(
+    o: OracleInstance, p0: np.ndarray, points: np.ndarray
+) -> tuple[Walk2D, str | None]:
+    """Check a walk of a 2-parameter instance against arrangement_walk_2d
+    in the box spanned by p0 and the walk's vertices `points` (in order,
+    the last one the final point), padded by 1.
+
+    Every vertex of the walk must lie within 1e-6 (1 + |point|) of a
+    brute-force vertex, the final point included, and no brute-force
+    neighbour of the final point's vertex may have a loss more than 1e-9
+    below its loss. Returns the brute-force walk and None when every check
+    holds, else the first failed check: "no brute vertices", "vertex
+    mismatch" or "final not a brute local minimum".
+    """
+    points = np.asarray(points, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    lo = np.minimum(points.min(axis=0), p0) - 1.0
+    hi = np.maximum(points.max(axis=0), p0) + 1.0
+    walk = arrangement_walk_2d(o, p0, box=(lo, hi))
+    if len(walk.vertices) == 0:
+        return walk, "no brute vertices"
+    dists = np.linalg.norm(walk.vertices[None, :, :] - points[:, None, :], axis=2)
+    scale = 1.0 + np.linalg.norm(points, axis=1)
+    if not np.all(dists.min(axis=1) <= 1e-6 * scale):
+        return walk, "vertex mismatch"
+    final = int(np.argmin(dists[-1]))
+    if any(walk.values[j] < walk.values[final] - 1e-9 for j in walk.adjacency[final]):
+        return walk, "final not a brute local minimum"
+    return walk, None
 
 
 def _link_vertices(o, verts, members, scale):
@@ -300,21 +319,3 @@ def _segment_clear(verts, a, b):
             if float(np.linalg.norm(off)) < 1e-6 * (1.0 + np.sqrt(length2)):
                 return False
     return True
-
-
-def _greedy_descent(verts, vals, adjacency, start):
-    if len(verts) == 0:
-        return [], -1
-    current = int(np.argmin(np.linalg.norm(verts - start[None, :], axis=1)))
-    path = [current]
-    while True:
-        nbrs = list(adjacency[current])
-        if not nbrs:
-            break
-        best = min(nbrs, key=lambda k: (vals[k], k))
-        if vals[best] < vals[current]:
-            current = best
-            path.append(current)
-        else:
-            break
-    return path, current

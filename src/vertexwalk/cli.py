@@ -7,8 +7,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import bruteforce
 from .errors import Degenerate, InvalidConfig
 from .experiment import (
@@ -94,8 +92,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Cross-check solver runs against brute-force oracles on 2-parameter
-    toys; prints one line per check."""
+    """Cross-check solver runs against the brute-force arrangement on
+    2-parameter toys (bruteforce.check_walk_2d); prints one line per run."""
     seeds = check_seeds(_int_list(args.seeds))
     failures = 0
     for seed in seeds:
@@ -106,32 +104,18 @@ def _cmd_verify(args) -> int:
             label = f"seed={seed} N={n}"
             try:
                 oracle, p0, solver_rng = generate_instance(cfg)
-                theta, traj = minimize(oracle, p0, cfg.solver_limits(), solver_rng)
+                _, traj = minimize(oracle, p0, cfg.solver_limits(), solver_rng)
             except Degenerate as e:
                 print(f"SKIP  {label}: degenerate run ({e})")
                 continue
             phase2 = traj.points[traj.phase1_len :]
-            lo = np.minimum(phase2.min(axis=0), p0) - 1.0
-            hi = np.maximum(phase2.max(axis=0), p0) + 1.0
-            walk = bruteforce.arrangement_walk_2d(oracle, p0, box=(lo, hi))
-            ok = True
-            if len(walk.vertices) == 0:
-                ok = False
-            else:
-                dists = np.linalg.norm(
-                    walk.vertices[None, :, :] - phase2[:, None, :], axis=2
-                ).min(axis=1)
-                scale = 1.0 + np.linalg.norm(phase2, axis=1)
-                ok = bool(np.all(dists <= 1e-6 * scale))
-                final_gap = float(
-                    np.min(np.linalg.norm(walk.vertices - theta[None, :], axis=1))
-                )
-                ok = ok and final_gap <= 1e-6 * (1.0 + float(np.linalg.norm(theta)))
-            state = "PASS" if ok else "FAIL"
-            failures += not ok
+            walk, failure = bruteforce.check_walk_2d(oracle, p0, phase2)
+            failures += failure is not None
+            state = "PASS" if failure is None else "FAIL"
             print(
                 f"{state}  {label}: {len(phase2)} walk vertices vs "
                 f"{len(walk.vertices)} brute-force vertices"
+                + (f" ({failure})" if failure else "")
             )
     return 1 if failures else 0
 

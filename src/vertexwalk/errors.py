@@ -2,7 +2,8 @@
 
 
 class ShapeMismatch(ValueError):
-    """Array shapes are incompatible with the declared architecture."""
+    """Array shapes are incompatible with the declared architecture, or a
+    starting point has a non-finite entry."""
 
 
 class SingularMatrix(ArithmeticError):
@@ -65,10 +66,6 @@ class NoExponentialPhase(ValueError):
 
 class IllConditioned(ArithmeticError):
     """Too few extrapolation triples were numerically acceptable."""
-
-
-class Degenerate2D(RuntimeError):
-    """Three or more constraint surfaces meet within tolerance in the plane."""
 
 
 class InvalidConfig(ValueError):

@@ -344,13 +344,17 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
 
 
 def check_seeds(seeds) -> list[int]:
-    """The seed list as ints. An empty list, which would check nothing, or
-    one that names a seed twice, which would run it twice into one
-    seed_<n> directory and count it twice in every rate, raises
-    InvalidConfig."""
+    """The seed list as ints. An empty list, which would check nothing, one
+    that names a seed twice, which would run it twice into one seed_<n>
+    directory and count it twice in every rate, or one with a seed outside
+    [0, 2**64), which would fail only at its turn, after the seeds before
+    it ran, raises InvalidConfig."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InvalidConfig("the seed list is empty")
+    bad = [s for s in seeds if not 0 <= s < 2**64]
+    if bad:
+        raise InvalidConfig(f"seeds {bad} outside [0, 2**64)")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise InvalidConfig(f"the seed list repeats {repeated}")

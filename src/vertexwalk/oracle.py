@@ -26,11 +26,11 @@ sample's masks alone, so a row computed in any batch equals, bit for bit,
 the same row computed over all samples. The solver relies on it to keep
 what a pivot leaves unchanged: a Region derived by with_state recomputes
 only its changed samples' rows, and the price of a release splits into a
-row delta (release_deltas: the sample's row with the surface's state
-flipped, minus its row in the region), which holds while the sample's
-masks do, and its application along a direction (release_corrections).
-Region.rerooted builds a pivot's new rows and the deltas it must redo in
-one sample_gradient_rows call.
+row delta (the sample's row with the surface's state flipped, minus its
+row in the region), which holds while the sample's masks do, and its
+application along a direction (release_corrections). Region.rerooted is
+the one builder of row deltas: it computes a region's changed rows and the
+deltas of the surfaces it is given in one sample_gradient_rows call.
 
 The O(N H) passes (forward_values, constraint_jvp_flat and the flattening
 into flat constraint order) avoid numpy operations on narrow (N, n_l)
@@ -414,13 +414,16 @@ class Region:
 
     def rerooted(self, released) -> tuple["Region", np.ndarray]:
         """This region with its rows as base rows and no changed sample,
-        and the release_deltas of the surfaces `released` ((state array,
-        sample, unit) rows) in it.
+        and the row delta of each surface of `released` ((state array,
+        sample, unit) rows) in it: row q is that sample's gradient row with
+        the surface's state flipped, minus its row in the region. A delta
+        depends only on its own sample's masks and row, so it stays valid
+        while they do.
 
         One sample_gradient_rows call computes both the changed samples'
         rows and the released samples' flipped rows; a row does not depend
         on the others in the call, so both equal their separate builds bit
-        for bit.
+        for bit, the rows of make_region of the same signature among them.
         """
         released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
         changed = list(self.changed)
@@ -454,7 +457,7 @@ def make_region(o: OracleInstance, sig: Signature) -> Region:
     return Region(o, sig, masks, sample_gradient_rows(o, masks))
 
 
-def _flip_rows(o: OracleInstance, rows: list[np.ndarray], released: np.ndarray, start: int = 0):
+def _flip_rows(o: OracleInstance, rows: list[np.ndarray], released: np.ndarray, start: int):
     """Flip, in row start + q of the mask rows `rows` (one array per mask),
     the state of released[q], a (state array, sample, unit) row: a hidden
     unit's on/off, a residual's sign. A loop: a pivot flips about one."""
@@ -464,38 +467,16 @@ def _flip_rows(o: OracleInstance, rows: list[np.ndarray], released: np.ndarray, 
         a[q, unit] = -a[q, unit] if array == depth else 1.0 - a[q, unit]
 
 
-def release_deltas(
-    o: OracleInstance,
-    masks: tuple[np.ndarray, ...] | list[np.ndarray],
-    rows: np.ndarray,
-    released,
-) -> np.ndarray:
-    """Row delta of each released surface, one row per surface.
-
-    masks (region_masks) give a region and rows its per-sample gradient
-    rows (sample_gradient_rows). released[q] is the (state array, sample,
-    unit) of one surface; row q is that sample's gradient row with the
-    surface's state flipped, minus its row in rows. A delta depends only on
-    the region's masks and rows of its own sample, so it stays valid while
-    they do. Only the flipped rows are computed; a row computed alone
-    equals the same row computed over all samples bit for bit.
-    """
-    released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
-    samples = released[:, 1]
-    flipped = [m[samples] for m in masks]
-    _flip_rows(o, flipped, released)
-    return sample_gradient_rows(o, flipped) - rows[samples]
-
-
 def release_corrections(
     o: OracleInstance, deltas: np.ndarray, samples: np.ndarray, dirs: np.ndarray
 ) -> np.ndarray:
     """Slope change of each released sample's own loss term when its state flips.
 
-    deltas[q] is a release_deltas row of a surface of sample samples[q] and
-    dirs[:, q] a direction. Entry q is that sample's loss derivative along
-    dirs[:, q] with the state flipped, minus the same in the region: the
-    delta applied to the direction's first-layer pre-activation change.
+    deltas[q] is the row delta (Region.rerooted) of a surface of sample
+    samples[q] and dirs[:, q] a direction. Entry q is that sample's loss
+    derivative along dirs[:, q] with the state flipped, minus the same in
+    the region: the delta applied to the direction's first-layer
+    pre-activation change.
     """
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])

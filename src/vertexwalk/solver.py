@@ -53,10 +53,10 @@ answer is the full scan's, bit for bit.
 A pivot carries what it leaves unchanged. VertexState holds the rows
 (state array, sample, unit) of its active surfaces, the vertex's
 constraint values (from the polish), its region (oracle.Region: the
-signature, masks and per-sample gradient rows) and, when a pivot reached
-it, its Pricing: per position the row delta, the reference state and the
-bent normals, which the Woodbury solve and release_corrections apply to
-each new inverse. An entered region is the vertex's with a few states set
+signature, masks and per-sample gradient rows) and its Pricing: per
+position the row delta, the reference state and the bent normals, which
+the Woodbury solve and release_corrections apply to each new inverse. An
+entered region is the vertex's with a few states set
 (Region.with_state): it copies only the masks it changes, records the
 samples it touches, and builds its rows on first use, recomputing only
 theirs. Every normal matrix of an entered region, for a re-solve as for
@@ -67,17 +67,18 @@ recomputed (_carried_pricing): the entering position and every position
 whose sample the entered region changed, and for the bent normals also
 the positions of the leaving and entering surfaces' samples. The redo
 set's delta rows and the entered region's changed rows come from one
-sample_gradient_rows call (Region.rerooted). A vertex that no pivot
-reached, phase 1's or an exchanged active set (dataclasses.replace drops
-the pricing), is priced from scratch. Both phases build a vertex in
-_new_vertex. The polish reads the active values of its
-two forward passes directly and flattens only the kept point's, so these
-are the pivot's only forward passes. The normal matrix is still
-refactorized from scratch at every pivot; at the problem sizes this
-package targets, robustness is worth far more than the saved cubic term.
-With validate=True every carried array, the Pricing included, is
-checked against a recomputation from scratch, bit for bit, and every
-surface off the vertex against the side its state gives it.
+sample_gradient_rows call (Region.rerooted). Every vertex has a Pricing:
+phase 1's vertex and each exchanged active set get one built from
+scratch (_pricing, whose deltas come from the same Region.rerooted
+call). Both phases build a vertex in _new_vertex. The polish reads the
+active values of its two forward passes directly and flattens only the
+kept point's, so these are the pivot's only forward passes. The normal
+matrix is still refactorized from scratch at every pivot; at the problem
+sizes this package targets, robustness is worth far more than the saved
+cubic term. With validate=True every carried array, the Pricing included
+(phase 1's too), is checked against a recomputation from scratch, bit
+for bit, and every surface off the vertex against the side its state
+gives it.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ from .errors import (
     DependentNormals,
     MonotonicityViolation,
     NumericalStall,
+    ShapeMismatch,
     SingularMatrix,
     UnboundedEdge,
     ValidationFailure,
@@ -140,8 +142,8 @@ class VertexState:
     their (state array, sample, unit) rows (`located`), their normals
     (columns) in `region`, the reference region (a full-dimensional region
     adjacent to the vertex, with its signature, masks and gradient rows),
-    every constraint value at the point (flat order), the loss there and,
-    when a pivot reached the vertex, its Pricing."""
+    every constraint value at the point (flat order), the loss there and
+    its Pricing."""
 
     point: np.ndarray
     active: list[int]
@@ -151,9 +153,7 @@ class VertexState:
     factorization: Factorization
     flat: np.ndarray
     loss: float
-    # Set by the pivot that reached the vertex. Not an __init__ argument,
-    # so dataclasses.replace (as _swapped_states uses it) drops it.
-    pricing: Pricing | None = field(default=None, init=False, repr=False)
+    pricing: Pricing = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,9 @@ class Pricing:
     besides the inverse N^-T; all of it depends only on the vertex's region
     and the rows `located` of its active surfaces.
 
-    deltas[pos]: the oracle.release_deltas row of active[pos].
+    deltas[pos]: the row delta of active[pos]: its sample's gradient row
+    with active[pos]'s state flipped, minus the sample's row in the region
+    (the deltas of Region.rerooted).
     ref[pos]: the state the region gives active[pos].
     affected[pos]: the positions of the deeper active surfaces of the same
     sample (whose normals a release of active[pos] bends), for each
@@ -257,10 +259,13 @@ def descend_to_vertex(
     """Accumulate D active constraints from a generic start without leaving
     the starting region; returns the vertex and the (point, loss, active
     count) records of the prefix, starting with the (possibly perturbed)
-    initial point."""
+    initial point. A p0 with a NaN or infinite entry raises ShapeMismatch
+    before any forward pass."""
     limits = limits or SolverLimits()
     rng = rng or SplitMix64(_RESTART_SEED)
     p0 = np.asarray(p0, dtype=float)
+    if not np.isfinite(p0).all():
+        raise ShapeMismatch("the starting point has a non-finite entry")
 
     p = p0.copy()
     vals = orc.forward_values(o, p)
@@ -356,9 +361,10 @@ def descend_to_vertex(
 
 def _new_vertex(o, p, active, located, normals, region, limits, vals=None, pricing=None):
     """The vertex of the surfaces `active` (their rows `located` and normal
-    matrix `normals`) near p, in `region`, carrying `pricing` when given:
-    the matrix is factorized, p polished (vals: the values at p, when
-    known) and, with limits.validate, the vertex checked."""
+    matrix `normals`) near p, in `region`: the matrix is factorized, p
+    polished (vals: the values at p, when known), the vertex priced
+    (`pricing`, when the pivot carries one, else _pricing) and, with
+    limits.validate, checked."""
     try:
         fact = factorize(normals)
     except SingularMatrix as e:
@@ -373,8 +379,8 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
         factorization=fact,
         flat=flat,
         loss=loss,
+        pricing=pricing or _pricing(o, region, located),
     )
-    vertex.pricing = pricing
     if limits.validate:
         _validate_vertex(o, vertex)
     return vertex
@@ -451,7 +457,7 @@ def _pricing(o: OracleInstance, region: Region, located: np.ndarray) -> Pricing:
     built from scratch."""
     affected = _affected(located)
     return Pricing(
-        deltas=orc.release_deltas(o, region.masks, region.rows, located),
+        deltas=region.rerooted(located)[1],
         ref=_gather(region.signature.states, located),
         affected=affected,
         bent={pos: _bent_normals(o, region.masks, located, pos, qs) for pos, qs in affected.items()},
@@ -497,8 +503,7 @@ def _carried_pricing(
 
 
 class _VertexWork:
-    """Caches shared by all release sides at one vertex, and its Pricing:
-    the vertex's own when a pivot reached it, else built from scratch."""
+    """Caches shared by all release sides at one vertex."""
 
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
@@ -507,7 +512,7 @@ class _VertexWork:
         self.loss = v.loss
         self.pnorm = float(np.linalg.norm(v.point))
         self.located = v.located
-        self.pricing = v.pricing if v.pricing is not None else _pricing(o, v.region, v.located)
+        self.pricing = v.pricing
         self.affected = self.pricing.affected
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
@@ -875,14 +880,13 @@ def _validate_vertex(o, v):
         ),
         "gradient rows": (region.rows, v.region.rows),
     }
-    if v.pricing is not None:
-        carried, rebuilt = v.pricing, _pricing(o, region, v.located)
-        if carried.affected != rebuilt.affected or carried.bent.keys() != rebuilt.bent.keys():
-            raise ValidationFailure("carried affected positions differ from a recomputation")
-        fresh["pricing deltas"] = (rebuilt.deltas, carried.deltas)
-        fresh["pricing ref"] = (rebuilt.ref, carried.ref)
-        for pos, bent in rebuilt.bent.items():
-            fresh[f"bent normals of position {pos}"] = (bent, carried.bent[pos])
+    carried, rebuilt = v.pricing, _pricing(o, region, v.located)
+    if carried.affected != rebuilt.affected or carried.bent.keys() != rebuilt.bent.keys():
+        raise ValidationFailure("carried affected positions differ from a recomputation")
+    fresh["pricing deltas"] = (rebuilt.deltas, carried.deltas)
+    fresh["pricing ref"] = (rebuilt.ref, carried.ref)
+    for pos, bent in rebuilt.bent.items():
+        fresh[f"bent normals of position {pos}"] = (bent, carried.bent[pos])
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):
             raise ValidationFailure(f"carried {name} differ from a recomputation")
@@ -931,7 +935,12 @@ def _swapped_states(o, v, coincident):
             except SingularMatrix:
                 continue
             yield replace(
-                v, active=new_active, located=located, normals=cols, factorization=fact
+                v,
+                active=new_active,
+                located=located,
+                normals=cols,
+                factorization=fact,
+                pricing=_pricing(o, v.region, located),
             )
 
 

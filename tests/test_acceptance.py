@@ -32,7 +32,7 @@ from vertexwalk.analysis import (
     segment_phases,
     step_distances,
 )
-from vertexwalk.bruteforce import arrangement_walk_2d
+from vertexwalk.bruteforce import check_walk_2d
 from vertexwalk.errors import NoExponentialPhase, TooShort
 from vertexwalk.experiment import ExperimentConfig, generate_instance, run, summarize
 from vertexwalk.prng import SplitMix64
@@ -236,32 +236,10 @@ class TestCriterion4OracleEquivalence:
                 )
                 oracle, p0, solver_rng = generate_instance(cfg)
                 theta, traj = minimize(oracle, p0, cfg.solver_limits(), solver_rng)
-                phase2 = traj.points[traj.phase1_len :]
-                lo = np.minimum(phase2.min(axis=0), p0) - 1.0
-                hi = np.maximum(phase2.max(axis=0), p0) + 1.0
-                walk = arrangement_walk_2d(oracle, p0, box=(lo, hi))
-                if len(walk.vertices) == 0:
-                    bad.append((seed, n, "no brute vertices"))
-                    continue
-                scale = 1.0 + np.linalg.norm(phase2, axis=1)
-                gaps = np.linalg.norm(
-                    walk.vertices[None, :, :] - phase2[:, None, :], axis=2
-                ).min(axis=1)
-                if not np.all(gaps <= 1e-6 * scale):
-                    bad.append((seed, n, "vertex mismatch"))
-                    continue
-                final_idx = int(
-                    np.argmin(np.linalg.norm(walk.vertices - theta[None, :], axis=1))
-                )
-                final_gap = float(np.linalg.norm(walk.vertices[final_idx] - theta))
-                if final_gap > 1e-6 * (1.0 + float(np.linalg.norm(theta))):
-                    bad.append((seed, n, "final not a brute vertex"))
-                    continue
-                neighbors = walk.adjacency[final_idx]
-                if any(
-                    walk.values[j] < walk.values[final_idx] - 1e-9 for j in neighbors
-                ):
-                    bad.append((seed, n, "final not a brute local minimum"))
+                assert np.array_equal(traj.points[-1], theta)
+                _, failure = check_walk_2d(oracle, p0, traj.points[traj.phase1_len :])
+                if failure is not None:
+                    bad.append((seed, n, failure))
         _report(4, not bad, "10 toy instances match the brute-force arrangement")
         assert not bad, f"brute-force mismatches: {bad}"
 

@@ -12,8 +12,7 @@ from reference import (
     ratio_test,
     region_signature,
 )
-from vertexwalk.bruteforce import arrangement_walk_2d
-from vertexwalk.errors import Degenerate2D
+from vertexwalk.bruteforce import arrangement_walk_2d, check_walk_2d
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
 from vertexwalk.oracle import make_oracle, value
 from vertexwalk.prng import SplitMix64
@@ -167,31 +166,28 @@ class TestArrangementWalk2D:
             gaps = np.linalg.norm(walk.vertices - row[None, :], axis=1)
             assert gaps.min() <= 1e-6
 
-    def test_greedy_descent_reaches_exact_fit(self):
+    def test_exact_fit_is_a_zero_loss_vertex(self):
         o = line_fit_toy(xs=(1.0, -1.0), ys=(2.0, 1.0))
         box = (np.array([-2.0, -2.0]), np.array([2.5, 2.5]))
         walk = arrangement_walk_2d(o, np.array([0.3, 0.4]), box=box, grid=80)
-        assert_allclose(walk.minimum, [0.5, 1.5], atol=1e-8)
-        assert walk.values[walk.minimum_index] == pytest.approx(0.0, abs=1e-10)
+        k = int(np.argmin(walk.values))
+        assert_allclose(walk.vertices[k], [0.5, 1.5], atol=1e-8)
+        assert walk.values[k] == pytest.approx(0.0, abs=1e-10)
 
     def test_solver_minimum_matches_brute_force(self):
         o, p0 = build_instance(59, (1, 1, 1), 5)
         theta, traj = minimize(o, p0, SolverLimits(validate=True))
-        phase2 = traj.points[traj.phase1_len :]
-        lo = np.minimum(phase2.min(axis=0), theta) - 1.0
-        hi = np.maximum(phase2.max(axis=0), theta) + 1.0
-        walk = arrangement_walk_2d(o, p0, box=(lo, hi))
-        gap = np.linalg.norm(walk.vertices - theta[None, :], axis=1).min()
-        assert gap <= 1e-6 * (1 + np.linalg.norm(theta))
+        assert np.array_equal(traj.points[-1], theta)
+        _, failure = check_walk_2d(o, p0, traj.points[traj.phase1_len :])
+        assert failure is None
 
     def test_single_sample_has_no_vertices(self):
         o = line_fit_toy(xs=(1.0,), ys=(2.0,))
         box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
         walk = arrangement_walk_2d(o, np.zeros(2), box=box, grid=64)
         assert walk.vertices.shape[0] == 0
-        assert walk.minimum_index == -1
 
-    def test_origin_coincidence_flagged_and_strict_raises(self):
+    def test_origin_coincidence_flagged(self):
         # All first-layer surfaces pass through the origin; with three or
         # more samples that is a degenerate arrangement point.
         o = line_fit_toy(xs=(1.0, -1.0, 2.0), ys=(2.0, 1.0, -1.0))
@@ -200,8 +196,6 @@ class TestArrangementWalk2D:
         assert walk.degenerate_indices
         flagged = walk.vertices[list(walk.degenerate_indices)]
         assert np.linalg.norm(flagged, axis=1).min() <= 1e-6
-        with pytest.raises(Degenerate2D):
-            arrangement_walk_2d(o, np.zeros(2), box=box, grid=64, strict=True)
 
     def test_requires_two_parameters(self):
         o, p0 = build_instance(60, (2, 2, 1), 3)
@@ -209,3 +203,31 @@ class TestArrangementWalk2D:
 
         with pytest.raises(ShapeMismatch):
             arrangement_walk_2d(o, p0)
+
+
+class TestCheckWalk2D:
+    """check_walk_2d, the one cross-check of a walk against the arrangement."""
+
+    def test_walk_ending_at_the_exact_fit_passes(self):
+        o = line_fit_toy(xs=(1.0, -1.0), ys=(2.0, 1.0))
+        walk, failure = check_walk_2d(o, np.array([0.3, 0.4]), [[1.0, 1.0], [0.5, 1.5]])
+        assert failure is None
+        assert len(walk.vertices) == 4
+
+    def test_final_vertex_with_a_lower_neighbour_fails(self):
+        # (1, 1) has loss 1; its neighbour (0.5, 1.5) along w + b = 2 has 0.
+        o = line_fit_toy(xs=(1.0, -1.0), ys=(2.0, 1.0))
+        walk, failure = check_walk_2d(o, np.array([0.3, 0.4]), [[1.0, 1.0]])
+        assert failure == "final not a brute local minimum"
+        final = int(np.argmin(np.linalg.norm(walk.vertices - [1.0, 1.0], axis=1)))
+        assert walk.values[final] == pytest.approx(1.0)
+
+    def test_point_off_the_arrangement_fails(self):
+        o = line_fit_toy(xs=(1.0, -1.0), ys=(2.0, 1.0))
+        _, failure = check_walk_2d(o, np.array([0.3, 0.4]), [[0.3, 0.4], [0.5, 1.5]])
+        assert failure == "vertex mismatch"
+
+    def test_no_vertex_in_the_box_fails(self):
+        o = line_fit_toy(xs=(1.0,), ys=(2.0,))
+        _, failure = check_walk_2d(o, np.zeros(2), [[0.0, 0.0]])
+        assert failure == "no brute vertices"

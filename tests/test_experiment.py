@@ -526,14 +526,19 @@ class TestConfigValidation:
             ["verify", "--seeds", "2,0,2"],
             ["run", "--widths", "4,,5,1"],
             ["sweep", "--seeds", "1,,2"],
+            ["sweep", "--seeds", "19,-1", "--out", "D"],
+            ["verify", "--seeds", "0,18446744073709551616"],
         ],
     )
     def test_cli_reports_one_line_and_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "CFG").write_text('{"seed": 1, "sead": 2}')
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
+        # Rejected before any run: no seed ran, wrote or printed anything.
+        assert out == ""
+        assert not list(tmp_path.rglob("seed_*"))
 
 
 class TestCli:

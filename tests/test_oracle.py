@@ -31,7 +31,6 @@ from vertexwalk.oracle import (
     make_oracle,
     make_region,
     release_corrections,
-    release_deltas,
     region_gradient,
     region_masks,
     sample_gradient_rows,
@@ -63,6 +62,19 @@ def _two_half_corrections(o, masks, released, dirs):
     rows = sample_gradient_rows(o, both)
     n = len(samples)
     return np.sum((rows[n:] - rows[:n]) * dz, axis=1)
+
+
+def flipped_deltas(o, region, idx):
+    """Row deltas built from whole regions: row q is the sample's row of
+    surface idx[q] in make_region of region's signature with that surface's
+    state flipped, minus the sample's row in region."""
+    sig = region.signature
+    out = []
+    for i in idx:
+        sample = o.layout.locate(i)[1]
+        flipped = make_region(o, sig.with_state(i, -sig.state_of(i)))
+        out.append(flipped.rows[sample] - region.rows[sample])
+    return np.array(out).reshape(len(idx), o.arch.widths[1])
 
 
 def tiny_instance(w2=1.0, b2=0.0, xs=(1.0,), ys=(2.0,)):
@@ -229,7 +241,7 @@ class TestRegion:
         fresh = make_region(o, region.signature)
         assert rerooted.changed == () and rerooted.masks is region.masks
         assert np.array_equal(rerooted.rows, fresh.rows)
-        assert np.array_equal(deltas, release_deltas(o, fresh.masks, fresh.rows, at))
+        assert np.array_equal(deltas, flipped_deltas(o, fresh, released))
 
 
 class TestAffinePiece:
@@ -260,9 +272,10 @@ class TestAffinePiece:
         g = region_gradient(o, masks)
         idx = list(range(o.n_constraints))
         dirs = SplitMix64(121).uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        rows = sample_gradient_rows(o, masks)
+        region = make_region(o, sig)
         released = o.layout.locate_many(idx)
-        deltas = release_deltas(o, masks, rows, released)
+        deltas = flipped_deltas(o, region, idx)
+        assert np.array_equal(deltas, region.rerooted(released)[1])
         got = release_corrections(o, deltas, released[:, 1], dirs)
         for q, i in enumerate(idx):
             flipped = sig.with_state(i, -sig.state_of(i))
@@ -271,15 +284,15 @@ class TestAffinePiece:
 
     @pytest.mark.parametrize("widths,n_samples", ROW_INSTANCES)
     def test_carried_reference_rows_give_the_same_bits(self, widths, n_samples):
-        # release_deltas takes each released sample's reference row from
+        # Region.rerooted takes each released sample's reference row from
         # the region's rows instead of computing it next to the flipped
         # row, and release_corrections applies the deltas apart from their
         # build; the corrections must keep every bit.
         o, _ = build_instance(15, widths, n_samples)
         rng = SplitMix64(150)
         sig = region_signature(o, rng.uniform_block(o.dim, -5, 5))
-        masks = region_masks(sig)
-        rows = sample_gradient_rows(o, masks)
+        region = make_region(o, sig)
+        masks = region.masks
         # D surfaces, as at a vertex: every state array, samples repeated.
         h = o.hidden_total
         picks = rng.uniform_block(o.dim, 0, 1)
@@ -289,7 +302,8 @@ class TestAffinePiece:
         released = [o.layout.locate(i) for i in idx]
         assert {a for a, _, _ in released} == set(range(o.arch.hidden_depth + 1))
         dirs = rng.uniform_block(o.dim * len(idx), -1, 1).reshape(o.dim, -1)
-        deltas = release_deltas(o, masks, rows, released)
+        deltas = flipped_deltas(o, region, idx)
+        assert np.array_equal(deltas, region.rerooted(released)[1])
         samples = np.array([i for _, i, _ in released])
         got = release_corrections(o, deltas, samples, dirs)
         assert np.array_equal(got, _two_half_corrections(o, masks, released, dirs))

@@ -14,6 +14,7 @@ from vertexwalk import solver
 from vertexwalk.errors import (
     DegenerateVertex,
     MonotonicityViolation,
+    ShapeMismatch,
     SingularMatrix,
     ValidationFailure,
 )
@@ -189,6 +190,21 @@ class TestDescendToVertex:
         vertex, records = descend_to_vertex(o, np.zeros(2), LIMITS)
         assert len(vertex.active) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected_before_any_forward_pass(self, monkeypatch, bad):
+        # No perturbation can make such a start finite, so the run must not
+        # try: it fails with the cause before the first forward pass.
+        o, p0 = build_instance(35, (1, 1, 1), 3)
+        p0 = p0.copy()
+        p0[1] = bad
+
+        def no_forward_pass(*args):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(orc, "forward_values", no_forward_pass)
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            minimize(o, p0, LIMITS)
+
     @pytest.mark.parametrize("widths, seed", [((2, 2, 1), 1), ((3, 3, 2, 1), 0)])
     def test_stays_in_its_starting_region(self, widths, seed):
         # On these quantized instances a step ends on a second surface as
@@ -273,6 +289,17 @@ class TestDescendToVertex:
             vertex.pricing = stale
             with pytest.raises(ValidationFailure, match=match):
                 solver._validate_vertex(o, vertex)
+
+    def test_validate_checks_the_phase1_pricing(self):
+        # Phase 1's vertex is priced from scratch in _new_vertex; validate
+        # checks that pricing too.
+        o, p0 = build_instance(81, (2, 3, 2, 1), 10)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        deltas = vertex.pricing.deltas.copy()
+        deltas[0, 0] = np.nextafter(deltas[0, 0], np.inf)
+        stale = replace(vertex, pricing=replace(vertex.pricing, deltas=deltas))
+        with pytest.raises(ValidationFailure, match="pricing deltas"):
+            solver._validate_vertex(o, stale)
 
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
@@ -404,8 +431,10 @@ class TestEdgeDirections:
                 return np.zeros_like(col)
             return col
 
-        # Both the batch's bent normals and constraint_normal go through it.
+        # Both the bent normals of a pricing built under the patch and
+        # constraint_normal go through it.
         monkeypatch.setattr(orc, "sample_normal", killing_normal)
+        vertex = replace(vertex, pricing=solver._pricing(o, vertex.region, vertex.located))
         skipped, rejected, dependent = outcomes()
         assert skipped == rejected == dependent == {(pos, 1 if flipped_on else -1)}
 
@@ -850,10 +879,10 @@ def scratch_work(o, v):
     carried: the region is rebuilt by make_region and the pricing from
     scratch."""
     region = orc.make_region(o, v.region.signature)
+    pricing = solver._pricing(o, region, v.located)
     bare = solver.VertexState(
-        v.point, v.active, v.located, v.normals, region, v.factorization, v.flat, v.loss
+        v.point, v.active, v.located, v.normals, region, v.factorization, v.flat, v.loss, pricing
     )
-    assert bare.pricing is None
     return _VertexWork(o, bare)
 
 
@@ -878,7 +907,6 @@ class TestCarriedPricing:
     def test_carried_tables_equal_tables_priced_from_scratch(self):
         o, p0, rng = generate_instance(ExperimentConfig(seed=6))
         vertex, _ = descend_to_vertex(o, p0, SolverLimits(), rng)
-        assert vertex.pricing is None
         for _ in range(100):
             work = assert_priced_as_from_scratch(o, vertex)
             outcome = vertex_step(o, vertex, SolverLimits(), work)
@@ -889,8 +917,9 @@ class TestCarriedPricing:
 
     def test_exchanged_sets_are_priced_from_scratch(self, monkeypatch):
         # _swapped_states builds each exchanged set with dataclasses.replace
-        # from a vertex a pivot reached; nothing carried may survive it, and
-        # the vertex each exchanged set steps to carries its own pricing.
+        # from a vertex a pivot reached, with a pricing built from scratch;
+        # the vertex's carried pricing may not survive it, and the vertex
+        # each exchanged set steps to carries its own pricing.
         escapes = []
         escape = solver._escape_if_degenerate
 
@@ -907,11 +936,10 @@ class TestCarriedPricing:
         assert len(exchanged) > 1
         stepped = 0
         for state in exchanged:
-            assert state.pricing is None
+            assert state.pricing is not work.v.pricing
             assert_priced_as_from_scratch(o, state)
             outcome = vertex_step(o, state, limits)
             if outcome is not None:
-                assert outcome[0].pricing is not None
                 assert_priced_as_from_scratch(o, outcome[0])
                 stepped += 1
         assert stepped > 0
