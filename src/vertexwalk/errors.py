@@ -29,7 +29,8 @@ class Degenerate(RuntimeError):
 
 
 class DegenerateStart(Degenerate):
-    """Perturbation failed to produce a full-dimensional start signature."""
+    """The start lies on a surface (a zero in its signature); minimize, not
+    descend_to_vertex, perturbs it."""
 
 
 class DegenerateVertex(Degenerate):

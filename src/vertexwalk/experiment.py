@@ -44,10 +44,10 @@ from .errors import (
 from .network import Architecture, LayerParams, TrainingSet, relu
 from .oracle import OracleInstance, Tolerances, make_oracle
 from .prng import SplitMix64
-from .solver import SolverLimits, Trajectory, minimize
+from .solver import MONOTONE_SLACK, SolverLimits, Trajectory, minimize
 
 PAPER_WIDTHS = (4, 5, 4, 3, 2, 1)
-_INT_FIELDS = ("seed", "samples", "layer", "max_iterations", "mean_window", "fit_window")
+_INT_FIELDS = ("samples", "layer", "max_iterations", "mean_window", "fit_window")
 _RANGE_FIELDS = ("theta_range", "data_range", "init_range")
 
 
@@ -57,6 +57,16 @@ def _is_int(v) -> bool:
 
 def _is_finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_seed(seed) -> int:
+    """The seed as an int, if it is an integer, not a bool, in [0, 2**64);
+    otherwise InvalidConfig. Configs and seed lists share this rule."""
+    if not _is_int(seed):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise InvalidConfig(f"seed {seed} outside [0, 2**64)")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,9 @@ class ExperimentConfig:
     data_range: tuple[float, float] = (-3.0, 3.0)
     init_range: tuple[float, float] = (-20.0, 20.0)
     layer: int = 1
-    max_iterations: int = 20_000
-    act_tol: float = 1e-8
-    desc_tol: float = 1e-9
+    max_iterations: int = SolverLimits.max_iterations
+    act_tol: float = Tolerances.act
+    desc_tol: float = SolverLimits.desc_tol
     mean_window: int = 40
     fit_window: int = 50
     r2_threshold: float = 0.9
@@ -87,12 +97,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     def validate(self) -> None:
+        _check_seed(self.seed)
         for name in _INT_FIELDS:
             v = getattr(self, name)
             if not _is_int(v):
                 raise InvalidConfig(f"{name} must be an integer, got {v!r}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfig(f"seed {self.seed} outside [0, 2**64)")
         w = self.widths
         if not (isinstance(w, (tuple, list)) and len(w) >= 3
                 and all(_is_int(v) and v >= 1 for v in w)):
@@ -259,7 +268,7 @@ def summarize(
         "final_loss": float(losses[-1]),
         "iterations": len(traj) - 1,
         "phase1_len": traj.phase1_len,
-        "monotone": bool(np.all(np.diff(losses) <= 1e-10 * (1.0 + losses[:-1]))),
+        "monotone": bool(np.all(np.diff(losses) <= MONOTONE_SLACK * (1.0 + losses[:-1]))),
         "exp_phase_start": None,
         "exp_phase_end": None,
         "floor_estimate": None,
@@ -301,36 +310,26 @@ def summarize(
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtifacts:
-    """Generate the instance, minimize, analyze, and serialize everything."""
+    """Generate the instance, minimize, analyze, and serialize everything:
+    config.json, summary.json (with the config's fingerprint) and, unless
+    the solver failed (status "degenerate" or "failed"), the series files."""
     oracle, p0, solver_rng = generate_instance(config)
-    status = "converged"
+    traj = None
     try:
         _, traj = minimize(oracle, p0, config.solver_limits(), solver_rng)
-        status = traj.reason
     except (Degenerate, MonotonicityViolation, NumericalStall, UnboundedEdge) as e:
-        label = "degenerate" if isinstance(e, Degenerate) else "failed"
-        art = RunArtifacts(
-            fingerprint=config.fingerprint(),
-            out_dir=Path(out_dir) if out_dir else None,
-            summary={"status": f"{label}: {e}"},
-            status=label,
-        )
-        if out_dir:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "summary.json").write_text(
-                json.dumps(art.summary, sort_keys=True, indent=1) + "\n"
-            )
-        return art
-
-    summary = summarize(traj, status, config.fit_window, config.r2_threshold)
+        status = "degenerate" if isinstance(e, Degenerate) else "failed"
+        summary = {"status": f"{status}: {e}"}
+    else:
+        status = traj.reason
+        summary = summarize(traj, status, config.fit_window, config.r2_threshold)
     summary["fingerprint"] = config.fingerprint()
-    out = None
-    if out_dir:
-        out = Path(out_dir)
+    out = Path(out_dir) if out_dir else None
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.json").write_text(config.to_json() + "\n")
-        _write_series(out, traj, config.mean_window)
+        if traj is not None:
+            _write_series(out, traj, config.mean_window)
         (out / "summary.json").write_text(
             json.dumps(summary, sort_keys=True, indent=1) + "\n"
         )
@@ -346,15 +345,12 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
 def check_seeds(seeds) -> list[int]:
     """The seed list as ints. An empty list, which would check nothing, one
     that names a seed twice, which would run it twice into one seed_<n>
-    directory and count it twice in every rate, or one with a seed outside
-    [0, 2**64), which would fail only at its turn, after the seeds before
-    it ran, raises InvalidConfig."""
-    seeds = [int(s) for s in seeds]
+    directory and count it twice in every rate, or one with a seed that
+    breaks ExperimentConfig's seed rule (_check_seed), which would fail
+    only at its turn, after the seeds before it ran, raises InvalidConfig."""
+    seeds = [_check_seed(s) for s in seeds]
     if not seeds:
         raise InvalidConfig("the seed list is empty")
-    bad = [s for s in seeds if not 0 <= s < 2**64]
-    if bad:
-        raise InvalidConfig(f"seeds {bad} outside [0, 2**64)")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise InvalidConfig(f"the seed list repeats {repeated}")

@@ -390,9 +390,10 @@ class Region:
     A region derived by with_state from another keeps that region's mask
     arrays, except the ones it changes, and its rows as `base_rows`;
     `changed` lists, ascending, the samples whose states may differ from
-    the ones base_rows were computed for. The rows are built on first use,
-    recomputing only those samples' rows, which equal the same rows
-    computed over all samples bit for bit. Masks are never written in place.
+    the ones base_rows were computed for. The rows are built on first use
+    by rerooted, recomputing only those samples' rows, which equal the same
+    rows computed over all samples bit for bit. Masks are never written in
+    place.
     """
 
     o: OracleInstance = field(repr=False)
@@ -439,12 +440,8 @@ class Region:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        if not self.changed:
-            return self.base_rows
-        changed = list(self.changed)
-        rows = self.base_rows.copy()
-        rows[changed] = sample_gradient_rows(self.o, [m[changed] for m in self.masks])
-        return rows
+        """base_rows with the changed samples' rows recomputed (rerooted)."""
+        return self.rerooted(())[0].base_rows if self.changed else self.base_rows
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -571,17 +568,19 @@ class RatioScreen:
         return float(np.max(self.magnitude, initial=0.0))
 
 
+# A directional derivative up to this fraction of the largest |dvals| is
+# round-off from orthogonality-by-construction, not real movement.
+ROUNDOFF_FLOOR = 1e-12
+
+
 def crossing_candidates(dvals: np.ndarray, screen: RatioScreen) -> tuple[np.ndarray, float]:
     """Mask of constraints moving strictly toward zero along a direction,
     judged by screen.side and skipping screen.excluded, and the floor below
-    which a directional derivative counts as zero.
-
-    Directional derivatives up to the floor, 1e-12 of the largest one, are
-    round-off from orthogonality-by-construction, not real movement, and
-    are dropped.
+    which a directional derivative counts as zero: ROUNDOFF_FLOOR of the
+    largest |dvals|.
     """
     mag = np.abs(dvals)
-    floor = 1e-12 * float(np.max(mag))
+    floor = ROUNDOFF_FLOOR * float(np.max(mag))
     return (screen.side * dvals < 0.0) & (mag > floor) & ~screen.excluded, floor
 
 
@@ -612,10 +611,10 @@ def _ratio_from_arrays(
     none beats or ties with it. Otherwise c becomes that bound (one more
     round then settles it) or, when the screen holds no candidate, grows;
     once c reaches the largest magnitude, the full scan runs. The floor
-    stays 1e-12 of M, over all entries.
+    stays ROUNDOFF_FLOOR of M, over all entries.
     """
     slope = float(np.max(np.abs(dvals)))
-    floor = 1e-12 * slope
+    floor = ROUNDOFF_FLOOR * slope
     c = _SCREEN_START * screen.top
     while c < screen.top:
         near = np.flatnonzero(screen.magnitude <= c)

@@ -125,6 +125,8 @@ _PROBE = 1e-7
 # An excluded surface within this many act of zero on the wrong side of the
 # entered region still counts as on its side in the probe's JVP check.
 _PROBE_MARGIN = 1e-3
+# A pivot may raise the loss by round-off: MONOTONE_SLACK (1 + |loss|).
+MONOTONE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,10 @@ class SolverLimits:
     max_iterations: int = 20_000
     desc_tol: float = 1e-9
     validate: bool = False
+
+    def descent_threshold(self, loss: float) -> float:
+        """A loss derivative below minus this, at this loss, descends."""
+        return self.desc_tol * (1.0 + abs(loss))
 
 
 @dataclass
@@ -254,15 +260,13 @@ def descend_to_vertex(
     o: OracleInstance,
     p0: np.ndarray,
     limits: SolverLimits | None = None,
-    rng: SplitMix64 | None = None,
 ) -> tuple[VertexState, list[tuple[np.ndarray, float, int]]]:
     """Accumulate D active constraints from a generic start without leaving
     the starting region; returns the vertex and the (point, loss, active
-    count) records of the prefix, starting with the (possibly perturbed)
-    initial point. A p0 with a NaN or infinite entry raises ShapeMismatch
-    before any forward pass."""
+    count) records of the prefix, starting with p0. A p0 with a NaN or
+    infinite entry raises ShapeMismatch before any forward pass, and one on
+    a surface DegenerateStart: minimize perturbs starts, this does not."""
     limits = limits or SolverLimits()
-    rng = rng or SplitMix64(_RESTART_SEED)
     p0 = np.asarray(p0, dtype=float)
     if not np.isfinite(p0).all():
         raise ShapeMismatch("the starting point has a non-finite entry")
@@ -270,15 +274,8 @@ def descend_to_vertex(
     p = p0.copy()
     vals = orc.forward_values(o, p)
     sig = orc.signature_from_values(o, vals)
-    tries = 0
-    while sig.has_zeros:
-        if tries >= 8:
-            raise DegenerateStart("could not perturb onto a full-dimensional region")
-        scale = 1e-6 * (1.0 + float(np.linalg.norm(p0)))
-        p = p0 + rng.uniform_block(o.dim, -1.0, 1.0) * scale
-        vals = orc.forward_values(o, p)
-        sig = orc.signature_from_values(o, vals)
-        tries += 1
+    if sig.has_zeros:
+        raise DegenerateStart("the starting point lies on a surface")
 
     region = orc.make_region(o, sig)
     g = region.gradient
@@ -297,7 +294,7 @@ def descend_to_vertex(
         # One screen per step, shared by the fallback directions. States are
         # +-1: the magnitude is |flat| on a surface's own side, else 0.
         screen = orc.RatioScreen(states, np.maximum(states * flat, 0.0), excluded)
-        tau = limits.desc_tol * (1.0 + abs(vals.loss))
+        tau = limits.descent_threshold(vals.loss)
 
         d = None
         crossing = None
@@ -654,7 +651,7 @@ class _VertexWork:
         side.
         """
         dvals = orc.constraint_jvp_flat(self.o, region.masks, d)
-        floor = 1e-12 * float(np.max(np.abs(dvals)))
+        floor = orc.ROUNDOFF_FLOOR * float(np.max(np.abs(dvals)))
         for idx in self.coincident_idx:
             dv = float(dvals[idx])
             if abs(dv) > floor:
@@ -730,7 +727,7 @@ class _VertexWork:
     ) -> bool:
         """Whether a forward pass at the probe point, eps along the edge
         whose constraint JVP in region sig is dvals, would resolve to sig;
-        floor is the ratio test's: 1e-12 of the largest |dvals|.
+        floor is the ratio test's: orc.ROUNDOFF_FLOOR of the largest |dvals|.
 
         Along the edge every constraint value is affine, with slope dvals,
         for as long as no surface changes side. Every surface outside the
@@ -780,15 +777,16 @@ def vertex_step(
 ) -> tuple[VertexState, StepRecord] | None:
     """One pivot: follow the steepest descending edge to the next vertex.
 
-    Returns None when every edge has derivative >= -desc_tol (scaled), i.e.
-    the vertex is an edge-local minimum, and raises DegenerateVertex when
-    some edge descends but the probe rejects every descending side. A
+    Returns None when no edge's derivative lies below minus
+    limits.descent_threshold, i.e. the vertex is an edge-local minimum, and
+    raises DegenerateVertex when some edge descends but the probe rejects
+    every descending side. A
     caller that keeps the vertex's _VertexWork passes it as `work`, so its
     derivative table can be reused.
     """
     limits = limits or SolverLimits()
     work = work or _VertexWork(o, v)
-    tau = limits.desc_tol * (1.0 + abs(work.loss))
+    tau = limits.descent_threshold(work.loss)
 
     # The descending sides are tried in the table's order, and the pivot
     # takes the first one its probe confirms. A release side whose
@@ -830,7 +828,7 @@ def vertex_step(
     v_new = _new_vertex(
         o, p_new, active_new, located_new, normals, region, limits, pricing=pricing
     )
-    if v_new.loss > work.loss + 1e-10 * (1.0 + abs(work.loss)):
+    if v_new.loss > work.loss + MONOTONE_SLACK * (1.0 + abs(work.loss)):
         raise MonotonicityViolation(
             f"loss rose from {work.loss!r} to {v_new.loss!r} in one pivot"
         )
@@ -981,27 +979,31 @@ def minimize(
 ) -> tuple[np.ndarray, Trajectory]:
     """Run phase 1 then pivot until convergence or the iteration cap.
 
-    On a Degenerate error the run restarts from a slightly perturbed start,
-    up to _RESTARTS times; the error propagates if they are spent.
+    The one place a start is perturbed: on a Degenerate error, a start on
+    a surface (DegenerateStart) included, the run restarts from
+    _perturbed_start(o, p0, rng), up to _RESTARTS times; the last
+    attempt's error propagates.
     """
     limits = limits or SolverLimits()
     rng = rng or SplitMix64(_RESTART_SEED)
-    p0 = np.asarray(p0, dtype=float)
-    start = p0
-    last: Degenerate | None = None
-    for _ in range(_RESTARTS + 1):
+    start = p0 = np.asarray(p0, dtype=float)
+    for _ in range(_RESTARTS):
         try:
             return _minimize_once(o, start, limits, rng)
-        except Degenerate as e:
-            last = e
-            scale = 1e-6 * (1.0 + float(np.linalg.norm(p0)))
-            start = p0 + rng.uniform_block(o.dim, -1.0, 1.0) * scale
-    assert last is not None
-    raise last
+        except Degenerate:
+            start = _perturbed_start(o, p0, rng)
+    return _minimize_once(o, start, limits, rng)
+
+
+def _perturbed_start(o: OracleInstance, p0: np.ndarray, rng: SplitMix64) -> np.ndarray:
+    """p0 plus one uniform draw from rng on [-1, 1]^D, scaled by
+    1e-6 (1 + |p0|)."""
+    scale = 1e-6 * (1.0 + float(np.linalg.norm(p0)))
+    return p0 + rng.uniform_block(o.dim, -1.0, 1.0) * scale
 
 
 def _minimize_once(o, p0, limits, rng):
-    vertex, records = descend_to_vertex(o, p0, limits, rng)
+    vertex, records = descend_to_vertex(o, p0, limits)
     phase1_len = len(records) - 1
     points = [r[0] for r in records]
     losses = [r[1] for r in records]

@@ -1,0 +1,87 @@
+"""The package keeps only code that runs: no module of src/vertexwalk/
+imports a name it never uses, and every private function or method
+(a name with one leading underscore) is referenced somewhere in the
+package besides its own body. Tests reach the package through its public
+names or the private ones the package itself uses, so a helper that only
+tests call belongs in tests/, not in src/."""
+
+import ast
+from pathlib import Path
+
+import vertexwalk
+
+SRC = Path(vertexwalk.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree: ast.AST) -> list[str]:
+    """Every name read in tree: bare names, attribute names, and the
+    entries of a module-level __all__."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.extend(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names tree binds by an import and never reads."""
+    used = set(_referenced(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(name)
+    return unused
+
+
+def unreferenced_private_functions(modules: dict[str, ast.Module]) -> list[str]:
+    """module:name of every private function or method that no code of
+    the package reads outside the function's own body."""
+    everywhere: dict[str, int] = {}
+    for tree in modules.values():
+        for name in _referenced(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    dead = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            own = _referenced(node).count(name)
+            if everywhere.get(name, 0) <= own:
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_no_module_imports_an_unused_name():
+    # An import in __init__.py is the package's export.
+    found = {m: unused_imports(t) for m, t in MODULES.items() if m != "__init__.py"}
+    assert not {m: names for m, names in found.items() if names}
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions(MODULES) == []
+
+
+def test_the_guard_finds_what_it_looks_for():
+    tree = ast.parse(
+        "import json\nfrom os import path, sep\n"
+        "def _dead(n):\n    return _dead(n - 1)\n"
+        "def _used():\n    return sep\n"
+        "class C:\n    def _method(self):\n        return _used()\n"
+    )
+    assert unused_imports(tree) == ["json", "path"]
+    assert unreferenced_private_functions({"m.py": tree}) == ["m.py:_dead", "m.py:_method"]

@@ -12,6 +12,7 @@ from vertexwalk.errors import InvalidConfig
 from vertexwalk.experiment import (
     ExperimentConfig,
     analyze_files,
+    check_seeds,
     generate_instance,
     load_trajectory_csv,
     run,
@@ -150,6 +151,34 @@ class TestRun:
             "max_iterations"
         )
 
+    def test_failed_run_names_its_config(self, tmp_path, monkeypatch, capsys):
+        # A failed run's directory holds its config and a summary with the
+        # config's fingerprint, as a converged run's does; so does each
+        # failed seed of a sweep. The failure is forced: what matters is
+        # what a failed run writes, not which configs fail.
+        from vertexwalk import experiment as exp
+        from vertexwalk.errors import DegenerateVertex
+
+        def failing(oracle, p0, limits, rng=None):
+            raise DegenerateVertex("synthetic failure")
+
+        monkeypatch.setattr(exp, "minimize", failing)
+        fields = {"seed": 1, "widths": [3, 4, 3, 1], "samples": 30, "data_range": [-1000.0, 1000.0]}
+        (tmp_path / "c.json").write_text(json.dumps(fields))
+        cfg = ExperimentConfig(**fields)
+        assert main(["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "D")]) == 1
+        assert main(["sweep", "--config", str(tmp_path / "c.json"), "--seeds", "1",
+                     "--out", str(tmp_path / "S")]) == 1
+        capsys.readouterr()
+        for out in (tmp_path / "D", tmp_path / "S" / "seed_1"):
+            assert sorted(f.name for f in out.iterdir()) == ["config.json", "summary.json"]
+            assert (out / "config.json").read_text() == cfg.to_json() + "\n"
+            assert ExperimentConfig.from_file(out / "config.json") == cfg
+            assert json.loads((out / "summary.json").read_text()) == {
+                "fingerprint": cfg.fingerprint(),
+                "status": "degenerate: synthetic failure",
+            }
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig(seed=9, **TOY)
         run(cfg, tmp_path / "a")
@@ -254,6 +283,18 @@ class TestSweep:
         # twice in every rate.
         with pytest.raises(InvalidConfig, match=r"repeats \[1\]"):
             sweep(ExperimentConfig(**TOY), [1, 2, 1], tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seeds", [[1.5, 2.9], [True], ["3"]])
+    def test_seed_list_follows_the_config_seed_rule(self, tmp_path, seeds):
+        # Each of these seeds makes ExperimentConfig raise, so the list is
+        # rejected before any run, not truncated to [1, 2], [1] or [3].
+        with pytest.raises(InvalidConfig, match="seed"):
+            check_seeds(seeds)
+        with pytest.raises(InvalidConfig, match="seed"):
+            ExperimentConfig(seed=seeds[-1])
+        with pytest.raises(InvalidConfig, match="seed"):
+            sweep(ExperimentConfig(**TOY), seeds, tmp_path)
         assert not any(tmp_path.iterdir())
 
     def test_floor_errors_reported_per_method(self, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from reference import affine_piece, region_signature
 from vertexwalk import oracle as orc
 from vertexwalk import solver
 from vertexwalk.errors import (
+    DegenerateStart,
     DegenerateVertex,
     MonotonicityViolation,
     ShapeMismatch,
@@ -185,10 +186,31 @@ class TestDescendToVertex:
         vertex, records = descend_to_vertex(o, near, LIMITS)
         assert vertex.active[0] == first_tag_idx
 
-    def test_perturbs_degenerate_start(self):
+    def test_start_on_a_surface_raises_without_drawing(self, monkeypatch):
+        # At p = 0 every first-layer pre-activation is 0. Phase 1 does not
+        # perturb: it raises, and no rng is drawn from.
         o, _ = build_instance(35, (1, 1, 1), 3)
-        vertex, records = descend_to_vertex(o, np.zeros(2), LIMITS)
-        assert len(vertex.active) == 2
+        draws = []
+        uniform_block = SplitMix64.uniform_block
+
+        def recording(rng, *args):
+            draws.append(rng.state)
+            return uniform_block(rng, *args)
+
+        monkeypatch.setattr(SplitMix64, "uniform_block", recording)
+        with pytest.raises(DegenerateStart, match="lies on a surface"):
+            descend_to_vertex(o, np.zeros(2), LIMITS)
+        assert draws == []
+
+    def test_perturbs_degenerate_start(self):
+        # minimize perturbs the start instead, by one draw of its default
+        # stream, and walks on from there.
+        o, _ = build_instance(35, (1, 1, 1), 3)
+        _, traj = minimize(o, np.zeros(2), LIMITS)
+        draw = solver._perturbed_start(o, np.zeros(2), SplitMix64(solver._RESTART_SEED))
+        assert np.array_equal(traj.points[0], draw)
+        assert traj.phase1_len == 2
+        assert traj.reason == "converged"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected_before_any_forward_pass(self, monkeypatch, bad):
@@ -211,8 +233,8 @@ class TestDescendToVertex:
         # well (on (2, 2, 1), surfaces 3 and 19 at the same t), which stays
         # inactive at zero. Judged by the starting region's states, the next
         # direction that would take it across hits it at step 0.
-        o, p0, rng = quantized_instance(widths, seed, 30)
-        vertex, records = descend_to_vertex(o, p0, LIMITS, rng)
+        o, p0, _ = quantized_instance(widths, seed, 30)
+        vertex, records = descend_to_vertex(o, p0, LIMITS)
         points = [r[0] for r in records]
         assert any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
         flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
@@ -366,7 +388,7 @@ class TestEdgeDirections:
             cases.append((o, descend_to_vertex(o, p0, LIMITS)[0]))
         cases.append(reference_scale_vertex())
         o, p0, rng = quantized_instance((2, 3, 2, 1), 0)
-        cases.append((o, descend_to_vertex(o, p0, LIMITS, rng)[0]))
+        cases.append((o, descend_to_vertex(o, solver._perturbed_start(o, p0, rng), LIMITS)[0]))
         assert _VertexWork(*cases[-1]).coincident_idx
 
         affected_sides = 0
@@ -460,7 +482,8 @@ class TestVertexStep:
     def test_converged_vertex_steps_nowhere(self):
         o = convex_regression_toy()
         theta, _ = minimize(o, np.array([0.9, 1.4]), LIMITS)
-        vertex, records = descend_to_vertex(o, theta, LIMITS)
+        start = solver._perturbed_start(o, theta, SplitMix64(0))
+        vertex, records = descend_to_vertex(o, start, LIMITS)
         assert_allclose(vertex.point, theta, atol=1e-7)
         assert vertex_step(o, vertex, LIMITS) is None
 
@@ -558,17 +581,17 @@ class TestSelection:
     def test_vertices_match_the_brute_force_pick(self):
         cases = [reference_scale_vertex()]
         o, p0, rng = quantized_instance((2, 3, 2, 1), 0)
-        cases.append((o, descend_to_vertex(o, p0, LIMITS, rng)[0]))
+        cases.append((o, descend_to_vertex(o, solver._perturbed_start(o, p0, rng), LIMITS)[0]))
         for o, vertex in cases:
             work = _VertexWork(o, vertex)
-            tau = 1e-9 * (1.0 + abs(work.loss))
+            tau = SolverLimits().descent_threshold(work.loss)
             sides = priced_sides(_VertexWork(o, vertex))
             assert table_order(work.table, vertex.active, tau) == brute_force_order(sides, tau)
         assert work.coincident_idx
 
     def test_vertex_step_takes_the_next_side_when_a_probe_rejects_one(self, monkeypatch):
         o, vertex = reference_scale_vertex()
-        tau = 1e-9 * (1.0 + abs(vertex.loss))
+        tau = SolverLimits().descent_threshold(vertex.loss)
         sides = priced_sides(_VertexWork(o, vertex))
         first, second = brute_force_order(sides, tau)[:2]
         probed = []
@@ -592,7 +615,8 @@ class TestSelection:
         # even with no coincident surface for the escape to look at.
         o, vertex = reference_scale_vertex()
         toy = convex_regression_toy()
-        minimum, _ = descend_to_vertex(toy, minimize(toy, np.array([0.9, 1.4]))[0])
+        theta, _ = minimize(toy, np.array([0.9, 1.4]))
+        minimum, _ = descend_to_vertex(toy, solver._perturbed_start(toy, theta, SplitMix64(0)))
         probed = []
 
         def rejecting(work, pos, sign):
@@ -606,7 +630,7 @@ class TestSelection:
         assert not work.coincident_idx
         with pytest.raises(DegenerateVertex, match="^the probe rejected every descending side$"):
             vertex_step(o, vertex, SolverLimits(), work)
-        tau = 1e-9 * (1.0 + abs(vertex.loss))
+        tau = SolverLimits().descent_threshold(vertex.loss)
         assert probed == table_order(work.table, vertex.active, tau)
 
 
@@ -635,8 +659,8 @@ class TestPricingObjects:
 
     def test_affected_lists_the_deeper_surfaces_of_each_sample(self):
         # Reference: the per-pair definition as a loop over the located rows.
-        o, p0, rng = quantized_instance((2, 3, 3, 2), 0)
-        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        o, p0, _ = quantized_instance((2, 3, 3, 2), 0)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
         found = 0
         for _ in range(20):
             work = _VertexWork(o, vertex)
@@ -739,8 +763,8 @@ class TestProbe:
         # leaves, the check fails, and the fallback's forward pass resolves
         # another region, which rejects the side. With the guess, the
         # same side is confirmed.
-        o, p0, rng = quantized_instance((2, 3, 2, 1), 1)
-        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        o, p0, _ = quantized_instance((2, 3, 2, 1), 1)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
         _VertexWork(o, vertex).candidate(5, -1)
 
         checks, changes = [], []
@@ -766,8 +790,8 @@ class TestProbe:
         assert changes == [True]
 
     def test_probe_resumes_where_the_side_settled(self, monkeypatch):
-        o, p0, rng = quantized_instance((2, 3, 2, 1), 2)
-        vertex, _ = descend_to_vertex(o, p0, LIMITS, rng)
+        o, p0, _ = quantized_instance((2, 3, 2, 1), 2)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
         calls = []
         for name in ("_coincident_guess", "_settled_direction"):
             fn = getattr(_VertexWork, name)
@@ -779,7 +803,7 @@ class TestProbe:
             monkeypatch.setattr(_VertexWork, name, counted)
         work = _VertexWork(o, vertex)
         assert work.coincident_idx
-        tau = 1e-9 * (1.0 + abs(work.loss))
+        tau = SolverLimits().descent_threshold(work.loss)
         descending = [key for key, c in priced_sides(work).items() if c.derivative < -tau]
         assert descending
         settled = 0
@@ -905,8 +929,8 @@ class TestCarriedPricing:
     recomputed; every carried table must equal one priced from scratch."""
 
     def test_carried_tables_equal_tables_priced_from_scratch(self):
-        o, p0, rng = generate_instance(ExperimentConfig(seed=6))
-        vertex, _ = descend_to_vertex(o, p0, SolverLimits(), rng)
+        o, p0, _ = generate_instance(ExperimentConfig(seed=6))
+        vertex, _ = descend_to_vertex(o, p0, SolverLimits())
         for _ in range(100):
             work = assert_priced_as_from_scratch(o, vertex)
             outcome = vertex_step(o, vertex, SolverLimits(), work)
@@ -995,6 +1019,35 @@ class TestDegenerateCorpus:
         # 1e-12 (1 + |p|), so no pivot, escape steps included, stands still.
         before = np.linalg.norm(traj.points[traj.phase1_len : -1], axis=1)
         assert np.all(traj.step_lengths[traj.phase1_len + 1 :] > 1e-12 * (1 + before)), label
+        return traj
+
+    # Two corpus walks (tests/corpus_walks.py) whose start lies on a surface:
+    # minimize's attempts, the walk's iterations and its final loss. The
+    # second walk's perturbed start reaches a degenerate vertex, so it
+    # restarts once more, from minimize's second draw.
+    PERTURBED_STARTS = {
+        ((2, 2, 1), 12, 19): (2, 26, 6.1273487842526855),
+        ((3, 4, 2), 30, 11): (3, 101, 73.18357341841941),
+    }
+
+    def test_walks_from_a_start_on_a_surface_pinned(self, monkeypatch):
+        attempts = []
+        once = solver._minimize_once
+
+        def counting_once(*args):
+            attempts.append(None)
+            return once(*args)
+
+        monkeypatch.setattr(solver, "_minimize_once", counting_once)
+        for (widths, n_samples, seed), want in self.PERTURBED_STARTS.items():
+            o, p0, _ = quantized_instance(widths, seed, n_samples)
+            with pytest.raises(DegenerateStart):
+                descend_to_vertex(o, p0)
+            attempts.clear()
+            traj = self.converge(widths, seed, n_samples, max_iterations=400)
+            label = f"widths={widths} N={n_samples} seed={seed}"
+            assert (len(attempts), len(traj) - 1) == want[:2], label
+            assert traj.losses[-1] == pytest.approx(want[2], rel=1e-9, abs=0.0), label
 
     def test_quantized_instances_converge(self, monkeypatch):
         coincident_visits = []
