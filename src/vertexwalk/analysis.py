@@ -11,6 +11,11 @@ import numpy as np
 from .errors import IllConditioned, NoExponentialPhase, TooShort
 from .solver import Trajectory
 
+# The analysis defaults; ExperimentConfig and the CLI read them from here.
+MEAN_WINDOW = 40
+FIT_WINDOW = 50
+R2_THRESHOLD = 0.9
+
 
 @dataclass(frozen=True)
 class SeriesStats:
@@ -53,7 +58,7 @@ def step_distances(traj: Trajectory) -> SeriesStats:
     return SeriesStats(raw=traj.step_lengths[1:])
 
 
-def running_mean(series: np.ndarray, window: int = 40) -> np.ndarray:
+def running_mean(series: np.ndarray, window: int = MEAN_WINDOW) -> np.ndarray:
     """Mean of the trailing `window` entries; early entries average over
     however many observations exist so far."""
     if window < 1:
@@ -150,8 +155,8 @@ def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def segment_phases(
     traj: Trajectory,
-    fit_window: int = 50,
-    r2_threshold: float = 0.9,
+    fit_window: int = FIT_WINDOW,
+    r2_threshold: float = R2_THRESHOLD,
 ) -> PhaseSegmentation:
     """Split the post-vertex iterations into an exponential-decay phase and
     the fine-tuning phase after it.
@@ -209,7 +214,7 @@ def segment_phases(
     )
 
 
-def vertex_density_proxy(traj: Trajectory, window: int = 40) -> SeriesStats:
+def vertex_density_proxy(traj: Trajectory, window: int = MEAN_WINDOW) -> SeriesStats:
     """Reciprocal running-mean step distance over post-vertex iterates;
     larger values mean denser vertices. Entries whose mean vanishes are
     reported as +inf."""

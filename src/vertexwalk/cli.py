@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 
 from . import bruteforce
+from .analysis import FIT_WINDOW, MEAN_WINDOW
 from .errors import Degenerate, InvalidConfig
 from .experiment import (
     ExperimentConfig,
@@ -41,9 +42,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mean-window", type=int, dest="mean_window", default=None,
-                   help="running-mean window (default 40)")
+                   help=f"running-mean window (default {MEAN_WINDOW})")
     p.add_argument("--fit-window", type=int, dest="fit_window", default=None,
-                   help="phase-fit window (default 50)")
+                   help=f"phase-fit window (default {FIT_WINDOW})")
 
 
 # Config fields set by the flag whose dest has the same name.

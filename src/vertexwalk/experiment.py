@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -47,6 +48,9 @@ from .prng import SplitMix64
 from .solver import MONOTONE_SLACK, SolverLimits, Trajectory, minimize
 
 PAPER_WIDTHS = (4, 5, 4, 3, 2, 1)
+_RUN_FILE = re.compile(
+    r"(config|summary)\.json|(loss|step_length(_mean[0-9]+)?|dist_to_final|trajectory|points)\.csv"
+)
 _INT_FIELDS = ("samples", "layer", "max_iterations", "mean_window", "fit_window")
 _RANGE_FIELDS = ("theta_range", "data_range", "init_range")
 
@@ -85,9 +89,9 @@ class ExperimentConfig:
     max_iterations: int = SolverLimits.max_iterations
     act_tol: float = Tolerances.act
     desc_tol: float = SolverLimits.desc_tol
-    mean_window: int = 40
-    fit_window: int = 50
-    r2_threshold: float = 0.9
+    mean_window: int = analysis.MEAN_WINDOW
+    fit_window: int = analysis.FIT_WINDOW
+    r2_threshold: float = analysis.R2_THRESHOLD
 
     def __post_init__(self):
         # Checked before the conversions below, which would cut 5.9 to 5.
@@ -221,10 +225,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _run_dir(out: Path) -> None:
+    """Make the directory out, or remove from it the files an earlier run
+    wrote there (_RUN_FILE, with step_length_mean<W>.csv for any window W)
+    and no other file, so that it never mixes two runs."""
+    out.mkdir(parents=True, exist_ok=True)
+    for path in out.iterdir():
+        if _RUN_FILE.fullmatch(path.name):
+            path.unlink()
 
 
 def _write_series(
@@ -312,7 +330,8 @@ def summarize(
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtifacts:
     """Generate the instance, minimize, analyze, and serialize everything:
     config.json, summary.json (with the config's fingerprint) and, unless
-    the solver failed (status "degenerate" or "failed"), the series files."""
+    the solver failed (status "degenerate" or "failed"), the series files,
+    in place of any an earlier run wrote into out_dir."""
     oracle, p0, solver_rng = generate_instance(config)
     traj = None
     try:
@@ -326,13 +345,11 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
     summary["fingerprint"] = config.fingerprint()
     out = Path(out_dir) if out_dir else None
     if out:
-        out.mkdir(parents=True, exist_ok=True)
+        _run_dir(out)
         (out / "config.json").write_text(config.to_json() + "\n")
         if traj is not None:
             _write_series(out, traj, config.mean_window)
-        (out / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=1) + "\n"
-        )
+        _write_json(out / "summary.json", summary)
     return RunArtifacts(
         fingerprint=config.fingerprint(),
         out_dir=out,
@@ -364,21 +381,23 @@ def sweep(
 
     The seed list must pass check_seeds. An exception in one seed is
     recorded in its row as status "error: <Type>: <message>" (with
-    out_dir, the traceback goes to seed_<n>/traceback.txt) and the sweep
-    goes on.
+    out_dir, its traceback replaces the run's files in seed_<n>/, where an
+    old traceback.txt never stays) and the sweep goes on.
     """
     seeds = check_seeds(seeds)
     rows = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
         sub = Path(out_dir) / f"seed_{seed}" if out_dir else None
+        if sub:
+            (sub / "traceback.txt").unlink(missing_ok=True)
         try:
             row = dict(run(cfg, sub).summary)
         except Exception as e:
             # One seed's fault must not take down the others.
             row = {"status": f"error: {type(e).__name__}: {e}"}
             if sub:
-                sub.mkdir(parents=True, exist_ok=True)
+                _run_dir(sub)
                 (sub / "traceback.txt").write_text(traceback.format_exc())
         row["seed"] = seed
         rows.append(row)
@@ -419,9 +438,7 @@ def sweep(
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(
-            json.dumps(aggregate, sort_keys=True, indent=1) + "\n"
-        )
+        _write_json(out / "sweep.json", aggregate)
     return aggregate
 
 
@@ -491,9 +508,9 @@ def load_trajectory_csv(
 def analyze_files(
     traj_path: str | Path,
     out_dir: str | Path,
-    mean_window: int = 40,
-    fit_window: int = 50,
-    r2_threshold: float = 0.9,
+    mean_window: int,
+    fit_window: int,
+    r2_threshold: float,
 ) -> dict:
     """Re-analyze a stored trajectory file and rewrite the series files."""
     traj_path = Path(traj_path)
@@ -504,7 +521,5 @@ def analyze_files(
     out.mkdir(parents=True, exist_ok=True)
     _write_series(out, traj, mean_window, with_points=have_points)
     summary = summarize(traj, "analyzed", fit_window, r2_threshold)
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n"
-    )
+    _write_json(out / "summary.json", summary)
     return summary

@@ -22,7 +22,7 @@ state flipped, minus its row in the region) applied along the new
 direction. A release that bends k deeper active surfaces of the same
 sample changes k normals on its flipped side; that side's direction is
 column pos with a rank-k (Woodbury) correction from the same inverse and
-those k bent normals. A side without an edge is NaN.
+those k bent normals; every such side has an edge (_bent_direction).
 
 The pivot ranks the descending sides of the table once, in one order:
 least derivative, then least leaving index, then sign +1 before -1
@@ -548,7 +548,7 @@ class _VertexWork:
             cols[:, q] = orc.constraint_normal(self.o, region.masks, active[q])
         return cols
 
-    def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray | None:
+    def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray:
         """Unnormalized direction that releases active[pos] to the side its
         reference state does not have, when that bends affected surfaces.
 
@@ -556,19 +556,16 @@ class _VertexWork:
         update of N^-T: with B = inv_t[:, affected] and the new normals M
         (pricing.bent[pos]), d = c - B y where (M^T B) y = M^T c and
         c = inv_t[:, pos]. The flip moves each affected normal by a
-        multiple of the released surface's own normal, so M^T B is the
-        identity up to rounding at a vertex with nonsingular normals. None
-        when M^T B is exactly singular: then the entered normals are
-        dependent (det N' = det N det M^T B), there is no edge, and
-        _settled_direction would fail on the side as well.
+        multiple of the released surface's own normal, column pos of N, and
+        N^T B is the identity's columns `affected`, whose row pos is zero;
+        so M^T B is the identity up to rounding, the entered normals are
+        independent (det N' = det N det M^T B) and the side has an edge.
+        Were M^T B ever singular, LinAlgError would end the walk.
         """
         new = self.pricing.bent[pos]
         c = inv_t[:, pos]
         basis = inv_t[:, self.affected[pos]]
-        try:
-            y = np.linalg.solve(new.T @ basis, new.T @ c)
-        except np.linalg.LinAlgError:
-            return None
+        y = np.linalg.solve(new.T @ basis, new.T @ c)
         return c - basis @ y
 
     @cached_property
@@ -584,24 +581,18 @@ class _VertexWork:
         the entered-region loss derivatives of signs +1 and -1: g . d on
         the reference side; across the released surface only its own
         sample's loss term changes, which release_corrections supplies for
-        all positions at once from the pricing's row deltas. A flipped side
-        whose entered normals collapse has no edge and is NaN."""
+        all positions at once from the pricing's row deltas."""
         o, v, region, pricing = self.o, self.v, self.v.region, self.pricing
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
         flip_units = units.copy()
-        collapsed = []
         for pos in self.affected:
             d = self._bent_direction(inv_t, pos)
-            if d is None:
-                collapsed.append(pos)
-            else:
-                flip_units[:, pos] = d / np.linalg.norm(d)
+            flip_units[:, pos] = d / np.linalg.norm(d)
         slopes = region.gradient @ units
         flipped = region.gradient @ flip_units + orc.release_corrections(
             o, pricing.deltas, self.located[:, 1], flip_units
         )
-        flipped[collapsed] = np.nan
         ref = pricing.ref
         on_ref = ref > 0
         table = np.empty((len(ref), 2))
@@ -612,16 +603,16 @@ class _VertexWork:
     @cached_property
     def table(self) -> np.ndarray:
         """The (D, 2) derivative table of the release sides that
-        vertex_step ranks: column 0 holds sign +1 and column 1 sign -1, and
-        a side without an edge is NaN. It is the batch's table, with every
-        side settled into it (_settle) at a vertex with coincident
-        surfaces; a side that fails to settle is NaN as well."""
+        vertex_step ranks: column 0 holds sign +1 and column 1 sign -1. It
+        is the batch's table, with all 2D sides settled into it (_settle) at
+        a vertex with coincident surfaces; a side that fails to settle there
+        is NaN, and no other side is."""
         table = self._batch[0]
         if self.coincident_idx:
             table = table.copy()
-            for pos, col in zip(*np.nonzero(~np.isnan(table))):
+            for pos, col in np.ndindex(table.shape):
                 try:
-                    table[pos, col] = self._settle(int(pos), _SIGNS[col])[2]
+                    table[pos, col] = self._settle(pos, _SIGNS[col])[2]
                 except DegenerateVertex:
                     table[pos, col] = np.nan
         return table
@@ -675,8 +666,6 @@ class _VertexWork:
     def _settle_once(self, pos: int, sign: int) -> tuple:
         table, units, flip_units, ref = self._batch
         deriv = float(table[pos, _SIGNS.index(sign)])
-        if np.isnan(deriv):
-            raise DegenerateVertex("edge solve hit dependent normals")
         region = self.v.region
         if sign == ref[pos]:
             d = sign * units[:, pos]
@@ -789,11 +778,7 @@ def vertex_step(
     tau = limits.descent_threshold(work.loss)
 
     # The descending sides are tried in the table's order, and the pivot
-    # takes the first one its probe confirms. A release side whose
-    # entered-region normals collapse has no transversal edge (e.g. the
-    # entered side kills every path through a same-sample deeper active
-    # surface) and is NaN in the table; a stall with such sides is
-    # re-verified by sampling before the run accepts convergence.
+    # takes the first one its probe confirms.
     sides = _descending(work.table, np.array(v.active), tau)
     if not sides:
         return None
@@ -945,12 +930,11 @@ def _swapped_states(o, v, coincident):
 def _escape_if_degenerate(work, limits, rng):
     """Called when no active edge of work's vertex descends. Returns a step
     escaping the vertex through one of the first 64 exchanged active sets,
-    or None when the vertex passes the sampled local-minimality check (or
-    shows no degeneracy at all: no coincident surface and no side left out
-    of the derivative table that vertex_step has just ranked)."""
+    or None when the vertex has no coincident surface (its table holds
+    every side) or passes the sampled local-minimality check."""
     o, v = work.o, work.v
     coincident = work.coincident_idx
-    if not coincident and not np.isnan(work.table).any():
+    if not coincident:
         return None
     radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
     if not _sampled_descent(o, v.point, radius, 200, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vertexwalk.analysis import estimate_loss_floor
+from vertexwalk.analysis import FIT_WINDOW, MEAN_WINDOW, R2_THRESHOLD, estimate_loss_floor
 from vertexwalk.cli import main
 from vertexwalk.errors import InvalidConfig
 from vertexwalk.experiment import (
@@ -24,6 +24,7 @@ from vertexwalk.prng import SplitMix64
 from vertexwalk.solver import Trajectory
 
 TOY = dict(widths=(1, 1, 1), samples=5, max_iterations=500)
+WINDOWS = dict(mean_window=MEAN_WINDOW, fit_window=FIT_WINDOW, r2_threshold=R2_THRESHOLD)
 TRAJ_HEADER = "iteration,loss,step_length,active_count,phase\n"
 TRAJ_ROWS = "0,3.5,0.0,0,1\n1,3.0,0.5,1,1\n2,2.0,0.5,2,2\n"
 
@@ -185,6 +186,37 @@ class TestRun:
         run(cfg, tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_a_reused_directory_holds_one_run(self, tmp_path, monkeypatch):
+        # Each run into D leaves in it exactly what a run into a fresh
+        # directory writes, byte for byte, and every file that is not a
+        # run's. The failure is forced, as in test_failed_run_names_its_config.
+        from vertexwalk import experiment as exp
+        from vertexwalk.errors import DegenerateVertex
+
+        real_minimize = exp.minimize
+
+        def failing(oracle, p0, limits, rng=None):
+            raise DegenerateVertex("synthetic failure")
+
+        reused, own = tmp_path / "D", ("notes.txt", "step_length_mean40.txt", "points.csv.bak")
+        reused.mkdir()
+        for name in own:
+            (reused / name).write_text("kept\n")
+        runs = [
+            (ExperimentConfig(seed=3, mean_window=7, **TOY), real_minimize),
+            (ExperimentConfig(seed=3, **TOY), real_minimize),
+            (ExperimentConfig(seed=4, **TOY), failing),
+            (ExperimentConfig(seed=5, **TOY), real_minimize),
+        ]
+        for n, (cfg, minimize) in enumerate(runs):
+            monkeypatch.setattr(exp, "minimize", minimize)
+            run(cfg, reused)
+            run(cfg, tmp_path / f"fresh{n}")
+            fresh = {f.name: f.read_bytes() for f in (tmp_path / f"fresh{n}").iterdir()}
+            assert {f.name: f.read_bytes() for f in reused.iterdir() if f.name not in own} == fresh
+            assert all((reused / name).read_text() == "kept\n" for name in own)
+        assert len(fresh) == 8
 
     def test_phase_column_matches_prefix(self, tmp_path):
         art = run(ExperimentConfig(seed=4, **TOY), tmp_path)
@@ -383,6 +415,30 @@ class TestSweep:
             "converged", "error: RuntimeError: synthetic crash", "converged"
         ]
 
+    def test_a_rerun_seed_holds_only_its_outcome(self, tmp_path, monkeypatch):
+        # A seed that raised leaves its traceback beside no file of an
+        # earlier run; a seed that ran leaves no traceback of an earlier
+        # sweep. Files that are neither stay.
+        from vertexwalk import experiment as exp
+
+        real_minimize = exp.minimize
+
+        def crashing(oracle, p0, limits, rng=None):
+            raise RuntimeError("synthetic crash")
+
+        seed_dir = tmp_path / "S" / "seed_2"
+        for n, minimize in enumerate((real_minimize, crashing, real_minimize)):
+            monkeypatch.setattr(exp, "minimize", minimize)
+            sweep(ExperimentConfig(**TOY), [2], tmp_path / "S")
+            (seed_dir / "notes.txt").write_text("kept\n")
+            names = sorted(f.name for f in seed_dir.iterdir())
+            if minimize is crashing:
+                assert names == ["notes.txt", "traceback.txt"]
+            else:
+                run(ExperimentConfig(seed=2, **TOY), tmp_path / f"fresh{n}")
+                fresh = sorted(f.name for f in (tmp_path / f"fresh{n}").iterdir())
+                assert names == sorted(fresh + ["notes.txt"])
+
     def test_single_seed_matches_run(self, tmp_path):
         cfg = ExperimentConfig(**TOY)
         agg = sweep(cfg, [5], tmp_path / "sweep")
@@ -395,9 +451,7 @@ class TestSweep:
 class TestAnalyze:
     def test_round_trip(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
-        summary = analyze_files(
-            tmp_path / "orig" / "trajectory.csv", tmp_path / "re"
-        )
+        summary = analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
         assert summary["status"] == "analyzed"
         names = sorted(p.name for p in (tmp_path / "orig").glob("*.csv"))
         assert names == [
@@ -425,7 +479,8 @@ class TestAnalyze:
     def test_mean_window_names_its_file(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
         run(ExperimentConfig(seed=6, mean_window=7, **TOY), tmp_path / "seven")
-        analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", mean_window=7)
+        windows = {**WINDOWS, "mean_window": 7}
+        analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **windows)
         assert not (tmp_path / "re" / "step_length_mean40.csv").exists()
         a = (tmp_path / "seven" / "step_length_mean7.csv").read_bytes()
         assert (tmp_path / "re" / "step_length_mean7.csv").read_bytes() == a
@@ -482,19 +537,19 @@ class TestAnalyze:
         lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
         points.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidConfig, match="non-finite"):
-            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re")
+            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
 
     def test_points_row_count_must_match(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
         points = tmp_path / "orig" / "points.csv"
         points.write_text("\n".join(points.read_text().splitlines()[:-1]) + "\n")
         with pytest.raises(InvalidConfig):
-            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re")
+            analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
 
     def test_without_points_skips_distances(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")
         (tmp_path / "orig" / "points.csv").unlink()
-        analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re")
+        analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
         assert not (tmp_path / "re" / "dist_to_final.csv").exists()
         assert (tmp_path / "re" / "loss.csv").exists()
 

@@ -410,55 +410,68 @@ class TestEdgeDirections:
                 assert abs(c.derivative - float(g_entered @ c.direction)) <= tol
         assert affected_sides > 0
 
-    def test_batch_skips_exactly_the_sides_candidate_rejects(self, monkeypatch):
-        # Releasing unit u moves each affected normal by a multiple of u's
-        # own normal, so at a vertex with a nonsingular normal matrix no
-        # release can zero one. The collapse is therefore built by zeroing
-        # one affected normal on the flipped side of one release. The
-        # reference is a dense solve against each side's entered normals,
-        # recomputed through the patched oracle.
+    def test_batch_skips_exactly_the_sides_candidate_rejects(self):
+        # Every release side of a vertex with a nonsingular normal matrix
+        # has an edge (test_bent_normals_keep_the_woodbury_matrix_the_identity),
+        # so the batch prices all 2D sides, each settles, and a dense solve
+        # against each side's entered normals succeeds.
         o, p0 = build_instance(81, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
-        assert not _VertexWork(o, vertex).coincident_idx
-        sides = [(pos, sign) for pos in range(o.dim) for sign in (1, -1)]
-
-        def outcomes():
-            work = _VertexWork(o, vertex)
-            skipped = set(sides) - set(priced_sides(work))
-            rejected, dependent = set(), set()
-            for pos, sign in sides:
-                try:
-                    work._settle(pos, sign)
-                except DegenerateVertex:
-                    rejected.add((pos, sign))
-                entered = vertex.region.signature.with_state(vertex.active[pos], sign)
-                try:
-                    edge_solve(o, vertex, orc.region_masks(entered), pos, sign)
-                except np.linalg.LinAlgError:
-                    dependent.add((pos, sign))
-            return skipped, rejected, dependent
-
-        assert outcomes() == (set(), set(), set())
-
         work = _VertexWork(o, vertex)
-        pos = next(iter(work.affected))
-        killed = work.located[work.affected[pos][0]].tolist()
-        array, _, k = work.located[pos].tolist()
-        flipped_on = vertex.region.signature.state_of(vertex.active[pos]) < 0
-        normal = orc.sample_normal
+        assert not work.coincident_idx and work.affected
+        sides = [(pos, sign) for pos in range(o.dim) for sign in (1, -1)]
+        assert set(priced_sides(work)) == set(sides)
+        rejected, dependent = set(), set()
+        for pos, sign in sides:
+            try:
+                work._settle(pos, sign)
+            except DegenerateVertex:
+                rejected.add((pos, sign))
+            entered = vertex.region.signature.with_state(vertex.active[pos], sign)
+            try:
+                edge_solve(o, vertex, orc.region_masks(entered), pos, sign)
+            except np.linalg.LinAlgError:
+                dependent.add((pos, sign))
+        assert rejected == dependent == set()
 
-        def killing_normal(o, mask_rows, *at):
-            col = normal(o, mask_rows, *at)
-            if list(at) == killed and (mask_rows[array][k] > 0) == flipped_on:
-                return np.zeros_like(col)
-            return col
+    # Walks for the Woodbury identity: (instance, pivot cap, whether the walk
+    # prices a side at a vertex with coincident surfaces).
+    IDENTITY_WALKS = {
+        "acceptance-seed6": (lambda: generate_instance(ExperimentConfig(seed=6)), 150, False),
+        "wide-d-seed0": (
+            lambda: generate_instance(
+                ExperimentConfig(seed=0, widths=(4, 20, 4, 3, 2, 1), samples=500)
+            ),
+            60,
+            False,
+        ),
+        "quantized-121-seed14": (lambda: quantized_instance((1, 2, 1), 14, 12), 400, True),
+    }
 
-        # Both the bent normals of a pricing built under the patch and
-        # constraint_normal go through it.
-        monkeypatch.setattr(orc, "sample_normal", killing_normal)
-        vertex = replace(vertex, pricing=solver._pricing(o, vertex.region, vertex.located))
-        skipped, rejected, dependent = outcomes()
-        assert skipped == rejected == dependent == {(pos, 1 if flipped_on else -1)}
+    @pytest.mark.parametrize("name", IDENTITY_WALKS)
+    def test_bent_normals_keep_the_woodbury_matrix_the_identity(self, monkeypatch, name):
+        # Releasing hidden unit u moves each affected normal by a multiple
+        # of u's own normal, column pos of N, to which N^-T's affected
+        # columns B are orthogonal; so M^T B = I for the bent normals M, and
+        # the rank-k solve of every flipped side has an edge. Checked at
+        # every affected position of every vertex of three walks, the
+        # exchanged sets of the quantized walk's escapes included.
+        instance, pivots, degenerate = self.IDENTITY_WALKS[name]
+        at_coincident = []
+        bent_direction = _VertexWork._bent_direction
+
+        def checking(work, inv_t, pos):
+            basis = inv_t[:, work.affected[pos]]
+            gap = work.pricing.bent[pos].T @ basis - np.eye(basis.shape[1])
+            assert np.linalg.norm(gap, np.inf) <= 1e-9, (work.v.active, pos)
+            at_coincident.append(bool(work.coincident_idx))
+            return bent_direction(work, inv_t, pos)
+
+        monkeypatch.setattr(_VertexWork, "_bent_direction", checking)
+        o, p0, rng = instance()
+        minimize(o, p0, SolverLimits(max_iterations=o.dim + pivots), rng)
+        assert at_coincident
+        assert any(at_coincident) == degenerate
 
     def test_derivatives_at_reference_scale(self):
         o, vertex = reference_scale_vertex()
