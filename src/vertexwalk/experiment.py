@@ -217,31 +217,36 @@ def generate_instance(
     return oracle, p0, rng.spawn()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+# Rows a series file converts and writes at a time, which bounds the memory
+# a long series takes to write.
+_CSV_ROWS = 256
 
 
-def _run_dir(out: Path) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """The columns (1-D arrays or sequences of one length) side by side,
+    one row per entry. Each column becomes Python scalars (.tolist()), so
+    a float is written as the repr of a Python float, its shortest
+    round-trip form, and an integer as an integer, numpy scalars included."""
+    columns = [np.asarray(c) for c in columns]
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            rows = zip(*(c[start : start + _CSV_ROWS].tolist() for c in columns))
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _run_dir(out: Path, keep=()) -> None:
     """Make the directory out, or remove from it the files an earlier run
     wrote there (_RUN_FILE, with step_length_mean<W>.csv for any window W)
-    and no other file, so that it never mixes two runs."""
+    other than the names in keep, and no other file, so that it never mixes
+    two runs."""
     out.mkdir(parents=True, exist_ok=True)
     for path in out.iterdir():
-        if _RUN_FILE.fullmatch(path.name):
+        if _RUN_FILE.fullmatch(path.name) and path.name not in keep:
             path.unlink()
 
 
@@ -249,28 +254,24 @@ def _write_series(
     out: Path, traj: Trajectory, mean_window: int, with_points: bool = True
 ) -> None:
     t = np.arange(len(traj))
-    _write_csv(out / "loss.csv", "iteration,loss", zip(t, traj.losses))
+    _write_csv(out / "loss.csv", "iteration,loss", t, traj.losses)
     steps = traj.step_lengths[1:]
-    _write_csv(out / "step_length.csv", "iteration,step_length", zip(t[1:], steps))
+    _write_csv(out / "step_length.csv", "iteration,step_length", t[1:], steps)
     mean = analysis.running_mean(steps, mean_window)
     name = f"step_length_mean{mean_window}"
-    _write_csv(out / f"{name}.csv", f"iteration,{name}", zip(t[1:], mean))
+    _write_csv(out / f"{name}.csv", f"iteration,{name}", t[1:], mean)
     if with_points:
         dist = analysis.distance_to_final(traj).raw
-        _write_csv(out / "dist_to_final.csv", "iteration,dist_to_final", zip(t, dist))
+        _write_csv(out / "dist_to_final.csv", "iteration,dist_to_final", t, dist)
     phase = np.where(t < traj.phase1_len, 1, 2)
     _write_csv(
         out / "trajectory.csv",
         "iteration,loss,step_length,active_count,phase",
-        zip(t, traj.losses, traj.step_lengths, traj.active_counts, phase),
+        t, traj.losses, traj.step_lengths, traj.active_counts, phase,
     )
     if with_points:
         dcols = ",".join(f"p{j}" for j in range(traj.points.shape[1]))
-        _write_csv(
-            out / "points.csv",
-            "iteration," + dcols,
-            ([ti] + list(row) for ti, row in zip(t, traj.points)),
-        )
+        _write_csv(out / "points.csv", "iteration," + dcols, t, *traj.points.T)
 
 
 def summarize(
@@ -512,13 +513,25 @@ def analyze_files(
     fit_window: int,
     r2_threshold: float,
 ) -> dict:
-    """Re-analyze a stored trajectory file and rewrite the series files."""
+    """Re-analyze a stored trajectory file and rewrite the series files.
+
+    Before writing, every run file (_RUN_FILE) in out_dir that this analysis
+    does not write again is removed, so the directory never mixes two runs;
+    config.json stays only when out_dir is the trajectory's own directory.
+    """
     traj_path = Path(traj_path)
     points_path = traj_path.with_name("points.csv")
     traj = load_trajectory_csv(traj_path, points_path)
     have_points = points_path.exists()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    keep = {"summary.json", "loss.csv", "step_length.csv", "trajectory.csv"}
+    keep.add(f"step_length_mean{mean_window}.csv")
+    if have_points:
+        keep.update(("dist_to_final.csv", "points.csv"))
+    if out.samefile(traj_path.parent):
+        keep.add("config.json")
+    _run_dir(out, keep)
     _write_series(out, traj, mean_window, with_points=have_points)
     summary = summarize(traj, "analyzed", fit_window, r2_threshold)
     _write_json(out / "summary.json", summary)

@@ -71,14 +71,20 @@ sample_gradient_rows call (Region.rerooted). Every vertex has a Pricing:
 phase 1's vertex and each exchanged active set get one built from
 scratch (_pricing, whose deltas come from the same Region.rerooted
 call). Both phases build a vertex in _new_vertex. The polish reads the
-active values of its two forward passes directly and flattens only the
-kept point's, so these are the pivot's only forward passes. The normal
-matrix is still refactorized from scratch at every pivot; at the problem
-sizes this package targets, robustness is worth far more than the saved
-cubic term. With validate=True every carried array, the Pricing included
-(phase 1's too), is checked against a recomputation from scratch, bit
-for bit, and every surface off the vertex against the side its state
-gives it.
+active values of its two forward passes from their buffers, at the active
+surfaces' buffer positions, and keeps the kept point's buffer as the
+vertex's values; these are the pivot's only forward passes.
+
+Constraint values and JVPs are arrays by buffer position, while surfaces
+are named by flat index (o.layout.slots and o.layout.indices map between
+the two), so ties still go to the smallest flat index.
+
+The normal matrix is still refactorized from scratch at every pivot; at
+the problem sizes this package targets, robustness is worth far more than
+the saved cubic term. With validate=True every carried array, the Pricing
+included (phase 1's too), is checked against a recomputation from
+scratch, bit for bit, and every surface off the vertex against the side
+its state gives it.
 """
 
 from __future__ import annotations
@@ -148,8 +154,9 @@ class VertexState:
     their (state array, sample, unit) rows (`located`), their normals
     (columns) in `region`, the reference region (a full-dimensional region
     adjacent to the vertex, with its signature, masks and gradient rows),
-    every constraint value at the point (flat order), the loss there and
-    its Pricing."""
+    every constraint value at the point (`flat`, by buffer position, so
+    the value of flat index idx is flat[o.layout.slots(idx)]), the loss
+    there and its Pricing."""
 
     point: np.ndarray
     active: list[int]
@@ -293,7 +300,7 @@ def descend_to_vertex(
         flat = orc.constraint_values_flat(o, vals)
         # One screen per step, shared by the fallback directions. States are
         # +-1: the magnitude is |flat| on a surface's own side, else 0.
-        screen = orc.RatioScreen(states, np.maximum(states * flat, 0.0), excluded)
+        screen = orc.RatioScreen(states, np.maximum(states * flat, 0.0), excluded, o.layout)
         tau = limits.descent_threshold(vals.loss)
 
         d = None
@@ -344,7 +351,7 @@ def descend_to_vertex(
         if limits.validate and not rank_extends(normal_cols, nhit):
             raise DegenerateVertex("hit constraint normal did not extend the basis")
         active.append(hit)
-        excluded[hit] = True
+        excluded[o.layout.slots(hit)] = True
         normal_cols.append(nhit)
         vals = orc.forward_values(o, p)
         records.append((p.copy(), vals.loss, len(active)))
@@ -366,7 +373,7 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
         fact = factorize(normals)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, located, fact, vals)
+    p, flat, loss = _polish(o, p, o.layout.slots(active), fact, vals)
     vertex = VertexState(
         point=p,
         active=active,
@@ -383,22 +390,21 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
     return vertex
 
 
-def _polish(o, p, located, fact, vals=None):
+def _polish(o, p, slots, fact, vals=None):
     """One Newton correction pulling the point back onto the active surfaces.
 
-    `located` holds the (state array, sample, unit) rows of the active
-    surfaces and `vals`, when given, the constraint values at p. Returns
-    the point with its flat constraint values and its loss; only the kept
-    point's values are flattened.
+    `slots` holds the buffer positions of the active surfaces and `vals`,
+    when given, the constraint values at p. Returns the point with its
+    constraint values (by buffer position) and its loss.
     """
     if vals is None:
         vals = orc.forward_values(o, p)
-    act_vals = _gather(vals.arrays, located)
+    act_vals = vals.flat[slots]
     worst = float(np.max(np.abs(act_vals)))
     delta = solve(fact, -act_vals, transpose=True)
     q = p + delta
     vals_q = orc.forward_values(o, q)
-    worst_q = float(np.max(np.abs(_gather(vals_q.arrays, located))))
+    worst_q = float(np.max(np.abs(vals_q.flat[slots])))
     if worst_q < worst:
         p, vals, worst = q, vals_q, worst_q
     if worst > o.tol.act:
@@ -410,7 +416,8 @@ def _polish(o, p, located, fact, vals=None):
 
 def _gather(arrays, located: np.ndarray) -> np.ndarray:
     """The entries of per-sample arrays in the state arrays' order (hidden
-    layers, then residuals) at the given (array, sample, unit) rows."""
+    layers, then residuals), such as a signature's states, at the given
+    (array, sample, unit) rows."""
     return np.array([arrays[a][i, k] for a, i, k in located.tolist()])
 
 
@@ -513,21 +520,28 @@ class _VertexWork:
         self.affected = self.pricing.affected
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
-        # entered-side states are set by the crossing direction. The ratio
-        # test's screen shares |flat| and skips the excluded mask.
+        # entered-side states are set by the crossing direction. They are
+        # kept in ascending flat index (coincident_idx) with their buffer
+        # positions (coincident_slots). The ratio test's screen shares
+        # |flat| and skips the excluded mask.
         magnitude = np.abs(self.flat)
         excluded = magnitude <= o.tol.act
-        excluded[v.active] = False
-        self.coincident_idx = np.flatnonzero(excluded).tolist()
-        excluded[v.active] = True
-        self.screen = orc.RatioScreen(self.flat, magnitude, excluded)
-        self.excluded_idx = v.active + self.coincident_idx
+        active_slots = o.layout.slots(v.active)
+        excluded[active_slots] = False
+        coincident = np.flatnonzero(excluded)
+        idx = o.layout.indices(coincident)
+        order = np.argsort(idx)
+        self.coincident_idx = idx[order].tolist()
+        self.coincident_slots = coincident[order]
+        excluded[active_slots] = True
+        self.screen = orc.RatioScreen(self.flat, magnitude, excluded, o.layout)
+        self.excluded_slots = np.concatenate([active_slots, self.coincident_slots])
         self.excluded_at = self.located
         if self.coincident_idx:
             self.excluded_at = np.concatenate(
                 [self.located, o.layout.locate_many(self.coincident_idx)]
             )
-        self.excluded_flat = self.flat[self.excluded_idx]
+        self.excluded_flat = self.flat[self.excluded_slots]
         # (direction, entered region, derivative) of each side settled by
         # _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
@@ -642,9 +656,8 @@ class _VertexWork:
         side.
         """
         dvals = orc.constraint_jvp_flat(self.o, region.masks, d)
-        floor = orc.ROUNDOFF_FLOOR * float(np.max(np.abs(dvals)))
-        for idx in self.coincident_idx:
-            dv = float(dvals[idx])
+        floor = orc.ROUNDOFF_FLOOR * orc.largest_magnitude(dvals)
+        for idx, dv in zip(self.coincident_idx, dvals[self.coincident_slots].tolist()):
             if abs(dv) > floor:
                 state = 1 if dv > 0 else -1
                 if region.signature.state_of(idx) != state:
@@ -743,7 +756,7 @@ class _VertexWork:
             return False
         states = _gather(sig.states, self.excluded_at)
         at_vertex = self.excluded_flat
-        at_probe = at_vertex + eps * dvals[self.excluded_idx]
+        at_probe = at_vertex + eps * dvals[self.excluded_slots]
         low = np.minimum(states * at_vertex, states * at_probe)
         return bool(np.all(low >= -_PROBE_MARGIN * act))
 
@@ -839,7 +852,7 @@ def _validate_vertex(o, v):
         raise ValidationFailure("carried active rows differ from a recomputation")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
-    worst = float(np.max(np.abs(flat[v.active])))
+    worst = float(np.max(np.abs(flat[o.layout.slots(v.active)])))
     if worst > o.tol.act:
         raise ValidationFailure(f"active values drifted to {worst:.3e}")
     if near_singular(v.factorization, v.normals):

@@ -37,6 +37,12 @@ def build_instance(
     return o, p0
 
 
+def in_flat_order(o: OracleInstance, buffer: np.ndarray) -> np.ndarray:
+    """A buffer of per-constraint entries (buffer positions) reordered so
+    that entry idx belongs to the constraint with flat index idx."""
+    return buffer[o.layout.slots(np.arange(o.n_constraints))]
+
+
 def interior_point(o: OracleInstance, rng: SplitMix64, scale=5.0, min_clear=1e-4, tries=200):
     """Sample a point whose smallest constraint magnitude exceeds min_clear."""
     for _ in range(tries):

@@ -162,7 +162,7 @@ def constraint_eval(
 ) -> tuple[float, np.ndarray]:
     """Value and region-local gradient of the constraint with flat index idx."""
     _check_index(o, idx)
-    v = float(constraint_values_flat(o, forward_values(o, p))[idx])
+    v = float(constraint_values_flat(o, forward_values(o, p))[o.layout.slots(idx)])
     return v, constraint_normal(o, region_masks(sig), idx)
 
 
@@ -185,8 +185,9 @@ def ratio_test(
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
     excluded = np.zeros(flat.size, dtype=bool)
-    excluded[active] = True
-    crossing, _ = _ratio_from_arrays(flat, dvals, RatioScreen(flat, np.abs(flat), excluded))
+    excluded[o.layout.slots(active)] = True
+    screen = RatioScreen(flat, np.abs(flat), excluded, o.layout)
+    crossing, _ = _ratio_from_arrays(flat, dvals, screen)
     if crossing is None:
         raise NoCrossing("no inactive constraint decreases toward zero")
     return crossing

@@ -11,6 +11,7 @@ from vertexwalk.cli import main
 from vertexwalk.errors import InvalidConfig
 from vertexwalk.experiment import (
     ExperimentConfig,
+    _write_csv,
     analyze_files,
     check_seeds,
     generate_instance,
@@ -545,6 +546,43 @@ class TestAnalyze:
         points.write_text("\n".join(points.read_text().splitlines()[:-1]) + "\n")
         with pytest.raises(InvalidConfig):
             analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
+
+    def test_a_reused_directory_holds_one_analysis(self, tmp_path):
+        # Seed 3's trajectory, its points removed, analyzed into seed 4's run
+        # directory leaves there what an analysis into a fresh directory
+        # writes, byte for byte: none of seed 4's points, distances or
+        # config.
+        a, b, fresh = tmp_path / "A", tmp_path / "B", tmp_path / "fresh"
+        run(ExperimentConfig(seed=3, **TOY), a)
+        (a / "points.csv").unlink()
+        run(ExperimentConfig(seed=4, **TOY), b)
+        analyze_files(a / "trajectory.csv", b, **WINDOWS)
+        analyze_files(a / "trajectory.csv", fresh, **WINDOWS)
+        assert {f.name: f.read_bytes() for f in b.iterdir()} == {
+            f.name: f.read_bytes() for f in fresh.iterdir()
+        }
+        assert not (b / "config.json").exists() and not (b / "points.csv").exists()
+
+    def test_reanalyzing_in_place_keeps_the_run_config(self, tmp_path):
+        # In the trajectory's own directory the run's config.json and its
+        # points stay; the running mean of another window goes.
+        a = tmp_path / "A"
+        run(ExperimentConfig(seed=3, mean_window=7, **TOY), a)
+        before = {f.name: f.read_bytes() for f in a.iterdir()}
+        analyze_files(tmp_path / "." / "A" / "trajectory.csv", a, **WINDOWS)
+        after = {f.name: f.read_bytes() for f in a.iterdir()}
+        assert set(after) == set(before) - {"step_length_mean7.csv"} | {"step_length_mean40.csv"}
+        for name in ("config.json", "points.csv", "trajectory.csv", "loss.csv"):
+            assert after[name] == before[name], name
+
+    def test_csv_columns_of_numpy_scalars_write_plain_numbers(self, tmp_path):
+        # repr(np.float64(x)) reads "np.float64(x)" under numpy 2; the
+        # writer turns every column into Python scalars first.
+        path = tmp_path / "series.csv"
+        ints = [np.int64(0), np.int64(7)]
+        floats = [np.float64(0.1), np.float64(1e-20)]
+        _write_csv(path, "i,x,y", ints, floats, np.array([2.5, -0.0]))
+        assert path.read_text() == "i,x,y\n0,0.1,2.5\n7,1e-20,-0.0\n"
 
     def test_without_points_skips_distances(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import build_instance, interior_point
+from conftest import build_instance, in_flat_order, interior_point
 from reference import (
     AmbiguousSignature,
     NetworkParams,
@@ -20,6 +20,7 @@ from reference import (
 from vertexwalk.errors import InvalidTag, ShapeMismatch
 from vertexwalk.network import Architecture, LayerParams, TrainingSet, relu
 from vertexwalk.oracle import (
+    ConstraintLayout,
     RatioScreen,
     constraint_jvp_flat,
     _full_scan,
@@ -459,6 +460,20 @@ def _documented_order(o):
             yield depth + 1, i, j
 
 
+@st.composite
+def _layouts(draw, max_samples=6, max_width=4):
+    """A ConstraintLayout of 0 to 3 hidden layers, as OracleInstance builds
+    one."""
+    hidden = draw(st.lists(st.integers(1, max_width), min_size=0, max_size=3))
+    pos = tuple((l, k) for l, w in enumerate(hidden) for k in range(w))
+    n_samples = draw(st.integers(1, max_samples))
+    return ConstraintLayout(n_samples, draw(st.integers(1, 3)), len(hidden), pos)
+
+
+def _layout_size(layout):
+    return layout.n_samples * (len(layout.neuron_pos) + layout.output_dim)
+
+
 class TestEnumerateConstraints:
     def test_reference_count(self):
         o, _ = build_instance(16, (4, 5, 4, 3, 2, 1), 500)
@@ -484,10 +499,30 @@ class TestEnumerateConstraints:
             assert o.layout.locate_many(shuffled).tolist() == [list(rows[i]) for i in shuffled]
             assert o.layout.locate_many([]).shape == (0, 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_layouts())
+    def test_buffer_positions_round_trip(self, layout):
+        # slots is a permutation that keeps the residuals' numbers, indices
+        # inverts it, and the position of (array, sample, unit) is that
+        # entry of the buffer's block views.
+        n = _layout_size(layout)
+        idx = np.arange(n)
+        slots = layout.slots(idx)
+        assert sorted(slots.tolist()) == idx.tolist()
+        assert np.array_equal(layout.indices(slots), idx)
+        assert np.array_equal(layout.slots(layout.indices(idx)), idx)
+        blocks = layout.blocks(idx)
+        assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), idx)
+        for i in idx.tolist():
+            array, sample, unit = layout.locate(i)
+            assert blocks[array][sample, unit] == slots[i] == layout.slots(i)
+        cut = layout.n_samples * len(layout.neuron_pos)
+        assert np.array_equal(slots[cut:], idx[cut:])
+
     def test_flat_values_align_with_tags(self):
         o, p = build_instance(20, (2, 3, 1), 4)
         vals = forward_values(o, p)
-        flat = constraint_values_flat(o, vals)
+        flat = in_flat_order(o, constraint_values_flat(o, vals))
         for idx, surface in enumerate(_documented_order(o)):
             assert flat[idx] == pytest.approx(_constraint_value(o, p, surface), abs=1e-14)
 
@@ -504,8 +539,9 @@ class TestEnumerateConstraints:
         for idx in range(o.n_constraints):
             a, i, k = o.layout.locate(idx)
             state = sig.state_of(idx)
-            assert flat[idx] == vals.arrays[a][i, k]
-            assert states[idx] == sig.states[a][i, k] == state
+            slot = o.layout.slots(idx)
+            assert flat[slot] == vals.arrays[a][i, k]
+            assert states[slot] == sig.states[a][i, k] == state
             assert masks[a][i, k] == (state if a == depth else float(state > 0))
 
 
@@ -614,30 +650,38 @@ class TestRatioTest:
         assert np.array_equal(states, np.sign(flat))
 
 
-def _screen(flat, excluded, states=None):
+def _residuals_only(n):
+    """A layout of one sample with n outputs: buffer position equals flat
+    index."""
+    return ConstraintLayout(1, n, 0, ())
+
+
+def _screen(flat, excluded, states=None, layout=None):
     """The ratio test's screen of flat, judged by value or by states."""
+    layout = layout or _residuals_only(flat.size)
     if states is None:
-        return RatioScreen(flat, np.abs(flat), excluded)
-    return RatioScreen(states, np.maximum(states * flat, 0.0), excluded)
+        return RatioScreen(flat, np.abs(flat), excluded, layout)
+    return RatioScreen(states, np.maximum(states * flat, 0.0), excluded, layout)
 
 
 def _first_crossing_loop(flat, dvals, screen):
-    """The first crossing, one surface at a time."""
+    """The first crossing, one surface at a time in flat index order."""
     floor = 1e-12 * max(abs(float(v)) for v in dvals)
     best = None
-    for j, (f, dv) in enumerate(zip(flat.tolist(), dvals.tolist())):
+    for idx, j in enumerate(screen.layout.slots(np.arange(flat.size)).tolist()):
+        f, dv = float(flat[j]), float(dvals[j])
         if screen.excluded[j] or abs(dv) <= floor or not float(screen.side[j]) * dv < 0.0:
             continue
         t = max(-f / dv, 0.0)
         if best is None or t < best[0]:
-            best = (t, j)
+            best = (t, idx)
     return best, floor
 
 
-def _screened_and_full(flat, dvals, excluded, states=None):
+def _screened_and_full(flat, dvals, excluded, states=None, layout=None):
     """The screened ratio test and the full scan on the same screen; the
     full scan is first checked against a loop over the surfaces."""
-    screen = _screen(flat, excluded, states)
+    screen = _screen(flat, excluded, states, layout)
     full = _full_scan(flat, dvals, screen)
     assert full == _first_crossing_loop(flat, dvals, screen)
     return _ratio_from_arrays(flat, dvals, screen), full
@@ -665,7 +709,14 @@ class TestScreenedRatio:
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_equals_the_full_scan(self, data):
-        n = data.draw(st.integers(1, 24))
+        # A residual-only layout keeps buffer position and flat index equal;
+        # one with hidden layers orders them differently, so that ties
+        # between positions are broken by flat index.
+        if data.draw(st.booleans()):
+            layout = _residuals_only(data.draw(st.integers(1, 24)))
+        else:
+            layout = data.draw(_layouts(max_samples=3, max_width=3))
+        n = _layout_size(layout)
         entries = st.lists(_signed(VALUE_MAGNITUDES), min_size=n, max_size=n)
         if data.draw(st.booleans()):
             # One |value| everywhere.
@@ -683,7 +734,7 @@ class TestScreenedRatio:
                 data.draw(st.lists(st.sampled_from((1, -1, 0)), min_size=n, max_size=n)),
                 dtype=np.int8,
             )
-        screened, full = _screened_and_full(flat, dvals, excluded, states)
+        screened, full = _screened_and_full(flat, dvals, excluded, states, layout)
         assert screened == full
 
     @pytest.mark.parametrize(
@@ -734,6 +785,23 @@ class TestScreenedRatio:
         assert -flat[0] / dvals[0] == t and flat[0] > t * 1.25
         screened, full = _screened_and_full(flat, dvals, np.zeros(3, dtype=bool))
         assert screened == full == ((t, 0), 1.25e-12)
+
+    def test_ties_across_layers_resolve_to_the_smaller_flat_index(self, monkeypatch):
+        # Two samples, two hidden layers of one unit, one output. By buffer
+        # position the flat indices run 0 2 1 3 4 5: layer 1 of sample 1
+        # (flat 2) comes before layer 2 of sample 0 (flat 1). Those two tie,
+        # inside the first screen, by value and by state.
+        layout = ConstraintLayout(2, 1, 2, ((0, 0), (1, 0)))
+        assert layout.indices(np.arange(6)).tolist() == [0, 2, 1, 3, 4, 5]
+        flat = np.array([1000.0, 2.0, 2.0, 1000.0, 1000.0, 1000.0])
+        dvals = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        none = np.zeros(6, dtype=bool)
+        screens = [_screen(flat, none, None, layout), _screen(flat, none, np.sign(flat), layout)]
+        for screen in screens:
+            assert _full_scan(flat, dvals, screen) == ((2.0, 1), 1e-12)
+        monkeypatch.setattr(orc, "_full_scan", None)
+        for screen in screens:
+            assert _ratio_from_arrays(flat, dvals, screen) == ((2.0, 1), 1e-12)
 
     def test_walk_replay_matches_the_full_scan(self, monkeypatch):
         # Every ratio test of a capped N = 2000 walk, phase 1's D and those
@@ -841,9 +909,58 @@ class TestRegionInvariants:
 FLAT_WIDTHS = [(2, 3, 2, 1), (3, 4, 3, 2), (4, 20, 4, 3, 2, 1)]
 
 
+# The benchmark's three workload shapes (ref-walk, tall-n, wide-d), and one
+# whose products all have an inner dimension K of 20.
+BUFFER_SHAPES = [
+    ((4, 5, 4, 3, 2, 1), 500),
+    ((4, 5, 4, 3, 2, 1), 8000),
+    ((4, 20, 4, 3, 2, 1), 500),
+    ((19, 20, 20, 2), 300),
+]
+
+
+def _plain_forms(o, p, masks, d):
+    """The constraint values at p and their JVP along d in the region of
+    masks, one plain array per state array: h @ W.T + b layer by layer, the
+    targets minus the outputs, and the JVP's products."""
+    widths = o.arch.widths
+    z = o.x_aug @ p.reshape(widths[1], widths[0] + 1).T
+    values = [z]
+    for layer in o.fixed[:-1]:
+        z = relu(z) @ layer.weight.T + layer.bias
+        values.append(z)
+    values.append(o.data.targets - (relu(z) @ o.fixed[-1].weight.T + o.fixed[-1].bias))
+    dz = o.x_aug @ d.reshape(widths[1], widths[0] + 1).T
+    jvp = [dz]
+    for mask, layer in zip(masks, o.fixed):
+        dz = (dz * mask) @ layer.weight.T
+        jvp.append(dz)
+    jvp[-1] = -jvp[-1]
+    return values, jvp
+
+
+def _assert_buffers_are_the_plain_forms(o, p, d):
+    """Every entry of the values, states and JVP buffers at p equals the
+    plain per-layer form, the arrays laid one after another, bit for bit;
+    the values' arrays are views of their buffer."""
+    vals = forward_values(o, p)
+    sig = region_signature(o, p)
+    masks = region_masks(sig)
+    values, jvp = _plain_forms(o, p, masks, d)
+    for got, arrays in [
+        (constraint_values_flat(o, vals), values),
+        (states_flat(sig), sig.states),
+        (constraint_jvp_flat(o, masks, d), jvp),
+    ]:
+        want = np.concatenate([a.ravel() for a in arrays])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert all(np.shares_memory(a, vals.flat) for a in vals.arrays)
+
+
 class TestForwardAndFlattenBits:
-    """forward_values adds pre-tiled bias rows in place and flatten copies
-    per-sample row records; both must give the bits of the plain forms."""
+    """forward_values adds pre-tiled bias rows in place, and both O(N H)
+    passes write each layer straight into its block of one buffer; both
+    must give the bits of the plain per-layer forms."""
 
     @pytest.mark.parametrize("n", [1, 30, 500])
     @pytest.mark.parametrize("widths", FLAT_WIDTHS)
@@ -865,28 +982,16 @@ class TestForwardAndFlattenBits:
     @pytest.mark.parametrize("n", [1, 30, 500])
     @pytest.mark.parametrize("widths", FLAT_WIDTHS)
     def test_flatten_matches_concatenate(self, widths, n):
+        # Each buffer is the concatenation of its per-layer arrays.
         o, p = build_instance(32, widths, n)
+        _assert_buffers_are_the_plain_forms(o, p, SplitMix64(132).uniform_block(o.dim, -1.0, 1.0))
 
-        def reference(arrays):
-            return np.concatenate(
-                [np.concatenate(arrays[:-1], axis=1).ravel(), arrays[-1].ravel()]
-            )
-
-        vals = forward_values(o, p)
-        sig = region_signature(o, p)
-        masks = region_masks(sig)
-        d = SplitMix64(132).uniform_block(o.dim, -1.0, 1.0)
-        # The JVP's pieces, as constraint_jvp_flat builds them.
-        dz = o.x_aug @ d.reshape(widths[1], widths[0] + 1).T
-        pieces = [dz]
-        for mask, layer in zip(masks, o.fixed):
-            dz = (dz * mask) @ layer.weight.T
-            pieces.append(dz)
-        pieces[-1] = -pieces[-1]
-        for got, arrays in [
-            (constraint_values_flat(o, vals), vals.arrays),
-            (states_flat(sig), sig.states),
-            (constraint_jvp_flat(o, masks, d), pieces),
-        ]:
-            want = reference(list(arrays))
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    @pytest.mark.parametrize("widths, n", BUFFER_SHAPES)
+    def test_every_buffer_entry_is_written(self, widths, n):
+        # Passes at several points in a row: a block left unwritten in an
+        # np.empty buffer would hold another pass's values, or zeros.
+        o, p0 = build_instance(33, widths, n)
+        rng = SplitMix64(133)
+        for _ in range(3):
+            p = p0 + rng.uniform_block(o.dim, -1.0, 1.0)
+            _assert_buffers_are_the_plain_forms(o, p, rng.uniform_block(o.dim, -1.0, 1.0))

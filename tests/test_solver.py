@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import build_instance, quantized_instance
+from conftest import build_instance, in_flat_order, quantized_instance
 from reference import affine_piece, region_signature
 from vertexwalk import oracle as orc
 from vertexwalk import solver
@@ -143,7 +143,7 @@ class TestDescendToVertex:
         assert [r[2] for r in records] == [0, 1, 2]
         flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
         for idx in vertex.active:
-            assert abs(flat[idx]) <= o.tol.act
+            assert abs(flat[o.layout.slots(idx)]) <= o.tol.act
 
     def test_loss_non_increasing_along_prefix(self):
         o, p0 = build_instance(32, (2, 3, 2, 1), 12)
@@ -167,7 +167,7 @@ class TestDescendToVertex:
         # of raw constraint values, independent of the ratio test.
         ts = np.linspace(0.0, 50.0, 20001)
         flats = np.array(
-            [orc.constraint_values_flat(o, orc.forward_values(o, p0 + t * d0)) for t in ts]
+            [in_flat_order(o, orc.forward_values(o, p0 + t * d0).flat) for t in ts]
         )
         signs = flats < 0
         changed = signs[1:] != signs[:1]
@@ -176,7 +176,7 @@ class TestDescendToVertex:
         lo, hi = ts[first_row], ts[first_row + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            v = orc.constraint_values_flat(o, orc.forward_values(o, p0 + mid * d0))
+            v = in_flat_order(o, orc.forward_values(o, p0 + mid * d0).flat)
             if (v[first_tag_idx] < 0) == signs[0, first_tag_idx]:
                 lo = mid
             else:
@@ -245,7 +245,7 @@ class TestDescendToVertex:
         o, vertex = reference_scale_vertex()
         solver._validate_vertex(o, vertex)
         # A stale hidden state and a stale residual sign: the masks carry both.
-        off = np.abs(vertex.flat) > o.tol.act
+        off = np.abs(in_flat_order(o, vertex.flat)) > o.tol.act
         cut = o.n_samples * o.hidden_total
         region = vertex.region
         for idx in (int(np.flatnonzero(off[:cut])[0]), cut + int(np.flatnonzero(off[cut:])[0])):
@@ -325,7 +325,7 @@ class TestDescendToVertex:
 
     def test_validate_rejects_a_surface_off_its_side(self):
         o, vertex = reference_scale_vertex()
-        off = np.flatnonzero(np.abs(vertex.flat) > o.tol.act)
+        off = np.flatnonzero(np.abs(in_flat_order(o, vertex.flat)) > o.tol.act)
         idx = int(off[0])
         region = vertex.region
         sig = region.signature.with_state(idx, -region.signature.state_of(idx))
@@ -518,7 +518,7 @@ class TestVertexStep:
                 o, orc.forward_values(o, new_vertex.point)
             )
             for idx in new_vertex.active:
-                assert abs(flat[idx]) <= o.tol.act
+                assert abs(flat[o.layout.slots(idx)]) <= o.tol.act
             vertex = new_vertex
             steps += 1
         assert steps >= 1
