@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import re
+import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -53,6 +54,9 @@ _RUN_FILE = re.compile(
 )
 _INT_FIELDS = ("samples", "layer", "max_iterations", "mean_window", "fit_window")
 _RANGE_FIELDS = ("theta_range", "data_range", "init_range")
+# The walk squares values of the forward pass's size (np.linalg.norm of
+# gradients and directions), so a value above this can overflow float64.
+_SQUARABLE = math.sqrt(sys.float_info.max)
 
 
 def _is_int(v) -> bool:
@@ -71,6 +75,26 @@ def _check_seed(seed) -> int:
     if not 0 <= seed < 2**64:
         raise InvalidConfig(f"seed {seed} outside [0, 2**64)")
     return int(seed)
+
+
+def _forward_bound(widths, layer, samples, theta_range, data_range, init_range) -> float:
+    """An interval bound on every forward value and the loss of an instance
+    generate_instance could draw, at any point of the start box: inputs and
+    targets within |data_range|, frozen parameters within |theta_range|,
+    the trained layer's within |init_range|, through the folded layers
+    below the trained one, the trained layer and the layers above. Python
+    floats overflow to inf, which exceeds any bound."""
+    theta, data, init = (max(map(abs, r)) for r in (theta_range, data_range, init_range))
+    x = data
+    for fan_in in widths[: layer - 1]:
+        x = fan_in * theta * x + theta
+    z = (widths[layer - 1] * x + 1.0) * init
+    largest = z
+    for fan_in in widths[layer:-1]:
+        z = fan_in * theta * z + theta
+        largest = max(largest, z)
+    residual = data + z
+    return max(largest, residual, samples * widths[-1] * residual)
 
 
 @dataclass(frozen=True)
@@ -119,6 +143,13 @@ class ExperimentConfig:
             if not (isinstance(r, (tuple, list)) and len(r) == 2
                     and all(map(_is_finite, r)) and r[0] < r[1]):
                 raise InvalidConfig(f"{name} must be finite (a, b) with a < b, got {r!r}")
+        bound = _forward_bound(w, self.layer, self.samples, self.theta_range,
+                               self.data_range, self.init_range)
+        if not bound <= _SQUARABLE:
+            raise InvalidConfig(
+                f"theta_range, data_range and init_range let the forward pass reach "
+                f"{bound:.3g}, and its squares would overflow float64 above {_SQUARABLE:.3g}"
+            )
         if self.max_iterations < 1 or self.mean_window < 1 or self.fit_window < 3:
             raise InvalidConfig("bad iteration or window settings")
         for name in ("act_tol", "desc_tol"):

@@ -47,12 +47,18 @@ are broadcast or strided: numpy runs those as one short inner loop per
 sample. So each fixed layer's bias is tiled once per instance
 (OracleInstance.bias_rows) and added in place. Both passes give the bits
 of the plain per-layer forms.
+
+A forward pass over a few samples' rows alone (row_values, inputs gathered
+once by sample_rows) runs the same layer loop as forward_values (_forward)
+on those rows and gives each entry the bits of the full pass; the
+solver's polish decides on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +84,8 @@ class ConstraintLayout:
     another, each (N, n_l) block sample-major: blocks views a buffer as
     those arrays. The residuals have the same number in both orders.
     slots maps flat indices to buffer positions and indices maps back.
+    A pass over m rows of some samples lays its buffer out the same way,
+    with m rows in each block.
     """
 
     n_samples: int
@@ -86,8 +94,18 @@ class ConstraintLayout:
     neuron_pos: tuple[tuple[int, int], ...]  # (array, unit) of each hidden unit
 
     def blocks(self, buffer: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The state arrays of a buffer in layout order, as views."""
-        return tuple([buffer[a:b].reshape(shape) for a, b, shape in self._cuts])
+        """The state arrays of a buffer in layout order, as views: m rows
+        each, m = buffer.size / (H + n_out), N for a full pass's buffer."""
+        m = buffer.size // self._spans[-1][1]
+        return tuple([buffer[m * a : m * b].reshape(m, b - a) for a, b in self._spans])
+
+    def row_slots(self, located: np.ndarray) -> np.ndarray:
+        """The buffer position of each surface of located ((state array,
+        sample, unit) rows) in a pass over the rows located[:, 1]
+        (row_values): row q of its state array's block for located[q]."""
+        array, m = located[:, 0], len(located)
+        start, width = self._span_arrays
+        return m * start.take(array) + np.arange(m) * width.take(array) + located[:, 2]
 
     def pass_arrays(self) -> tuple[list[np.ndarray], np.ndarray, tuple[np.ndarray, ...]]:
         """Fresh arrays for one O(N H) pass: views of one scratch array in
@@ -114,15 +132,25 @@ class ConstraintLayout:
         return self._indices[slots]
 
     @cached_property
+    def _spans(self) -> list[tuple[int, int]]:
+        """(start, stop) of each state array's columns among one sample's
+        constraints in flat order: its hidden units by (layer, unit), then
+        its residuals. Block l of a buffer of m rows spans m times these."""
+        widths = [sum(a == l for a, _ in self.neuron_pos) for l in range(self.depth)]
+        stops = np.cumsum([*widths, self.output_dim]).tolist()
+        return list(zip([0, *stops[:-1]], stops))
+
+    @cached_property
+    def _span_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The starts and the widths of _spans, as arrays."""
+        start, stop = np.array(self._spans).T
+        return start, stop - start
+
+    @cached_property
     def _cuts(self) -> list[tuple[int, int, tuple[int, int]]]:
         """(start, stop, shape) of each state array's block."""
-        widths = [sum(a == l for a, _ in self.neuron_pos) for l in range(self.depth)]
-        widths.append(self.output_dim)
-        cuts, start = [], 0
-        for w in widths:
-            cuts.append((start, start + self.n_samples * w, (self.n_samples, w)))
-            start += self.n_samples * w
-        return cuts
+        n = self.n_samples
+        return [(n * a, n * b, (n, b - a)) for a, b in self._spans]
 
     @cached_property
     def _widest(self) -> int:
@@ -271,6 +299,21 @@ class OracleInstance:
         layout = ConstraintLayout(n, self.arch.output_dim, depth, pos)
         object.__setattr__(self, "layout", layout)
 
+    @cached_property
+    def spread_layers(self) -> tuple[tuple[int, int], ...]:
+        """(layer - 1, fan-in) of each layer whose product a pass over some
+        rows runs over all N row positions (row_values): a layer of width 1,
+        whose product numpy runs as a matrix-vector product, at a fan-in
+        where that product can give a row other bits elsewhere among the
+        rows (_matvec_rows_move). The first layer's fan-in is n_0 + 1."""
+        widths = self.arch.widths
+        fan_in = (widths[0] + 1, *widths[1:-1])
+        return tuple(
+            (l, k)
+            for l, (k, w) in enumerate(zip(fan_in, widths[1:]))
+            if w == 1 and _matvec_rows_move(k)
+        )
+
     @property
     def dim(self) -> int:
         return self.arch.widths[1] * (self.arch.widths[0] + 1)
@@ -289,6 +332,25 @@ class OracleInstance:
 
     def layer_offset(self, layer: int) -> int:
         return sum(self.arch.hidden_widths[: layer - 1])
+
+
+@cache
+def _matvec_rows_move(k: int) -> bool:
+    """Whether numpy's matrix-vector product at fan-in k (one column out)
+    can give a row other bits when the row sits elsewhere among other rows:
+    measured once per k, on seeded data, as 64 rows against every run of 2
+    to 12 of them that starts at a multiple of 3. OpenBLAS 0.3.31's does
+    from k = 8 on, where it computes rows in groups and the rows left over
+    another way, and not below."""
+    rng = np.random.default_rng(k)
+    a = rng.uniform(-1.0, 1.0, (64, k))
+    x = rng.uniform(-1.0, 1.0, (k, 1))
+    whole = (a @ x).view(np.uint64)
+    return not all(
+        np.array_equal((a[s : s + m] @ x).view(np.uint64), whole[s : s + m])
+        for m in range(2, 13)
+        for s in range(0, 65 - m, 3)
+    )
 
 
 def make_oracle(
@@ -311,33 +373,118 @@ def _check_point(o: OracleInstance, p: np.ndarray) -> np.ndarray:
 
 def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
     """Every constraint value at p from one batched forward pass, written
-    layer by layer into one buffer in layout order.
+    layer by layer into one buffer in layout order (_forward).
 
-    Each layer's product goes straight into its block (np.matmul with
-    out=), the same BLAS call as h @ W.T, and each rectified array into the
-    pass's scratch (ConstraintLayout.pass_arrays), so the bits are the same. Each
-    fixed layer's bias is added in place to the product, from the
+    Each fixed layer's bias is added in place to the product from the
     pre-tiled o.bias_rows: a bias broadcast across an (N, n_l) operand with
     n_l of 2 to 5 runs one inner loop per sample, several times slower than
     the contiguous add. Every entry gets the same two IEEE operations as
-    (h @ W.T + b), and the targets minus that. The products keep their
-    operands as they are: a contiguous copy of W.T is faster but can change
-    the BLAS kernel, and with it the bits.
+    (h @ W.T + b), and the targets minus that.
     """
     p = _check_point(o, p)
-    pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
     rectified, flat, arrays = o.layout.pass_arrays()
-    np.matmul(o.x_aug, pmat.T, out=arrays[0])
+    products = (np.matmul,) * len(arrays)
+    _forward(o, p, o.x_aug, o.data.targets, o.bias_rows, products, arrays, rectified)
+    return ConstraintValues(flat, arrays, float(np.abs(arrays[-1]).sum()))
+
+
+class SampleRows(NamedTuple):
+    """What forward passes over some samples' rows alone (row_values) need,
+    gathered once: their rows of x_aug and of the targets, one row per
+    entry of the sample list (repeats allowed), each fixed layer's bias as
+    rows, the product of each layer (see row_values), and the buffer the
+    passes write, in layout order with m rows per block, with its state
+    arrays (ConstraintLayout.blocks)."""
+
+    x_aug: np.ndarray
+    targets: np.ndarray
+    biases: list[np.ndarray]
+    products: list
+    flat: np.ndarray
+    arrays: tuple[np.ndarray, ...]
+
+
+def sample_rows(o: OracleInstance, samples: np.ndarray) -> SampleRows:
+    """SampleRows of the samples listed; an instance of at least two
+    samples and a list of at least two are needed (see row_values)."""
+    m = len(samples)
+    if m < 2 or o.n_samples < 2:
+        raise ShapeMismatch(
+            f"a row pass needs at least 2 rows of at least 2 samples, got {m} of {o.n_samples}"
+        )
+    if m <= o.n_samples:
+        biases = [rows[:m] for rows in o.bias_rows]
+    else:
+        biases = [layer.bias for layer in o.fixed]
+    products = [np.matmul] * (len(o.fixed) + 1)
+    for l, k in o.spread_layers:
+        spread = (np.zeros((o.n_samples, k)), np.empty((o.n_samples, 1)))
+        products[l] = partial(_spread_product, samples, *spread)
+    flat = np.empty(m * (o.hidden_total + o.arch.output_dim))
+    return SampleRows(
+        o.x_aug.take(samples, axis=0), o.data.targets.take(samples, axis=0),
+        biases, products, flat, o.layout.blocks(flat),
+    )
+
+
+def row_values(o: OracleInstance, rows: SampleRows, p: np.ndarray) -> np.ndarray:
+    """Every constraint value of the rows at p, a float array of shape
+    (o.dim,): forward_values over those rows alone, written into rows.flat
+    (so the next pass over the same rows overwrites it), whose state
+    arrays hold m rows each, row q for sample q of the list
+    (ConstraintLayout.row_slots).
+
+    Each entry has the full pass's bits. numpy runs a product of at least
+    two rows and two columns as a matrix-matrix product (BLAS gemm), which
+    computes a row the same way whatever the row count, and one of a
+    single row or column as a matrix-vector product, which need not. So
+    sample_rows takes at least two rows of at least two samples, and a
+    layer of width 1 whose matrix-vector product can move a row's bits
+    (o.spread_layers) runs over the full pass's N row positions
+    (_spread_product). Each bias is added from the first m of the tiled
+    rows, or by broadcast when m exceeds N, the same IEEE add; each
+    rectified array is a fresh one, at a few rows cheaper than views of a
+    scratch. With validate=True the solver checks the active values of
+    every vertex.
+    """
+    rectified = [None] * len(o.fixed)
+    _forward(o, p, rows.x_aug, rows.targets, rows.biases, rows.products, rows.arrays, rectified)
+    return rows.flat
+
+
+def _spread_product(samples, spread, column, h, weight_t, out):
+    """out = h @ weight_t for a one-column product of the rows of
+    `samples`: the (N, 1) product `column` over spread, an (N, k) array of
+    zeros that gets row q of h at row samples[q], taken at rows `samples`.
+    Every pass over the same samples writes the same rows of spread."""
+    spread[samples] = h
+    np.matmul(spread, weight_t, out=column).take(samples, axis=0, out=out)
+
+
+def _forward(o, p, x_aug, targets, biases, products, arrays, rectified) -> None:
+    """The layer loop of a forward pass over the rows of x_aug with their
+    targets, into the state arrays `arrays`: products[l] computes layer
+    l + 1's product, biases[m] is added to fixed layer m + 2's, and each
+    rectified array goes into its entry of `rectified`, or a fresh array
+    where that is None.
+
+    Each product goes straight into its array (np.matmul with out=), the
+    same BLAS call as h @ W.T, so the bits are the same. The products keep
+    their operands as they are: a contiguous copy of W.T is faster but can
+    change the BLAS kernel, and with it the bits.
+    """
+    pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
+    products[0](x_aug, pmat.T, out=arrays[0])
     h = np.maximum(arrays[0], 0.0, out=rectified[0])
-    for layer, rows, z, out in zip(o.fixed[:-1], o.bias_rows, arrays[1:], rectified[1:]):
-        np.matmul(h, layer.weight.T, out=z)
-        z += rows
+    layers = zip(o.fixed[:-1], biases, products[1:], arrays[1:], rectified[1:])
+    for layer, bias, product, z, out in layers:
+        product(h, layer.weight.T, out=z)
+        z += bias
         h = np.maximum(z, 0.0, out=out)
     r = arrays[-1]
-    np.matmul(h, o.fixed[-1].weight.T, out=r)
-    r += o.bias_rows[-1]
-    np.subtract(o.data.targets, r, out=r)
-    return ConstraintValues(flat, arrays, float(np.sum(np.abs(r))))
+    products[-1](h, o.fixed[-1].weight.T, out=r)
+    r += biases[-1]
+    np.subtract(targets, r, out=r)
 
 
 def value(o: OracleInstance, p: np.ndarray) -> float:

@@ -70,10 +70,12 @@ set's delta rows and the entered region's changed rows come from one
 sample_gradient_rows call (Region.rerooted). Every vertex has a Pricing:
 phase 1's vertex and each exchanged active set get one built from
 scratch (_pricing, whose deltas come from the same Region.rerooted
-call). Both phases build a vertex in _new_vertex. The polish reads the
-active values of its two forward passes from their buffers, at the active
-surfaces' buffer positions, and keeps the kept point's buffer as the
-vertex's values; these are the pivot's only forward passes.
+call). Both phases build a vertex in _new_vertex. The polish decides on
+the active values alone, read at the edge's end point and at the
+Newton-corrected point from passes over the active surfaces' sample rows
+(oracle.row_values), and runs one full forward pass, at the point it
+keeps, whose buffer becomes the vertex's values: the pivot's only full
+forward pass.
 
 Constraint values and JVPs are arrays by buffer position, while surfaces
 are named by flat index (o.layout.slots and o.layout.indices map between
@@ -84,7 +86,8 @@ the problem sizes this package targets, robustness is worth far more than
 the saved cubic term. With validate=True every carried array, the Pricing
 included (phase 1's too), is checked against a recomputation from
 scratch, bit for bit, and every surface off the vertex against the side
-its state gives it.
+its state gives it; so are the active values of the row pass against the
+full pass's.
 """
 
 from __future__ import annotations
@@ -373,7 +376,7 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
         fact = factorize(normals)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, o.layout.slots(active), fact, vals)
+    p, flat, loss = _polish(o, p, active, located, fact, vals)
     vertex = VertexState(
         point=p,
         active=active,
@@ -390,28 +393,38 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
     return vertex
 
 
-def _polish(o, p, slots, fact, vals=None):
+def _polish(o, p, active, located, fact, vals=None):
     """One Newton correction pulling the point back onto the active surfaces.
 
-    `slots` holds the buffer positions of the active surfaces and `vals`,
-    when given, the constraint values at p. Returns the point with its
+    `active` holds the active surfaces' flat indices, `located` their
+    (state array, sample, unit) rows and `vals`, when given, the constraint
+    values at p. The decision reads the active values alone, at p and at
+    the corrected point q, from passes over the rows located[:, 1]
+    (oracle.row_values), which give the full pass's bits: one row per
+    active surface, so at least two, as a vertex needs the normals of
+    n_0 + 1 >= 2 samples. At p, given vals are read instead. q is kept
+    when it is closer; then one full forward pass runs, at the kept point,
+    or none when that is p and vals is given. Returns the point with its
     constraint values (by buffer position) and its loss.
     """
+    rows = orc.sample_rows(o, located[:, 1])
+    at = o.layout.row_slots(located)
     if vals is None:
-        vals = orc.forward_values(o, p)
-    act_vals = vals.flat[slots]
-    worst = float(np.max(np.abs(act_vals)))
-    delta = solve(fact, -act_vals, transpose=True)
-    q = p + delta
-    vals_q = orc.forward_values(o, q)
-    worst_q = float(np.max(np.abs(vals_q.flat[slots])))
+        act_vals = orc.row_values(o, rows, p).take(at)
+    else:
+        act_vals = vals.flat[o.layout.slots(active)]
+    worst = float(np.abs(act_vals).max())
+    q = p + solve(fact, -act_vals, transpose=True)
+    worst_q = float(np.abs(orc.row_values(o, rows, q).take(at)).max())
     if worst_q < worst:
-        p, vals, worst = q, vals_q, worst_q
+        p, vals, worst = q, None, worst_q
     if worst > o.tol.act:
         raise DegenerateVertex(
             f"active constraint values did not settle below tolerance ({worst:.3e})"
         )
-    return p, orc.constraint_values_flat(o, vals), vals.loss
+    if vals is None:
+        vals = orc.forward_values(o, p)
+    return p, vals.flat, vals.loss
 
 
 def _gather(arrays, located: np.ndarray) -> np.ndarray:
@@ -855,6 +868,11 @@ def _validate_vertex(o, v):
     worst = float(np.max(np.abs(flat[o.layout.slots(v.active)])))
     if worst > o.tol.act:
         raise ValidationFailure(f"active values drifted to {worst:.3e}")
+    # The polish decides on row passes, which must give the full pass's bits.
+    rows = orc.sample_rows(o, v.located[:, 1])
+    at_rows = orc.row_values(o, rows, v.point).take(o.layout.row_slots(v.located))
+    if not np.array_equal(at_rows, v.flat[o.layout.slots(v.active)]):
+        raise ValidationFailure("the row pass's active values differ from the full pass's")
     if near_singular(v.factorization, v.normals):
         raise ValidationFailure("vertex normal matrix is near singular")
     # Every surface off the vertex has the sign of its state, which the

@@ -11,7 +11,10 @@ The checks below compute the same quantities another way, to test them:
 * value-only brute-force checks that treat the loss as a black box
   evaluated pointwise: kink location by line scan (`line_scan`),
   central-difference gradients (`fd_gradient`) and direction-sampled
-  minimality (`local_min_check`).
+  minimality (`local_min_check`);
+* the vertex polish on two full forward passes (`two_pass_polish`), which
+  the solver's polish, deciding on passes over the active rows alone,
+  must match bit for bit.
 
 Tests import this module like `conftest`, by name from the tests directory.
 """
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vertexwalk.errors import InvalidTag, ShapeMismatch
+from vertexwalk.errors import DegenerateVertex, InvalidTag, ShapeMismatch
+from vertexwalk.linalg import solve
 from vertexwalk.network import LayerParams, TrainingSet, relu
 from vertexwalk.oracle import (
     OracleInstance,
@@ -319,3 +323,25 @@ def local_min_check(
         if dv < -1e-8:
             ok = False
     return ok, float(worst)
+
+
+def two_pass_polish(o: OracleInstance, p: np.ndarray, slots: np.ndarray, fact, vals=None):
+    """One Newton correction onto the active surfaces, decided on full
+    forward passes at p (unless vals, the values at p, is given) and at the
+    corrected point q: q is kept iff its largest active |value| is smaller.
+    `slots` holds the active surfaces' buffer positions. Returns the kept
+    point, its values' buffer and its loss."""
+    if vals is None:
+        vals = forward_values(o, p)
+    act_vals = vals.flat[slots]
+    worst = float(np.max(np.abs(act_vals)))
+    q = p + solve(fact, -act_vals, transpose=True)
+    vals_q = forward_values(o, q)
+    worst_q = float(np.max(np.abs(vals_q.flat[slots])))
+    if worst_q < worst:
+        p, vals, worst = q, vals_q, worst_q
+    if worst > o.tol.act:
+        raise DegenerateVertex(
+            f"active constraint values did not settle below tolerance ({worst:.3e})"
+        )
+    return p, vals.flat, vals.loss

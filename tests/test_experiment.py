@@ -675,6 +675,41 @@ class TestConfigValidation:
         assert not list(tmp_path.rglob("seed_*"))
 
 
+class TestOverflowBound:
+    """A config whose forward pass could overflow float64, squared, is
+    refused before any instance is drawn."""
+
+    def test_a_huge_data_range_is_refused_by_name(self):
+        with pytest.raises(InvalidConfig, match="overflow"):
+            ExperimentConfig(data_range=(-1e200, 1e200))
+        with pytest.raises(InvalidConfig, match="overflow"):
+            ExperimentConfig(theta_range=(-1e60, 1e60), widths=(4, 5, 4, 3, 2, 1), layer=3)
+
+    def test_run_exits_2_and_writes_no_run(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text('{"data_range": [-1e200, 1e200]}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        _, err = capsys.readouterr()
+        assert "overflow" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "widths, samples",
+        [(w, n) for w in ((2, 3, 2, 1), (2, 2, 1), (3, 4, 3, 1), (2, 4, 1), (3, 3, 2, 1),
+                          (3, 4, 2), (1, 2, 1), (2, 3, 3, 2)) for n in (12, 30)]
+        + [((2, 3, 2, 1), 30), ((3, 4, 3, 1), 30), ((4, 5, 4, 3, 2, 1), 30)],
+    )
+    def test_corpus_configs_are_accepted(self, widths, samples):
+        # tests/corpus_walks.py's instances: its 8 quantized width sets at
+        # N = 12 and 30 and its 3 default-config width sets at N = 30.
+        ExperimentConfig(seed=0, widths=widths, samples=samples)
+
+    def test_defaults_and_a_wide_data_range_are_accepted(self):
+        ExperimentConfig()
+        ExperimentConfig(data_range=(-1e6, 1e6))
+        ExperimentConfig(samples=8000, widths=(4, 20, 4, 3, 2, 1), data_range=(-1e6, 1e6))
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         code = main(

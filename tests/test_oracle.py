@@ -995,3 +995,78 @@ class TestForwardAndFlattenBits:
         for _ in range(3):
             p = p0 + rng.uniform_block(o.dim, -1.0, 1.0)
             _assert_buffers_are_the_plain_forms(o, p, rng.uniform_block(o.dim, -1.0, 1.0))
+
+
+@st.composite
+def _row_pass_cases(draw):
+    """An instance of random widths (hidden widths 1-20, so products reach
+    K = 16-20; output width 1 or 2) and N from n_0 + 1 to 300, and a list
+    of 2-120 of its samples, repeats allowed."""
+    n_in = draw(st.integers(1, 19))
+    hidden = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    widths = (n_in, *hidden, draw(st.integers(1, 2)))
+    n = draw(st.integers(n_in + 1, 300))
+    samples = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=120))
+    return widths, n, draw(st.integers(0, 2**32)), np.array(samples, dtype=np.intp)
+
+
+class TestRowPass:
+    """row_values, over two or more rows of any samples, gives each entry
+    the full forward pass's bits: the polish decides on it."""
+
+    @given(_row_pass_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_full_pass_bit_for_bit(self, case):
+        widths, n, seed, samples = case
+        o, p0 = build_instance(seed, widths, n)
+        rows = orc.sample_rows(o, samples)
+        rng = SplitMix64(seed + 1)
+        for p in (p0, rng.uniform_block(o.dim, -1.0, 1.0), p0 + rng.uniform_block(o.dim, -1.0, 1.0)):
+            full = forward_values(o, p)
+            got = o.layout.blocks(orc.row_values(o, rows, p))
+            assert len(got) == len(full.arrays)
+            for a, b in zip(got, full.arrays):
+                assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("widths, n", BUFFER_SHAPES)
+    def test_rows_at_the_benchmark_shapes(self, widths, n):
+        # At N = 8000 the full pass's products are large enough for BLAS to
+        # split them among threads, which CI runs at two.
+        o, p = build_instance(37, widths, n)
+        samples = SplitMix64(137).uniform_block(o.dim, 0.0, n).astype(np.intp)
+        rows = orc.sample_rows(o, samples)
+        got = o.layout.blocks(orc.row_values(o, rows, p))
+        for a, b in zip(got, forward_values(o, p).arrays):
+            assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
+
+    def test_row_slots_pick_each_surface_in_its_own_row(self):
+        # More rows than samples (D = 16 > N = 12) and every state array.
+        o, p = build_instance(34, (3, 4, 3, 1), 12)
+        idx = SplitMix64(134).uniform_block(o.dim, 0.0, o.n_constraints).astype(np.intp)
+        located = o.layout.locate_many(idx)
+        assert len(set(located[:, 0].tolist())) == 3
+        rows = orc.sample_rows(o, located[:, 1])
+        got = orc.row_values(o, rows, p).take(o.layout.row_slots(located))
+        want = forward_values(o, p).flat[o.layout.slots(idx)]
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("widths, n", [((9, 1, 3, 1), 50), ((2, 9, 1), 37), ((4, 12, 1), 301)])
+    def test_width_one_layers_keep_the_full_pass_bits(self, widths, n):
+        # One-column products of fan-in 10, 9 and 12, and runs of rows with
+        # a short tail: OpenBLAS's matrix-vector product gives such rows
+        # other bits than the full pass's, unless the pass spreads them.
+        o, p = build_instance(36, widths, n)
+        for m in (2, 3, 5, 7, 26):
+            samples = np.arange(n - m, n)[::-1].copy()
+            rows = orc.sample_rows(o, samples)
+            got = o.layout.blocks(orc.row_values(o, rows, p))
+            for a, b in zip(got, forward_values(o, p).arrays):
+                assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
+        # A single multiply has no order to change.
+        assert not orc._matvec_rows_move(1)
+
+    def test_a_single_row_is_refused(self):
+        # numpy sends one row to a matrix-vector kernel, whose bits differ.
+        o, _ = build_instance(35, (2, 3, 1), 10)
+        with pytest.raises(ShapeMismatch, match="at least 2 rows"):
+            orc.sample_rows(o, np.array([4]))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_instance, in_flat_order, quantized_instance
-from reference import affine_piece, region_signature
+from reference import affine_piece, region_signature, two_pass_polish
 from vertexwalk import oracle as orc
 from vertexwalk import solver
 from vertexwalk.errors import (
@@ -331,6 +331,24 @@ class TestDescendToVertex:
         sig = region.signature.with_state(idx, -region.signature.state_of(idx))
         with pytest.raises(ValidationFailure, match="outside its region"):
             solver._validate_vertex(o, replace(vertex, region=replace(region, signature=sig)))
+
+
+    def test_validate_rejects_a_row_pass_one_ulp_off(self, monkeypatch):
+        # A BLAS whose row bits changed with the row count would show here:
+        # the polish would decide on other values than the full pass's.
+        o, vertex = reference_scale_vertex()
+        solver._validate_vertex(o, vertex)
+        row_values = orc.row_values
+
+        def one_ulp_off(o, rows, p):
+            values = row_values(o, rows, p).ravel()
+            first = o.layout.row_slots(vertex.located)[0]
+            values[first] = np.nextafter(values[first], np.inf)
+            return values
+
+        monkeypatch.setattr(orc, "row_values", one_ulp_off)
+        with pytest.raises(ValidationFailure, match="row pass"):
+            solver._validate_vertex(o, vertex)
 
 
 class TestEdgeDirections:
@@ -749,10 +767,10 @@ class TestProbe:
             assert len(shadowed) > before, label
         assert all(shadowed)
 
-    def test_two_forward_passes_per_pivot(self, monkeypatch):
+    def test_one_full_forward_pass_per_pivot(self, monkeypatch):
         o, p0 = build_instance(84, (4, 5, 4, 3, 2, 1), 500)
         vertex, _ = descend_to_vertex(o, p0, SolverLimits())
-        calls = {"forward_values": 0, "resolve_signature": 0}
+        calls = {"forward_values": 0, "row_values": 0, "resolve_signature": 0}
         for name in calls:
             fn = getattr(orc, name)
 
@@ -766,8 +784,42 @@ class TestProbe:
             outcome = vertex_step(o, vertex, SolverLimits())
             assert outcome is not None
             vertex, _ = outcome
-        # Both passes are the polish's; the probe's check decided every edge.
-        assert calls == {"forward_values": 2 * pivots, "resolve_signature": 0}
+        # Every pass is the polish's: a row pass at the edge's end point and
+        # one at the corrected point decide, and the kept point gets the one
+        # full pass. The probe's check decided every edge.
+        assert calls == {"forward_values": pivots, "row_values": 2 * pivots, "resolve_signature": 0}
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"seed": 6, "max_iterations": 100},
+            {"seed": 0, "samples": 2000, "max_iterations": 40},
+            # Phase 1 takes 100 of the 160 iterations.
+            {"seed": 0, "widths": (4, 20, 4, 3, 2, 1), "max_iterations": 160},
+        ],
+        ids=["ref seed 6", "N=2000 seed 0", "wide-d seed 0"],
+    )
+    def test_polish_matches_two_full_passes(self, monkeypatch, kw):
+        # Every vertex of the walk, phase 1's included, is polished both
+        # ways from the same inputs; the corrected point is kept at some
+        # vertices and the edge's end point at others.
+        config = ExperimentConfig(**kw)
+        o, p0, rng = generate_instance(config)
+        polish, kept = solver._polish, []
+
+        def both(o, p, active, located, fact, vals=None):
+            got = polish(o, p, active, located, fact, vals)
+            want = two_pass_polish(o, p, o.layout.slots(active), fact, vals)
+            assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
+            assert got[1].view(np.uint64).tolist() == want[1].view(np.uint64).tolist()
+            assert got[2] == want[2]
+            kept.append(not np.array_equal(got[0], p))
+            return got
+
+        monkeypatch.setattr(solver, "_polish", both)
+        _, traj = minimize(o, p0, config.solver_limits(), rng)
+        assert len(kept) == len(traj) - traj.phase1_len
+        assert any(kept) and not all(kept)
 
     def test_failing_check_rejects_the_changed_region(self, monkeypatch):
         # The linearized guess left no corpus probe whose region the forward
