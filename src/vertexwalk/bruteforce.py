@@ -50,8 +50,8 @@ def _flat_many(o: OracleInstance, pts: np.ndarray) -> np.ndarray:
     return np.concatenate([neuron, res.reshape(m, -1)], axis=1)
 
 
-def _edge_root(o, c, a, b, va, vb):
-    """Root of constraint c on the segment a-b, given opposite-signed values."""
+def _edge_root(o, c, a, b, va):
+    """Root of constraint c on the segment a-b, where it changes sign; va is its value at a."""
     lo, hi = 0.0, 1.0
     flo = va
     for _ in range(90):
@@ -90,7 +90,7 @@ def _cell_roots(o, c, corners, cvals):
         elif abs(vb) <= tiny:
             continue  # picked up as the next edge's start corner
         elif (va < 0) != (vb < 0):
-            roots.append(_edge_root(o, c, a, b, va, vb))
+            roots.append(_edge_root(o, c, a, b, va))
     # Cell corners are shared between edges; drop duplicate root points.
     distinct: list[np.ndarray] = []
     span = float(np.max(corners) - np.min(corners)) or 1.0

@@ -498,22 +498,28 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows)
 
 
+def _check_iterations(path: str | Path, iterations: np.ndarray) -> None:
+    """Raise InvalidConfig unless a series file's iterations run 0..n-1."""
+    if not np.array_equal(iterations, np.arange(len(iterations))):
+        raise InvalidConfig(f"{path}: iterations are not 0..{len(iterations) - 1}")
+
+
 def load_trajectory_csv(
     traj_path: str | Path, points_path: str | Path | None = None
 ) -> Trajectory:
     """Rebuild a Trajectory from trajectory.csv (plus points.csv when
     available; without it the iterate coordinates are zero placeholders and
     distance-to-final cannot be recomputed). A malformed file raises
-    InvalidConfig: the iterations must run 0..n-1, the step lengths and
-    active counts be non-negative, the counts integers, and the phases 1s
-    followed by 2s."""
+    InvalidConfig: in both files the iterations must run 0..n-1; the
+    trajectory's step lengths and active counts must be non-negative, the
+    counts integers, and the phases 1s followed by 2s; the points' header
+    must read iteration,p0,...,p{k-1}, with one row per trajectory row."""
     header, data = _read_table(traj_path)
     expect = ["iteration", "loss", "step_length", "active_count", "phase"]
     if header != expect:
         raise InvalidConfig(f"unexpected trajectory header {header}")
     iterations, losses, steps, counts, phase = data.T
-    if not np.array_equal(iterations, np.arange(len(data))):
-        raise InvalidConfig(f"{traj_path}: iterations are not 0..{len(data) - 1}")
+    _check_iterations(traj_path, iterations)
     if np.any(steps < 0):
         raise InvalidConfig(f"{traj_path}: negative step length")
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
@@ -524,7 +530,12 @@ def load_trajectory_csv(
     phase1_len = int(np.sum(phase == 1))
     points = np.zeros((len(losses), 1))
     if points_path and Path(points_path).exists():
-        points = _read_table(points_path)[1][:, 1:]
+        header, table = _read_table(points_path)
+        expect = ["iteration"] + [f"p{j}" for j in range(len(header) - 1)]
+        if len(header) < 2 or header != expect:
+            raise InvalidConfig(f"unexpected points header {header}")
+        _check_iterations(points_path, table[:, 0])
+        points = table[:, 1:]
         if len(points) != len(losses):
             raise InvalidConfig(f"{points_path}: {len(points)} rows, trajectory has {len(losses)}")
     return Trajectory(

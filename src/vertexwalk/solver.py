@@ -70,12 +70,14 @@ set's delta rows and the entered region's changed rows come from one
 sample_gradient_rows call (Region.rerooted). Every vertex has a Pricing:
 phase 1's vertex and each exchanged active set get one built from
 scratch (_pricing, whose deltas come from the same Region.rerooted
-call). Both phases build a vertex in _new_vertex. The polish decides on
-the active values alone, read at the edge's end point and at the
-Newton-corrected point from passes over the active surfaces' sample rows
-(oracle.row_values), and runs one full forward pass, at the point it
+call). Both phases build a vertex one way, in _new_vertex, whose inputs
+are all required, the Pricing included. The polish decides on the active
+values alone, read at the edge's end point (phase 1's last hit) and at
+the Newton-corrected point from passes over the active surfaces' sample
+rows (oracle.row_values), and runs one full forward pass, at the point it
 keeps, whose buffer becomes the vertex's values: the pivot's only full
-forward pass.
+forward pass. Phase 1 runs D + 1: at the start, after each of its first
+D - 1 hits, and the polish's.
 
 Constraint values and JVPs are arrays by buffer position, while surfaces
 are named by flat index (o.layout.slots and o.layout.indices map between
@@ -299,7 +301,7 @@ def descend_to_vertex(
     excluded = np.zeros(states.size, dtype=bool)
     normal_cols: list[np.ndarray] = []
 
-    while len(active) < o.dim:
+    while True:
         flat = orc.constraint_values_flat(o, vals)
         # One screen per step, shared by the fallback directions. States are
         # +-1: the magnitude is |flat| on a surface's own side, else 0.
@@ -316,7 +318,7 @@ def descend_to_vertex(
             # predictor coordinate that vanishes on every sample leaves
             # some parameters entirely unconstrained).
             raise NumericalStall(
-                "active normals collapsed; the instance looks rank-deficient"
+                "active normals collapsed; the instance looks rank-deficient or badly scaled"
             ) from None
         pnorm = float(np.linalg.norm(proj))
         if pnorm > tau:
@@ -356,27 +358,29 @@ def descend_to_vertex(
         active.append(hit)
         excluded[o.layout.slots(hit)] = True
         normal_cols.append(nhit)
+        if len(active) == o.dim:
+            break
         vals = orc.forward_values(o, p)
         records.append((p.copy(), vals.loss, len(active)))
 
     located = o.layout.locate_many(active)
     normals = np.column_stack(normal_cols)
-    vertex = _new_vertex(o, p, active, located, normals, region, limits, vals)
-    records[-1] = (vertex.point.copy(), vertex.loss, len(active))
+    pricing = _pricing(o, region, located)
+    vertex = _new_vertex(o, p, active, located, normals, region, pricing, limits)
+    records.append((vertex.point.copy(), vertex.loss, len(active)))
     return vertex, records
 
 
-def _new_vertex(o, p, active, located, normals, region, limits, vals=None, pricing=None):
+def _new_vertex(o, p, active, located, normals, region, pricing, limits):
     """The vertex of the surfaces `active` (their rows `located` and normal
-    matrix `normals`) near p, in `region`: the matrix is factorized, p
-    polished (vals: the values at p, when known), the vertex priced
-    (`pricing`, when the pivot carries one, else _pricing) and, with
-    limits.validate, checked."""
+    matrix `normals`) near p, in `region`, with its Pricing: the matrix is
+    factorized, p polished and, with limits.validate, the vertex checked.
+    Both phases build every vertex here."""
     try:
         fact = factorize(normals)
     except SingularMatrix as e:
         raise DegenerateVertex(f"vertex normal matrix is singular: {e}") from None
-    p, flat, loss = _polish(o, p, active, located, fact, vals)
+    p, flat, loss = _polish(o, p, located, fact)
     vertex = VertexState(
         point=p,
         active=active,
@@ -386,44 +390,38 @@ def _new_vertex(o, p, active, located, normals, region, limits, vals=None, prici
         factorization=fact,
         flat=flat,
         loss=loss,
-        pricing=pricing or _pricing(o, region, located),
+        pricing=pricing,
     )
     if limits.validate:
         _validate_vertex(o, vertex)
     return vertex
 
 
-def _polish(o, p, active, located, fact, vals=None):
+def _polish(o, p, located, fact):
     """One Newton correction pulling the point back onto the active surfaces.
 
-    `active` holds the active surfaces' flat indices, `located` their
-    (state array, sample, unit) rows and `vals`, when given, the constraint
-    values at p. The decision reads the active values alone, at p and at
-    the corrected point q, from passes over the rows located[:, 1]
-    (oracle.row_values), which give the full pass's bits: one row per
-    active surface, so at least two, as a vertex needs the normals of
-    n_0 + 1 >= 2 samples. At p, given vals are read instead. q is kept
-    when it is closer; then one full forward pass runs, at the kept point,
-    or none when that is p and vals is given. Returns the point with its
-    constraint values (by buffer position) and its loss.
+    `located` holds the active surfaces' (state array, sample, unit) rows.
+    The decision reads the active values alone, at p and at the corrected
+    point q, from passes over the rows located[:, 1] (oracle.row_values),
+    which give the full pass's bits: one row per active surface, so at
+    least two, as a vertex needs the normals of n_0 + 1 >= 2 samples. q is
+    kept when it is closer. Then one full forward pass runs, at the kept
+    point. Returns the point with its constraint values (by buffer
+    position) and its loss.
     """
     rows = orc.sample_rows(o, located[:, 1])
     at = o.layout.row_slots(located)
-    if vals is None:
-        act_vals = orc.row_values(o, rows, p).take(at)
-    else:
-        act_vals = vals.flat[o.layout.slots(active)]
+    act_vals = orc.row_values(o, rows, p).take(at)
     worst = float(np.abs(act_vals).max())
     q = p + solve(fact, -act_vals, transpose=True)
     worst_q = float(np.abs(orc.row_values(o, rows, q).take(at)).max())
     if worst_q < worst:
-        p, vals, worst = q, None, worst_q
+        p, worst = q, worst_q
     if worst > o.tol.act:
         raise DegenerateVertex(
             f"active constraint values did not settle below tolerance ({worst:.3e})"
         )
-    if vals is None:
-        vals = orc.forward_values(o, p)
+    vals = orc.forward_values(o, p)
     return p, vals.flat, vals.loss
 
 
@@ -525,19 +523,14 @@ class _VertexWork:
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
-        self.flat = v.flat
-        self.loss = v.loss
         self.pnorm = float(np.linalg.norm(v.point))
-        self.located = v.located
-        self.pricing = v.pricing
-        self.affected = self.pricing.affected
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction. They are
         # kept in ascending flat index (coincident_idx) with their buffer
         # positions (coincident_slots). The ratio test's screen shares
         # |flat| and skips the excluded mask.
-        magnitude = np.abs(self.flat)
+        magnitude = np.abs(v.flat)
         excluded = magnitude <= o.tol.act
         active_slots = o.layout.slots(v.active)
         excluded[active_slots] = False
@@ -547,14 +540,14 @@ class _VertexWork:
         self.coincident_idx = idx[order].tolist()
         self.coincident_slots = coincident[order]
         excluded[active_slots] = True
-        self.screen = orc.RatioScreen(self.flat, magnitude, excluded, o.layout)
+        self.screen = orc.RatioScreen(v.flat, magnitude, excluded, o.layout)
         self.excluded_slots = np.concatenate([active_slots, self.coincident_slots])
-        self.excluded_at = self.located
+        self.excluded_at = v.located
         if self.coincident_idx:
             self.excluded_at = np.concatenate(
-                [self.located, o.layout.locate_many(self.coincident_idx)]
+                [v.located, o.layout.locate_many(self.coincident_idx)]
             )
-        self.excluded_flat = self.flat[self.excluded_slots]
+        self.excluded_flat = v.flat[self.excluded_slots]
         # (direction, entered region, derivative) of each side settled by
         # _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
@@ -567,7 +560,7 @@ class _VertexWork:
         region.changed's samples and column `entering` (a new surface)
         recomputed. A normal depends on its own sample's states alone, so a
         kept column equals its recomputation bit for bit."""
-        redo = _of_samples(self.located, region.changed)
+        redo = _of_samples(self.v.located, region.changed)
         if entering is not None:
             redo[entering] = True
         cols = self.v.normals.copy()
@@ -589,43 +582,44 @@ class _VertexWork:
         independent (det N' = det N det M^T B) and the side has an edge.
         Were M^T B ever singular, LinAlgError would end the walk.
         """
-        new = self.pricing.bent[pos]
+        pricing = self.v.pricing
+        new = pricing.bent[pos]
         c = inv_t[:, pos]
-        basis = inv_t[:, self.affected[pos]]
+        basis = inv_t[:, pricing.affected[pos]]
         y = np.linalg.solve(new.T @ basis, new.T @ c)
         return c - basis @ y
 
     @cached_property
-    def _batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both release sides of every position, priced from one inverse:
-        (table, units, flip_units, ref).
+        (table, units, flip_units).
 
-        ref[pos] is the state the reference region gives active[pos]. The
-        direction of (pos, sign) is sign times column pos of units, the
-        normalized N^-T, when sign is ref[pos], and of flip_units on the
-        other side, where a release that bends affected surfaces is rank-k
+        The direction of (pos, sign) is sign times column pos of units, the
+        normalized N^-T, when sign is pricing.ref[pos] (the state the
+        reference region gives active[pos]), and of flip_units on the other
+        side, where a release that bends affected surfaces is rank-k
         corrected (_bent_direction). table[pos, 0] and table[pos, 1] are
         the entered-region loss derivatives of signs +1 and -1: g . d on
         the reference side; across the released surface only its own
         sample's loss term changes, which release_corrections supplies for
         all positions at once from the pricing's row deltas."""
-        o, v, region, pricing = self.o, self.v, self.v.region, self.pricing
+        o, v = self.o, self.v
+        region, pricing = v.region, v.pricing
         inv_t = solve(v.factorization, None, transpose=True)
         units = inv_t / np.linalg.norm(inv_t, axis=0)
         flip_units = units.copy()
-        for pos in self.affected:
+        for pos in pricing.affected:
             d = self._bent_direction(inv_t, pos)
             flip_units[:, pos] = d / np.linalg.norm(d)
         slopes = region.gradient @ units
         flipped = region.gradient @ flip_units + orc.release_corrections(
-            o, pricing.deltas, self.located[:, 1], flip_units
+            o, pricing.deltas, v.located[:, 1], flip_units
         )
-        ref = pricing.ref
-        on_ref = ref > 0
-        table = np.empty((len(ref), 2))
+        on_ref = pricing.ref > 0
+        table = np.empty((len(on_ref), 2))
         table[:, 0] = np.where(on_ref, slopes, flipped)
         table[:, 1] = -np.where(on_ref, flipped, slopes)
-        return table, units, flip_units, ref
+        return table, units, flip_units
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -690,10 +684,10 @@ class _VertexWork:
         return self._settled[key]
 
     def _settle_once(self, pos: int, sign: int) -> tuple:
-        table, units, flip_units, ref = self._batch
+        table, units, flip_units = self._batch
         deriv = float(table[pos, _SIGNS.index(sign)])
         region = self.v.region
-        if sign == ref[pos]:
+        if sign == self.v.pricing.ref[pos]:
             d = sign * units[:, pos]
         else:
             d = sign * flip_units[:, pos]
@@ -724,7 +718,7 @@ class _VertexWork:
         d, region, deriv = self._settle(pos, sign)
         o, v, sig = self.o, self.v, region.signature
         dvals = orc.constraint_jvp_flat(o, region.masks, d)
-        crossing, floor = orc._ratio_from_arrays(self.flat, dvals, self.screen)
+        crossing, floor = orc._ratio_from_arrays(v.flat, dvals, self.screen)
         eps = _PROBE * (1.0 + self.pnorm)
         if crossing is not None:
             t_first = crossing[0]
@@ -795,13 +789,12 @@ def vertex_step(
     Returns None when no edge's derivative lies below minus
     limits.descent_threshold, i.e. the vertex is an edge-local minimum, and
     raises DegenerateVertex when some edge descends but the probe rejects
-    every descending side. A
-    caller that keeps the vertex's _VertexWork passes it as `work`, so its
-    derivative table can be reused.
+    every descending side. A caller that keeps the vertex's _VertexWork
+    passes it as `work`, so its derivative table can be reused.
     """
     limits = limits or SolverLimits()
     work = work or _VertexWork(o, v)
-    tau = limits.descent_threshold(work.loss)
+    tau = limits.descent_threshold(v.loss)
 
     # The descending sides are tried in the table's order, and the pivot
     # takes the first one its probe confirms.
@@ -828,20 +821,18 @@ def vertex_step(
     p_new = v.point + t * chosen.direction
     active_new = list(v.active)
     active_new[chosen_pos] = hit
-    located_new = work.located.copy()
+    located_new = v.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
     normals = work.normals(entered, active_new, chosen_pos)
     # The new vertex's region is the entered one, re-rooted: its rows are
     # its base and no sample counts as changed, so the rows of the vertex
     # it leaves are not kept alive.
-    left = int(work.located[chosen_pos, 1])
-    region, pricing = _carried_pricing(o, work.pricing, entered, located_new, chosen_pos, left)
-    v_new = _new_vertex(
-        o, p_new, active_new, located_new, normals, region, limits, pricing=pricing
-    )
-    if v_new.loss > work.loss + MONOTONE_SLACK * (1.0 + abs(work.loss)):
+    left = int(v.located[chosen_pos, 1])
+    region, pricing = _carried_pricing(o, v.pricing, entered, located_new, chosen_pos, left)
+    v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, pricing, limits)
+    if v_new.loss > v.loss + MONOTONE_SLACK * (1.0 + abs(v.loss)):
         raise MonotonicityViolation(
-            f"loss rose from {work.loss!r} to {v_new.loss!r} in one pivot"
+            f"loss rose from {v.loss!r} to {v_new.loss!r} in one pivot"
         )
     record = StepRecord(
         leaving=chosen.leaving,

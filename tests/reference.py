@@ -325,19 +325,23 @@ def local_min_check(
     return ok, float(worst)
 
 
-def two_pass_polish(o: OracleInstance, p: np.ndarray, slots: np.ndarray, fact, vals=None):
+def two_pass_polish(o: OracleInstance, p: np.ndarray, located: np.ndarray, fact):
     """One Newton correction onto the active surfaces, decided on full
-    forward passes at p (unless vals, the values at p, is given) and at the
-    corrected point q: q is kept iff its largest active |value| is smaller.
-    `slots` holds the active surfaces' buffer positions. Returns the kept
-    point, its values' buffer and its loss."""
-    if vals is None:
-        vals = forward_values(o, p)
-    act_vals = vals.flat[slots]
+    forward passes at p and at the corrected point q: q is kept iff its
+    largest active |value| is smaller. `located` holds the active surfaces'
+    (state array, sample, unit) rows. Returns the kept point, its values'
+    buffer and its loss."""
+
+    def active_values(vals):
+        blocks = o.layout.blocks(vals.flat)
+        return np.array([blocks[a][i, k] for a, i, k in located.tolist()])
+
+    vals = forward_values(o, p)
+    act_vals = active_values(vals)
     worst = float(np.max(np.abs(act_vals)))
     q = p + solve(fact, -act_vals, transpose=True)
     vals_q = forward_values(o, q)
-    worst_q = float(np.max(np.abs(vals_q.flat[slots])))
+    worst_q = float(np.max(np.abs(active_values(vals_q))))
     if worst_q < worst:
         p, vals, worst = q, vals_q, worst_q
     if worst > o.tol.act:

@@ -257,6 +257,13 @@ class TestRun:
         assert "rank-deficient" in art.summary["status"]
         assert (tmp_path / "summary.json").exists()
 
+    def test_badly_scaled_instance_is_not_called_only_rank_deficient(self, tmp_path):
+        # Data at +-1e100 is in range, but the absolute tolerances stall
+        # phase 1 on it; the instance itself has full rank.
+        art = run(ExperimentConfig(seed=0, data_range=(-1e100, 1e100)), tmp_path)
+        assert art.status == "failed"
+        assert "rank-deficient or badly scaled" in art.summary["status"]
+
 
 class TestSummarize:
     @pytest.mark.parametrize("fit_window", [3, 4])
@@ -539,6 +546,28 @@ class TestAnalyze:
         points.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidConfig, match="non-finite"):
             analyze_files(tmp_path / "orig" / "trajectory.csv", tmp_path / "re", **WINDOWS)
+
+    @pytest.mark.parametrize("fault", ["header", "swapped_rows", "no_coordinates"])
+    def test_malformed_points_rejected(self, tmp_path, capsys, fault):
+        # points.csv is read like trajectory.csv: its header must name the
+        # iteration and p0..p{k-1}, and its iterations run 0..n-1.
+        run(ExperimentConfig(seed=3, **TOY), tmp_path / "A")
+        traj, points = tmp_path / "A" / "trajectory.csv", tmp_path / "A" / "points.csv"
+        lines = points.read_text().splitlines()
+        if fault == "header":
+            lines[0] = "foo,bar,baz"
+        elif fault == "swapped_rows":
+            lines[1], lines[2] = lines[2], lines[1]
+        else:
+            lines = [line.split(",")[0] for line in lines]
+        points.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidConfig):
+            load_trajectory_csv(traj, points)
+        code = main(["analyze", "--traj", str(traj), "--out", str(tmp_path / "B")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "B" / "dist_to_final.csv").exists()
 
     def test_points_row_count_must_match(self, tmp_path):
         run(ExperimentConfig(seed=6, **TOY), tmp_path / "orig")

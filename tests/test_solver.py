@@ -312,8 +312,26 @@ class TestDescendToVertex:
             with pytest.raises(ValidationFailure, match=match):
                 solver._validate_vertex(o, vertex)
 
+    def test_one_full_forward_pass_per_hit(self, monkeypatch):
+        # One full pass at the start, one after each of the first D - 1
+        # hits, and the polish's one at the vertex: the polish decides on
+        # row passes, so the D-th hit needs no full pass of its own.
+        forward_values = orc.forward_values
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward_values(*args)
+
+        monkeypatch.setattr(orc, "forward_values", counted)
+        for seed in range(6):
+            o, p0, _ = generate_instance(ExperimentConfig(seed=seed))
+            calls.clear()
+            descend_to_vertex(o, p0, SolverLimits())
+            assert len(calls) == o.dim + 1, seed
+
     def test_validate_checks_the_phase1_pricing(self):
-        # Phase 1's vertex is priced from scratch in _new_vertex; validate
+        # Phase 1's vertex is priced from scratch (_pricing); validate
         # checks that pricing too.
         o, p0 = build_instance(81, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
@@ -414,7 +432,7 @@ class TestEdgeDirections:
             work = _VertexWork(o, vertex)
             edges = priced_sides(work)
             assert len(edges) == 2 * o.dim
-            affected_sides += 2 * len(work.affected)
+            affected_sides += 2 * len(work.v.pricing.affected)
             tol = 1e-9 * (1.0 + float(np.sum(np.abs(vertex.region.gradient))))
             for (pos, sign), c in edges.items():
                 assert c.leaving == vertex.active[pos] and c.sign == sign
@@ -436,7 +454,7 @@ class TestEdgeDirections:
         o, p0 = build_instance(81, (2, 3, 2, 1), 10)
         vertex, _ = descend_to_vertex(o, p0, LIMITS)
         work = _VertexWork(o, vertex)
-        assert not work.coincident_idx and work.affected
+        assert not work.coincident_idx and work.v.pricing.affected
         sides = [(pos, sign) for pos in range(o.dim) for sign in (1, -1)]
         assert set(priced_sides(work)) == set(sides)
         rejected, dependent = set(), set()
@@ -479,8 +497,8 @@ class TestEdgeDirections:
         bent_direction = _VertexWork._bent_direction
 
         def checking(work, inv_t, pos):
-            basis = inv_t[:, work.affected[pos]]
-            gap = work.pricing.bent[pos].T @ basis - np.eye(basis.shape[1])
+            basis = inv_t[:, work.v.pricing.affected[pos]]
+            gap = work.v.pricing.bent[pos].T @ basis - np.eye(basis.shape[1])
             assert np.linalg.norm(gap, np.inf) <= 1e-9, (work.v.active, pos)
             at_coincident.append(bool(work.coincident_idx))
             return bent_direction(work, inv_t, pos)
@@ -615,7 +633,7 @@ class TestSelection:
         cases.append((o, descend_to_vertex(o, solver._perturbed_start(o, p0, rng), LIMITS)[0]))
         for o, vertex in cases:
             work = _VertexWork(o, vertex)
-            tau = SolverLimits().descent_threshold(work.loss)
+            tau = SolverLimits().descent_threshold(work.v.loss)
             sides = priced_sides(_VertexWork(o, vertex))
             assert table_order(work.table, vertex.active, tau) == brute_force_order(sides, tau)
         assert work.coincident_idx
@@ -701,7 +719,7 @@ class TestPricingObjects:
                 deeper = [q for q, (a, s, _) in enumerate(rows) if s == sample and a > array]
                 if deeper:
                     want[pos] = deeper
-            assert work.affected == want
+            assert work.v.pricing.affected == want
             found += len(want)
             outcome = vertex_step(o, vertex, LIMITS, work)
             if outcome is None:
@@ -807,9 +825,9 @@ class TestProbe:
         o, p0, rng = generate_instance(config)
         polish, kept = solver._polish, []
 
-        def both(o, p, active, located, fact, vals=None):
-            got = polish(o, p, active, located, fact, vals)
-            want = two_pass_polish(o, p, o.layout.slots(active), fact, vals)
+        def both(o, p, located, fact):
+            got = polish(o, p, located, fact)
+            want = two_pass_polish(o, p, located, fact)
             assert got[0].view(np.uint64).tolist() == want[0].view(np.uint64).tolist()
             assert got[1].view(np.uint64).tolist() == want[1].view(np.uint64).tolist()
             assert got[2] == want[2]
@@ -868,7 +886,7 @@ class TestProbe:
             monkeypatch.setattr(_VertexWork, name, counted)
         work = _VertexWork(o, vertex)
         assert work.coincident_idx
-        tau = SolverLimits().descent_threshold(work.loss)
+        tau = SolverLimits().descent_threshold(work.v.loss)
         descending = [key for key, c in priced_sides(work).items() if c.derivative < -tau]
         assert descending
         settled = 0
@@ -979,7 +997,7 @@ def assert_priced_as_from_scratch(o, v):
     """v's pricing and derivative table equal, bit for bit, the ones built
     from scratch; returns v's _VertexWork."""
     work, fresh = _VertexWork(o, v), scratch_work(o, v)
-    got, want = work.pricing, fresh.pricing
+    got, want = work.v.pricing, fresh.v.pricing
     assert got.affected == want.affected
     assert np.array_equal(got.deltas, want.deltas)
     assert np.array_equal(got.ref, want.ref)
