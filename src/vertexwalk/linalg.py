@@ -3,10 +3,15 @@
 Everything here goes through full factorizations (LAPACK via scipy); there
 are no incremental updates. Systems stay small (a few dozen rows), so
 correctness wins over cleverness.
+
+The LAPACK routines are called directly, fetched once: at these sizes the
+wrappers around them (scipy's lu_factor, np.linalg.solve) cost several
+times the work itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,10 @@ PIVOT_RTOL = 1e-12
 
 # Reciprocal condition below this flags the system as near-singular.
 NEAR_SINGULAR_RCOND = 1e-12
+
+_getrf, _getri, _getrs, _gecon, _gesv = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getri", "getrs", "gecon", "gesv"), dtype=np.float64
+)
 
 
 @dataclass(frozen=True)
@@ -43,22 +52,20 @@ def factorize(a: np.ndarray) -> Factorization:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ShapeMismatch("matrix entries must be finite")
     n = a.shape[0]
-    # LAPACK getrf directly: scipy's lu_factor wrapper costs as much as the
-    # factorization at these sizes. Singularity is detected below with our
-    # own pivot rule, not from getrf's info.
-    getrf = scipy.linalg.get_lapack_funcs(("getrf",), (a,))[0]
-    lu, piv, info = getrf(a)
+    # The largest magnitude is NaN or inf exactly when some entry is.
+    scale = float(np.abs(a).max()) if n else 0.0
+    if not math.isfinite(scale):
+        raise ShapeMismatch("matrix entries must be finite")
+    # Singularity is detected below with our own pivot rule, not from
+    # getrf's info.
+    lu, piv, info = _getrf(a)
     if info < 0:
         raise ValueError(f"getrf: illegal value in argument {-info}")
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    pivots = np.abs(np.diag(lu))
-    if n and (scale == 0.0 or np.min(pivots) < PIVOT_RTOL * scale):
-        raise SingularMatrix(
-            f"numerical rank below {n} (min pivot {np.min(pivots) if n else 0:.3e})"
-        )
+    if n:
+        least = float(np.abs(lu.diagonal()).min())
+        if scale == 0.0 or least < PIVOT_RTOL * scale:
+            raise SingularMatrix(f"numerical rank below {n} (min pivot {least:.3e})")
     return Factorization(lu=lu, piv=piv, n=n)
 
 
@@ -66,8 +73,7 @@ def rcond(f: Factorization, a: np.ndarray) -> float:
     """LAPACK's (gecon) estimate of the reciprocal 1-norm condition number
     of a from its factorization f; 0 when the estimate fails."""
     anorm = scipy.linalg.norm(a, 1) if f.n else 0.0
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (f.lu,))[0]
-    rc, info = gecon(f.lu, anorm)
+    rc, info = _gecon(f.lu, anorm)
     if info != 0:
         return 0.0
     return float(rc)
@@ -91,19 +97,38 @@ def solve(
     if b is None:
         if not transpose:
             raise ValueError("b=None gives A^-T and needs transpose=True")
-        getri = scipy.linalg.get_lapack_funcs(("getri",), (f.lu,))[0]
-        inv, info = getri(f.lu, f.piv)
+        inv, info = _getri(f.lu, f.piv)
         if info != 0:
             raise SingularMatrix(f"getri failed with info {info}")
         return inv.T
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise ShapeMismatch(f"rhs length {b.shape[0]} != system size {f.n}")
-    getrs = scipy.linalg.get_lapack_funcs(("getrs",), (f.lu,))[0]
-    x, info = getrs(f.lu, f.piv, b, trans=1 if transpose else 0)
+    x, info = _getrs(f.lu, f.piv, b, trans=1 if transpose else 0)
     if info != 0:
         raise ValueError(f"getrs: illegal value in argument {-info}")
     return x
+
+
+def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the small square system a x = b (b a vector) with LAPACK gesv,
+    the routine np.linalg.solve calls. Up to 5 rows x has np.linalg.solve's
+    bits (tests/test_linalg.py checks it; the walk's Woodbury systems have
+    1 or 2); from 6 rows on, the LAPACK builds that numpy and scipy ship
+    can round differently. Raises np.linalg.LinAlgError, as
+    np.linalg.solve does, when a is exactly singular."""
+    _, _, x, info = _gesv(a, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    if info < 0:
+        raise ValueError(f"gesv: illegal value in argument {-info}")
+    return x
+
+
+def norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a contiguous vector: np.linalg.norm's
+    sqrt(x . x), bit for bit, without its dispatch."""
+    return math.sqrt(x @ x)
 
 
 def rank_extends(basis: list[np.ndarray], candidate: np.ndarray, tol: float = 1e-10) -> bool:
@@ -113,15 +138,15 @@ def rank_extends(basis: list[np.ndarray], candidate: np.ndarray, tol: float = 1e
     span(basis), relative to 1 + ||candidate||.
     """
     candidate = np.asarray(candidate, dtype=float)
-    threshold = tol * (1.0 + float(np.linalg.norm(candidate)))
+    threshold = tol * (1.0 + norm(candidate))
     if not basis:
-        return float(np.linalg.norm(candidate)) > threshold
+        return norm(candidate) > threshold
     bmat = np.column_stack([np.asarray(v, dtype=float) for v in basis])
     if bmat.shape[0] != candidate.shape[0]:
         raise ShapeMismatch("basis and candidate dimensions differ")
     q, _ = np.linalg.qr(bmat)
     residual = candidate - q @ (q.T @ candidate)
-    return float(np.linalg.norm(residual)) > threshold
+    return norm(residual) > threshold
 
 
 def project_nullspace(normals: list[np.ndarray], g: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ and b_1[k] in the last column.
 Per-sample gradient rows (sample_gradient_rows) depend on their own
 sample's masks alone, so a row computed in any batch equals, bit for bit,
 the same row computed over all samples. The solver relies on it to keep
-what a pivot leaves unchanged: a Region derived by with_state recomputes
+what a pivot leaves unchanged: a Region derived by with_states recomputes
 only its changed samples' rows, and the price of a release splits into a
 row delta (the sample's row with the surface's state flipped, minus its
 row in the region), which holds while the sample's masks do, and its
@@ -536,10 +536,13 @@ def _backcumulate(o: OracleInstance, masks: list[np.ndarray]) -> np.ndarray:
     """Per-sample sensitivity of outputs to first-layer pre-activations.
 
     Returns B of shape (n, n_out, n_1), one entry per row of the masks, with
-    B[i, j] = W*_{L+1}[j] D^L_i W*_L ... D^2_i W*_2, the row vector u_{i,j}.
+    B[i, j] = W*_{L+1}[j] D^L_i W*_L ... D^2_i W*_2, the row vector u_{i,j};
+    with one hidden layer, B is W*_2 as a (1, n_out, n_1) array, which
+    broadcasts over the rows. The first masked product broadcasts
+    W*_{L+1} over the rows itself, into the array a pre-broadcast operand
+    gives, value for value and stride for stride.
     """
-    n = masks[0].shape[0]
-    b = np.broadcast_to(o.fixed[-1].weight, (n,) + o.fixed[-1].weight.shape)
+    b = o.fixed[-1].weight[None]
     for l in range(len(o.fixed) - 1, 0, -1):
         b = (b * masks[l][:, None, :]) @ o.fixed[l - 1].weight
     return b
@@ -575,7 +578,7 @@ class Region:
     """A full-dimensional region: its signature, its masks (region_masks)
     and its per-sample gradient rows (sample_gradient_rows).
 
-    A region derived by with_state from another keeps that region's mask
+    A region derived by with_states from another keeps that region's mask
     arrays, except the ones it changes, and its rows as `base_rows`;
     `changed` lists, ascending, the samples whose states may differ from
     the ones base_rows were computed for. The rows are built on first use
@@ -591,15 +594,28 @@ class Region:
     changed: tuple[int, ...] = ()
 
     def with_state(self, idx: int, state: int) -> "Region":
-        """The region with surface idx set to `state`; only the state array
-        and mask that hold it are copied."""
-        array, i, k = self.signature.layout.locate(idx)
-        masks = list(self.masks)
-        masks[array] = masks[array].copy()
-        masks[array][i, k] = state if array == self.signature.layout.depth else state > 0
-        changed = self.changed if i in self.changed else tuple(sorted((*self.changed, i)))
-        sig = self.signature.with_state(idx, state)
-        return Region(self.o, sig, tuple(masks), self.base_rows, changed)
+        """The region with surface idx set to `state` (with_states)."""
+        return self.with_states([self.signature.layout.locate(idx)], [state])
+
+    def with_states(self, located, states) -> "Region":
+        """The region with the surfaces at the (state array, sample, unit)
+        rows `located` (distinct) set to `states`: each state array and
+        mask that holds one of them is copied once, and their samples are
+        merged into changed once. A plain loop, as a pivot sets about one
+        state, and a vertex where whole first-layer rows meet a few hundred."""
+        depth = self.signature.layout.depth
+        sig, masks = list(self.signature.states), list(self.masks)
+        copied = set()
+        for (array, i, k), state in zip(located, states):
+            if array not in copied:
+                copied.add(array)
+                sig[array] = sig[array].copy()
+                masks[array] = masks[array].copy()
+            sig[array][i, k] = state
+            masks[array][i, k] = state if array == depth else state > 0
+        changed = tuple(sorted({*self.changed, *(i for _, i, _ in located)}))
+        signature = Signature(tuple(sig), self.signature.layout)
+        return Region(self.o, signature, tuple(masks), self.base_rows, changed)
 
     def rerooted(self, released) -> tuple["Region", np.ndarray]:
         """This region with its rows as base rows and no changed sample,
@@ -616,7 +632,8 @@ class Region:
         """
         released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
         changed = list(self.changed)
-        batch = [m[changed + released[:, 1].tolist()] for m in self.masks]
+        samples = np.array(changed + released[:, 1].tolist(), dtype=np.intp)
+        batch = [m.take(samples, axis=0) for m in self.masks]
         _flip_rows(self.o, batch, released, len(changed))
         computed = sample_gradient_rows(self.o, batch)
         rows = self.base_rows
@@ -624,7 +641,7 @@ class Region:
             rows = rows.copy()
             rows[changed] = computed[: len(changed)]
         region = Region(self.o, self.signature, self.masks, rows)
-        return region, computed[len(changed) :] - rows[released[:, 1]]
+        return region, computed[len(changed) :] - rows.take(released[:, 1], axis=0)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -664,8 +681,8 @@ def release_corrections(
     pre-activation change.
     """
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
-    dz = np.einsum("qkc,qc->qk", dmats, o.x_aug[samples])
-    return np.sum(deltas * dz, axis=1)
+    dz = np.einsum("qkc,qc->qk", dmats, o.x_aug.take(samples, axis=0))
+    return (deltas * dz).sum(axis=1)
 
 
 def constraint_normal(
@@ -745,17 +762,17 @@ class RatioScreen:
     magnitude: |flat| where side * flat > 0, else 0.
     excluded: the mask of the surfaces the test skips.
     layout: names the positions by flat index.
+    top: the largest magnitude, which every test reads.
     """
 
     side: np.ndarray
     magnitude: np.ndarray
     excluded: np.ndarray
     layout: ConstraintLayout = field(repr=False)
+    top: float = field(init=False)
 
-    @cached_property
-    def top(self) -> float:
-        """The largest magnitude."""
-        return float(np.max(self.magnitude, initial=0.0))
+    def __post_init__(self):
+        object.__setattr__(self, "top", float(self.magnitude.max(initial=0.0)))
 
 
 # A directional derivative up to this fraction of the largest |dvals| is
@@ -812,11 +829,11 @@ def _ratio_from_arrays(
     floor = ROUNDOFF_FLOOR * slope
     c = _SCREEN_START * screen.top
     while c < screen.top:
-        near = np.flatnonzero(screen.magnitude <= c)
+        near = (screen.magnitude <= c).nonzero()[0]
         dv = dvals[near]
-        toward = np.flatnonzero(
+        toward = (
             (screen.side[near] * dv < 0.0) & (np.abs(dv) > floor) & ~screen.excluded[near]
-        )
+        ).nonzero()[0]
         if not toward.size:
             c *= _SCREEN_GROWTH
             continue
@@ -834,7 +851,7 @@ def _full_scan(
 ) -> tuple[tuple[float, int] | None, float]:
     """_ratio_from_arrays over every surface."""
     mask, floor = crossing_candidates(dvals, screen)
-    toward = np.flatnonzero(mask)
+    toward = mask.nonzero()[0]
     if not toward.size:
         return None, floor
     return _earliest(np.maximum(-flat[toward] / dvals[toward], 0.0), toward, screen.layout), floor
@@ -844,6 +861,6 @@ def _earliest(t: np.ndarray, slots: np.ndarray, layout: ConstraintLayout) -> tup
     """The least step of t, steps of the buffer positions slots, and the
     smallest flat index among the positions that take it: np.argmin's
     answer, a NaN step first, as if the steps were in flat order."""
-    step = float(t[np.argmin(t)])
+    step = float(t[t.argmin()])
     tied = np.isnan(t) if step != step else t == step
     return step, int(layout.indices(slots[tied]).min())

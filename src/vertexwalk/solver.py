@@ -54,12 +54,12 @@ A pivot carries what it leaves unchanged. VertexState holds the rows
 (state array, sample, unit) of its active surfaces, the vertex's
 constraint values (from the polish), its region (oracle.Region: the
 signature, masks and per-sample gradient rows) and its Pricing: per
-position the row delta, the reference state and the bent normals, which
-the Woodbury solve and release_corrections apply to each new inverse. An
-entered region is the vertex's with a few states set
-(Region.with_state): it copies only the masks it changes, records the
-samples it touches, and builds its rows on first use, recomputing only
-theirs. Every normal matrix of an entered region, for a re-solve as for
+position the row delta, the reference state, the affected positions and
+the bent normals, which the Woodbury solve and release_corrections apply
+to each new inverse. An entered region is the vertex's with a few states
+set (Region.with_states, in one call per side): it copies only the masks
+it changes, once each, records the samples it touches, and builds its
+rows on first use, recomputing only theirs. Every normal matrix of an entered region, for a re-solve as for
 the next vertex (_VertexWork.normals), recomputes only the columns of
 those samples and the entering column. The next vertex takes the entered
 region the probe confirmed, and a Pricing with only the redo set
@@ -67,7 +67,8 @@ recomputed (_carried_pricing): the entering position and every position
 whose sample the entered region changed, and for the bent normals also
 the positions of the leaving and entering surfaces' samples. The redo
 set's delta rows and the entered region's changed rows come from one
-sample_gradient_rows call (Region.rerooted). Every vertex has a Pricing:
+sample_gradient_rows call (Region.rerooted); the affected positions are
+recomputed only for the leaving and entering surfaces' samples. Every vertex has a Pricing:
 phase 1's vertex and each exchanged active set get one built from
 scratch (_pricing, whose deltas come from the same Region.rerooted
 call). Both phases build a vertex one way, in _new_vertex, whose inputs
@@ -85,7 +86,18 @@ the two), so ties still go to the smallest flat index.
 
 The normal matrix is still refactorized from scratch at every pivot; at
 the problem sizes this package targets, robustness is worth far more than
-the saved cubic term. With validate=True every carried array, the Pricing
+the saved cubic term.
+
+At the reference sizes (widths (4,5,4,3,2,1), N = 500) a pivot's cost is
+set by call dispatch more than by arithmetic: about 289 Python-level calls
+per iteration of a capped seed-6 walk, which tests/test_call_budget.py
+holds to a ceiling, and about 0.66 ms per pivot in the ref-walk benchmark
+(artifacts and analysis included; one BLAS thread, 2-CPU x86-64 VM). So
+the pivot calls LAPACK directly (linalg.factorize, linalg.solve_dense for
+the Woodbury systems), takes 1-D norms as sqrt(x . x) (linalg.norm), and
+patches what the vertex already knows (the Pricing's affected lists, the
+probe's states from pricing.ref) instead of rebuilding it, every result
+bit for bit the same. With validate=True every carried array, the Pricing
 included (phase 1's too), is checked against a recomputation from
 scratch, bit for bit, and every surface off the vertex against the side
 its state gives it; so are the active values of the row pass against the
@@ -117,10 +129,12 @@ from .linalg import (
     Factorization,
     factorize,
     near_singular,
+    norm,
     nullspace_basis,
     project_nullspace,
     rank_extends,
     solve,
+    solve_dense,
 )
 from .oracle import OracleInstance, Region, Signature
 from .prng import SplitMix64
@@ -320,7 +334,7 @@ def descend_to_vertex(
             raise NumericalStall(
                 "active normals collapsed; the instance looks rank-deficient or badly scaled"
             ) from None
-        pnorm = float(np.linalg.norm(proj))
+        pnorm = norm(proj)
         if pnorm > tau:
             d = proj / pnorm
             dvals = orc.constraint_jvp_flat(o, region.masks, d)
@@ -444,15 +458,16 @@ def _of_samples(located: np.ndarray, samples) -> np.ndarray:
     return (located[:, 1, None] == np.array(samples, dtype=np.intp)).any(axis=1)
 
 
-def _affected(located: np.ndarray) -> dict[int, list[int]]:
-    """Pricing.affected of the active surfaces at rows `located`: releasing
-    a hidden unit bends the normals of the active surfaces deeper in the
-    same sample's network."""
-    array, sample = located[:, 0], located[:, 1]
-    bends = (sample[:, None] == sample) & (array[:, None] < array)
+def _affected(located: np.ndarray, among: list[int]) -> dict[int, list[int]]:
+    """The Pricing.affected entries of the positions `among` (ascending) of
+    the active surfaces at rows `located`, where `among` holds every
+    position of each of its samples: releasing a hidden unit bends the
+    normals of the active surfaces deeper in the same sample's network."""
+    rows = list(zip(among, located[among].tolist()))
     return {
-        pos: np.flatnonzero(bends[pos]).tolist()
-        for pos in np.flatnonzero(bends.any(axis=1)).tolist()
+        pos: deeper
+        for pos, (array, sample, _) in rows
+        if (deeper := [q for q, (a, i, _) in rows if i == sample and a > array])
     }
 
 
@@ -470,7 +485,7 @@ def _bent_normals(o, masks, located, pos: int, affected: list[int]) -> np.ndarra
 def _pricing(o: OracleInstance, region: Region, located: np.ndarray) -> Pricing:
     """The Pricing of the active surfaces at rows `located` in `region`,
     built from scratch."""
-    affected = _affected(located)
+    affected = _affected(located, list(range(len(located))))
     return Pricing(
         deltas=region.rerooted(located)[1],
         ref=_gather(region.signature.states, located),
@@ -484,32 +499,36 @@ def _carried_pricing(
     pricing: Pricing,
     entered: Region,
     located: np.ndarray,
+    redo: np.ndarray,
     pos: int,
     left: int,
 ) -> tuple[Region, Pricing]:
     """The next vertex's region (entered, re-rooted) and Pricing, after the
     pivot that put a new surface at position pos (its rows `located`) and
     released one of sample `left` into `entered`; `pricing` is the left
-    vertex's.
+    vertex's, and `redo` masks position pos and every position whose sample
+    is in entered.changed.
 
     Everything a position carries depends only on its own sample's masks
     and rows and on the active surfaces of that sample. So only the redo
-    set is recomputed: position pos and every position whose sample is in
-    entered.changed, and for the bent normals also every position of the
-    left and the entering surface's samples, whose affected lists change.
-    The redo set's delta rows share one sample_gradient_rows call with the
-    entered region's changed rows (Region.rerooted). Every kept entry
-    equals its recomputation bit for bit.
+    set is recomputed, and for the affected lists and bent normals also
+    every position of the left and the entering surface's samples, the
+    only samples whose active surfaces change. The redo set's delta rows
+    share one sample_gradient_rows call with the entered region's changed
+    rows (Region.rerooted). Every kept entry equals its recomputation bit
+    for bit.
     """
-    redo = _of_samples(located, entered.changed)
-    redo[pos] = True
-    region, fresh = entered.rerooted(located[redo])
+    redone = located[redo]
+    region, fresh = entered.rerooted(redone)
     deltas = pricing.deltas.copy()
     deltas[redo] = fresh
     ref = pricing.ref.copy()
-    ref[redo] = _gather(region.signature.states, located[redo])
-    affected = _affected(located)
-    rebend = redo | _of_samples(located, (left, located[pos, 1]))
+    ref[redo] = _gather(region.signature.states, redone)
+    moved = _of_samples(located, (left, located[pos, 1]))
+    among = moved.nonzero()[0].tolist()
+    affected = {q: qs for q, qs in pricing.affected.items() if q not in among}
+    affected.update(_affected(located, among))
+    rebend = (redo | moved).tolist()
     bent = {
         q: _bent_normals(o, region.masks, located, q, qs) if rebend[q] else pricing.bent[q]
         for q, qs in affected.items()
@@ -523,48 +542,43 @@ class _VertexWork:
     def __init__(self, o: OracleInstance, v: VertexState):
         self.o = o
         self.v = v
-        self.pnorm = float(np.linalg.norm(v.point))
+        self.pnorm = norm(v.point)
         # Inactive surfaces passing through the vertex itself (degeneracy):
         # they belong to the vertex fan, not to the ratio test, and their
         # entered-side states are set by the crossing direction. They are
         # kept in ascending flat index (coincident_idx) with their buffer
-        # positions (coincident_slots). The ratio test's screen shares
-        # |flat| and skips the excluded mask.
+        # positions (coincident_slots) and, when there are any, their
+        # (state array, sample, unit) rows (coincident_at). The ratio
+        # test's screen shares |flat| and skips the excluded mask.
         magnitude = np.abs(v.flat)
         excluded = magnitude <= o.tol.act
         active_slots = o.layout.slots(v.active)
         excluded[active_slots] = False
-        coincident = np.flatnonzero(excluded)
+        coincident = excluded.nonzero()[0]
         idx = o.layout.indices(coincident)
-        order = np.argsort(idx)
+        order = idx.argsort()
         self.coincident_idx = idx[order].tolist()
         self.coincident_slots = coincident[order]
         excluded[active_slots] = True
         self.screen = orc.RatioScreen(v.flat, magnitude, excluded, o.layout)
         self.excluded_slots = np.concatenate([active_slots, self.coincident_slots])
-        self.excluded_at = v.located
+        self.coincident_at = None
         if self.coincident_idx:
-            self.excluded_at = np.concatenate(
-                [v.located, o.layout.locate_many(self.coincident_idx)]
-            )
+            self.coincident_at = o.layout.locate_many(self.coincident_idx)
         self.excluded_flat = v.flat[self.excluded_slots]
         # (direction, entered region, derivative) of each side settled by
         # _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
 
-    def normals(
-        self, region: Region, active: list[int], entering: int | None = None
-    ) -> np.ndarray:
+    def normals(self, region: Region, active: list[int], redo: np.ndarray) -> np.ndarray:
         """Normal matrix of the surfaces `active` in `region`, one derived
-        from the vertex's by with_state: the vertex's, with the columns of
-        region.changed's samples and column `entering` (a new surface)
-        recomputed. A normal depends on its own sample's states alone, so a
-        kept column equals its recomputation bit for bit."""
-        redo = _of_samples(self.v.located, region.changed)
-        if entering is not None:
-            redo[entering] = True
+        from the vertex's by with_states: the vertex's, with the columns
+        `redo` recomputed, a mask that holds the positions of
+        region.changed's samples and of any new surface. A normal depends on
+        its own sample's states alone, so a kept column equals its
+        recomputation bit for bit."""
         cols = self.v.normals.copy()
-        for q in np.flatnonzero(redo).tolist():
+        for q in redo.nonzero()[0].tolist():
             cols[:, q] = orc.constraint_normal(self.o, region.masks, active[q])
         return cols
 
@@ -586,7 +600,7 @@ class _VertexWork:
         new = pricing.bent[pos]
         c = inv_t[:, pos]
         basis = inv_t[:, pricing.affected[pos]]
-        y = np.linalg.solve(new.T @ basis, new.T @ c)
+        y = solve_dense(new.T @ basis, new.T @ c)
         return c - basis @ y
 
     @cached_property
@@ -610,7 +624,7 @@ class _VertexWork:
         flip_units = units.copy()
         for pos in pricing.affected:
             d = self._bent_direction(inv_t, pos)
-            flip_units[:, pos] = d / np.linalg.norm(d)
+            flip_units[:, pos] = d / norm(d)
         slopes = region.gradient @ units
         flipped = region.gradient @ flip_units + orc.release_corrections(
             o, pricing.deltas, v.located[:, 1], flip_units
@@ -641,14 +655,14 @@ class _VertexWork:
     def _settled_direction(self, pos: int, sign: int, region: Region) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
         of `region`."""
-        cols = self.normals(region, self.v.active)
+        cols = self.normals(region, self.v.active, _of_samples(self.v.located, region.changed))
         rhs = np.zeros(self.o.dim)
         rhs[pos] = float(sign)
         try:
             d = np.linalg.solve(cols.T, rhs)
         except np.linalg.LinAlgError:
             raise DegenerateVertex("edge solve hit dependent normals") from None
-        nd = float(np.linalg.norm(d))
+        nd = norm(d)
         if not np.isfinite(nd) or nd == 0.0:
             raise DegenerateVertex("edge solve produced a degenerate direction")
         return d / nd
@@ -664,12 +678,13 @@ class _VertexWork:
         """
         dvals = orc.constraint_jvp_flat(self.o, region.masks, d)
         floor = orc.ROUNDOFF_FLOOR * orc.largest_magnitude(dvals)
-        for idx, dv in zip(self.coincident_idx, dvals[self.coincident_slots].tolist()):
-            if abs(dv) > floor:
-                state = 1 if dv > 0 else -1
-                if region.signature.state_of(idx) != state:
-                    region = region.with_state(idx, state)
-        return region
+        dv = dvals[self.coincident_slots]
+        guess = np.where(dv > 0, 1, -1)
+        now = orc.states_flat(region.signature)[self.coincident_slots]
+        change = (np.abs(dv) > floor) & (guess != now)
+        if not change.any():
+            return region
+        return region.with_states(self.coincident_at[change].tolist(), guess[change].tolist())
 
     def _settle(self, pos: int, sign: int) -> tuple:
         """The batch side that releases active[pos] to `sign`, with the
@@ -725,18 +740,19 @@ class _VertexWork:
             if t_first <= 1e-12 * (1.0 + self.pnorm):
                 raise DegenerateVertex("a surface crosses pathologically close to the vertex")
             eps = min(eps, 0.5 * t_first)
-        if not self._probe_agrees(sig, dvals, eps, floor):
+        if not self._probe_agrees(pos, sign, sig, dvals, eps, floor):
             vals = orc.forward_values(o, v.point + eps * d)
             if not orc.resolve_signature(o, vals, fallback=sig).equals(sig):
                 raise DegenerateVertex("the probe found another entered region")
         return EdgeCandidate(v.active[pos], sign, d, region, deriv, crossing)
 
     def _probe_agrees(
-        self, sig: Signature, dvals: np.ndarray, eps: float, floor: float
+        self, pos: int, sign: int, sig: Signature, dvals: np.ndarray, eps: float, floor: float
     ) -> bool:
         """Whether a forward pass at the probe point, eps along the edge
-        whose constraint JVP in region sig is dvals, would resolve to sig;
-        floor is the ratio test's: orc.ROUNDOFF_FLOOR of the largest |dvals|.
+        that releases active[pos] to `sign` and whose constraint JVP in
+        region sig is dvals, would resolve to sig; floor is the ratio
+        test's: orc.ROUNDOFF_FLOOR of the largest |dvals|.
 
         Along the edge every constraint value is affine, with slope dvals,
         for as long as no surface changes side. Every surface outside the
@@ -757,15 +773,23 @@ class _VertexWork:
         resolve_signature returns sig: a value within the margin, far below
         act, reads as zero, and zero states fall back to sig. A failing
         check says only that the JVP cannot decide.
+
+        sig's states of the excluded surfaces are the vertex region's
+        (pricing.ref) on the active ones, but `sign` on the released one, and
+        the settled guess on the coincident ones, read from sig: a side's
+        region differs from the vertex's only there.
         """
         act = self.o.tol.act
         if eps * floor >= 0.25 * act:
             return False
-        states = _gather(sig.states, self.excluded_at)
+        states = self.v.pricing.ref.copy()
+        states[pos] = sign
+        if self.coincident_idx:
+            states = np.concatenate([states, orc.states_flat(sig)[self.coincident_slots]])
         at_vertex = self.excluded_flat
         at_probe = at_vertex + eps * dvals[self.excluded_slots]
         low = np.minimum(states * at_vertex, states * at_probe)
-        return bool(np.all(low >= -_PROBE_MARGIN * act))
+        return bool((low >= -_PROBE_MARGIN * act).all())
 
 
 def _descending(table: np.ndarray, leaving: np.ndarray, tau: float) -> list[tuple[int, int]]:
@@ -773,7 +797,7 @@ def _descending(table: np.ndarray, leaving: np.ndarray, tau: float) -> list[tupl
     is below -tau (NaN sides never are), in the order the pivot tries them:
     least derivative first, ties broken by the smaller leaving index
     (leaving[pos], a flat index), then by sign +1 before -1."""
-    pos, col = np.nonzero(table < -tau)
+    pos, col = (table < -tau).nonzero()
     order = np.lexsort((col, leaving[pos], table[pos, col]))
     return list(zip(pos[order].tolist(), col[order].tolist()))
 
@@ -823,12 +847,18 @@ def vertex_step(
     active_new[chosen_pos] = hit
     located_new = v.located.copy()
     located_new[chosen_pos] = o.layout.locate(hit)
-    normals = work.normals(entered, active_new, chosen_pos)
+    # The positions whose normals and Pricing entries are recomputed: the
+    # new surface's and those of the samples the entered region changed.
+    redo = _of_samples(v.located, entered.changed)
+    redo[chosen_pos] = True
+    normals = work.normals(entered, active_new, redo)
     # The new vertex's region is the entered one, re-rooted: its rows are
     # its base and no sample counts as changed, so the rows of the vertex
     # it leaves are not kept alive.
     left = int(v.located[chosen_pos, 1])
-    region, pricing = _carried_pricing(o, v.pricing, entered, located_new, chosen_pos, left)
+    region, pricing = _carried_pricing(
+        o, v.pricing, entered, located_new, redo, chosen_pos, left
+    )
     v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, pricing, limits)
     if v_new.loss > v.loss + MONOTONE_SLACK * (1.0 + abs(v.loss)):
         raise MonotonicityViolation(
@@ -958,7 +988,7 @@ def _escape_if_degenerate(work, limits, rng):
     coincident = work.coincident_idx
     if not coincident:
         return None
-    radius = 1e-4 * (1.0 + float(np.linalg.norm(v.point)))
+    radius = 1e-4 * (1.0 + norm(v.point))
     if not _sampled_descent(o, v.point, radius, 200, rng):
         return None
     for state in islice(_swapped_states(o, v, coincident), 64):

@@ -8,11 +8,13 @@ from vertexwalk.errors import DependentNormals, ShapeMismatch, SingularMatrix
 from vertexwalk.linalg import (
     factorize,
     near_singular,
+    norm,
     nullspace_basis,
     project_nullspace,
     rank_extends,
     rcond,
     solve,
+    solve_dense,
 )
 from vertexwalk.prng import SplitMix64
 
@@ -75,6 +77,22 @@ class TestFactorizeSolve:
         with pytest.raises(ShapeMismatch):
             factorize(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # The finiteness check is folded into the scale, the largest |a_ij|.
+        for where in [(0, 0), (1, 2), (2, 1)]:
+            a = np.eye(3)
+            a[where] = bad
+            with pytest.raises(ShapeMismatch, match="^matrix entries must be finite$"):
+                factorize(a)
+
+    def test_zero_and_tiny_pivots_raise(self):
+        with pytest.raises(SingularMatrix, match=r"^numerical rank below 2 \(min pivot 0\.000e\+00\)$"):
+            factorize(np.zeros((2, 2)))
+        with pytest.raises(SingularMatrix, match="^numerical rank below 3 "):
+            factorize(np.diag([1.0, 1e-13, 1.0]))
+        factorize(np.diag([1.0, 1e-11, 1.0]))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32), n=st.integers(2, 30))
     def test_solve_residual_property(self, seed, n):
@@ -83,6 +101,69 @@ class TestFactorizeSolve:
         b = rng.uniform_block(n, -5, 5)
         x = solve(factorize(a), b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * (1 + np.linalg.norm(b))
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestGesvBits:
+    """solve_dense calls LAPACK gesv, as np.linalg.solve does, and must give
+    its bits: the walk's Woodbury solves (k = 1 to 3 near-identity systems)
+    were made with np.linalg.solve."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_near_identity_systems(self, k):
+        rng = SplitMix64(40 + k)
+        for _ in range(500):
+            a = np.eye(k) + 1e-6 * rng.uniform_block(k * k, -1, 1).reshape(k, k)
+            b = rng.uniform_block(k, -3, 3)
+            got = solve_dense(a, b)
+            assert got.shape == (k,)
+            assert np.array_equal(_bits(got), _bits(np.linalg.solve(a, b)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_general_systems(self, k):
+        rng = SplitMix64(50 + k)
+        for _ in range(100):
+            a = rng.uniform_block(k * k, -1, 1).reshape(k, k)
+            b = rng.uniform_block(k, -1, 1)
+            assert np.array_equal(_bits(solve_dense(a, b)), _bits(np.linalg.solve(a, b)))
+
+    def test_transposed_operand(self):
+        # The walk solves with M^T B, a product; a transposed view must
+        # give the same bits as its contiguous copy.
+        rng = SplitMix64(60)
+        a = np.eye(2) + 1e-3 * rng.uniform_block(4, -1, 1).reshape(2, 2)
+        b = rng.uniform_block(2, -1, 1)
+        assert np.array_equal(_bits(solve_dense(a.T, b)), _bits(np.linalg.solve(a.T, b)))
+
+    def test_singular_system_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_dense(np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+
+class TestNormBits:
+    """norm is np.linalg.norm's sqrt(x . x) for a contiguous vector, bit
+    for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 100, 1001])
+    def test_matches_numpy(self, n):
+        rng = SplitMix64(70 + n)
+        for scale in (1e-200, 1e-3, 1.0, 1e3, 1e150):
+            for _ in range(50):
+                x = scale * rng.uniform_block(n, -1, 1)
+                want = np.linalg.norm(x)
+                got = norm(x)
+                assert type(got) is float
+                assert np.array_equal(_bits(np.float64(got)), _bits(want))
+
+    def test_zero_and_non_finite(self):
+        assert norm(np.zeros(3)) == 0.0
+        assert norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(norm(np.array([np.nan, 1.0])))
 
 
 class TestRankExtends:

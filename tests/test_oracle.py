@@ -217,6 +217,39 @@ class TestRegion:
         assert all(map(np.array_equal, base.masks, region_masks(base.signature)))
         assert np.array_equal(base.rows, sample_gradient_rows(o, region_masks(base.signature)))
 
+    @settings(max_examples=60)
+    @given(
+        flips=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(REGION_POOL), st.integers(0, REGION_O.n_constraints - 1)
+                ),
+                st.sampled_from([-1, 1]),
+            ),
+            max_size=12,
+            unique_by=lambda flip: flip[0],
+        )
+    )
+    def test_with_states_matches_a_with_state_chain(self, flips):
+        # One bulk update (a vertex's coincident guess) gives the region a
+        # chain of one-surface updates gives, copying each touched array once.
+        o = REGION_O
+        base = make_region(o, region_signature(o, interior_point(o, SplitMix64(172))))
+        chain = base
+        for idx, state in flips:
+            chain = chain.with_state(idx, state)
+        rows = [o.layout.locate(idx) for idx, _ in flips]
+        bulk = base.with_states(rows, [state for _, state in flips])
+        assert bulk.changed == chain.changed
+        assert bulk.signature.equals(chain.signature)
+        assert all(map(np.array_equal, bulk.masks, chain.masks))
+        assert np.array_equal(bulk.rows, chain.rows)
+        touched = {array for array, _, _ in rows}
+        for array in range(len(base.masks)):
+            kept = array not in touched
+            assert (bulk.masks[array] is base.masks[array]) == kept
+            assert (bulk.signature.states[array] is base.signature.states[array]) == kept
+
     @settings(max_examples=40)
     @given(
         flips=st.lists(

@@ -509,6 +509,25 @@ class TestEdgeDirections:
         assert at_coincident
         assert any(at_coincident) == degenerate
 
+    def test_gesv_gives_numpy_bits_on_the_woodbury_systems(self, monkeypatch):
+        # The rank-k solves of _bent_direction call LAPACK gesv directly
+        # (linalg.solve_dense). Every M^T B system of a walk with k = 1 and
+        # k = 2 solves must give np.linalg.solve's bits, which the walk's
+        # recorded bits were made with.
+        sizes = []
+        solve_dense = solver.solve_dense
+
+        def checking(a, b):
+            x = solve_dense(a, b)
+            assert np.array_equal(x.view(np.uint64), np.linalg.solve(a, b).view(np.uint64))
+            sizes.append(len(b))
+            return x
+
+        monkeypatch.setattr(solver, "solve_dense", checking)
+        o, p0, rng = self.IDENTITY_WALKS["wide-d-seed0"][0]()
+        minimize(o, p0, SolverLimits(max_iterations=o.dim + 200), rng)
+        assert set(sizes) == {1, 2}
+
     def test_derivatives_at_reference_scale(self):
         o, vertex = reference_scale_vertex()
         delta = 1e-6
@@ -912,13 +931,15 @@ class TestProbe:
         wrong = []
         normals = _VertexWork.normals
 
-        def checked(work, region, active, entering=None):
-            cols = normals(work, region, active, entering)
+        def checked(work, region, active, redo):
+            cols = normals(work, region, active, redo)
             masks = orc.region_masks(region.signature)
             want = np.column_stack([orc.constraint_normal(work.o, masks, a) for a in active])
+            # A re-solve keeps the vertex's active set; a pivot's is new.
+            kind = "re-solve" if active is work.v.active else "pivot"
             if not np.array_equal(cols, want):
-                wrong.append((label, entering))
-            built["re-solve" if entering is None else "pivot"] += 1
+                wrong.append((label, kind))
+            built[kind] += 1
             return cols
 
         monkeypatch.setattr(_VertexWork, "normals", checked)
@@ -1058,10 +1079,11 @@ class TestCarriedPricing:
         redone, moved = [], []
         carried = solver._carried_pricing
 
-        def recording(o, pricing, entered, located, pos, left):
-            region, new = carried(o, pricing, entered, located, pos, left)
-            redo = np.isin(located[:, 1], entered.changed)
-            redo[pos] = True
+        def recording(o, pricing, entered, located, redo, pos, left):
+            region, new = carried(o, pricing, entered, located, redo, pos, left)
+            want = np.isin(located[:, 1], entered.changed)
+            want[pos] = True
+            assert np.array_equal(redo, want)
             redone.append(int(redo.sum()))
             changed = np.any(new.deltas != pricing.deltas, axis=1)
             changed[pos] = False
