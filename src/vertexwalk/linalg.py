@@ -54,7 +54,7 @@ def factorize(a: np.ndarray) -> Factorization:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     # The largest magnitude is NaN or inf exactly when some entry is.
-    scale = float(np.abs(a).max()) if n else 0.0
+    scale = float(np.maximum.reduce(np.abs(a), axis=None)) if n else 0.0
     if not math.isfinite(scale):
         raise ShapeMismatch("matrix entries must be finite")
     # Singularity is detected below with our own pivot rule, not from
@@ -63,7 +63,7 @@ def factorize(a: np.ndarray) -> Factorization:
     if info < 0:
         raise ValueError(f"getrf: illegal value in argument {-info}")
     if n:
-        least = float(np.abs(lu.diagonal()).min())
+        least = float(np.minimum.reduce(np.abs(lu.diagonal())))
         if scale == 0.0 or least < PIVOT_RTOL * scale:
             raise SingularMatrix(f"numerical rank below {n} (min pivot {least:.3e})")
     return Factorization(lu=lu, piv=piv, n=n)

@@ -196,7 +196,7 @@ class ConstraintLayout:
         out[:, ::2] = self._neuron_rows[rest]
         out[:, 1] = sample
         res = idx >= cut
-        if res.any():
+        if np.logical_or.reduce(res):
             out[res, 0] = self.depth
             out[res, 1], out[res, 2] = np.divmod(idx[res] - cut, self.output_dim)
         return out
@@ -213,8 +213,7 @@ class Signature:
     `states` holds one int8 array per state array of the layout, in
     `layout.locate`'s order: states[l-1] the (N, n_l) states of hidden
     layer l, states[L] the (N, n_out) residual signs. A signature with no
-    zero entries identifies a full-dimensional region. Single states are
-    read and replaced by flat constraint index.
+    zero entries identifies a full-dimensional region.
     """
 
     states: tuple[np.ndarray, ...]
@@ -223,18 +222,6 @@ class Signature:
     @property
     def has_zeros(self) -> bool:
         return any(np.any(a == 0) for a in self.states)
-
-    def state_of(self, idx: int) -> int:
-        array, i, k = self.layout.locate(idx)
-        return int(self.states[array][i, k])
-
-    def with_state(self, idx: int, state: int) -> "Signature":
-        """Copy with one entry replaced; unmodified arrays are shared."""
-        array, i, k = self.layout.locate(idx)
-        states = list(self.states)
-        states[array] = states[array].copy()
-        states[array][i, k] = state
-        return Signature(tuple(states), self.layout)
 
     def equals(self, other: "Signature") -> bool:
         return len(self.states) == len(other.states) and all(
@@ -300,18 +287,19 @@ class OracleInstance:
         object.__setattr__(self, "layout", layout)
 
     @cached_property
-    def spread_layers(self) -> tuple[tuple[int, int], ...]:
-        """(layer - 1, fan-in) of each layer whose product a pass over some
-        rows runs over all N row positions (row_values): a layer of width 1,
-        whose product numpy runs as a matrix-vector product, at a fan-in
-        where that product can give a row other bits elsewhere among the
-        rows (_matvec_rows_move). The first layer's fan-in is n_0 + 1."""
+    def spread_layers(self) -> tuple[tuple[int, int, int], ...]:
+        """(layer - 1, fan-in, width) of each layer whose product a pass over
+        some rows runs over all N row positions (row_values): a layer whose
+        product, at this instance's N, fan-in and width, can give a row other
+        bits when the row sits elsewhere among other rows
+        (_product_rows_move). The first layer's fan-in is n_0 + 1."""
         widths = self.arch.widths
         fan_in = (widths[0] + 1, *widths[1:-1])
+        n = self.n_samples
         return tuple(
-            (l, k)
+            (l, k, w)
             for l, (k, w) in enumerate(zip(fan_in, widths[1:]))
-            if w == 1 and _matvec_rows_move(k)
+            if _product_rows_move(n, k, w)
         )
 
     @property
@@ -335,22 +323,37 @@ class OracleInstance:
 
 
 @cache
-def _matvec_rows_move(k: int) -> bool:
-    """Whether numpy's matrix-vector product at fan-in k (one column out)
-    can give a row other bits when the row sits elsewhere among other rows:
-    measured once per k, on seeded data, as 64 rows against every run of 2
-    to 12 of them that starts at a multiple of 3. OpenBLAS 0.3.31's does
-    from k = 8 on, where it computes rows in groups and the rows left over
-    another way, and not below."""
-    rng = np.random.default_rng(k)
-    a = rng.uniform(-1.0, 1.0, (64, k))
-    x = rng.uniform(-1.0, 1.0, (k, 1))
-    whole = (a @ x).view(np.uint64)
-    return not all(
-        np.array_equal((a[s : s + m] @ x).view(np.uint64), whole[s : s + m])
-        for m in range(2, 13)
-        for s in range(0, 65 - m, 3)
-    )
+def _product_rows_move(n: int, k: int, w: int) -> bool:
+    """Whether numpy's product of a layer of fan-in k and width w, run as
+    the passes run it (h @ W.T into a contiguous out, W a C-ordered (w, k)
+    array), can give a row other bits over some rows than over all n:
+    measured once per (n, k, w), on seeded data, against three row lists
+    (repeats allowed) of each count from 2 to 12, then of 16 and its
+    doublings up to the first at or above n.
+
+    OpenBLAS 0.3.31 (x86-64) moves rows from k = 8 on at w = 1, where
+    numpy runs a matrix-vector product that computes rows in groups and the
+    rows left over another way, and from k = 32 on at w >= 2 (at n >= 500;
+    at n = 12 and 30, for some w only), where the matrix-matrix product
+    runs another way over some row counts: at n = 500, k = 40 and w = 4,
+    each of 60 random row lists of 2 to 200 rows differed. Over the shapes
+    it passes (k up to 64, w up to 40, n from 12 to 2000), 45,080 random
+    row lists gave the full product's bits at one and at two threads.
+    """
+    rng = np.random.default_rng((n, k, w))
+    a = rng.uniform(-1.0, 1.0, (n, k))
+    weight_t = rng.uniform(-1.0, 1.0, (w, k)).T
+    whole = np.matmul(a, weight_t, out=np.empty((n, w))).view(np.uint64)
+    counts = [*range(2, 13), 16]
+    while counts[-1] < n:
+        counts.append(2 * counts[-1])
+    for m in counts:
+        for _ in range(3):
+            rows = rng.integers(0, n, m)
+            part = np.matmul(a.take(rows, axis=0), weight_t, out=np.empty((m, w)))
+            if not np.array_equal(part.view(np.uint64), whole.take(rows, axis=0)):
+                return True
+    return False
 
 
 def make_oracle(
@@ -385,7 +388,7 @@ def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
     rectified, flat, arrays = o.layout.pass_arrays()
     products = (np.matmul,) * len(arrays)
     _forward(o, p, o.x_aug, o.data.targets, o.bias_rows, products, arrays, rectified)
-    return ConstraintValues(flat, arrays, float(np.abs(arrays[-1]).sum()))
+    return ConstraintValues(flat, arrays, float(np.add.reduce(np.abs(arrays[-1]), axis=None)))
 
 
 class SampleRows(NamedTuple):
@@ -417,8 +420,8 @@ def sample_rows(o: OracleInstance, samples: np.ndarray) -> SampleRows:
     else:
         biases = [layer.bias for layer in o.fixed]
     products = [np.matmul] * (len(o.fixed) + 1)
-    for l, k in o.spread_layers:
-        spread = (np.zeros((o.n_samples, k)), np.empty((o.n_samples, 1)))
+    for l, k, w in o.spread_layers:
+        spread = (np.zeros((o.n_samples, k)), np.empty((o.n_samples, w)))
         products[l] = partial(_spread_product, samples, *spread)
     flat = np.empty(m * (o.hidden_total + o.arch.output_dim))
     return SampleRows(
@@ -428,37 +431,41 @@ def sample_rows(o: OracleInstance, samples: np.ndarray) -> SampleRows:
 
 
 def row_values(o: OracleInstance, rows: SampleRows, p: np.ndarray) -> np.ndarray:
-    """Every constraint value of the rows at p, a float array of shape
-    (o.dim,): forward_values over those rows alone, written into rows.flat
-    (so the next pass over the same rows overwrites it), whose state
-    arrays hold m rows each, row q for sample q of the list
+    """Every constraint value of the rows at p, a float array of
+    m (H + n_out) entries: forward_values over those rows alone, written
+    into rows.flat (so the next pass over the same rows overwrites it),
+    whose state arrays hold m rows each, row q for sample q of the list
     (ConstraintLayout.row_slots).
 
-    Each entry has the full pass's bits. numpy runs a product of at least
-    two rows and two columns as a matrix-matrix product (BLAS gemm), which
-    computes a row the same way whatever the row count, and one of a
-    single row or column as a matrix-vector product, which need not. So
-    sample_rows takes at least two rows of at least two samples, and a
-    layer of width 1 whose matrix-vector product can move a row's bits
-    (o.spread_layers) runs over the full pass's N row positions
-    (_spread_product). Each bias is added from the first m of the tiled
-    rows, or by broadcast when m exceeds N, the same IEEE add; each
-    rectified array is a fresh one, at a few rows cheaper than views of a
-    scratch. With validate=True the solver checks the active values of
-    every vertex.
+    Each entry has the full pass's bits. numpy runs a product of a single
+    row or column as a matrix-vector product, which can give a row other
+    bits than a product over more rows, so sample_rows takes at least two
+    rows of at least two samples. A product of more rows and columns runs
+    as a matrix-matrix product (BLAS gemm), which computes a row the same
+    way whatever the row count only up to some fan-in. So every layer
+    whose product, at the instance's N, fan-in and width, can move a row's
+    bits (o.spread_layers, which probes each shape once) runs over the
+    full pass's N row positions (_spread_product); on OpenBLAS 0.3.31 at
+    N >= 500 those are the layers of width 1 from fan-in 8 on and all
+    layers from fan-in 32 on. Each bias is added from the first m of the tiled rows,
+    or by broadcast when m exceeds N, the same IEEE add; each rectified
+    array is a fresh one, at a few rows cheaper than views of a scratch.
+    With validate=True the solver checks the active values of every
+    vertex.
     """
     rectified = [None] * len(o.fixed)
     _forward(o, p, rows.x_aug, rows.targets, rows.biases, rows.products, rows.arrays, rectified)
     return rows.flat
 
 
-def _spread_product(samples, spread, column, h, weight_t, out):
-    """out = h @ weight_t for a one-column product of the rows of
-    `samples`: the (N, 1) product `column` over spread, an (N, k) array of
-    zeros that gets row q of h at row samples[q], taken at rows `samples`.
-    Every pass over the same samples writes the same rows of spread."""
+def _spread_product(samples, spread, full, h, weight_t, out):
+    """out = h @ weight_t for the rows of `samples`: the (N, w) product
+    `full` over spread, an (N, k) array of zeros that gets row q of h at
+    row samples[q], taken at rows `samples`. Every row sits where the full
+    pass has it, in a product of the full pass's shape. Every pass over the
+    same samples writes the same rows of spread."""
     spread[samples] = h
-    np.matmul(spread, weight_t, out=column).take(samples, axis=0, out=out)
+    np.matmul(spread, weight_t, out=full).take(samples, axis=0, out=out)
 
 
 def _forward(o, p, x_aug, targets, biases, products, arrays, rectified) -> None:
@@ -682,7 +689,7 @@ def release_corrections(
     """
     dmats = dirs.T.reshape(len(samples), o.arch.widths[1], o.arch.widths[0] + 1)
     dz = np.einsum("qkc,qc->qk", dmats, o.x_aug.take(samples, axis=0))
-    return (deltas * dz).sum(axis=1)
+    return np.add.reduce(deltas * dz, axis=1)
 
 
 def constraint_normal(
@@ -754,25 +761,37 @@ def constraint_jvp_flat(
 class RatioScreen:
     """What the ratio test needs of the constraint values at one point,
     computed once for every direction tested from it; every array is by
-    buffer position.
+    buffer position. A surface's magnitude is |flat| where side * flat > 0,
+    else 0 (see _ratio_from_arrays).
 
     side: the signs that decide whether a surface lies ahead (it does when
     side * dvals < 0): the values themselves, or the states of a region,
     which also put a surface at zero, or past it by round-off, ahead.
-    magnitude: |flat| where side * flat > 0, else 0.
     excluded: the mask of the surfaces the test skips.
     layout: names the positions by flat index.
-    top: the largest magnitude, which every test reads.
+    top: the largest magnitude, which every test reads (NaN when a value
+    is NaN).
+    start, near: the bound c of every test's first round, at least
+    screen_start(top, size), and the positions whose magnitude is at most
+    c, ascending.
     """
 
     side: np.ndarray
-    magnitude: np.ndarray
     excluded: np.ndarray
     layout: ConstraintLayout = field(repr=False)
-    top: float = field(init=False)
+    top: float
+    start: float
+    near: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "top", float(self.magnitude.max(initial=0.0)))
+
+def ratio_screen(
+    side: np.ndarray, magnitude: np.ndarray, excluded: np.ndarray, layout: ConstraintLayout
+) -> RatioScreen:
+    """The RatioScreen of the given magnitudes (|flat| where side * flat >
+    0, else 0), its first round at screen_start."""
+    top = float(np.maximum.reduce(magnitude, initial=0.0))
+    start = screen_start(top, magnitude.size)
+    return RatioScreen(side, excluded, layout, top, start, (magnitude <= start).nonzero()[0])
 
 
 # A directional derivative up to this fraction of the largest |dvals| is
@@ -782,7 +801,7 @@ ROUNDOFF_FLOOR = 1e-12
 
 def largest_magnitude(a: np.ndarray) -> float:
     """np.max(np.abs(a)), NaN and -0.0 included, without an |a| array."""
-    return float(np.maximum(a.max(), -a.min()))
+    return float(np.maximum(np.maximum.reduce(a), -np.minimum.reduce(a)))
 
 
 def crossing_candidates(dvals: np.ndarray, screen: RatioScreen) -> tuple[np.ndarray, float]:
@@ -795,12 +814,27 @@ def crossing_candidates(dvals: np.ndarray, screen: RatioScreen) -> tuple[np.ndar
     return (screen.side * dvals < 0.0) & (np.abs(dvals) > floor) & ~screen.excluded, floor
 
 
-# The screen first looks at the surfaces with magnitude up to this fraction
-# of the largest, and widens by _SCREEN_GROWTH while they hold no candidate.
-_SCREEN_START = 3e-3
+# The screen first looks at about this many surfaces: those with magnitude
+# up to _SCREEN_COUNT / size of the largest (screen_start). It widens by
+# _SCREEN_GROWTH while they hold no candidate.
+_SCREEN_COUNT = 64
 _SCREEN_GROWTH = 8.0
 # Relative margin of the screen's bound, far above its rounding error.
 _SCREEN_MARGIN = 1e-9
+
+
+def _within(flat: np.ndarray, c: float) -> np.ndarray:
+    """The positions with |flat| <= c, ascending: a round past the first of
+    _ratio_from_arrays holds them."""
+    return (np.abs(flat) <= c).nonzero()[0]
+
+
+def screen_start(top: float, size: int) -> float:
+    """The first bound c of a screen over `size` surfaces whose largest
+    magnitude is top: _SCREEN_COUNT / size of top, so that a first round
+    holds about _SCREEN_COUNT surfaces where the magnitudes spread evenly.
+    At or above top when size <= _SCREEN_COUNT, so the test scans fully."""
+    return _SCREEN_COUNT / size * top
 
 
 def _ratio_from_arrays(
@@ -816,33 +850,42 @@ def _ratio_from_arrays(
     full scan's, bit for bit. Every candidate with side * flat > 0 has
     magnitude |flat_j| and step t_j = |flat_j| / |dvals_j| >= |flat_j| / M,
     with M the largest |dvals|; every other candidate has magnitude 0 and
-    step 0. Screened to the surfaces with magnitude <= c, the test finds
-    the best step t_S among them. Once t_S M (1 + margin) <= c, every
-    surface outside the screen has, rounded division being monotone, a step
-    at least the rounded c / M, which the margin keeps strictly above t_S:
-    none beats or ties with it. Otherwise c becomes that bound (one more
-    round then settles it) or, when the screen holds no candidate, grows;
-    once c reaches the largest magnitude, the full scan runs. The floor
-    stays ROUNDOFF_FLOOR of M, over all entries.
+    step 0. Screened to surfaces that include every one with magnitude
+    <= c, the test finds the best step t_S among them. Once
+    t_S M (1 + margin) <= c, every surface outside the screen has, rounded
+    division being monotone, a step at least the rounded c / M, which the
+    margin keeps strictly above t_S: none beats or ties with it. That holds
+    for any c > 0, so the first round takes the screen's own: c =
+    screen.start, at least _SCREEN_COUNT / size · top (screen_start), and
+    its positions screen.near, which hold every surface of magnitude 0.
+    Otherwise c becomes that bound (one more round then settles it) or,
+    when the screen holds no candidate, grows. A later round holds the
+    surfaces with |flat| <= c (_within), which include every one of
+    magnitude in (0, c]; a surface of magnitude 0 it may leave out was in
+    the first round, where, had it been a candidate, its step 0 would have
+    settled the test. Once c reaches the largest magnitude, or when it
+    underflowed to 0 (every magnitude subnormal), the full scan runs. The
+    floor stays ROUNDOFF_FLOOR of M, over all entries.
     """
     slope = largest_magnitude(dvals)
     floor = ROUNDOFF_FLOOR * slope
-    c = _SCREEN_START * screen.top
-    while c < screen.top:
-        near = (screen.magnitude <= c).nonzero()[0]
+    c, near = screen.start, screen.near
+    while 0.0 < c < screen.top:
+        if near is None:
+            near = _within(flat, c)
         dv = dvals[near]
         toward = (
             (screen.side[near] * dv < 0.0) & (np.abs(dv) > floor) & ~screen.excluded[near]
         ).nonzero()[0]
         if not toward.size:
-            c *= _SCREEN_GROWTH
+            c, near = c * _SCREEN_GROWTH, None
             continue
         near = near[toward]
         crossing = _earliest(np.maximum(-flat[near] / dv[toward], 0.0), near, screen.layout)
         bound = crossing[0] * slope * (1.0 + _SCREEN_MARGIN)
         if bound <= c:
             return crossing, floor
-        c = bound
+        c, near = bound, None
     return _full_scan(flat, dvals, screen)
 
 
@@ -863,4 +906,4 @@ def _earliest(t: np.ndarray, slots: np.ndarray, layout: ConstraintLayout) -> tup
     answer, a NaN step first, as if the steps were in flat order."""
     step = float(t[t.argmin()])
     tied = np.isnan(t) if step != step else t == step
-    return step, int(layout.indices(slots[tied]).min())
+    return step, int(np.minimum.reduce(layout.indices(slots[tied])))

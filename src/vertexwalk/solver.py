@@ -48,7 +48,13 @@ builds one per step that judges surfaces by the starting region's states,
 the pivot one per vertex that judges them by value): it looks for the
 first crossing among the surfaces near zero first, widening the screen
 until no surface outside it can beat or tie with the best step, so the
-answer is the full scan's, bit for bit.
+answer is the full scan's, bit for bit. Its first round holds the
+surfaces within _SCREEN_COUNT / size of the largest |value|
+(oracle.screen_start), about 64 where the values spread evenly. A vertex
+scans its values once (_VertexWork.__init__): that scan gives the largest
+|value|, the first round's positions and, among them, the coincident
+surfaces, so a pivot's test reads all N (H + n_out) values again only
+when its first round cannot settle it.
 
 A pivot carries what it leaves unchanged. VertexState holds the rows
 (state array, sample, unit) of its active surfaces, the vertex's
@@ -89,15 +95,18 @@ the problem sizes this package targets, robustness is worth far more than
 the saved cubic term.
 
 At the reference sizes (widths (4,5,4,3,2,1), N = 500) a pivot's cost is
-set by call dispatch more than by arithmetic: about 289 Python-level calls
+set by call dispatch more than by arithmetic: about 260 Python-level calls
 per iteration of a capped seed-6 walk, which tests/test_call_budget.py
 holds to a ceiling, and about 0.66 ms per pivot in the ref-walk benchmark
 (artifacts and analysis included; one BLAS thread, 2-CPU x86-64 VM). So
 the pivot calls LAPACK directly (linalg.factorize, linalg.solve_dense for
-the Woodbury systems), takes 1-D norms as sqrt(x . x) (linalg.norm), and
-patches what the vertex already knows (the Pricing's affected lists, the
-probe's states from pricing.ref) instead of rebuilding it, every result
-bit for bit the same. With validate=True every carried array, the Pricing
+the Woodbury systems), takes 1-D norms as sqrt(x . x) (linalg.norm),
+reduces with numpy's ufuncs (np.maximum.reduce for ndarray.max,
+np.logical_or.reduce for ndarray.any, np.add.reduce for ndarray.sum),
+which skip the Python wrappers around the same loops, and patches what
+the vertex already knows (the Pricing's affected lists, the probe's
+states from pricing.ref) instead of rebuilding it, every result bit for
+bit the same. With validate=True every carried array, the Pricing
 included (phase 1's too), is checked against a recomputation from
 scratch, bit for bit, and every surface off the vertex against the side
 its state gives it; so are the active values of the row pass against the
@@ -319,7 +328,7 @@ def descend_to_vertex(
         flat = orc.constraint_values_flat(o, vals)
         # One screen per step, shared by the fallback directions. States are
         # +-1: the magnitude is |flat| on a surface's own side, else 0.
-        screen = orc.RatioScreen(states, np.maximum(states * flat, 0.0), excluded, o.layout)
+        screen = orc.ratio_screen(states, np.maximum(states * flat, 0.0), excluded, o.layout)
         tau = limits.descent_threshold(vals.loss)
 
         d = None
@@ -426,9 +435,9 @@ def _polish(o, p, located, fact):
     rows = orc.sample_rows(o, located[:, 1])
     at = o.layout.row_slots(located)
     act_vals = orc.row_values(o, rows, p).take(at)
-    worst = float(np.abs(act_vals).max())
+    worst = float(np.maximum.reduce(np.abs(act_vals)))
     q = p + solve(fact, -act_vals, transpose=True)
-    worst_q = float(np.abs(orc.row_values(o, rows, q).take(at)).max())
+    worst_q = float(np.maximum.reduce(np.abs(orc.row_values(o, rows, q).take(at))))
     if worst_q < worst:
         p, worst = q, worst_q
     if worst > o.tol.act:
@@ -455,7 +464,7 @@ _SIGNS = (1, -1)
 
 def _of_samples(located: np.ndarray, samples) -> np.ndarray:
     """Mask of the rows of `located` whose sample is in `samples`."""
-    return (located[:, 1, None] == np.array(samples, dtype=np.intp)).any(axis=1)
+    return np.logical_or.reduce(located[:, 1, None] == np.array(samples, dtype=np.intp), axis=1)
 
 
 def _affected(located: np.ndarray, among: list[int]) -> dict[int, list[int]]:
@@ -543,29 +552,41 @@ class _VertexWork:
         self.o = o
         self.v = v
         self.pnorm = norm(v.point)
-        # Inactive surfaces passing through the vertex itself (degeneracy):
-        # they belong to the vertex fan, not to the ratio test, and their
-        # entered-side states are set by the crossing direction. They are
-        # kept in ascending flat index (coincident_idx) with their buffer
-        # positions (coincident_slots) and, when there are any, their
-        # (state array, sample, unit) rows (coincident_at). The ratio
-        # test's screen shares |flat| and skips the excluded mask.
-        magnitude = np.abs(v.flat)
-        excluded = magnitude <= o.tol.act
+        # The vertex's one scan of its N (H + n_out) values: their largest
+        # magnitude, and the positions within c of zero, c the ratio
+        # screen's count-based start (oracle.screen_start) or act, the
+        # larger (act too when a value is NaN). Those positions are the
+        # screen's first round, for every side's ratio test. Inactive
+        # surfaces among them within act of zero pass through the vertex
+        # itself (degeneracy): they belong to the vertex fan, not to the
+        # ratio test, and their entered-side states are set by the crossing
+        # direction. They are kept in ascending flat index (coincident_idx)
+        # with their buffer positions (coincident_slots) and, when there
+        # are any, their (state array, sample, unit) rows (coincident_at).
+        # The screen skips them and the active surfaces (excluded).
+        flat, act = v.flat, o.tol.act
+        top = orc.largest_magnitude(flat)
+        c = orc.screen_start(top, flat.size)
+        if not c > act:
+            c = act
+        near = ((flat <= c) & (flat >= -c)).nonzero()[0]
+        close = near[np.abs(flat.take(near)) <= act]
+        excluded = np.zeros(flat.size, dtype=bool)
+        excluded[close] = True
         active_slots = o.layout.slots(v.active)
         excluded[active_slots] = False
-        coincident = excluded.nonzero()[0]
+        coincident = close[excluded[close]]
+        excluded[active_slots] = True
         idx = o.layout.indices(coincident)
         order = idx.argsort()
         self.coincident_idx = idx[order].tolist()
         self.coincident_slots = coincident[order]
-        excluded[active_slots] = True
-        self.screen = orc.RatioScreen(v.flat, magnitude, excluded, o.layout)
+        self.screen = orc.RatioScreen(flat, excluded, o.layout, top, c, near)
         self.excluded_slots = np.concatenate([active_slots, self.coincident_slots])
         self.coincident_at = None
         if self.coincident_idx:
             self.coincident_at = o.layout.locate_many(self.coincident_idx)
-        self.excluded_flat = v.flat[self.excluded_slots]
+        self.excluded_flat = flat[self.excluded_slots]
         # (direction, entered region, derivative) of each side settled by
         # _settle.
         self._settled: dict[tuple[int, int], tuple] = {}
@@ -620,7 +641,8 @@ class _VertexWork:
         o, v = self.o, self.v
         region, pricing = v.region, v.pricing
         inv_t = solve(v.factorization, None, transpose=True)
-        units = inv_t / np.linalg.norm(inv_t, axis=0)
+        # np.linalg.norm(inv_t, axis=0), which computes just this.
+        units = inv_t / np.sqrt(np.add.reduce(inv_t * inv_t, axis=0))
         flip_units = units.copy()
         for pos in pricing.affected:
             d = self._bent_direction(inv_t, pos)
@@ -682,7 +704,7 @@ class _VertexWork:
         guess = np.where(dv > 0, 1, -1)
         now = orc.states_flat(region.signature)[self.coincident_slots]
         change = (np.abs(dv) > floor) & (guess != now)
-        if not change.any():
+        if not np.logical_or.reduce(change):
             return region
         return region.with_states(self.coincident_at[change].tolist(), guess[change].tolist())
 
@@ -789,7 +811,7 @@ class _VertexWork:
         at_vertex = self.excluded_flat
         at_probe = at_vertex + eps * dvals[self.excluded_slots]
         low = np.minimum(states * at_vertex, states * at_probe)
-        return bool((low >= -_PROBE_MARGIN * act).all())
+        return bool(np.logical_and.reduce(low >= -_PROBE_MARGIN * act))
 
 
 def _descending(table: np.ndarray, leaving: np.ndarray, tau: float) -> list[tuple[int, int]]:

@@ -6,8 +6,9 @@ The checks below compute the same quantities another way, to test them:
 * an independent network forward pass and L1 loss (`NetworkParams`,
   `forward_batch`, `l1_loss`), built from a point by `network_params`;
 * the loss and constraint data of one region from scratch (`affine_piece`,
-  `constraint_eval`, `region_signature`) and a one-call ratio test
-  (`ratio_test`) over the oracle's screened test;
+  `constraint_eval`, `region_signature`), a signature's single states read
+  and replaced by flat index (`state_of`, `with_state`), and a one-call
+  ratio test (`ratio_test`) over the oracle's screened test;
 * value-only brute-force checks that treat the loss as a black box
   evaluated pointwise: kink location by line scan (`line_scan`),
   central-difference gradients (`fd_gradient`) and direction-sampled
@@ -30,7 +31,6 @@ from vertexwalk.linalg import solve
 from vertexwalk.network import LayerParams, TrainingSet, relu
 from vertexwalk.oracle import (
     OracleInstance,
-    RatioScreen,
     Signature,
     _check_point,
     _ratio_from_arrays,
@@ -39,6 +39,7 @@ from vertexwalk.oracle import (
     constraint_values_flat,
     forward_values,
     region_gradient,
+    ratio_screen,
     region_masks,
     signature_from_values,
     value,
@@ -134,6 +135,22 @@ def region_signature(o: OracleInstance, p: np.ndarray) -> Signature:
     return signature_from_values(o, forward_values(o, p))
 
 
+def state_of(sig: Signature, idx: int) -> int:
+    """The state sig gives the surface with flat index idx."""
+    array, i, k = sig.layout.locate(idx)
+    return int(sig.states[array][i, k])
+
+
+def with_state(sig: Signature, idx: int, state: int) -> Signature:
+    """sig with the state of flat index idx replaced; the arrays it does
+    not change are shared."""
+    array, i, k = sig.layout.locate(idx)
+    states = list(sig.states)
+    states[array] = states[array].copy()
+    states[array][i, k] = state
+    return Signature(tuple(states), sig.layout)
+
+
 def _masked_outputs(o: OracleInstance, masks: list[np.ndarray], p: np.ndarray) -> np.ndarray:
     """Outputs of the affine surrogate with frozen unit states."""
     pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
@@ -190,7 +207,7 @@ def ratio_test(
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
     excluded = np.zeros(flat.size, dtype=bool)
     excluded[o.layout.slots(active)] = True
-    screen = RatioScreen(flat, np.abs(flat), excluded, o.layout)
+    screen = ratio_screen(flat, np.abs(flat), excluded, o.layout)
     crossing, _ = _ratio_from_arrays(flat, dvals, screen)
     if crossing is None:
         raise NoCrossing("no inactive constraint decreases toward zero")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,17 @@ from reference import (
     network_params,
     ratio_test,
     region_signature,
+    state_of,
+    with_state,
 )
 from vertexwalk.errors import InvalidTag, ShapeMismatch
 from vertexwalk.network import Architecture, LayerParams, TrainingSet, relu
 from vertexwalk.oracle import (
     ConstraintLayout,
-    RatioScreen,
     constraint_jvp_flat,
     _full_scan,
     _ratio_from_arrays,
+    ratio_screen,
     constraint_values_flat,
     crossing_candidates,
     forward_values,
@@ -73,7 +77,7 @@ def flipped_deltas(o, region, idx):
     out = []
     for i in idx:
         sample = o.layout.locate(i)[1]
-        flipped = make_region(o, sig.with_state(i, -sig.state_of(i)))
+        flipped = make_region(o, with_state(sig, i, -state_of(sig, i)))
         out.append(flipped.rows[sample] - region.rows[sample])
     return np.array(out).reshape(len(idx), o.arch.widths[1])
 
@@ -312,7 +316,7 @@ class TestAffinePiece:
         assert np.array_equal(deltas, region.rerooted(released)[1])
         got = release_corrections(o, deltas, released[:, 1], dirs)
         for q, i in enumerate(idx):
-            flipped = sig.with_state(i, -sig.state_of(i))
+            flipped = with_state(sig, i, -state_of(sig, i))
             g_new = region_gradient(o, region_masks(flipped))
             assert got[q] == pytest.approx(float((g_new - g) @ dirs[:, q]), abs=1e-10)
 
@@ -369,7 +373,7 @@ class TestAffinePiece:
         idx = [sample * h + o.layer_offset(l) for l in range(1, o.arch.hidden_depth + 1)]
         idx.append(n_samples * h + sample * o.arch.output_dim)
         for i in idx:
-            flipped = region.with_state(i, -region.signature.state_of(i))
+            flipped = region.with_state(i, -state_of(region.signature, i))
             assert flipped.changed == (sample,)
             masks = region_masks(flipped.signature)
             assert np.array_equal(flipped.gradient, region_gradient(o, masks))
@@ -571,7 +575,7 @@ class TestEnumerateConstraints:
         flat, states = constraint_values_flat(o, vals), states_flat(sig)
         for idx in range(o.n_constraints):
             a, i, k = o.layout.locate(idx)
-            state = sig.state_of(idx)
+            state = state_of(sig, idx)
             slot = o.layout.slots(idx)
             assert flat[slot] == vals.arrays[a][i, k]
             assert states[slot] == sig.states[a][i, k] == state
@@ -659,19 +663,19 @@ class TestRatioTest:
         dvals = np.array([-1.0, -1.0, -1.0, 1.0])
         states = np.ones(4, dtype=np.int8)
         none = np.zeros(4, dtype=bool)
-        by_value = _screen(flat, none)
-        by_state = _screen(flat, none, states)
-        assert by_state.magnitude.tolist() == [0.0, 0.0, 2.0, 0.0]
+        by_value = _screen(flat, none, first=6e-3)
+        by_state = _screen(flat, none, states, first=6e-3)
+        assert by_state.near.tolist() == [0, 1, 3]
         toward, floor = crossing_candidates(dvals, by_value)
         assert toward.tolist() == [False, False, True, False] and floor == 1e-12
         toward, _ = crossing_candidates(dvals, by_state)
         assert toward.tolist() == [True, True, True, False]
         assert _ratio_from_arrays(flat, dvals, by_value) == ((2.0, 2), 1e-12)
         assert _ratio_from_arrays(flat, dvals, by_state) == ((0.0, 0), 1e-12)
-        first = _screen(flat, np.array([True, False, False, False]), states)
+        first = _screen(flat, np.array([True, False, False, False]), states, first=6e-3)
         assert _ratio_from_arrays(flat, dvals, first) == ((0.0, 1), 1e-12)
         # Nothing ahead: no crossing, and still the floor.
-        second = _screen(flat, np.array([False, True, False, False]))
+        second = _screen(flat, np.array([False, True, False, False]), first=6e-3)
         assert _ratio_from_arrays(flat, -dvals, second) == (None, 1e-12)
 
     def test_states_flat_follow_the_flat_order(self):
@@ -689,12 +693,20 @@ def _residuals_only(n):
     return ConstraintLayout(1, n, 0, ())
 
 
-def _screen(flat, excluded, states=None, layout=None):
-    """The ratio test's screen of flat, judged by value or by states."""
+def _screen(flat, excluded, states=None, layout=None, first=None):
+    """The ratio test's screen of flat, judged by value or by states. Its
+    first round is ratio_screen's (screen_start), or, given `first`, keeps
+    the magnitudes up to first: at these sizes screen_start's bound reaches
+    the largest magnitude, and the test goes straight to the full scan."""
     layout = layout or _residuals_only(flat.size)
     if states is None:
-        return RatioScreen(flat, np.abs(flat), excluded, layout)
-    return RatioScreen(states, np.maximum(states * flat, 0.0), excluded, layout)
+        side, magnitude = flat, np.abs(flat)
+    else:
+        side, magnitude = states, np.maximum(states * flat, 0.0)
+    screen = ratio_screen(side, magnitude, excluded, layout)
+    if first is None:
+        return screen
+    return replace(screen, start=first, near=(magnitude <= first).nonzero()[0])
 
 
 def _first_crossing_loop(flat, dvals, screen):
@@ -711,19 +723,19 @@ def _first_crossing_loop(flat, dvals, screen):
     return best, floor
 
 
-def _screened_and_full(flat, dvals, excluded, states=None, layout=None):
+def _screened_and_full(flat, dvals, excluded, states=None, layout=None, first=None):
     """The screened ratio test and the full scan on the same screen; the
     full scan is first checked against a loop over the surfaces."""
-    screen = _screen(flat, excluded, states, layout)
+    screen = _screen(flat, excluded, states, layout, first)
     full = _full_scan(flat, dvals, screen)
     assert full == _first_crossing_loop(flat, dvals, screen)
     return _ratio_from_arrays(flat, dvals, screen), full
 
 
-# Few distinct magnitudes, so that steps tie. With the largest |value|
-# 1000 the first screen keeps |value| <= 3: ties fall inside and outside
-# it. Slopes of 1e-14 and 1e-12 lie at or below the floor. Values of 0 and
-# +-1e-17 sit at or a rounding step off zero, on either side of a state.
+# Few distinct magnitudes, so that steps tie. The first screen's bound is
+# drawn among them too, so that ties fall inside and outside it. Slopes of
+# 1e-14 and 1e-12 lie at or below the floor. Values of 0 and +-1e-17 sit
+# at or a rounding step off zero, on either side of a state.
 VALUE_MAGNITUDES = (0.0, 1e-17, 1e-13, 1e-9, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 1000.0)
 SLOPE_MAGNITUDES = (0.0, 1e-14, 1e-12, 0.5, 1.0, 2.0)
 
@@ -767,7 +779,8 @@ class TestScreenedRatio:
                 data.draw(st.lists(st.sampled_from((1, -1, 0)), min_size=n, max_size=n)),
                 dtype=np.int8,
             )
-        screened, full = _screened_and_full(flat, dvals, excluded, states, layout)
+        first = data.draw(st.one_of(st.none(), st.sampled_from(VALUE_MAGNITUDES)))
+        screened, full = _screened_and_full(flat, dvals, excluded, states, layout, first)
         assert screened == full
 
     @pytest.mark.parametrize(
@@ -782,29 +795,35 @@ class TestScreenedRatio:
         ],
     )
     def test_edge_cases(self, flat, dvals, excluded):
-        screened, full = _screened_and_full(np.array(flat), np.array(dvals), np.array(excluded))
-        assert screened == full
+        # Each with screen_start's first screen, which holds every surface
+        # at these sizes, and with one at 3e-3 of the largest |value|.
+        flat = np.array(flat)
+        for first in (None, 3e-3 * float(np.abs(flat).max())):
+            screened, full = _screened_and_full(flat, np.array(dvals), np.array(excluded), first=first)
+            assert screened == full
 
     def test_state_judged_edge_cases(self):
         # A surface past zero by its state far from zero (surface 0) is hit
         # at step 0 ahead of one just inside the first screen (surface 2);
         # with every surface past zero, no screen holds a magnitude.
+        # The first screen keeps magnitudes up to 3.
         flat, dvals = np.array([-1000.0, 1000.0, 2.0]), np.array([-1.0, -1.0, -1.0])
         states = np.ones(3, dtype=np.int8)
         none = np.zeros(3, dtype=bool)
-        screened, full = _screened_and_full(flat, dvals, none, states)
+        screened, full = _screened_and_full(flat, dvals, none, states, first=3.0)
         assert screened == full == ((0.0, 0), 1e-12)
-        screened, full = _screened_and_full(flat, dvals, none, -states)
+        screened, full = _screened_and_full(flat, dvals, none, -states, first=3.0)
         assert screened == full == (None, 1e-12)
-        screened, full = _screened_and_full(-np.abs(flat), dvals, none, states)
+        screened, full = _screened_and_full(-np.abs(flat), dvals, none, states, first=3.0)
         assert screened == full == ((0.0, 0), 1e-12)
 
     def test_the_floor_spans_every_entry(self):
         # The only surface ahead moves at 1e-13 of the largest derivative,
-        # which belongs to a surface outside the first screen: it is below
-        # the floor, though not below 1e-12 of the screened derivatives.
+        # which belongs to a surface outside the first screen (|value| <= 3):
+        # it is below the floor, though not below 1e-12 of the screened
+        # derivatives.
         flat, dvals = np.array([1e-13, 1000.0]), np.array([-1e-13, 1.0])
-        screened, full = _screened_and_full(flat, dvals, np.zeros(2, dtype=bool))
+        screened, full = _screened_and_full(flat, dvals, np.zeros(2, dtype=bool), first=3.0)
         assert screened == full == (None, 1e-12)
 
     def test_no_surface_outside_the_screen_ties(self):
@@ -816,23 +835,44 @@ class TestScreenedRatio:
         dvals = np.array([-1.25, -0.45, 1.25])
         t = -flat[1] / dvals[1]
         assert -flat[0] / dvals[0] == t and flat[0] > t * 1.25
-        screened, full = _screened_and_full(flat, dvals, np.zeros(3, dtype=bool))
+        screened, full = _screened_and_full(flat, dvals, np.zeros(3, dtype=bool), first=3.0)
         assert screened == full == ((t, 0), 1.25e-12)
+
+    def test_the_first_screen_holds_the_count(self):
+        # Magnitudes 1 to n spread evenly, so the first screen holds the
+        # _SCREEN_COUNT smallest.
+        flat = np.arange(1.0, 6401.0)
+        screen = _screen(flat, np.zeros(flat.size, dtype=bool))
+        assert screen.top == 6400.0 and screen.start == orc._SCREEN_COUNT
+        assert screen.near.tolist() == list(range(orc._SCREEN_COUNT))
+
+    def test_subnormal_magnitudes_scan_fully(self):
+        # With every magnitude the least subnormal, 64 / 200 of it rounds
+        # to 0, a bound that would never grow: the test scans fully. No
+        # surface lies ahead, so no first round could settle it.
+        flat = np.tile([5e-324, -5e-324], 100)
+        dvals = np.tile([1.0, -1.0], 100)
+        screen = _screen(flat, np.zeros(flat.size, dtype=bool))
+        assert screen.start == 0.0 < screen.top
+        screened, full = _screened_and_full(flat, dvals, np.zeros(flat.size, dtype=bool))
+        assert screened == full == (None, 1e-12)
 
     def test_ties_across_layers_resolve_to_the_smaller_flat_index(self, monkeypatch):
         # Two samples, two hidden layers of one unit, one output. By buffer
         # position the flat indices run 0 2 1 3 4 5: layer 1 of sample 1
         # (flat 2) comes before layer 2 of sample 0 (flat 1). Those two tie,
-        # inside the first screen, by value and by state.
+        # inside the first screen (|value| <= 3), by value and by state; no
+        # round past it runs.
         layout = ConstraintLayout(2, 1, 2, ((0, 0), (1, 0)))
         assert layout.indices(np.arange(6)).tolist() == [0, 2, 1, 3, 4, 5]
         flat = np.array([1000.0, 2.0, 2.0, 1000.0, 1000.0, 1000.0])
         dvals = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         none = np.zeros(6, dtype=bool)
-        screens = [_screen(flat, none, None, layout), _screen(flat, none, np.sign(flat), layout)]
+        screens = [_screen(flat, none, states, layout, first=3.0) for states in (None, np.sign(flat))]
         for screen in screens:
             assert _full_scan(flat, dvals, screen) == ((2.0, 1), 1e-12)
         monkeypatch.setattr(orc, "_full_scan", None)
+        monkeypatch.setattr(orc, "_within", None)
         for screen in screens:
             assert _ratio_from_arrays(flat, dvals, screen) == ((2.0, 1), 1e-12)
 
@@ -927,7 +967,7 @@ class TestRegionInvariants:
             if diff == 0:
                 continue  # probe landed inside the activity band; skip
             assert diff == 1
-            assert before.state_of(hit) != after.state_of(hit)
+            assert state_of(before, hit) != state_of(after, hit)
             flips_checked += 1
         assert flips_checked >= 5
 
@@ -1096,7 +1136,48 @@ class TestRowPass:
             for a, b in zip(got, forward_values(o, p).arrays):
                 assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
         # A single multiply has no order to change.
-        assert not orc._matvec_rows_move(1)
+        assert not any(orc._product_rows_move(n, 1, w) for w in (1, 2, 5))
+
+    @pytest.mark.parametrize(
+        "widths, n", [((4, 40, 4, 3, 2, 1), 500), ((3, 36, 2, 1), 40), ((2, 3, 33, 2), 64)]
+    )
+    def test_rows_at_wide_fan_ins_keep_the_full_pass_bits(self, widths, n):
+        # Products of fan-in 40, 36 and 33 into 4, 2 and 2 columns: from
+        # fan-in 32 on OpenBLAS's matrix-matrix product gives rows other
+        # bits over a few rows than over all N, unless the pass spreads them.
+        o, p = build_instance(38, widths, n)
+        rng = SplitMix64(138)
+        for m in (2, 3, 7, 25, o.dim):
+            samples = rng.uniform_block(m, 0.0, n).astype(np.intp)
+            got = o.layout.blocks(orc.row_values(o, orc.sample_rows(o, samples), p))
+            for a, b in zip(got, forward_values(o, p).arrays):
+                assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n", [30, 500])
+    def test_product_rows_move_has_no_false_negative(self, n):
+        # Every (fan-in, width) the probe passes gives random row lists, of
+        # 2 to 2n rows with repeats, the full product's bits.
+        rng = np.random.default_rng(n)
+        for k in range(1, 41):
+            for w in (1, 2, 4):
+                if orc._product_rows_move(n, k, w):
+                    continue
+                a, weight_t = rng.uniform(-3.0, 3.0, (n, k)), rng.uniform(-1.0, 1.0, (w, k)).T
+                whole = np.matmul(a, weight_t, out=np.empty((n, w))).view(np.uint64)
+                for m in rng.integers(2, 2 * n + 1, 8).tolist():
+                    rows = rng.integers(0, n, m)
+                    part = np.matmul(a.take(rows, axis=0), weight_t, out=np.empty((m, w)))
+                    assert np.array_equal(part.view(np.uint64), whole.take(rows, axis=0)), (k, w, m)
+
+    def test_spread_layers_name_each_layer_the_probe_flags(self, monkeypatch):
+        # Layer 2 of (4,40,4,3,2,1) has fan-in 40 and width 4.
+        flagged = {(500, 40, 4)}
+        monkeypatch.setattr(orc, "_product_rows_move", lambda n, k, w: (n, k, w) in flagged)
+        o, _ = build_instance(39, (4, 40, 4, 3, 2, 1), 500)
+        assert o.spread_layers == ((1, 40, 4),)
+        rows = orc.sample_rows(o, np.array([3, 1, 3]))
+        assert rows.products[1].func is orc._spread_product
+        assert [f is np.matmul for i, f in enumerate(rows.products) if i != 1] == [True] * 4
 
     def test_a_single_row_is_refused(self):
         # numpy sends one row to a matrix-vector kernel, whose bits differ.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_instance, in_flat_order, quantized_instance
-from reference import affine_piece, region_signature, two_pass_polish
+from reference import affine_piece, region_signature, state_of, two_pass_polish, with_state
 from vertexwalk import oracle as orc
 from vertexwalk import solver
 from vertexwalk.errors import (
@@ -74,7 +74,7 @@ def entered_signature(o, vertex, pos, sign, d):
         step /= 2
     else:
         raise AssertionError("every step crosses a surface")
-    fallback = vertex.region.signature.with_state(vertex.active[pos], sign)
+    fallback = with_state(vertex.region.signature, vertex.active[pos], sign)
     return orc.resolve_signature(o, vals, fallback)
 
 
@@ -249,7 +249,7 @@ class TestDescendToVertex:
         cut = o.n_samples * o.hidden_total
         region = vertex.region
         for idx in (int(np.flatnonzero(off[:cut])[0]), cut + int(np.flatnonzero(off[cut:])[0])):
-            flipped = region.signature.with_state(idx, -region.signature.state_of(idx))
+            flipped = with_state(region.signature, idx, -state_of(region.signature, idx))
             stale = replace(region, masks=tuple(orc.region_masks(flipped)))
             with pytest.raises(ValidationFailure, match="region masks"):
                 solver._validate_vertex(o, replace(vertex, region=stale))
@@ -262,10 +262,10 @@ class TestDescendToVertex:
         # mask it copies like a hidden mask, so every residual sign of -1
         # reads 0. The check catches it at some pivot of this walk; a
         # restart from a perturbed start would walk on and converge.
-        with_state = orc.Region.with_state
+        region_with_state = orc.Region.with_state
 
         def hidden_like(region, idx, state):
-            new = with_state(region, idx, state)
+            new = region_with_state(region, idx, state)
             array = region.signature.layout.locate(idx)[0]
             if array < region.signature.layout.depth:
                 return new
@@ -346,7 +346,7 @@ class TestDescendToVertex:
         off = np.flatnonzero(np.abs(in_flat_order(o, vertex.flat)) > o.tol.act)
         idx = int(off[0])
         region = vertex.region
-        sig = region.signature.with_state(idx, -region.signature.state_of(idx))
+        sig = with_state(region.signature, idx, -state_of(region.signature, idx))
         with pytest.raises(ValidationFailure, match="outside its region"):
             solver._validate_vertex(o, replace(vertex, region=replace(region, signature=sig)))
 
@@ -463,7 +463,7 @@ class TestEdgeDirections:
                 work._settle(pos, sign)
             except DegenerateVertex:
                 rejected.add((pos, sign))
-            entered = vertex.region.signature.with_state(vertex.active[pos], sign)
+            entered = with_state(vertex.region.signature, vertex.active[pos], sign)
             try:
                 edge_solve(o, vertex, orc.region_masks(entered), pos, sign)
             except np.linalg.LinAlgError:
@@ -1072,6 +1072,16 @@ class TestCarriedPricing:
                 stepped += 1
         assert stepped > 0
 
+    def test_validated_walk_at_wide_fan_in(self):
+        # Layer 2 of (4,40,4,3,2,1) has fan-in 40, where a product over a
+        # vertex's D = 200 active rows gives other bits than the full pass
+        # unless the row pass spreads it; validate=True compares the two at
+        # every vertex, phase 1's and 200 pivots past it.
+        config = ExperimentConfig(seed=0, widths=(4, 40, 4, 3, 2, 1), max_iterations=400)
+        o, p0, rng = generate_instance(config)
+        _, traj = minimize(o, p0, replace(config.solver_limits(), validate=True), rng)
+        assert (traj.reason, len(traj) - 1, traj.phase1_len) == ("max_iterations", 400, 200)
+
     def test_validated_walk_at_d100_redoes_several_positions(self, monkeypatch):
         # The corpus stays at D <= 16, where a pivot rarely redoes more than
         # the entering position. Here many do, and validate=True checks
@@ -1242,3 +1252,135 @@ class TestDegenerateCorpus:
         want_vertex, want_record = step(o, exchanged[stepping[1]], limits)
         assert record == want_record
         assert np.array_equal(vertex.point, want_vertex.point)
+
+
+def _scan_by_rule(o, v):
+    """The coincident flat indices (ascending) and the ratio screen's
+    excluded mask of vertex v, from scratch: every inactive surface with
+    |value| <= act is coincident, and the mask holds those and the active
+    ones."""
+    close = np.abs(v.flat) <= o.tol.act
+    active = o.layout.slots(v.active)
+    close[active] = False
+    coincident = sorted(o.layout.indices(close.nonzero()[0]).tolist())
+    close[active] = True
+    return coincident, close
+
+
+class TestSharedScan:
+    """_VertexWork.__init__ scans a vertex's values once: the coincident
+    set, the ratio screen's excluded mask and its first round come from
+    that scan. They must equal the rule computed from scratch, and every
+    ratio test the full scan's crossing, whether its first round settles it
+    or not."""
+
+    # Validated walks: (instance, iteration cap, whether some vertex has
+    # coincident surfaces). The quantized corpus walks (N = 30) meet up to
+    # 59, 48 and 37 coincident surfaces at a vertex.
+    WALKS = {
+        "N=2000 seed 3": (
+            lambda: generate_instance(ExperimentConfig(seed=3, samples=2000)), 25 + 40, False
+        ),
+        "quantized (2,3,2,1) N=30 seed 1": (
+            lambda: quantized_instance((2, 3, 2, 1), 1, 30), 400, True
+        ),
+        "quantized (3,4,3,1) N=30 seed 2": (
+            lambda: quantized_instance((3, 4, 3, 1), 2, 30), 400, True
+        ),
+        "quantized (2,3,3,2) N=30 seed 0": (
+            lambda: quantized_instance((2, 3, 3, 2), 0, 30), 400, True
+        ),
+    }
+
+    @staticmethod
+    def walk(name):
+        instance, cap, _ = TestSharedScan.WALKS[name]
+        o, p0, rng = instance()
+        _, traj = minimize(o, p0, SolverLimits(max_iterations=cap, validate=True), rng)
+        return o, traj
+
+    @staticmethod
+    def check_scan(work):
+        o, v, screen = work.o, work.v, work.screen
+        coincident, excluded = _scan_by_rule(o, v)
+        assert work.coincident_idx == coincident
+        assert np.array_equal(work.coincident_slots, o.layout.slots(coincident))
+        assert np.array_equal(screen.excluded, excluded)
+        top = float(np.max(np.abs(v.flat)))
+        assert screen.top == top or (np.isnan(top) and np.isnan(screen.top))
+        if not np.isnan(top):
+            assert screen.start >= max(orc.screen_start(top, v.flat.size), o.tol.act)
+        assert np.array_equal(screen.near, (np.abs(v.flat) <= screen.start).nonzero()[0])
+
+    @pytest.mark.parametrize("count", [None, 1e-6], ids=["screen count", "start below act"])
+    @pytest.mark.parametrize("name", WALKS)
+    def test_coincident_set_and_excluded_mask_follow_the_rule(self, monkeypatch, name, count):
+        # With a count of 1e-6 the count-based start falls below act, which
+        # the scan then takes, so that it still finds every coincident
+        # surface.
+        if count is not None:
+            monkeypatch.setattr(orc, "_SCREEN_COUNT", count)
+        init, coincident = _VertexWork.__init__, []
+
+        def checked(work, o, v):
+            init(work, o, v)
+            self.check_scan(work)
+            coincident.append(len(work.coincident_idx))
+
+        monkeypatch.setattr(_VertexWork, "__init__", checked)
+        _, traj = self.walk(name)
+        assert len(coincident) >= len(traj) - 1 - traj.phase1_len
+        assert any(coincident) == self.WALKS[name][2]
+
+    @pytest.mark.parametrize("count", [None, 1e-6], ids=["screen count", "first round misses"])
+    @pytest.mark.parametrize("name", WALKS)
+    def test_crossings_equal_the_full_scan(self, monkeypatch, name, count):
+        # With a count of 1e-6 the first round of a pivot's test holds only
+        # surfaces within act of zero, which the test skips, so every such
+        # test widens the screen (oracle._within) before it settles.
+        if count is not None:
+            monkeypatch.setattr(orc, "_SCREEN_COUNT", count)
+        ratio, within = orc._ratio_from_arrays, orc._within
+        tests, widened = [], []
+
+        def replayed(flat, dvals, screen):
+            widened.append(False)
+            got = ratio(flat, dvals, screen)
+            tests.append((got, orc._full_scan(flat, dvals, screen), screen.side is flat))
+            return got
+
+        def counted(flat, c):
+            widened[-1] = True
+            return within(flat, c)
+
+        monkeypatch.setattr(orc, "_ratio_from_arrays", replayed)
+        monkeypatch.setattr(orc, "_within", counted)
+        o, traj = self.walk(name)
+        by_value = [w for w, (*_, value) in zip(widened, tests) if value]
+        assert len(by_value) >= len(traj) - 1 - traj.phase1_len
+        for got, want, _ in tests:
+            assert got == want
+        if count is not None:
+            assert all(by_value)
+        elif o.n_samples == 2000:
+            assert sum(by_value) < len(by_value) // 4
+
+    def test_a_nan_value_leaves_the_rule_and_the_crossings_alone(self):
+        # A NaN value makes the largest magnitude NaN, so the screen's first
+        # round falls back to act, and every test scans fully.
+        o, p0, rng = quantized_instance((2, 3, 2, 1), 1, 30)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        assert _VertexWork(o, vertex).coincident_idx
+        coincident, excluded = _scan_by_rule(o, vertex)
+        flat = vertex.flat.copy()
+        flat[np.flatnonzero(~excluded)[[0, -1]]] = np.nan
+        work = _VertexWork(o, replace(vertex, flat=flat))
+        self.check_scan(work)
+        assert work.coincident_idx == coincident
+        assert np.isnan(work.screen.top) and work.screen.start == o.tol.act
+        _, units, flip_units = work._batch
+        for pos in range(o.dim):
+            for d in (units[:, pos], -units[:, pos], flip_units[:, pos]):
+                dvals = orc.constraint_jvp_flat(o, vertex.region.masks, d)
+                got = orc._ratio_from_arrays(flat, dvals, work.screen)
+                assert got == orc._full_scan(flat, dvals, work.screen)
