@@ -45,8 +45,13 @@ flat indices to positions and layout.indices back.
 The O(N H) passes avoid numpy operations on narrow (N, n_l) operands that
 are broadcast or strided: numpy runs those as one short inner loop per
 sample. So each fixed layer's bias is tiled once per instance
-(OracleInstance.bias_rows) and added in place. Both passes give the bits
-of the plain per-layer forms.
+(OracleInstance.bias_rows) and added in place, and each product's right
+operand is a C-ordered copy of W.T (OracleInstance.weights_t; the first
+layer's gathered per pass through OracleInstance.first_t) wherever a probe
+of the product's shape at the instance's N finds that the copy gives the
+transposed view's bits (_product_plan), and the view elsewhere. Both
+passes give the bits of the plain per-layer forms, which multiply by the
+views.
 
 A forward pass over a few samples' rows alone (row_values, inputs gathered
 once by sample_rows) runs the same layer loop as forward_values (_forward)
@@ -287,20 +292,44 @@ class OracleInstance:
         object.__setattr__(self, "layout", layout)
 
     @cached_property
-    def spread_layers(self) -> tuple[tuple[int, int, int], ...]:
-        """(layer - 1, fan-in, width) of each layer whose product a pass over
-        some rows runs over all N row positions (row_values): a layer whose
-        product, at this instance's N, fan-in and width, can give a row other
-        bits when the row sits elsewhere among other rows
-        (_product_rows_move). The first layer's fan-in is n_0 + 1."""
+    def plans(self) -> tuple[tuple[int, int, bool, bool], ...]:
+        """(fan-in, width, contiguous, spread) of each layer's product, as
+        _product_plan finds them at this instance's N: whether the passes
+        multiply by a C-ordered copy of W.T, and whether a pass over some
+        rows runs the product over all N row positions (row_values). The
+        first layer's fan-in is n_0 + 1."""
         widths = self.arch.widths
         fan_in = (widths[0] + 1, *widths[1:-1])
         n = self.n_samples
+        return tuple((k, w, *_product_plan(n, k, w)) for k, w in zip(fan_in, widths[1:]))
+
+    @cached_property
+    def spread_layers(self) -> tuple[tuple[int, int, int], ...]:
+        """(layer - 1, fan-in, width) of each layer whose product a pass over
+        at most N rows runs over all N row positions (plans); a pass over
+        more runs every layer so (sample_rows)."""
+        return tuple((l, k, w) for l, (k, w, _, spread) in enumerate(self.plans) if spread)
+
+    @cached_property
+    def weights_t(self) -> tuple[np.ndarray, ...]:
+        """The right operand of each fixed layer's product in the passes:
+        W.T as a C-ordered copy, built once, where plans takes it, else the
+        transposed view."""
         return tuple(
-            (l, k, w)
-            for l, (k, w) in enumerate(zip(fan_in, widths[1:]))
-            if _product_rows_move(n, k, w)
+            np.ascontiguousarray(layer.weight.T) if contiguous else layer.weight.T
+            for layer, (_, _, contiguous, _) in zip(self.fixed, self.plans[1:])
         )
+
+    @cached_property
+    def first_t(self) -> np.ndarray | None:
+        """The (n_0 + 1, n_1) int array of positions of p that gathers the
+        first layer's right operand p.reshape(n_1, n_0 + 1).T as a
+        C-ordered array, p[first_t], where plans takes the copy; None
+        where the passes keep the transposed view."""
+        if not self.plans[0][2]:
+            return None
+        n_1, k = self.arch.widths[1], self.arch.widths[0] + 1
+        return np.arange(self.dim).reshape(n_1, k).T.copy()
 
     @property
     def dim(self) -> int:
@@ -322,27 +351,75 @@ class OracleInstance:
         return sum(self.arch.hidden_widths[: layer - 1])
 
 
-@cache
-def _product_rows_move(n: int, k: int, w: int) -> bool:
-    """Whether numpy's product of a layer of fan-in k and width w, run as
-    the passes run it (h @ W.T into a contiguous out, W a C-ordered (w, k)
-    array), can give a row other bits over some rows than over all n:
-    measured once per (n, k, w), on seeded data, against three row lists
-    (repeats allowed) of each count from 2 to 12, then of 16 and its
-    doublings up to the first at or above n.
+# The probe of a product's operands compares the copy's bits with the
+# view's over at least this many entries, in 4 to 64 draws of the weight: at
+# one or two rows, a copy that runs another kernel can give the view's bits
+# on most draws.
+_PROBE_ENTRIES = 4096
 
-    OpenBLAS 0.3.31 (x86-64) moves rows from k = 8 on at w = 1, where
-    numpy runs a matrix-vector product that computes rows in groups and the
-    rows left over another way, and from k = 32 on at w >= 2 (at n >= 500;
-    at n = 12 and 30, for some w only), where the matrix-matrix product
-    runs another way over some row counts: at n = 500, k = 40 and w = 4,
-    each of 60 random row lists of 2 to 200 rows differed. Over the shapes
-    it passes (k up to 64, w up to 40, n from 12 to 2000), 45,080 random
-    row lists gave the full product's bits at one and at two threads.
+
+@cache
+def _product_plan(n: int, k: int, w: int) -> tuple[bool, bool]:
+    """How the passes run the product of a layer of fan-in k and width w
+    over n rows, (contiguous, spread), measured once per (n, k, w) on seeded
+    data: whether they multiply by a C-ordered copy of W.T (W a C-ordered
+    (w, k) array) or by the view W.T, and whether a pass over some rows
+    must run it over all n row positions because a row can get other bits
+    over some rows than over all n (row_values).
+
+    The copy is taken where its product over n rows gives the view's bits
+    (_copy_keeps_bits), unless rows move with the copy and not with the
+    view (_rows_move; at n = 8000, k 16 to 31 and half the widths 9 to
+    36). The copy is the faster operand: at n = 8000 and the reference
+    widths, a forward pass took 141 us against 235 us with the views. But
+    it can make BLAS take another kernel, whose bits differ. On OpenBLAS 0.3.31
+    (x86-64, one thread) the copy gives the view's bits at every fan-in up
+    to 15 from n = 2 on. From fan-in 16 on it differs at some widths at
+    every n tried (about half of the widths up to 40 at n = 30 and 500,
+    two or three of them at n = 8000): the second layer of (4,20,4,3,2,1)
+    and a first layer of n_0 + 1 >= 16 keep the view. At n = 1 it differs
+    at most shapes.
+
+    With the view, OpenBLAS moves rows from k = 8 on at w = 1, where numpy
+    runs a matrix-vector product that computes rows in groups and the rows
+    left over another way, and from k = 32 on at w >= 2 (at n >= 500; at n
+    = 12 and 30, for some w only), where the matrix-matrix product runs
+    another way over some row counts: at n = 500, k = 40 and w = 4, each
+    of 60 random row lists of 2 to 200 rows differed. Over the shapes it
+    passes (k up to 64, w up to 40, n from 12 to 2000), 45,080 random row
+    lists gave the full product's bits at one and at two threads. With the
+    copy, rows moved at none of the fan-ins up to 15 tried (widths 2 to
+    40, n from 30 to 8000).
     """
     rng = np.random.default_rng((n, k, w))
     a = rng.uniform(-1.0, 1.0, (n, k))
     weight_t = rng.uniform(-1.0, 1.0, (w, k)).T
+    if not _copy_keeps_bits(rng, a, weight_t):
+        return False, _rows_move(rng, a, weight_t)
+    if not _rows_move(rng, a, np.ascontiguousarray(weight_t)):
+        return True, False
+    return (True, True) if _rows_move(rng, a, weight_t) else (False, False)
+
+
+def _copy_keeps_bits(rng, a: np.ndarray, weight_t: np.ndarray) -> bool:
+    """Whether a @ C-ordered copy of weight_t gives a @ weight_t's bits for
+    weight_t and fresh draws of it, _PROBE_ENTRIES entries at least."""
+    (n, k), w = a.shape, weight_t.shape[1]
+    for _ in range(min(64, max(4, -(-_PROBE_ENTRIES // (n * w))))):
+        view = np.matmul(a, weight_t, out=np.empty((n, w)))
+        copy = np.matmul(a, np.ascontiguousarray(weight_t), out=np.empty((n, w)))
+        if not np.array_equal(view.view(np.uint64), copy.view(np.uint64)):
+            return False
+        weight_t = rng.uniform(-1.0, 1.0, (w, k)).T
+    return True
+
+
+def _rows_move(rng, a: np.ndarray, weight_t: np.ndarray) -> bool:
+    """Whether a product over some rows of a by weight_t gives a row other
+    bits than the product over all n rows: tried on three row lists
+    (repeats allowed) of each count from 2 to 12, then of 16 and its
+    doublings up to the first at or above n."""
+    n, w = len(a), weight_t.shape[1]
     whole = np.matmul(a, weight_t, out=np.empty((n, w))).view(np.uint64)
     counts = [*range(2, 13), 16]
     while counts[-1] < n:
@@ -417,10 +494,12 @@ def sample_rows(o: OracleInstance, samples: np.ndarray) -> SampleRows:
         )
     if m <= o.n_samples:
         biases = [rows[:m] for rows in o.bias_rows]
+        spread_layers = o.spread_layers
     else:
         biases = [layer.bias for layer in o.fixed]
+        spread_layers = [(l, k, w) for l, (k, w, _, _) in enumerate(o.plans)]
     products = [np.matmul] * (len(o.fixed) + 1)
-    for l, k, w in o.spread_layers:
+    for l, k, w in spread_layers:
         spread = (np.zeros((o.n_samples, k)), np.empty((o.n_samples, w)))
         products[l] = partial(_spread_product, samples, *spread)
     flat = np.empty(m * (o.hidden_total + o.arch.output_dim))
@@ -443,13 +522,18 @@ def row_values(o: OracleInstance, rows: SampleRows, p: np.ndarray) -> np.ndarray
     rows of at least two samples. A product of more rows and columns runs
     as a matrix-matrix product (BLAS gemm), which computes a row the same
     way whatever the row count only up to some fan-in. So every layer
-    whose product, at the instance's N, fan-in and width, can move a row's
-    bits (o.spread_layers, which probes each shape once) runs over the
-    full pass's N row positions (_spread_product); on OpenBLAS 0.3.31 at
-    N >= 500 those are the layers of width 1 from fan-in 8 on and all
-    layers from fan-in 32 on. Each bias is added from the first m of the tiled rows,
-    or by broadcast when m exceeds N, the same IEEE add; each rectified
-    array is a fresh one, at a few rows cheaper than views of a scratch.
+    whose product, at the instance's N, fan-in and width and by the right
+    operand the passes take, can move a row's bits (o.spread_layers, from
+    one probe of each shape) runs over the full pass's N row positions
+    (_spread_product); on OpenBLAS 0.3.31 at N >= 500 those are the layers
+    of width 1 from fan-in 8 on and, from fan-in 32 on, the layers that
+    keep the transposed view. A pass over more rows than N runs every
+    layer so, at no more cost: from fan-in 32 on, a product over more rows
+    than N can give rows other bits even where one over fewer does not (at
+    N = 30, fan-in 32 and width 24, 60 rows did). Each bias is added from
+    the first m of the tiled rows, or by broadcast when m exceeds N, the
+    same IEEE add; each rectified array is a fresh one, at a few rows
+    cheaper than views of a scratch.
     With validate=True the solver checks the active values of every
     vertex.
     """
@@ -476,20 +560,24 @@ def _forward(o, p, x_aug, targets, biases, products, arrays, rectified) -> None:
     where that is None.
 
     Each product goes straight into its array (np.matmul with out=), the
-    same BLAS call as h @ W.T, so the bits are the same. The products keep
-    their operands as they are: a contiguous copy of W.T is faster but can
-    change the BLAS kernel, and with it the bits.
+    same BLAS call as h @ W.T, so the bits are the same. Its right operand
+    is the instance's: a C-ordered copy of W.T where that gives the bits of
+    the transposed view, else the view (OracleInstance.plans); the first
+    layer's copy is gathered from p by index (first_t).
     """
-    pmat = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
-    products[0](x_aug, pmat.T, out=arrays[0])
+    if o.first_t is None:
+        first = p.reshape(o.arch.widths[1], o.arch.widths[0] + 1).T
+    else:
+        first = p[o.first_t]
+    products[0](x_aug, first, out=arrays[0])
     h = np.maximum(arrays[0], 0.0, out=rectified[0])
-    layers = zip(o.fixed[:-1], biases, products[1:], arrays[1:], rectified[1:])
-    for layer, bias, product, z, out in layers:
-        product(h, layer.weight.T, out=z)
+    layers = zip(o.weights_t[:-1], biases, products[1:], arrays[1:], rectified[1:])
+    for weight_t, bias, product, z, out in layers:
+        product(h, weight_t, out=z)
         z += bias
         h = np.maximum(z, 0.0, out=out)
     r = arrays[-1]
-    products[-1](h, o.fixed[-1].weight.T, out=r)
+    products[-1](h, o.weights_t[-1], out=r)
     r += biases[-1]
     np.subtract(targets, r, out=r)
 
@@ -747,12 +835,16 @@ def constraint_jvp_flat(
 ) -> np.ndarray:
     """Directional derivatives of every constraint along d, region-locally,
     by buffer position; each layer's product is written straight into its
-    block and each masked array into the scratch, as in forward_values."""
-    dmat = d.reshape(o.arch.widths[1], o.arch.widths[0] + 1)
+    block, by the right operand forward_values takes (_forward), and each
+    masked array into the scratch."""
+    if o.first_t is None:
+        first = d.reshape(o.arch.widths[1], o.arch.widths[0] + 1).T
+    else:
+        first = d[o.first_t]
     masked, flat, blocks = o.layout.pass_arrays()
-    np.matmul(o.x_aug, dmat.T, out=blocks[0])
-    for layer, mask, dz, dh, out in zip(o.fixed, masks, blocks, masked, blocks[1:]):
-        np.matmul(np.multiply(dz, mask, out=dh), layer.weight.T, out=out)
+    np.matmul(o.x_aug, first, out=blocks[0])
+    for weight_t, mask, dz, dh, out in zip(o.weights_t, masks, blocks, masked, blocks[1:]):
+        np.matmul(np.multiply(dz, mask, out=dh), weight_t, out=out)
     np.negative(blocks[-1], out=blocks[-1])
     return flat
 

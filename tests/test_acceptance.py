@@ -69,8 +69,11 @@ REFERENCE_RUNS = {
 
 
 # Capped walks of the three benchmark shapes, run with one BLAS thread:
-# reference scale, N = 8000 and D = 100. Each entry holds the walk's fields,
-# then two pins:
+# reference scale, N = 8000 and D = 100, and one whose first layer has
+# fan-in 16, where the O(N H) passes keep the transposed view of the point
+# as their right operand (oracle._product_plan): a first layer that always
+# takes the contiguous copy keeps its pivots but changes its bits. Each
+# entry holds the walk's fields, then two pins:
 # - SHA-256 of every pivot's (leaving, entering) as int64, the final loss
 #   and the sum of all losses. Pivots are exact integers and the losses are
 #   checked at 1e-9 relative, so this pin holds on any machine.
@@ -108,6 +111,15 @@ CAPPED_WALKS = {
             314748.05830903345,
         ),
         "14dfc291ff8461322b408efd3703709c429d281020ac3cfff98d460f55baaa45",
+    ),
+    "first-layer fan-in 16 seed 0, 150 iterations": (
+        {"seed": 0, "widths": [15, 4, 3, 1], "max_iterations": 150},
+        (
+            "216ae7bc74ab448996a78085942f8915a5dfc02c00cf42ced8745775d77b3069",
+            4372.778992178846,
+            851600.8006952724,
+        ),
+        "69ed3d50353032668578fb2b71f7aba86ce96ddfa77fcc93ee320d1d1a0b04aa",
     ),
 }
 

@@ -6,7 +6,7 @@ where a time is noisy. This counts cProfile's total_calls per iteration of
 minimize on reference seed 6, capped at CAP iterations (phase 1's steps
 included), in a fresh interpreter with one BLAS thread. The profiled walk
 runs on a fresh instance after a first walk of the same config, which
-fills the process-wide caches (oracle._product_rows_move) as a long run
+fills the process-wide caches (oracle._product_plan) as a long run
 finds them filled.
 
 The tests check that the count does not depend on PYTHONHASHSEED, so no
@@ -34,10 +34,10 @@ from pathlib import Path
 import pytest
 
 CAP = 200
-# total_calls per iteration at the last recording (52,020 calls in 200
-# iterations); the code before that change counted 288.57 by these rules,
-# and 420.5 before the change before it.
-CEILING = 260.1
+# total_calls per iteration at the last recording (51,301 calls in 200
+# iterations); the code before that change counted 260.1 by these rules,
+# and 288.57 before the change before it.
+CEILING = 256.505
 TOP = 25
 
 

@@ -1059,6 +1059,20 @@ class TestForwardAndFlattenBits:
         o, p = build_instance(32, widths, n)
         _assert_buffers_are_the_plain_forms(o, p, SplitMix64(132).uniform_block(o.dim, -1.0, 1.0))
 
+    @pytest.mark.parametrize("widths, n", [*((w, 500) for w in FLAT_WIDTHS), *BUFFER_SHAPES])
+    def test_jvp_matches_the_view_operand_jvp(self, widths, n):
+        # The plain JVP multiplies by the transposed views (x_aug @ dmat.T,
+        # (dz * mask) @ W.T); the pass takes a C-ordered copy only where
+        # the probe finds that it gives their bits, so at K = 20 (layer 2
+        # of (4,20,4,3,2,1), every layer of (19,20,20,2)) it keeps the view.
+        o, p = build_instance(40, widths, n)
+        rng = SplitMix64(140)
+        masks = [np.floor(rng.uniform_block(n * w, 0.0, 2.0)).reshape(n, w) for w in widths[1:-1]]
+        d = rng.uniform_block(o.dim, -1.0, 1.0)
+        want = np.concatenate([a.ravel() for a in _plain_forms(o, p, masks, d)[1]])
+        got = constraint_jvp_flat(o, masks, d)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("widths, n", BUFFER_SHAPES)
     def test_every_buffer_entry_is_written(self, widths, n):
         # Passes at several points in a row: a block left unwritten in an
@@ -1136,7 +1150,7 @@ class TestRowPass:
             for a, b in zip(got, forward_values(o, p).arrays):
                 assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
         # A single multiply has no order to change.
-        assert not any(orc._product_rows_move(n, 1, w) for w in (1, 2, 5))
+        assert not any(orc._product_plan(n, 1, w)[1] for w in (1, 2, 5))
 
     @pytest.mark.parametrize(
         "widths, n", [((4, 40, 4, 3, 2, 1), 500), ((3, 36, 2, 1), 40), ((2, 3, 33, 2), 64)]
@@ -1153,31 +1167,65 @@ class TestRowPass:
             for a, b in zip(got, forward_values(o, p).arrays):
                 assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
 
+    @pytest.mark.parametrize(
+        "widths, n", [((3, 32, 24, 1), 30), ((1, 33, 28, 2), 30), ((4, 36, 32, 1), 20)]
+    )
+    def test_more_rows_than_samples_keep_the_full_pass_bits(self, widths, n):
+        # D = 128, 66 and 180 active rows of 30, 30 and 20 samples: from
+        # fan-in 32 on a product over more rows than N can give rows other
+        # bits even where the probe finds none over up to N rows.
+        o, p = build_instance(41, widths, n)
+        rng = SplitMix64(141)
+        full = forward_values(o, p).arrays
+        for m in (n + 5, 2 * n, o.dim):
+            samples = rng.uniform_block(m, 0.0, n).astype(np.intp)
+            got = o.layout.blocks(orc.row_values(o, orc.sample_rows(o, samples), p))
+            for a, b in zip(got, full):
+                assert a.view(np.uint64).tolist() == b[samples].view(np.uint64).tolist()
+
     @pytest.mark.parametrize("n", [30, 500])
     def test_product_rows_move_has_no_false_negative(self, n):
-        # Every (fan-in, width) the probe passes gives random row lists, of
-        # 2 to 2n rows with repeats, the full product's bits.
+        # Over fan-ins and widths 1-40, on fresh data: wherever the probe
+        # takes the C-ordered copy of W.T, the copy's product gives the
+        # view's bits, and wherever it does not spread a product, random
+        # row lists of 2 to n rows with repeats give the full product's
+        # bits by the operand it takes. (A pass over more rows spreads
+        # every product.)
         rng = np.random.default_rng(n)
         for k in range(1, 41):
-            for w in (1, 2, 4):
-                if orc._product_rows_move(n, k, w):
-                    continue
+            for w in range(1, 41):
+                contiguous, spread = orc._product_plan(n, k, w)
                 a, weight_t = rng.uniform(-3.0, 3.0, (n, k)), rng.uniform(-1.0, 1.0, (w, k)).T
                 whole = np.matmul(a, weight_t, out=np.empty((n, w))).view(np.uint64)
-                for m in rng.integers(2, 2 * n + 1, 8).tolist():
+                if contiguous:
+                    weight_t = np.ascontiguousarray(weight_t)
+                    copy = np.matmul(a, weight_t, out=np.empty((n, w)))
+                    assert np.array_equal(copy.view(np.uint64), whole), (k, w)
+                if spread:
+                    continue
+                for m in rng.integers(2, n + 1, 8).tolist():
                     rows = rng.integers(0, n, m)
                     part = np.matmul(a.take(rows, axis=0), weight_t, out=np.empty((m, w)))
                     assert np.array_equal(part.view(np.uint64), whole.take(rows, axis=0)), (k, w, m)
 
     def test_spread_layers_name_each_layer_the_probe_flags(self, monkeypatch):
-        # Layer 2 of (4,40,4,3,2,1) has fan-in 40 and width 4.
-        flagged = {(500, 40, 4)}
-        monkeypatch.setattr(orc, "_product_rows_move", lambda n, k, w: (n, k, w) in flagged)
-        o, _ = build_instance(39, (4, 40, 4, 3, 2, 1), 500)
+        # Layer 2 of (4,40,4,3,2,1) has fan-in 40 and width 4; layers 1
+        # and 4 take the copy.
+        plans = {(500, 40, 4): (False, True), (500, 5, 40): (True, False), (500, 3, 2): (True, False)}
+        monkeypatch.setattr(orc, "_product_plan", lambda n, k, w: plans.get((n, k, w), (False, False)))
+        o, p = build_instance(39, (4, 40, 4, 3, 2, 1), 500)
         assert o.spread_layers == ((1, 40, 4),)
         rows = orc.sample_rows(o, np.array([3, 1, 3]))
         assert rows.products[1].func is orc._spread_product
         assert [f is np.matmul for i, f in enumerate(rows.products) if i != 1] == [True] * 4
+        # The passes multiply by a C-ordered copy where the plan takes it,
+        # gathered from p for the first layer, and by the view elsewhere.
+        first = p[o.first_t]
+        assert first.flags.c_contiguous and np.array_equal(first, p.reshape(40, 5).T)
+        shared = [np.shares_memory(t, layer.weight) for t, layer in zip(o.weights_t, o.fixed)]
+        assert shared == [True, True, False, True]
+        assert all(np.array_equal(t, layer.weight.T) for t, layer in zip(o.weights_t, o.fixed))
+        assert build_instance(39, (4, 5, 4, 3, 2, 1), 500)[0].first_t is None
 
     def test_a_single_row_is_refused(self):
         # numpy sends one row to a matrix-vector kernel, whose bits differ.
