@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise InvalidConfig."""
+
+import math
+import numbers
 
 
 class ShapeMismatch(ValueError):
@@ -70,4 +73,25 @@ class IllConditioned(ArithmeticError):
 
 
 class InvalidConfig(ValueError):
-    """Experiment configuration failed validation."""
+    """A setting failed validation: a config field, a seed list, a series
+    file, or a field of SolverLimits or oracle.Tolerances (built checked)."""
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_int(name: str, v, least: int) -> None:
+    """InvalidConfig unless v is an integer of at least `least`."""
+    if not (is_int(v) and v >= least):
+        raise InvalidConfig(f"{name} must be an integer of at least {least}, got {v!r}")
+
+
+def check_positive(name: str, v) -> None:
+    """InvalidConfig unless v is a finite positive real number."""
+    if not (is_finite(v) and v > 0):
+        raise InvalidConfig(f"{name} must be finite and positive, got {v!r}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import re
 import sys
 import traceback
@@ -42,6 +41,9 @@ from .errors import (
     NumericalStall,
     TooShort,
     UnboundedEdge,
+    check_int,
+    is_finite,
+    is_int,
 )
 from .network import Architecture, LayerParams, TrainingSet, relu
 from .oracle import OracleInstance, Tolerances, make_oracle
@@ -52,27 +54,19 @@ PAPER_WIDTHS = (4, 5, 4, 3, 2, 1)
 _RUN_FILE = re.compile(
     r"(config|summary)\.json|(loss|step_length(_mean[0-9]+)?|dist_to_final|trajectory|points)\.csv"
 )
-_INT_FIELDS = ("samples", "layer", "max_iterations", "mean_window", "fit_window")
+# Each integer field and its least value.
+_INT_FIELDS = (("samples", 1), ("layer", 1), ("mean_window", 1), ("fit_window", 3))
 _RANGE_FIELDS = ("theta_range", "data_range", "init_range")
 # The walk squares values of the forward pass's size (np.linalg.norm of
 # gradients and directions), so a value above this can overflow float64.
 _SQUARABLE = math.sqrt(sys.float_info.max)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _check_seed(seed) -> int:
     """The seed as an int, if it is an integer, not a bool, in [0, 2**64);
     otherwise InvalidConfig. Configs and seed lists share this rule."""
-    if not _is_int(seed):
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**64:
+    check_int("seed", seed, 0)
+    if seed >= 2**64:
         raise InvalidConfig(f"seed {seed} outside [0, 2**64)")
     return int(seed)
 
@@ -126,22 +120,18 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_seed(self.seed)
-        for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise InvalidConfig(f"{name} must be an integer, got {v!r}")
+        for name, least in _INT_FIELDS:
+            check_int(name, getattr(self, name), least)
         w = self.widths
         if not (isinstance(w, (tuple, list)) and len(w) >= 3
-                and all(_is_int(v) and v >= 1 for v in w)):
+                and all(is_int(v) and v >= 1 for v in w)):
             raise InvalidConfig(f"widths must be at least 3 positive integers, got {w!r}")
-        if not (1 <= self.layer <= len(w) - 2):
+        if not self.layer <= len(w) - 2:
             raise InvalidConfig(f"layer {self.layer} not a hidden-layer index")
-        if self.samples < 1:
-            raise InvalidConfig("need at least one sample")
         for name in _RANGE_FIELDS:
             r = getattr(self, name)
             if not (isinstance(r, (tuple, list)) and len(r) == 2
-                    and all(map(_is_finite, r)) and r[0] < r[1]):
+                    and all(map(is_finite, r)) and r[0] < r[1]):
                 raise InvalidConfig(f"{name} must be finite (a, b) with a < b, got {r!r}")
         bound = _forward_bound(w, self.layer, self.samples, self.theta_range,
                                self.data_range, self.init_range)
@@ -150,13 +140,10 @@ class ExperimentConfig:
                 f"theta_range, data_range and init_range let the forward pass reach "
                 f"{bound:.3g}, and its squares would overflow float64 above {_SQUARABLE:.3g}"
             )
-        if self.max_iterations < 1 or self.mean_window < 1 or self.fit_window < 3:
-            raise InvalidConfig("bad iteration or window settings")
-        for name in ("act_tol", "desc_tol"):
-            v = getattr(self, name)
-            if not (_is_finite(v) and v > 0):
-                raise InvalidConfig(f"{name} must be finite and positive, got {v!r}")
-        if not (_is_finite(self.r2_threshold) and 0.0 < self.r2_threshold <= 1.0):
+        # max_iterations, desc_tol and act_tol: the types check their own.
+        self.solver_limits()
+        Tolerances(act=self.act_tol)
+        if not (is_finite(self.r2_threshold) and 0.0 < self.r2_threshold <= 1.0):
             raise InvalidConfig("r2_threshold must lie in (0, 1]")
 
     def to_json(self) -> str:
@@ -187,10 +174,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
     def solver_limits(self) -> SolverLimits:
-        return SolverLimits(
-            max_iterations=self.max_iterations,
-            desc_tol=self.desc_tol,
-        )
+        return SolverLimits(max_iterations=self.max_iterations, desc_tol=self.desc_tol)
 
 
 @dataclass

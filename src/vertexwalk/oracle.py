@@ -56,7 +56,9 @@ views.
 A forward pass over a few samples' rows alone (row_values, inputs gathered
 once by sample_rows) runs the same layer loop as forward_values (_forward)
 on those rows and gives each entry the bits of the full pass; the
-solver's polish decides on it.
+solver's polish decides on it. A layer whose rows the same probe finds
+can move, and every layer of a pass over more rows than N, runs there
+over all N row positions.
 """
 
 from __future__ import annotations
@@ -67,14 +69,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTag, ShapeMismatch
+from .errors import InvalidTag, ShapeMismatch, check_positive
 from .network import Architecture, LayerParams, TrainingSet
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances: a constraint within `act` of zero is active."""
+    """Numerical tolerances: a constraint within `act` (finite, > 0) of zero is active."""
 
     act: float = 1e-8
+
+    def __post_init__(self):
+        check_positive("act tolerance", self.act)
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,10 @@ class ConstraintLayout:
         fresh array per layer, a capped N = 8000 walk ran about 8% faster
         per pivot.
         """
+        n = self.n_samples
         scratch = np.empty(self._widest)
-        fronts = [scratch[: b - a].reshape(shape) for a, b, shape in self._cuts[:-1]]
-        buffer = np.empty(self._cuts[-1][1])
+        fronts = [scratch[: n * (b - a)].reshape(n, b - a) for a, b in self._spans[:-1]]
+        buffer = np.empty(n * self._spans[-1][1])
         return fronts, buffer, self.blocks(buffer)
 
     def slots(self, idx) -> np.ndarray:
@@ -152,28 +158,20 @@ class ConstraintLayout:
         return start, stop - start
 
     @cached_property
-    def _cuts(self) -> list[tuple[int, int, tuple[int, int]]]:
-        """(start, stop, shape) of each state array's block."""
-        n = self.n_samples
-        return [(n * a, n * b, (n, b - a)) for a, b in self._spans]
-
-    @cached_property
     def _widest(self) -> int:
         """The size of the largest hidden state array."""
-        return max(b - a for a, b, _ in self._cuts[:-1])
+        return self.n_samples * max(b - a for a, b in self._spans[:-1])
 
     @cached_property
     def _indices(self) -> np.ndarray:
         """The flat index at each buffer position: block by block, entry
         (sample, unit) of hidden array l sits at sample * H plus the
-        layer's offset plus unit, and the residual block is the flat
-        order's own tail. int32, half the memory of intp."""
+        layer's start among the sample's units (_spans) plus unit, and the
+        residual block is the flat order's own tail. int32, half the memory
+        of intp."""
         h = len(self.neuron_pos)
         sample = np.arange(self.n_samples)[:, None]
-        blocks, offset = [], 0
-        for _, _, (_, width) in self._cuts[:-1]:
-            blocks.append(sample * h + offset + np.arange(width))
-            offset += width
+        blocks = [sample * h + np.arange(a, b) for a, b in self._spans[:-1]]
         blocks.append(self.n_samples * h + np.arange(self.n_samples * self.output_dim))
         return np.concatenate([b.ravel() for b in blocks]).astype(np.int32)
 
@@ -296,19 +294,12 @@ class OracleInstance:
         """(fan-in, width, contiguous, spread) of each layer's product, as
         _product_plan finds them at this instance's N: whether the passes
         multiply by a C-ordered copy of W.T, and whether a pass over some
-        rows runs the product over all N row positions (row_values). The
+        rows runs the product over all N row positions (sample_rows). The
         first layer's fan-in is n_0 + 1."""
         widths = self.arch.widths
         fan_in = (widths[0] + 1, *widths[1:-1])
         n = self.n_samples
         return tuple((k, w, *_product_plan(n, k, w)) for k, w in zip(fan_in, widths[1:]))
-
-    @cached_property
-    def spread_layers(self) -> tuple[tuple[int, int, int], ...]:
-        """(layer - 1, fan-in, width) of each layer whose product a pass over
-        at most N rows runs over all N row positions (plans); a pass over
-        more runs every layer so (sample_rows)."""
-        return tuple((l, k, w) for l, (k, w, _, spread) in enumerate(self.plans) if spread)
 
     @cached_property
     def weights_t(self) -> tuple[np.ndarray, ...]:
@@ -364,21 +355,20 @@ def _product_plan(n: int, k: int, w: int) -> tuple[bool, bool]:
     over n rows, (contiguous, spread), measured once per (n, k, w) on seeded
     data: whether they multiply by a C-ordered copy of W.T (W a C-ordered
     (w, k) array) or by the view W.T, and whether a pass over some rows
-    must run it over all n row positions because a row can get other bits
-    over some rows than over all n (row_values).
+    must run it over all n row positions because a row can get other bits,
+    by the operand taken, over some rows than over all n (row_values).
 
     The copy is taken where its product over n rows gives the view's bits
-    (_copy_keeps_bits), unless rows move with the copy and not with the
-    view (_rows_move; at n = 8000, k 16 to 31 and half the widths 9 to
-    36). The copy is the faster operand: at n = 8000 and the reference
-    widths, a forward pass took 141 us against 235 us with the views. But
-    it can make BLAS take another kernel, whose bits differ. On OpenBLAS 0.3.31
-    (x86-64, one thread) the copy gives the view's bits at every fan-in up
-    to 15 from n = 2 on. From fan-in 16 on it differs at some widths at
-    every n tried (about half of the widths up to 40 at n = 30 and 500,
-    two or three of them at n = 8000): the second layer of (4,20,4,3,2,1)
-    and a first layer of n_0 + 1 >= 16 keep the view. At n = 1 it differs
-    at most shapes.
+    (_copy_keeps_bits); rows are then judged with the operand taken
+    (_rows_move). The copy is the faster operand: at n = 8000 and the
+    reference widths, a forward pass took 141 us against 235 us with the
+    views. But it can make BLAS take another kernel, whose bits differ. On
+    OpenBLAS 0.3.31 (x86-64, one thread) the copy gives the view's bits at
+    every fan-in up to 15 from n = 2 on. From fan-in 16 on it differs at
+    some widths at every n tried (about half of the widths up to 40 at n =
+    30 and 500, two or three of them at n = 8000): the second layer of
+    (4,20,4,3,2,1) and a first layer of n_0 + 1 >= 16 keep the view. At
+    n = 1 it differs at most shapes.
 
     With the view, OpenBLAS moves rows from k = 8 on at w = 1, where numpy
     runs a matrix-vector product that computes rows in groups and the rows
@@ -389,16 +379,17 @@ def _product_plan(n: int, k: int, w: int) -> tuple[bool, bool]:
     passes (k up to 64, w up to 40, n from 12 to 2000), 45,080 random row
     lists gave the full product's bits at one and at two threads. With the
     copy, rows moved at none of the fan-ins up to 15 tried (widths 2 to
-    40, n from 30 to 8000).
+    40, n from 30 to 8000); at n = 8000 they move from fan-in 16 on at
+    widths 9-12, 17-20, 25-28 and 33-36, where up to fan-in 31 the view's
+    rows stay.
     """
     rng = np.random.default_rng((n, k, w))
     a = rng.uniform(-1.0, 1.0, (n, k))
     weight_t = rng.uniform(-1.0, 1.0, (w, k)).T
-    if not _copy_keeps_bits(rng, a, weight_t):
-        return False, _rows_move(rng, a, weight_t)
-    if not _rows_move(rng, a, np.ascontiguousarray(weight_t)):
-        return True, False
-    return (True, True) if _rows_move(rng, a, weight_t) else (False, False)
+    contiguous = _copy_keeps_bits(rng, a, weight_t)
+    if contiguous:
+        weight_t = np.ascontiguousarray(weight_t)
+    return contiguous, _rows_move(rng, a, weight_t)
 
 
 def _copy_keeps_bits(rng, a: np.ndarray, weight_t: np.ndarray) -> bool:
@@ -471,8 +462,8 @@ def forward_values(o: OracleInstance, p: np.ndarray) -> ConstraintValues:
 class SampleRows(NamedTuple):
     """What forward passes over some samples' rows alone (row_values) need,
     gathered once: their rows of x_aug and of the targets, one row per
-    entry of the sample list (repeats allowed), each fixed layer's bias as
-    rows, the product of each layer (see row_values), and the buffer the
+    entry of the sample list (repeats allowed), each fixed layer's bias,
+    the product of each layer (see row_values), and the buffer the
     passes write, in layout order with m rows per block, with its state
     arrays (ConstraintLayout.blocks)."""
 
@@ -486,26 +477,22 @@ class SampleRows(NamedTuple):
 
 def sample_rows(o: OracleInstance, samples: np.ndarray) -> SampleRows:
     """SampleRows of the samples listed; an instance of at least two
-    samples and a list of at least two are needed (see row_values)."""
-    m = len(samples)
-    if m < 2 or o.n_samples < 2:
+    samples and a list of at least two are needed (see row_values). Layer
+    l's product runs over all N row positions (_spread_product) where
+    o.plans[l] spreads it or the list is longer than N."""
+    m, n = len(samples), o.n_samples
+    if m < 2 or n < 2:
         raise ShapeMismatch(
-            f"a row pass needs at least 2 rows of at least 2 samples, got {m} of {o.n_samples}"
+            f"a row pass needs at least 2 rows of at least 2 samples, got {m} of {n}"
         )
-    if m <= o.n_samples:
-        biases = [rows[:m] for rows in o.bias_rows]
-        spread_layers = o.spread_layers
-    else:
-        biases = [layer.bias for layer in o.fixed]
-        spread_layers = [(l, k, w) for l, (k, w, _, _) in enumerate(o.plans)]
     products = [np.matmul] * (len(o.fixed) + 1)
-    for l, k, w in spread_layers:
-        spread = (np.zeros((o.n_samples, k)), np.empty((o.n_samples, w)))
-        products[l] = partial(_spread_product, samples, *spread)
+    for l, (k, w, _, spread) in enumerate(o.plans):
+        if spread or m > n:
+            products[l] = partial(_spread_product, samples, np.zeros((n, k)), np.empty((n, w)))
     flat = np.empty(m * (o.hidden_total + o.arch.output_dim))
     return SampleRows(
         o.x_aug.take(samples, axis=0), o.data.targets.take(samples, axis=0),
-        biases, products, flat, o.layout.blocks(flat),
+        [layer.bias for layer in o.fixed], products, flat, o.layout.blocks(flat),
     )
 
 
@@ -522,20 +509,16 @@ def row_values(o: OracleInstance, rows: SampleRows, p: np.ndarray) -> np.ndarray
     rows of at least two samples. A product of more rows and columns runs
     as a matrix-matrix product (BLAS gemm), which computes a row the same
     way whatever the row count only up to some fan-in. So every layer
-    whose product, at the instance's N, fan-in and width and by the right
-    operand the passes take, can move a row's bits (o.spread_layers, from
-    one probe of each shape) runs over the full pass's N row positions
-    (_spread_product); on OpenBLAS 0.3.31 at N >= 500 those are the layers
-    of width 1 from fan-in 8 on and, from fan-in 32 on, the layers that
-    keep the transposed view. A pass over more rows than N runs every
-    layer so, at no more cost: from fan-in 32 on, a product over more rows
-    than N can give rows other bits even where one over fewer does not (at
-    N = 30, fan-in 32 and width 24, 60 rows did). Each bias is added from
-    the first m of the tiled rows, or by broadcast when m exceeds N, the
-    same IEEE add; each rectified array is a fresh one, at a few rows
-    cheaper than views of a scratch.
-    With validate=True the solver checks the active values of every
-    vertex.
+    whose product, by the right operand the passes take, can move a row's
+    bits (o.plans; _product_plan says where) runs over the full pass's N
+    row positions (_spread_product). A pass over more rows than N runs
+    every layer so, at no more cost: from fan-in 32 on, a product over more
+    rows than N can give rows other bits even where one over fewer does not
+    (at N = 30, fan-in 32 and width 24, 60 rows did). Each bias is added by
+    broadcast, the same IEEE add as the full pass's tiled rows; each
+    rectified array is a fresh one, at a few rows cheaper than views of a
+    scratch. With validate=True the solver checks the active values of
+    every vertex.
     """
     rectified = [None] * len(o.fixed)
     _forward(o, p, rows.x_aug, rows.targets, rows.biases, rows.products, rows.arrays, rectified)

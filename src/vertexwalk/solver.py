@@ -133,6 +133,8 @@ from .errors import (
     SingularMatrix,
     UnboundedEdge,
     ValidationFailure,
+    check_int,
+    check_positive,
 )
 from .linalg import (
     Factorization,
@@ -165,11 +167,15 @@ MONOTONE_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Iteration cap and numerical thresholds for one solver run."""
+    """Iteration cap (at least 1) and numerical thresholds (finite, > 0) for one solver run."""
 
     max_iterations: int = 20_000
     desc_tol: float = 1e-9
     validate: bool = False
+
+    def __post_init__(self):
+        check_int("max_iterations", self.max_iterations, 1)
+        check_positive("desc_tol", self.desc_tol)
 
     def descent_threshold(self, loss: float) -> float:
         """A loss derivative below minus this, at this loss, descends."""

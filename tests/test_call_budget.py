@@ -34,10 +34,10 @@ from pathlib import Path
 import pytest
 
 CAP = 200
-# total_calls per iteration at the last recording (51,301 calls in 200
-# iterations); the code before that change counted 260.1 by these rules,
-# and 288.57 before the change before it.
-CEILING = 256.505
+# total_calls per iteration at the last recording (50,952 calls in 200
+# iterations); the code before that change counted 256.505 by these rules,
+# and 260.1 before the change before it.
+CEILING = 254.76
 TOP = 25
 
 

@@ -21,8 +21,9 @@ from vertexwalk.experiment import (
     sweep,
 )
 from vertexwalk.network import relu
+from vertexwalk.oracle import Tolerances
 from vertexwalk.prng import SplitMix64
-from vertexwalk.solver import Trajectory
+from vertexwalk.solver import SolverLimits, Trajectory
 
 TOY = dict(widths=(1, 1, 1), samples=5, max_iterations=500)
 WINDOWS = dict(mean_window=MEAN_WINDOW, fit_window=FIT_WINDOW, r2_threshold=R2_THRESHOLD)
@@ -661,6 +662,8 @@ class TestConfigValidation:
             {"act_tol": 0.0},
             {"desc_tol": float("nan")},
             {"desc_tol": float("inf")},
+            {"max_iterations": 0},
+            {"max_iterations": True},
             {"r2_threshold": "0.9"},
         ],
     )
@@ -669,6 +672,40 @@ class TestConfigValidation:
             ExperimentConfig(**bad)
         with pytest.raises(InvalidConfig):
             ExperimentConfig.from_json(json.dumps(bad))
+
+    # Each of these once walked on and failed later under another name: a
+    # negative desc_tol climbed into MonotonicityViolation, a NaN or
+    # infinite one or a bad act tolerance raised a Degenerate error, and a
+    # cap below 1 stopped at "max_iterations" after phase 1.
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"desc_tol": -1e-3},
+            {"desc_tol": 0.0},
+            {"desc_tol": float("nan")},
+            {"desc_tol": float("inf")},
+            {"desc_tol": True},
+            {"max_iterations": 0},
+            {"max_iterations": -5},
+            {"max_iterations": 2.0},
+            {"max_iterations": True},
+        ],
+    )
+    def test_solver_limits_refuse_bad_values(self, kw):
+        with pytest.raises(InvalidConfig, match=next(iter(kw))):
+            SolverLimits(**kw)
+
+    @pytest.mark.parametrize("act", [-1.0, 0, float("nan"), float("inf"), "1e-8", True])
+    def test_tolerances_refuse_bad_values(self, act):
+        with pytest.raises(InvalidConfig, match="act tolerance"):
+            Tolerances(act=act)
+
+    def test_limits_and_tolerances_take_good_values(self):
+        limits = SolverLimits(max_iterations=np.int64(1), desc_tol=1e-300, validate=True)
+        assert limits.max_iterations == 1
+        assert Tolerances(act=np.float64(5e-324)).act == 5e-324
+        cfg = ExperimentConfig(max_iterations=1, act_tol=2.0, desc_tol=3.0)
+        assert cfg.solver_limits() == SolverLimits(1, 3.0)
 
     @pytest.mark.parametrize("text", ['{"sead": 3}', "[1, 2]", "7", "{seed: 1}"])
     def test_bad_json_rejected(self, text):

@@ -107,6 +107,7 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+@pytest.mark.blas_bits
 class TestGesvBits:
     """solve_dense calls LAPACK gesv, as np.linalg.solve does, and must give
     its bits: the walk's Woodbury solves (k = 1 to 3 near-identity systems)
@@ -145,6 +146,7 @@ class TestGesvBits:
             solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+@pytest.mark.blas_bits
 class TestNormBits:
     """norm is np.linalg.norm's sqrt(x . x) for a contiguous vector, bit
     for bit."""

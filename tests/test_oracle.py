@@ -1059,6 +1059,7 @@ class TestForwardAndFlattenBits:
         o, p = build_instance(32, widths, n)
         _assert_buffers_are_the_plain_forms(o, p, SplitMix64(132).uniform_block(o.dim, -1.0, 1.0))
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("widths, n", [*((w, 500) for w in FLAT_WIDTHS), *BUFFER_SHAPES])
     def test_jvp_matches_the_view_operand_jvp(self, widths, n):
         # The plain JVP multiplies by the transposed views (x_aug @ dmat.T,
@@ -1097,6 +1098,7 @@ def _row_pass_cases(draw):
     return widths, n, draw(st.integers(0, 2**32)), np.array(samples, dtype=np.intp)
 
 
+@pytest.mark.blas_bits
 class TestRowPass:
     """row_values, over two or more rows of any samples, gives each entry
     the full forward pass's bits: the polish decides on it."""
@@ -1153,12 +1155,16 @@ class TestRowPass:
         assert not any(orc._product_plan(n, 1, w)[1] for w in (1, 2, 5))
 
     @pytest.mark.parametrize(
-        "widths, n", [((4, 40, 4, 3, 2, 1), 500), ((3, 36, 2, 1), 40), ((2, 3, 33, 2), 64)]
+        "widths, n",
+        [((4, 40, 4, 3, 2, 1), 500), ((3, 36, 2, 1), 40), ((2, 3, 33, 2), 64), ((4, 16, 9, 1), 8000)],
     )
     def test_rows_at_wide_fan_ins_keep_the_full_pass_bits(self, widths, n):
         # Products of fan-in 40, 36 and 33 into 4, 2 and 2 columns: from
         # fan-in 32 on OpenBLAS's matrix-matrix product gives rows other
         # bits over a few rows than over all N, unless the pass spreads them.
+        # At N = 8000, fan-in 16 into 9 columns moves rows with the
+        # C-ordered copy of W.T but not with the view: the passes take the
+        # copy and the row pass spreads the layer.
         o, p = build_instance(38, widths, n)
         rng = SplitMix64(138)
         for m in (2, 3, 7, 25, o.dim):
@@ -1208,16 +1214,22 @@ class TestRowPass:
                     part = np.matmul(a.take(rows, axis=0), weight_t, out=np.empty((m, w)))
                     assert np.array_equal(part.view(np.uint64), whole.take(rows, axis=0)), (k, w, m)
 
-    def test_spread_layers_name_each_layer_the_probe_flags(self, monkeypatch):
+    def test_row_pass_spreads_each_layer_the_probe_flags(self, monkeypatch):
         # Layer 2 of (4,40,4,3,2,1) has fan-in 40 and width 4; layers 1
         # and 4 take the copy.
         plans = {(500, 40, 4): (False, True), (500, 5, 40): (True, False), (500, 3, 2): (True, False)}
         monkeypatch.setattr(orc, "_product_plan", lambda n, k, w: plans.get((n, k, w), (False, False)))
         o, p = build_instance(39, (4, 40, 4, 3, 2, 1), 500)
-        assert o.spread_layers == ((1, 40, 4),)
+        assert [plan[3] for plan in o.plans] == [False, True, False, False, False]
+        assert [plan[2] for plan in o.plans] == [True, False, False, True, False]
         rows = orc.sample_rows(o, np.array([3, 1, 3]))
         assert rows.products[1].func is orc._spread_product
         assert [f is np.matmul for i, f in enumerate(rows.products) if i != 1] == [True] * 4
+        # Each bias is added by broadcast, at any row count.
+        assert all(b is layer.bias for b, layer in zip(rows.biases, o.fixed))
+        # A list longer than N spreads every layer.
+        rows = orc.sample_rows(o, np.arange(501) % 500)
+        assert all(f.func is orc._spread_product for f in rows.products)
         # The passes multiply by a C-ordered copy where the plan takes it,
         # gathered from p for the first layer, and by the view elsewhere.
         first = p[o.first_t]

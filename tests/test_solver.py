@@ -509,6 +509,7 @@ class TestEdgeDirections:
         assert at_coincident
         assert any(at_coincident) == degenerate
 
+    @pytest.mark.blas_bits
     def test_gesv_gives_numpy_bits_on_the_woodbury_systems(self, monkeypatch):
         # The rank-k solves of _bent_direction call LAPACK gesv directly
         # (linalg.solve_dense). Every M^T B system of a walk with k = 1 and
@@ -826,6 +827,7 @@ class TestProbe:
         # full pass. The probe's check decided every edge.
         assert calls == {"forward_values": pivots, "row_values": 2 * pivots, "resolve_signature": 0}
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize(
         "kw",
         [
@@ -1072,6 +1074,7 @@ class TestCarriedPricing:
                 stepped += 1
         assert stepped > 0
 
+    @pytest.mark.blas_bits
     def test_validated_walk_at_wide_fan_in(self):
         # Layer 2 of (4,40,4,3,2,1) has fan-in 40, where a product over a
         # vertex's D = 200 active rows gives other bits than the full pass
