@@ -29,8 +29,9 @@ only its changed samples' rows, and the price of a release splits into a
 row delta (the sample's row with the surface's state flipped, minus its
 row in the region), which holds while the sample's masks do, and its
 application along a direction (release_corrections). Region.rerooted is
-the one builder of row deltas: it computes a region's changed rows and the
-deltas of the surfaces it is given in one sample_gradient_rows call.
+the one builder of row deltas: one sample_gradient_rows call gives a
+region's changed rows and the deltas of the surfaces it is given, from
+mask rows flipped by _flip_rows, the one flip of a state.
 
 Every constraint has two numbers (ConstraintLayout). Its flat index names
 it: tag_index and locate encode and decode it, the active sets, the walk
@@ -695,13 +696,14 @@ class Region:
         signature = Signature(tuple(sig), self.signature.layout)
         return Region(self.o, signature, tuple(masks), self.base_rows, changed)
 
-    def rerooted(self, released) -> tuple["Region", np.ndarray]:
+    def rerooted(self, released) -> tuple["Region", np.ndarray, list[np.ndarray]]:
         """This region with its rows as base rows and no changed sample,
-        and the row delta of each surface of `released` ((state array,
-        sample, unit) rows) in it: row q is that sample's gradient row with
-        the surface's state flipped, minus its row in the region. A delta
-        depends only on its own sample's masks and row, so it stays valid
-        while they do.
+        the row delta of each surface of `released` ((state array, sample,
+        unit) rows) in it, and the flipped mask rows: row q of the deltas is
+        that sample's gradient row with the surface's state flipped, minus
+        its row in the region, and row q of flipped[l] its row of masks[l]
+        with the state flipped. A delta depends only on its own sample's
+        masks and row, so it stays valid while they do.
 
         One sample_gradient_rows call computes both the changed samples'
         rows and the released samples' flipped rows; a row does not depend
@@ -710,16 +712,18 @@ class Region:
         """
         released = np.asarray(released, dtype=np.intp).reshape(-1, 3)
         changed = list(self.changed)
+        n = len(changed)
         samples = np.array(changed + released[:, 1].tolist(), dtype=np.intp)
         batch = [m.take(samples, axis=0) for m in self.masks]
-        _flip_rows(self.o, batch, released, len(changed))
+        _flip_rows(self.o, batch, released, n)
         computed = sample_gradient_rows(self.o, batch)
         rows = self.base_rows
         if changed:
             rows = rows.copy()
-            rows[changed] = computed[: len(changed)]
+            rows[changed] = computed[:n]
         region = Region(self.o, self.signature, self.masks, rows)
-        return region, computed[len(changed) :] - rows.take(released[:, 1], axis=0)
+        flipped = [m[n:] for m in batch]
+        return region, computed[n:] - rows.take(released[:, 1], axis=0), flipped
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -65,19 +65,16 @@ the bent normals, which the Woodbury solve and release_corrections apply
 to each new inverse. An entered region is the vertex's with a few states
 set (Region.with_states, in one call per side): it copies only the masks
 it changes, once each, records the samples it touches, and builds its
-rows on first use, recomputing only theirs. Every normal matrix of an entered region, for a re-solve as for
-the next vertex (_VertexWork.normals), recomputes only the columns of
-those samples and the entering column. The next vertex takes the entered
-region the probe confirmed, and a Pricing with only the redo set
-recomputed (_carried_pricing): the entering position and every position
-whose sample the entered region changed, and for the bent normals also
-the positions of the leaving and entering surfaces' samples. The redo
-set's delta rows and the entered region's changed rows come from one
-sample_gradient_rows call (Region.rerooted); the affected positions are
-recomputed only for the leaving and entering surfaces' samples. Every vertex has a Pricing:
-phase 1's vertex and each exchanged active set get one built from
-scratch (_pricing, whose deltas come from the same Region.rerooted
-call). Both phases build a vertex one way, in _new_vertex, whose inputs
+rows on first use, recomputing only theirs; so does a re-solve's normal
+matrix (_VertexWork.normals) with its columns. A pivot has one redo set:
+the positions of the samples the entered region changed and of the
+leaving and entering surfaces' samples, the only entries that can
+change. It recomputes the next vertex's normal columns and, in one
+builder (_carried_pricing, on the entered region the probe confirmed),
+its Pricing's deltas, ref, affected lists and bent normals, the last from
+the mask rows Region.rerooted flips for the deltas. Phase 1's vertex and
+each exchanged active set get a Pricing with every position redone
+(_pricing). Both phases build a vertex one way, in _new_vertex, whose inputs
 are all required, the Pricing included. The polish decides on the active
 values alone, read at the edge's end point (phase 1's last hit) and at
 the Newton-corrected point from passes over the active surfaces' sample
@@ -95,7 +92,7 @@ the problem sizes this package targets, robustness is worth far more than
 the saved cubic term.
 
 At the reference sizes (widths (4,5,4,3,2,1), N = 500) a pivot's cost is
-set by call dispatch more than by arithmetic: about 260 Python-level calls
+set by call dispatch more than by arithmetic: about 250 Python-level calls
 per iteration of a capped seed-6 walk, which tests/test_call_budget.py
 holds to a ceiling, and about 0.66 ms per pivot in the ref-walk benchmark
 (artifacts and analysis included; one BLAS thread, 2-CPU x86-64 VM). So
@@ -110,7 +107,7 @@ bit the same. With validate=True every carried array, the Pricing
 included (phase 1's too), is checked against a recomputation from
 scratch, bit for bit, and every surface off the vertex against the side
 its state gives it; so are the active values of the row pass against the
-full pass's.
+full pass's, and every side a pivot settled (_validate_sides).
 """
 
 from __future__ import annotations
@@ -127,6 +124,7 @@ from .errors import (
     DegenerateStart,
     DegenerateVertex,
     DependentNormals,
+    InvalidConfig,
     MonotonicityViolation,
     NumericalStall,
     ShapeMismatch,
@@ -167,7 +165,7 @@ MONOTONE_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Iteration cap (at least 1) and numerical thresholds (finite, > 0) for one solver run."""
+    """Iteration cap (at least 1), thresholds (finite, > 0) and validate (a bool) for one run."""
 
     max_iterations: int = 20_000
     desc_tol: float = 1e-9
@@ -176,6 +174,8 @@ class SolverLimits:
     def __post_init__(self):
         check_int("max_iterations", self.max_iterations, 1)
         check_positive("desc_tol", self.desc_tol)
+        if not isinstance(self.validate, bool):
+            raise InvalidConfig(f"validate must be a bool, got {self.validate!r}")
 
     def descent_threshold(self, loss: float) -> float:
         """A loss derivative below minus this, at this loss, descends."""
@@ -454,13 +454,6 @@ def _polish(o, p, located, fact):
     return p, vals.flat, vals.loss
 
 
-def _gather(arrays, located: np.ndarray) -> np.ndarray:
-    """The entries of per-sample arrays in the state arrays' order (hidden
-    layers, then residuals), such as a signature's states, at the given
-    (array, sample, unit) rows."""
-    return np.array([arrays[a][i, k] for a, i, k in located.tolist()])
-
-
 # --- phase 2 -------------------------------------------------------------------
 
 
@@ -486,68 +479,40 @@ def _affected(located: np.ndarray, among: list[int]) -> dict[int, list[int]]:
     }
 
 
-def _bent_normals(o, masks, located, pos: int, affected: list[int]) -> np.ndarray:
-    """Pricing.bent[pos]: the normals of the surfaces at positions
-    `affected`, from their sample's rows of masks with active[pos]'s
-    state flipped."""
-    array, i, k = located[pos].tolist()
-    rows = [m[i] for m in masks]
-    rows[array] = rows[array].copy()
-    rows[array][k] = 1.0 - rows[array][k]
-    return np.column_stack([orc.sample_normal(o, rows, *located[q].tolist()) for q in affected])
-
-
 def _pricing(o: OracleInstance, region: Region, located: np.ndarray) -> Pricing:
     """The Pricing of the active surfaces at rows `located` in `region`,
-    built from scratch."""
-    affected = _affected(located, list(range(len(located))))
-    return Pricing(
-        deltas=region.rerooted(located)[1],
-        ref=_gather(region.signature.states, located),
-        affected=affected,
-        bent={pos: _bent_normals(o, region.masks, located, pos, qs) for pos, qs in affected.items()},
-    )
+    built from scratch: _carried_pricing with every position redone."""
+    d = len(located)
+    blank = Pricing(np.empty((d, o.arch.widths[1])), np.empty(d, dtype=np.int8), {}, {})
+    return _carried_pricing(o, blank, region, located, np.ones(d, dtype=bool))[1]
 
 
 def _carried_pricing(
-    o: OracleInstance,
-    pricing: Pricing,
-    entered: Region,
-    located: np.ndarray,
-    redo: np.ndarray,
-    pos: int,
-    left: int,
+    o: OracleInstance, carried: Pricing, region: Region, located: np.ndarray, redo: np.ndarray
 ) -> tuple[Region, Pricing]:
-    """The next vertex's region (entered, re-rooted) and Pricing, after the
-    pivot that put a new surface at position pos (its rows `located`) and
-    released one of sample `left` into `entered`; `pricing` is the left
-    vertex's, and `redo` masks position pos and every position whose sample
-    is in entered.changed.
-
-    Everything a position carries depends only on its own sample's masks
-    and rows and on the active surfaces of that sample. So only the redo
-    set is recomputed, and for the affected lists and bent normals also
-    every position of the left and the entering surface's samples, the
-    only samples whose active surfaces change. The redo set's delta rows
-    share one sample_gradient_rows call with the entered region's changed
-    rows (Region.rerooted). Every kept entry equals its recomputation bit
-    for bit.
+    """region re-rooted and the Pricing in it of the active surfaces at rows
+    `located`: the entries of the positions `redo` (a mask that holds every
+    position of each of its samples) recomputed, the others `carried`'s.
+    An entry depends only on its own sample's masks and active surfaces, so
+    a kept one equals its recomputation bit for bit while they are
+    unchanged. One Region.rerooted call gives the redo set's deltas and the
+    flipped mask rows its bent normals are built from.
     """
-    redone = located[redo]
-    region, fresh = entered.rerooted(redone)
-    deltas = pricing.deltas.copy()
+    rows = located[redo]
+    region, fresh, flipped = region.rerooted(rows)
+    deltas = carried.deltas.copy()
     deltas[redo] = fresh
-    ref = pricing.ref.copy()
-    ref[redo] = _gather(region.signature.states, redone)
-    moved = _of_samples(located, (left, located[pos, 1]))
-    among = moved.nonzero()[0].tolist()
-    affected = {q: qs for q, qs in pricing.affected.items() if q not in among}
-    affected.update(_affected(located, among))
-    rebend = (redo | moved).tolist()
-    bent = {
-        q: _bent_normals(o, region.masks, located, q, qs) if rebend[q] else pricing.bent[q]
-        for q, qs in affected.items()
-    }
+    ref = carried.ref.copy()
+    ref[redo] = [region.signature.states[a][i, k] for a, i, k in rows.tolist()]
+    redone = redo.nonzero()[0].tolist()
+    affected = {q: qs for q, qs in carried.affected.items() if not redo[q]}
+    bent = {q: carried.bent[q] for q in affected}
+    mask_rows = dict(zip(redone, zip(*flipped)))
+    for q, qs in _affected(located, redone).items():
+        affected[q] = qs
+        bent[q] = np.column_stack(
+            [orc.sample_normal(o, mask_rows[q], *located[r].tolist()) for r in qs]
+        )
     return region, Pricing(deltas, ref, affected, bent)
 
 
@@ -600,7 +565,7 @@ class _VertexWork:
     def normals(self, region: Region, active: list[int], redo: np.ndarray) -> np.ndarray:
         """Normal matrix of the surfaces `active` in `region`, one derived
         from the vertex's by with_states: the vertex's, with the columns
-        `redo` recomputed, a mask that holds the positions of
+        `redo` recomputed, a mask that holds at least the positions of
         region.changed's samples and of any new surface. A normal depends on
         its own sample's states alone, so a kept column equals its
         recomputation bit for bit."""
@@ -851,15 +816,18 @@ def vertex_step(
     # The descending sides are tried in the table's order, and the pivot
     # takes the first one its probe confirms.
     sides = _descending(work.table, np.array(v.active), tau)
-    if not sides:
-        return None
+    chosen = None
     for chosen_pos, col in sides:
         try:
             chosen = work.candidate(chosen_pos, _SIGNS[col])
         except DegenerateVertex:
             continue
         break
-    else:
+    if limits.validate:
+        _validate_sides(o, work)
+    if not sides:
+        return None
+    if chosen is None:
         raise DegenerateVertex("the probe rejected every descending side")
 
     if chosen.crossing is None:
@@ -874,19 +842,17 @@ def vertex_step(
     active_new = list(v.active)
     active_new[chosen_pos] = hit
     located_new = v.located.copy()
-    located_new[chosen_pos] = o.layout.locate(hit)
-    # The positions whose normals and Pricing entries are recomputed: the
-    # new surface's and those of the samples the entered region changed.
-    redo = _of_samples(v.located, entered.changed)
-    redo[chosen_pos] = True
+    row = o.layout.locate(hit)
+    located_new[chosen_pos] = row
+    # The redo set: the positions of the samples the entered region changed
+    # and of the leaving and entering surfaces' samples, the only ones
+    # whose normals and Pricing entries can change; all are recomputed.
+    redo = _of_samples(located_new, (*entered.changed, v.located[chosen_pos, 1], row[1]))
     normals = work.normals(entered, active_new, redo)
     # The new vertex's region is the entered one, re-rooted: its rows are
     # its base and no sample counts as changed, so the rows of the vertex
     # it leaves are not kept alive.
-    left = int(v.located[chosen_pos, 1])
-    region, pricing = _carried_pricing(
-        o, v.pricing, entered, located_new, redo, chosen_pos, left
-    )
+    region, pricing = _carried_pricing(o, v.pricing, entered, located_new, redo)
     v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, pricing, limits)
     if v_new.loss > v.loss + MONOTONE_SLACK * (1.0 + abs(v.loss)):
         raise MonotonicityViolation(
@@ -930,18 +896,14 @@ def _validate_vertex(o, v):
     for side, state in zip(now.states, v.region.signature.states):
         if np.any((side != 0) & (side != state)):
             raise ValidationFailure("a surface off the vertex lies outside its region")
-    region = orc.make_region(o, v.region.signature)
-    masks = region.masks
-    if len(masks) != len(v.region.masks) or not all(map(np.array_equal, masks, v.region.masks)):
-        raise ValidationFailure("carried region masks differ from a recomputation")
+    region = _rebuilt_region(o, v.region, "carried")
     fresh = {
         "constraint values": (flat, v.flat),
         "loss": (vals.loss, v.loss),
         "normal matrix": (
-            np.column_stack([orc.constraint_normal(o, masks, idx) for idx in v.active]),
+            np.column_stack([orc.constraint_normal(o, region.masks, idx) for idx in v.active]),
             v.normals,
         ),
-        "gradient rows": (region.rows, v.region.rows),
     }
     carried, rebuilt = v.pricing, _pricing(o, region, v.located)
     if carried.affected != rebuilt.affected or carried.bent.keys() != rebuilt.bent.keys():
@@ -953,6 +915,37 @@ def _validate_vertex(o, v):
     for name, (want, got) in fresh.items():
         if not np.array_equal(want, got):
             raise ValidationFailure(f"carried {name} differ from a recomputation")
+
+
+def _validate_sides(o, work):
+    """Check every side settled at work's vertex (all the table ranks, at a
+    vertex with coincident surfaces): its entered region against
+    make_region of its signature (_rebuilt_region, once per region), and
+    its derivative against that region's g . d, within 1e-9 (1 + |g|_1)."""
+    rebuilt = {}
+    for (pos, sign), (d, region, deriv) in work._settled.items():
+        side = f"side ({pos}, {sign:+d})"
+        if region not in rebuilt:
+            g = _rebuilt_region(o, region, f"{side}'s entered").gradient
+            rebuilt[region] = g, 1e-9 * (1.0 + float(np.abs(g).sum()))
+        g, tol = rebuilt[region]
+        want = float(g @ d)
+        if not abs(deriv - want) <= tol:
+            raise ValidationFailure(
+                f"the derivative of {side}, {deriv!r}, differs from its rebuilt region's {want!r}"
+            )
+
+
+def _rebuilt_region(o, region, name):
+    """make_region of region's signature, once its masks and rows are found
+    equal to region's bit for bit (else ValidationFailure, after `name`)."""
+    fresh = orc.make_region(o, region.signature)
+    masks = fresh.masks
+    if len(masks) != len(region.masks) or not all(map(np.array_equal, masks, region.masks)):
+        raise ValidationFailure(f"{name} region masks differ from a recomputation")
+    if not np.array_equal(fresh.rows, region.rows):
+        raise ValidationFailure(f"{name} gradient rows differ from a recomputation")
+    return fresh
 
 
 # --- degenerate vertices ---------------------------------------------------

@@ -9,7 +9,8 @@ config's own iteration cap; their lines carry "instance": "default". Every
 walk runs with one BLAS thread and validate=True, so every vertex's
 carried arrays (the constraint values, the region masks with the residual
 signs, the normal matrix, the per-sample gradient rows and the pricing)
-are checked against a recomputation from scratch. Each line holds the
+are checked against a recomputation from scratch, and so is every side
+a pivot settled (its entered region and its derivative). Each line holds the
 instance (widths, N, seed) and either the walk's status, iteration count,
 final loss and the sha256 of its points and losses, or the type of the
 error it raised. A failed check raises ValidationFailure, from which

@@ -689,6 +689,9 @@ class TestConfigValidation:
             {"max_iterations": -5},
             {"max_iterations": 2.0},
             {"max_iterations": True},
+            {"validate": "false"},
+            {"validate": None},
+            {"validate": 1},
         ],
     )
     def test_solver_limits_refuse_bad_values(self, kw):

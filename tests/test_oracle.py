@@ -269,17 +269,25 @@ class TestRegion:
     )
     def test_rerooted_rows_and_deltas_match_separate_builds(self, flips, released):
         # One sample_gradient_rows call gives the changed rows and the
-        # released surfaces' flipped rows; both must keep every bit.
+        # released surfaces' flipped rows; both must keep every bit. The
+        # mask rows it flips are returned too: row q of each is the
+        # released sample's row with released[q]'s state flipped.
         o = REGION_O
         region = make_region(o, region_signature(o, interior_point(o, SplitMix64(171))))
         for idx, state in flips:
             region = region.with_state(idx, state)
         at = o.layout.locate_many(released)
-        rerooted, deltas = region.rerooted(at)
+        rerooted, deltas, flipped = region.rerooted(at)
         fresh = make_region(o, region.signature)
         assert rerooted.changed == () and rerooted.masks is region.masks
         assert np.array_equal(rerooted.rows, fresh.rows)
         assert np.array_equal(deltas, flipped_deltas(o, fresh, released))
+        sig = region.signature
+        assert len(flipped) == len(region.masks)
+        for q, idx in enumerate(released):
+            want = region_masks(with_state(sig, idx, -state_of(sig, idx)))
+            sample = o.layout.locate(idx)[1]
+            assert all(np.array_equal(f[q], m[sample]) for f, m in zip(flipped, want))
 
 
 class TestAffinePiece:

@@ -278,6 +278,46 @@ class TestDescendToVertex:
         with pytest.raises(ValidationFailure, match="region masks"):
             minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
 
+    def test_a_fault_in_a_ranked_side_ends_the_run(self, monkeypatch):
+        # with_states writes each residual state of -1 it sets as 0 in the
+        # mask. On this walk no vertex's own region ever holds such a write,
+        # so only the check of the sides the table ranks sees it; without
+        # that check the walk converges after 39 iterations.
+        with_states = orc.Region.with_states
+
+        def residual_as_zero(region, located, states):
+            new = with_states(region, located, states)
+            depth = region.signature.layout.depth
+            for (array, i, k), state in zip(located, states):
+                if array == depth and state < 0:
+                    new.masks[array][i, k] = 0.0
+            return new
+
+        monkeypatch.setattr(orc.Region, "with_states", residual_as_zero)
+        o, p0, rng = quantized_instance((3, 4, 3, 1), 0, 12)
+        with pytest.raises(ValidationFailure, match="entered region masks"):
+            minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
+
+    @pytest.mark.parametrize("instance", ["quantized", "default"])
+    def test_a_wrong_release_correction_ends_the_run(self, monkeypatch, instance):
+        # release_corrections scaled by 1.001 gives every flipped side a
+        # wrong derivative while every vertex's arrays stay right; without
+        # the check of the settled sides the quantized walk ends in
+        # UnboundedEdge and the default one converges.
+        release_corrections = orc.release_corrections
+        monkeypatch.setattr(
+            orc, "release_corrections", lambda *args: 1.001 * release_corrections(*args)
+        )
+        if instance == "quantized":
+            o, p0, rng = quantized_instance((3, 4, 3, 1), 0, 12)
+            limits = SolverLimits(max_iterations=400, validate=True)
+        else:
+            config = ExperimentConfig(seed=0, widths=(2, 3, 2, 1), samples=30)
+            o, p0, rng = generate_instance(config)
+            limits = replace(config.solver_limits(), validate=True)
+        with pytest.raises(ValidationFailure, match="derivative"):
+            minimize(o, p0, limits, rng)
+
     def test_validate_rejects_stale_carried_active_rows(self):
         o, vertex = reference_scale_vertex()
         assert np.array_equal(vertex.located, o.layout.locate_many(vertex.active))
@@ -1088,21 +1128,34 @@ class TestCarriedPricing:
     def test_validated_walk_at_d100_redoes_several_positions(self, monkeypatch):
         # The corpus stays at D <= 16, where a pivot rarely redoes more than
         # the entering position. Here many do, and validate=True checks
-        # every carried pricing against a rebuild at every vertex.
-        redone, moved = [], []
-        carried = solver._carried_pricing
+        # every carried pricing against a rebuild at every vertex. A pivot
+        # redoes exactly the positions of the samples its entered region
+        # changed and of the leaving and entering surfaces' samples.
+        redone, moved, stepping = [], [], []
+        step, carried_pricing = solver.vertex_step, solver._carried_pricing
 
-        def recording(o, pricing, entered, located, redo, pos, left):
-            region, new = carried(o, pricing, entered, located, redo, pos, left)
-            want = np.isin(located[:, 1], entered.changed)
-            want[pos] = True
-            assert np.array_equal(redo, want)
-            redone.append(int(redo.sum()))
-            changed = np.any(new.deltas != pricing.deltas, axis=1)
-            changed[pos] = False
-            moved.append(int(changed.sum()))
+        def recording_step(o, v, limits=None, work=None):
+            stepping.append(v)
+            try:
+                return step(o, v, limits, work)
+            finally:
+                stepping.pop()
+
+        def recording(o, carried, entered, located, redo):
+            region, new = carried_pricing(o, carried, entered, located, redo)
+            if stepping and carried is stepping[-1].pricing:
+                left = stepping[-1].located
+                (pos,) = np.flatnonzero(np.any(located != left, axis=1))
+                samples = [*entered.changed, left[pos, 1], located[pos, 1]]
+                assert np.array_equal(redo, np.isin(located[:, 1], samples))
+                redone.append(int(redo.sum()))
+                changed = np.any(new.deltas != carried.deltas, axis=1)
+                assert not np.any(changed & ~redo)
+                changed[pos] = False
+                moved.append(int(changed.sum()))
             return region, new
 
+        monkeypatch.setattr(solver, "vertex_step", recording_step)
         monkeypatch.setattr(solver, "_carried_pricing", recording)
         o, p0 = build_instance(2, (4, 20, 4, 3, 2, 1), 100)
         _, traj = minimize(o, p0, SolverLimits(max_iterations=o.dim + 60, validate=True))
