@@ -18,8 +18,8 @@ class DependentNormals(ArithmeticError):
 
 
 class InvalidTag(ValueError):
-    """The (layer, sample, unit) given to oracle.tag_index names no surface
-    of the instance."""
+    """The (layer, sample, unit) given to oracle.tag_index, or a flat index
+    given to ConstraintLayout.locate or locate_many, names no surface."""
 
 
 class UnboundedEdge(RuntimeError):

@@ -254,6 +254,16 @@ def _write_csv(path: Path, header: str, *columns) -> None:
             f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def _out_dir(out_dir: str | Path) -> Path:
+    """out_dir as a Path; InvalidConfig, before any run, when it or the
+    nearest of its parents that exists is not a directory."""
+    out = Path(out_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise InvalidConfig(f"output directory {str(out)!r}: {str(existing)!r} is not a directory")
+    return out
+
+
 def _run_dir(out: Path, keep=()) -> None:
     """Make the directory out, or remove from it the files an earlier run
     wrote there (_RUN_FILE, with step_length_mean<W>.csv for any window W)
@@ -347,7 +357,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
     """Generate the instance, minimize, analyze, and serialize everything:
     config.json, summary.json (with the config's fingerprint) and, unless
     the solver failed (status "degenerate" or "failed"), the series files,
-    in place of any an earlier run wrote into out_dir."""
+    in place of any an earlier run wrote into out_dir (checked first)."""
+    out = _out_dir(out_dir) if out_dir else None
     oracle, p0, solver_rng = generate_instance(config)
     traj = None
     try:
@@ -359,7 +370,6 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> RunArtif
         status = traj.reason
         summary = summarize(traj, status, config.fit_window, config.r2_threshold)
     summary["fingerprint"] = config.fingerprint()
-    out = Path(out_dir) if out_dir else None
     if out:
         _run_dir(out)
         (out / "config.json").write_text(config.to_json() + "\n")
@@ -395,16 +405,17 @@ def sweep(
 ) -> dict:
     """Run every seed independently and aggregate the summaries.
 
-    The seed list must pass check_seeds. An exception in one seed is
-    recorded in its row as status "error: <Type>: <message>" (with
+    The seed list must pass check_seeds, and out_dir and every seed_<n>
+    directory in it _out_dir, before any seed runs. An exception in one
+    seed is recorded in its row as status "error: <Type>: <message>" (with
     out_dir, its traceback replaces the run's files in seed_<n>/, where an
     old traceback.txt never stays) and the sweep goes on.
     """
     seeds = check_seeds(seeds)
+    subs = [_out_dir(Path(out_dir) / f"seed_{seed}") if out_dir else None for seed in seeds]
     rows = []
-    for seed in seeds:
+    for seed, sub in zip(seeds, subs):
         cfg = replace(config, seed=seed)
-        sub = Path(out_dir) / f"seed_{seed}" if out_dir else None
         if sub:
             (sub / "traceback.txt").unlink(missing_ok=True)
         try:
@@ -545,11 +556,11 @@ def analyze_files(
     does not write again is removed, so the directory never mixes two runs;
     config.json stays only when out_dir is the trajectory's own directory.
     """
+    out = _out_dir(out_dir)
     traj_path = Path(traj_path)
     points_path = traj_path.with_name("points.csv")
     traj = load_trajectory_csv(traj_path, points_path)
     have_points = points_path.exists()
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     keep = {"summary.json", "loss.csv", "step_length.csv", "trajectory.csv"}
     keep.add(f"step_length_mean{mean_window}.csv")

@@ -28,20 +28,13 @@ what a pivot leaves unchanged: a Region derived by with_states recomputes
 only its changed samples' rows, and the price of a release splits into a
 row delta (the sample's row with the surface's state flipped, minus its
 row in the region), which holds while the sample's masks do, and its
-application along a direction (release_corrections). Region.rerooted is
-the one builder of row deltas: one sample_gradient_rows call gives a
-region's changed rows and the deltas of the surfaces it is given, from
-mask rows flipped by _flip_rows, the one flip of a state.
+application along a direction (release_corrections; Region.rerooted).
 
-Every constraint has two numbers (ConstraintLayout). Its flat index names
-it: tag_index and locate encode and decode it, the active sets, the walk
-records and every tie-break use it. Its buffer position says where its
-value sits in the one float64 buffer each O(N H) pass (forward_values,
-constraint_jvp_flat) writes: the state arrays' (N, n_l) blocks one after
-another, residuals last. Each layer's product is written straight into its
-block, so no pass copies its arrays into another order. The two orders
-agree on the residuals and differ on the hidden units; layout.slots maps
-flat indices to positions and layout.indices back.
+Every constraint has three names (ConstraintLayout): its row (state
+array, sample, unit) inside the walk; its buffer position, computed from
+the row, in the one float64 buffer each O(N H) pass (forward_values,
+constraint_jvp_flat) writes, each layer's product straight into its
+block; and its flat index, the public label and the tie-break key.
 
 The O(N H) passes avoid numpy operations on narrow (N, n_l) operands that
 are broadcast or strided: numpy runs those as one short inner loop per
@@ -70,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTag, ShapeMismatch, check_positive
+from .errors import InvalidTag, ShapeMismatch, check_positive, is_int
 from .network import Architecture, LayerParams, TrainingSet
 
 @dataclass(frozen=True)
@@ -85,18 +78,17 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ConstraintLayout:
-    """The two orders of the constraints: flat index and buffer position.
+    """A constraint's three names: row, flat index and buffer position.
 
     State array l-1 holds hidden layer l, (N, n_l), and array L the
-    residuals, (N, n_out). The flat index orders each sample's hidden units
-    by (layer, unit), sample after sample, then the residuals by (sample,
-    output); tag_index encodes it and locate decodes it into (state array,
-    sample, unit). The buffer position orders the state arrays one after
-    another, each (N, n_l) block sample-major: blocks views a buffer as
-    those arrays. The residuals have the same number in both orders.
-    slots maps flat indices to buffer positions and indices maps back.
-    A pass over m rows of some samples lays its buffer out the same way,
-    with m rows in each block.
+    residuals, (N, n_out); a row is (state array, sample, unit). The flat
+    index orders each sample's hidden units by (layer, unit), sample after
+    sample, then the residuals by (sample, output); encode turns rows into
+    it and locate decodes it. The buffer position orders the state arrays
+    one after another, each (N, n_l) block sample-major: blocks views a
+    buffer as those arrays, and positions computes a row's. The residuals
+    have the same number in both orders; indices maps positions to flat
+    indices. A pass over m rows lays out its buffer alike (row_slots).
     """
 
     n_samples: int
@@ -110,13 +102,29 @@ class ConstraintLayout:
         m = buffer.size // self._spans[-1][1]
         return tuple([buffer[m * a : m * b].reshape(m, b - a) for a, b in self._spans])
 
+    def positions(self, located: np.ndarray) -> np.ndarray:
+        """The buffer position in a full pass of each surface of located, an
+        int array of (state array, sample, unit) rows: block start + sample
+        x width + unit, row_slots' formula with N rows per block."""
+        array, sample = located[:, 0], located[:, 1]
+        start, width = self._span_arrays
+        return self.n_samples * start.take(array) + sample * width.take(array) + located[:, 2]
+
     def row_slots(self, located: np.ndarray) -> np.ndarray:
-        """The buffer position of each surface of located ((state array,
-        sample, unit) rows) in a pass over the rows located[:, 1]
-        (row_values): row q of its state array's block for located[q]."""
+        """The buffer position of each surface of located in a pass over the
+        rows located[:, 1] (row_values): row q of its state array's block
+        for located[q]."""
         array, m = located[:, 0], len(located)
         start, width = self._span_arrays
         return m * start.take(array) + np.arange(m) * width.take(array) + located[:, 2]
+
+    def encode(self, located) -> np.ndarray:
+        """The flat index of each (state array, sample, unit) row of located
+        (n, 3); locate_many inverts it."""
+        array, sample, unit = np.asarray(located, dtype=np.intp).T
+        h, start = len(self.neuron_pos), self._span_arrays[0]
+        residual = self.n_samples * h + sample * self.output_dim
+        return np.where(array < self.depth, sample * h + start.take(array), residual) + unit
 
     def pass_arrays(self) -> tuple[list[np.ndarray], np.ndarray, tuple[np.ndarray, ...]]:
         """Fresh arrays for one O(N H) pass: views of one scratch array in
@@ -134,13 +142,8 @@ class ConstraintLayout:
         buffer = np.empty(n * self._spans[-1][1])
         return fronts, buffer, self.blocks(buffer)
 
-    def slots(self, idx) -> np.ndarray:
-        """The buffer position of each flat index in idx (an int or int
-        array)."""
-        return self._slots[idx]
-
     def indices(self, slots) -> np.ndarray:
-        """The flat index of each buffer position in slots; inverts slots."""
+        """The flat index of each buffer position in slots."""
         return self._indices[slots]
 
     @cached_property
@@ -176,25 +179,28 @@ class ConstraintLayout:
         blocks.append(self.n_samples * h + np.arange(self.n_samples * self.output_dim))
         return np.concatenate([b.ravel() for b in blocks]).astype(np.int32)
 
-    @cached_property
-    def _slots(self) -> np.ndarray:
-        slots = np.empty_like(self._indices)
-        slots[self._indices] = np.arange(slots.size, dtype=np.int32)
-        return slots
-
     def locate(self, idx: int) -> tuple[int, int, int]:
+        """The (state array, sample, unit) row of flat index idx; InvalidTag,
+        by comparisons alone (the pivot's path), when idx names no surface."""
         h = len(self.neuron_pos)
-        if idx < self.n_samples * h:
+        cut = self.n_samples * h
+        if 0 <= idx < cut:
             sample, rest = divmod(idx, h)
             array, unit = self.neuron_pos[rest]
             return array, sample, unit
-        sample, unit = divmod(idx - self.n_samples * h, self.output_dim)
+        if not cut <= idx < cut + self.n_samples * self.output_dim:
+            raise InvalidTag(f"no surface has flat index {idx}")
+        sample, unit = divmod(idx - cut, self.output_dim)
         return self.depth, sample, unit
 
     def locate_many(self, idx) -> np.ndarray:
-        """locate of every flat index in idx, as an int array (len(idx), 3)."""
+        """locate of every flat index in idx, as an int array (len(idx), 3);
+        InvalidTag when one names no surface."""
         idx = np.asarray(idx, dtype=np.intp)
         cut = self.n_samples * len(self.neuron_pos)
+        bad = idx[(idx < 0) | (idx >= cut + self.n_samples * self.output_dim)]
+        if bad.size:
+            raise InvalidTag(f"no surface has flat index {bad[0]}")
         sample, rest = np.divmod(idx, len(self.neuron_pos))
         out = np.empty((idx.size, 3), dtype=np.intp)
         out[:, ::2] = self._neuron_rows[rest]
@@ -338,9 +344,6 @@ class OracleInstance:
     @property
     def n_constraints(self) -> int:
         return self.n_samples * (self.hidden_total + self.arch.output_dim)
-
-    def layer_offset(self, layer: int) -> int:
-        return sum(self.arch.hidden_widths[: layer - 1])
 
 
 # The probe of a product's operands compares the copy's bits with the
@@ -672,10 +675,6 @@ class Region:
     base_rows: np.ndarray = field(repr=False)
     changed: tuple[int, ...] = ()
 
-    def with_state(self, idx: int, state: int) -> "Region":
-        """The region with surface idx set to `state` (with_states)."""
-        return self.with_states([self.signature.layout.locate(idx)], [state])
-
     def with_states(self, located, states) -> "Region":
         """The region with the surfaces at the (state array, sample, unit)
         rows `located` (distinct) set to `states`: each state array and
@@ -796,15 +795,13 @@ def sample_normal(
 
 def tag_index(o: OracleInstance, layer: int, sample: int, unit: int) -> int:
     """Flat index of hidden unit `unit` of layer 1..L, or of output `unit`'s
-    residual with layer = L+1, for one sample. o.layout.locate inverts it,
-    returning state array layer - 1."""
-    depth = o.arch.hidden_depth
-    in_range = 1 <= layer <= depth + 1 and 0 <= sample < o.n_samples
+    residual with layer = L+1, for one sample: the encode of the row
+    (layer - 1, sample, unit), for integers that name a surface."""
+    ints = all(map(is_int, (layer, sample, unit)))
+    in_range = ints and 1 <= layer <= o.arch.hidden_depth + 1 and 0 <= sample < o.n_samples
     if not (in_range and 0 <= unit < o.arch.widths[layer]):
-        raise InvalidTag(f"no surface at layer {layer}, sample {sample}, unit {unit}")
-    if layer <= depth:
-        return sample * o.hidden_total + o.layer_offset(layer) + unit
-    return o.n_samples * o.hidden_total + sample * o.arch.output_dim + unit
+        raise InvalidTag(f"no surface at layer {layer!r}, sample {sample!r}, unit {unit!r}")
+    return int(o.layout.encode([(layer - 1, sample, unit)])[0])
 
 
 def constraint_values_flat(o: OracleInstance, vals: ConstraintValues) -> np.ndarray:

@@ -48,44 +48,38 @@ builds one per step that judges surfaces by the starting region's states,
 the pivot one per vertex that judges them by value): it looks for the
 first crossing among the surfaces near zero first, widening the screen
 until no surface outside it can beat or tie with the best step, so the
-answer is the full scan's, bit for bit. Its first round holds the
-surfaces within _SCREEN_COUNT / size of the largest |value|
-(oracle.screen_start), about 64 where the values spread evenly. A vertex
-scans its values once (_VertexWork.__init__): that scan gives the largest
-|value|, the first round's positions and, among them, the coincident
-surfaces, so a pivot's test reads all N (H + n_out) values again only
-when its first round cannot settle it.
+answer is the full scan's, bit for bit. A vertex scans its values once
+(_VertexWork.__init__) for the largest |value|, the first round's
+positions (oracle.screen_start) and, among them, the coincident surfaces,
+so a pivot's test reads all N (H + n_out) values again only when its
+first round cannot settle it.
 
-A pivot carries what it leaves unchanged. VertexState holds the rows
-(state array, sample, unit) of its active surfaces, the vertex's
-constraint values (from the polish), its region (oracle.Region: the
-signature, masks and per-sample gradient rows) and its Pricing: per
-position the row delta, the reference state, the affected positions and
-the bent normals, which the Woodbury solve and release_corrections apply
-to each new inverse. An entered region is the vertex's with a few states
-set (Region.with_states, in one call per side): it copies only the masks
-it changes, once each, records the samples it touches, and builds its
-rows on first use, recomputing only theirs; so does a re-solve's normal
-matrix (_VertexWork.normals) with its columns. A pivot has one redo set:
-the positions of the samples the entered region changed and of the
-leaving and entering surfaces' samples, the only entries that can
-change. It recomputes the next vertex's normal columns and, in one
-builder (_carried_pricing, on the entered region the probe confirmed),
-its Pricing's deltas, ref, affected lists and bent normals, the last from
-the mask rows Region.rerooted flips for the deltas. Phase 1's vertex and
-each exchanged active set get a Pricing with every position redone
-(_pricing). Both phases build a vertex one way, in _new_vertex, whose inputs
-are all required, the Pricing included. The polish decides on the active
-values alone, read at the edge's end point (phase 1's last hit) and at
-the Newton-corrected point from passes over the active surfaces' sample
-rows (oracle.row_values), and runs one full forward pass, at the point it
-keeps, whose buffer becomes the vertex's values: the pivot's only full
-forward pass. Phase 1 runs D + 1: at the start, after each of its first
-D - 1 hits, and the polish's.
+A pivot carries what it leaves unchanged. VertexState holds its active
+set once, as rows, the vertex's constraint values (from the polish), its
+region (oracle.Region: the signature, masks and per-sample gradient rows)
+and its Pricing: per position the row delta, the reference state, the
+affected positions and the bent normals, which the Woodbury solve and
+release_corrections apply to each new inverse. An entered region is the
+vertex's with a few states set (Region.with_states, in one call per
+side): it copies only the masks it changes, once each, records the
+samples it touches, and builds its rows on first use, recomputing only
+theirs; so does a re-solve's normal matrix (_VertexWork.normals) with its
+columns. A pivot has one redo set: the positions of the samples the
+entered region changed and of the leaving and entering surfaces' samples,
+the only entries that can change. It recomputes the next vertex's normal
+columns and, in one builder (_carried_pricing, on the entered region the
+probe confirmed), its Pricing's deltas, ref, affected lists and bent
+normals, the last from the mask rows Region.rerooted flips for the
+deltas. Phase 1's vertex and each exchanged active set get a Pricing with
+every position redone (_pricing). Both phases build a vertex one way, in
+_new_vertex, whose inputs are all required, the Pricing included; its
+polish (_polish) runs the pivot's only full forward pass. Phase 1 runs
+D + 1: at the start, after each of its first D - 1 hits, and the polish's.
 
-Constraint values and JVPs are arrays by buffer position, while surfaces
-are named by flat index (o.layout.slots and o.layout.indices map between
-the two), so ties still go to the smallest flat index.
+Inside the walk a surface is named by its (state array, sample, unit)
+row, and its buffer position is computed from the row (o.layout.positions).
+Its flat index, the public label and tie-break key, is read at positions
+(o.layout.indices); a pivot decodes one, the entering surface's (locate).
 
 The normal matrix is still refactorized from scratch at every pivot; at
 the problem sizes this package targets, robustness is worth far more than
@@ -184,16 +178,16 @@ class SolverLimits:
 
 @dataclass
 class VertexState:
-    """A vertex: point, the flat indices of its D active constraints and
-    their (state array, sample, unit) rows (`located`), their normals
+    """A vertex: point, the (state array, sample, unit) rows of its D
+    active constraints (`located`, an int array (D, 3), the one record of
+    the active set; `active` gives their flat indices), their normals
     (columns) in `region`, the reference region (a full-dimensional region
     adjacent to the vertex, with its signature, masks and gradient rows),
-    every constraint value at the point (`flat`, by buffer position, so
-    the value of flat index idx is flat[o.layout.slots(idx)]), the loss
-    there and its Pricing."""
+    every constraint value at the point (`flat`, by buffer position, so the
+    active values are flat[o.layout.positions(located)]), the loss there and
+    its Pricing."""
 
     point: np.ndarray
-    active: list[int]
     located: np.ndarray
     normals: np.ndarray
     region: Region
@@ -201,6 +195,11 @@ class VertexState:
     flat: np.ndarray
     loss: float
     pricing: Pricing = field(repr=False)
+
+    @property
+    def active(self) -> list[int]:
+        """The flat indices of the active constraints (encode of located)."""
+        return self.region.o.layout.encode(self.located).tolist()
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ def descend_to_vertex(
     states = orc.states_flat(sig)
 
     records = [(p.copy(), vals.loss, 0)]
-    active: list[int] = []
+    located = np.empty((o.dim, 3), dtype=np.intp)
     excluded = np.zeros(states.size, dtype=bool)
     normal_cols: list[np.ndarray] = []
 
@@ -376,7 +375,7 @@ def descend_to_vertex(
                     break
             if crossing is None:
                 raise NumericalStall(
-                    f"no progress direction with {len(active)} of {o.dim} constraints"
+                    f"no progress direction with {len(normal_cols)} of {o.dim} constraints"
                 )
 
         t, hit = crossing
@@ -384,25 +383,25 @@ def descend_to_vertex(
         nhit = orc.constraint_normal(o, region.masks, hit)
         if limits.validate and not rank_extends(normal_cols, nhit):
             raise DegenerateVertex("hit constraint normal did not extend the basis")
-        active.append(hit)
-        excluded[o.layout.slots(hit)] = True
+        hits = len(normal_cols)
+        located[hits] = o.layout.locate(hit)
+        excluded[o.layout.positions(located[hits : hits + 1])] = True
         normal_cols.append(nhit)
-        if len(active) == o.dim:
+        if len(normal_cols) == o.dim:
             break
         vals = orc.forward_values(o, p)
-        records.append((p.copy(), vals.loss, len(active)))
+        records.append((p.copy(), vals.loss, len(normal_cols)))
 
-    located = o.layout.locate_many(active)
     normals = np.column_stack(normal_cols)
     pricing = _pricing(o, region, located)
-    vertex = _new_vertex(o, p, active, located, normals, region, pricing, limits)
-    records.append((vertex.point.copy(), vertex.loss, len(active)))
+    vertex = _new_vertex(o, p, located, normals, region, pricing, limits)
+    records.append((vertex.point.copy(), vertex.loss, o.dim))
     return vertex, records
 
 
-def _new_vertex(o, p, active, located, normals, region, pricing, limits):
-    """The vertex of the surfaces `active` (their rows `located` and normal
-    matrix `normals`) near p, in `region`, with its Pricing: the matrix is
+def _new_vertex(o, p, located, normals, region, pricing, limits):
+    """The vertex of the surfaces at rows `located` (their normal matrix
+    `normals`) near p, in `region`, with its Pricing: the matrix is
     factorized, p polished and, with limits.validate, the vertex checked.
     Both phases build every vertex here."""
     try:
@@ -412,7 +411,6 @@ def _new_vertex(o, p, active, located, normals, region, pricing, limits):
     p, flat, loss = _polish(o, p, located, fact)
     vertex = VertexState(
         point=p,
-        active=active,
         located=located,
         normals=normals,
         region=region,
@@ -524,17 +522,16 @@ class _VertexWork:
         self.v = v
         self.pnorm = norm(v.point)
         # The vertex's one scan of its N (H + n_out) values: their largest
-        # magnitude, and the positions within c of zero, c the ratio
-        # screen's count-based start (oracle.screen_start) or act, the
-        # larger (act too when a value is NaN). Those positions are the
-        # screen's first round, for every side's ratio test. Inactive
-        # surfaces among them within act of zero pass through the vertex
-        # itself (degeneracy): they belong to the vertex fan, not to the
-        # ratio test, and their entered-side states are set by the crossing
-        # direction. They are kept in ascending flat index (coincident_idx)
-        # with their buffer positions (coincident_slots) and, when there
-        # are any, their (state array, sample, unit) rows (coincident_at).
-        # The screen skips them and the active surfaces (excluded).
+        # magnitude, and the positions within c of zero, c the screen's
+        # start (oracle.screen_start) or act, the larger (act too when a
+        # value is NaN): every side's first round. Inactive surfaces among
+        # them within act of zero pass through the vertex (degeneracy):
+        # they belong to the vertex fan, not to the ratio test, and the
+        # crossing direction sets their entered-side states. They are kept
+        # in ascending flat index (coincident_idx) with their buffer
+        # positions (coincident_slots) and, if any, their rows
+        # (coincident_at). The screen skips them and the active surfaces
+        # (excluded), whose flat indices (leaving) break the ranking's ties.
         flat, act = v.flat, o.tol.act
         top = orc.largest_magnitude(flat)
         c = orc.screen_start(top, flat.size)
@@ -544,34 +541,34 @@ class _VertexWork:
         close = near[np.abs(flat.take(near)) <= act]
         excluded = np.zeros(flat.size, dtype=bool)
         excluded[close] = True
-        active_slots = o.layout.slots(v.active)
+        active_slots = o.layout.positions(v.located)
         excluded[active_slots] = False
         coincident = close[excluded[close]]
         excluded[active_slots] = True
         idx = o.layout.indices(coincident)
         order = idx.argsort()
+        self.leaving = o.layout.indices(active_slots)
         self.coincident_idx = idx[order].tolist()
         self.coincident_slots = coincident[order]
         self.screen = orc.RatioScreen(flat, excluded, o.layout, top, c, near)
         self.excluded_slots = np.concatenate([active_slots, self.coincident_slots])
-        self.coincident_at = None
-        if self.coincident_idx:
-            self.coincident_at = o.layout.locate_many(self.coincident_idx)
+        self.coincident_at = (
+            o.layout.locate_many(self.coincident_idx) if self.coincident_idx else None
+        )
         self.excluded_flat = flat[self.excluded_slots]
-        # (direction, entered region, derivative) of each side settled by
-        # _settle.
+        # (direction, entered region, derivative) of each side _settle settled.
         self._settled: dict[tuple[int, int], tuple] = {}
 
-    def normals(self, region: Region, active: list[int], redo: np.ndarray) -> np.ndarray:
-        """Normal matrix of the surfaces `active` in `region`, one derived
-        from the vertex's by with_states: the vertex's, with the columns
-        `redo` recomputed, a mask that holds at least the positions of
-        region.changed's samples and of any new surface. A normal depends on
-        its own sample's states alone, so a kept column equals its
-        recomputation bit for bit."""
+    def normals(self, region: Region, located: np.ndarray, redo: np.ndarray) -> np.ndarray:
+        """Normal matrix of the surfaces at rows `located` in `region`, one
+        derived from the vertex's by with_states: the vertex's, with the
+        columns `redo` recomputed (oracle.sample_normal), a mask that holds
+        at least the positions of region.changed's samples and of any new
+        surface. A normal depends on its own sample's states alone, so a
+        kept column equals its recomputation bit for bit."""
         cols = self.v.normals.copy()
-        for q in redo.nonzero()[0].tolist():
-            cols[:, q] = orc.constraint_normal(self.o, region.masks, active[q])
+        for q, (array, i, k) in zip(redo.nonzero()[0].tolist(), located[redo].tolist()):
+            cols[:, q] = orc.sample_normal(self.o, [m[i] for m in region.masks], array, i, k)
         return cols
 
     def _bent_direction(self, inv_t: np.ndarray, pos: int) -> np.ndarray:
@@ -648,7 +645,8 @@ class _VertexWork:
     def _settled_direction(self, pos: int, sign: int, region: Region) -> np.ndarray:
         """Unit direction releasing active[pos] to `sign` against the normals
         of `region`."""
-        cols = self.normals(region, self.v.active, _of_samples(self.v.located, region.changed))
+        located = self.v.located
+        cols = self.normals(region, located, _of_samples(located, region.changed))
         rhs = np.zeros(self.o.dim)
         rhs[pos] = float(sign)
         try:
@@ -699,7 +697,7 @@ class _VertexWork:
             d = sign * units[:, pos]
         else:
             d = sign * flip_units[:, pos]
-            region = region.with_state(self.v.active[pos], sign)
+            region = region.with_states([self.v.located[pos].tolist()], [sign])
         for round_ in range(_STABILIZE_ROUNDS):
             if round_:
                 d, deriv = self._settled_direction(pos, sign, region), None
@@ -737,7 +735,7 @@ class _VertexWork:
             vals = orc.forward_values(o, v.point + eps * d)
             if not orc.resolve_signature(o, vals, fallback=sig).equals(sig):
                 raise DegenerateVertex("the probe found another entered region")
-        return EdgeCandidate(v.active[pos], sign, d, region, deriv, crossing)
+        return EdgeCandidate(int(self.leaving[pos]), sign, d, region, deriv, crossing)
 
     def _probe_agrees(
         self, pos: int, sign: int, sig: Signature, dvals: np.ndarray, eps: float, floor: float
@@ -815,7 +813,7 @@ def vertex_step(
 
     # The descending sides are tried in the table's order, and the pivot
     # takes the first one its probe confirms.
-    sides = _descending(work.table, np.array(v.active), tau)
+    sides = _descending(work.table, work.leaving, tau)
     chosen = None
     for chosen_pos, col in sides:
         try:
@@ -839,8 +837,6 @@ def vertex_step(
     entered = chosen.entered
 
     p_new = v.point + t * chosen.direction
-    active_new = list(v.active)
-    active_new[chosen_pos] = hit
     located_new = v.located.copy()
     row = o.layout.locate(hit)
     located_new[chosen_pos] = row
@@ -848,12 +844,12 @@ def vertex_step(
     # and of the leaving and entering surfaces' samples, the only ones
     # whose normals and Pricing entries can change; all are recomputed.
     redo = _of_samples(located_new, (*entered.changed, v.located[chosen_pos, 1], row[1]))
-    normals = work.normals(entered, active_new, redo)
+    normals = work.normals(entered, located_new, redo)
     # The new vertex's region is the entered one, re-rooted: its rows are
     # its base and no sample counts as changed, so the rows of the vertex
     # it leaves are not kept alive.
     region, pricing = _carried_pricing(o, v.pricing, entered, located_new, redo)
-    v_new = _new_vertex(o, p_new, active_new, located_new, normals, region, pricing, limits)
+    v_new = _new_vertex(o, p_new, located_new, normals, region, pricing, limits)
     if v_new.loss > v.loss + MONOTONE_SLACK * (1.0 + abs(v.loss)):
         raise MonotonicityViolation(
             f"loss rose from {v.loss!r} to {v_new.loss!r} in one pivot"
@@ -872,21 +868,20 @@ def _validate_vertex(o, v):
     """Check a vertex's active set and every array it carries against a
     recomputation from scratch; carried arrays must match bit for bit. A
     failed check raises ValidationFailure."""
-    if len(v.active) != o.dim:
-        raise ValidationFailure(f"active set has {len(v.active)} constraints, expected {o.dim}")
-    if len(set(v.active)) != len(v.active):
+    if len(v.located) != o.dim:
+        raise ValidationFailure(f"active set has {len(v.located)} constraints, expected {o.dim}")
+    if len(set(map(tuple, v.located.tolist()))) != o.dim:
         raise ValidationFailure("active set contains duplicate constraints")
-    if not np.array_equal(v.located, o.layout.locate_many(v.active)):
-        raise ValidationFailure("carried active rows differ from a recomputation")
     vals = orc.forward_values(o, v.point)
     flat = orc.constraint_values_flat(o, vals)
-    worst = float(np.max(np.abs(flat[o.layout.slots(v.active)])))
+    at = o.layout.positions(v.located)
+    worst = float(np.max(np.abs(flat[at])))
     if worst > o.tol.act:
         raise ValidationFailure(f"active values drifted to {worst:.3e}")
     # The polish decides on row passes, which must give the full pass's bits.
     rows = orc.sample_rows(o, v.located[:, 1])
     at_rows = orc.row_values(o, rows, v.point).take(o.layout.row_slots(v.located))
-    if not np.array_equal(at_rows, v.flat[o.layout.slots(v.active)]):
+    if not np.array_equal(at_rows, v.flat[at]):
         raise ValidationFailure("the row pass's active values differ from the full pass's")
     if near_singular(v.factorization, v.normals):
         raise ValidationFailure("vertex normal matrix is near singular")
@@ -976,12 +971,10 @@ def _sampled_descent(o, p, radius, directions, rng) -> bool:
 
 
 def _swapped_states(o, v, coincident):
-    for idx in coincident:
-        col = orc.constraint_normal(o, v.region.masks, idx)
-        row = o.layout.locate(idx)
-        for pos in range(len(v.active)):
-            new_active = list(v.active)
-            new_active[pos] = idx
+    """v with each row of `coincident` in turn at each position, where the normals factorize."""
+    for row in coincident.tolist():
+        col = orc.sample_normal(o, [m[row[1]] for m in v.region.masks], *row)
+        for pos in range(len(v.located)):
             located = v.located.copy()
             located[pos] = row
             cols = v.normals.copy()
@@ -992,7 +985,6 @@ def _swapped_states(o, v, coincident):
                 continue
             yield replace(
                 v,
-                active=new_active,
                 located=located,
                 normals=cols,
                 factorization=fact,
@@ -1006,13 +998,12 @@ def _escape_if_degenerate(work, limits, rng):
     or None when the vertex has no coincident surface (its table holds
     every side) or passes the sampled local-minimality check."""
     o, v = work.o, work.v
-    coincident = work.coincident_idx
-    if not coincident:
+    if not work.coincident_idx:
         return None
     radius = 1e-4 * (1.0 + norm(v.point))
     if not _sampled_descent(o, v.point, radius, 200, rng):
         return None
-    for state in islice(_swapped_states(o, v, coincident), 64):
+    for state in islice(_swapped_states(o, v, work.coincident_at), 64):
         try:
             outcome = vertex_step(o, state, limits)
         except DegenerateVertex:
@@ -1080,7 +1071,7 @@ def _minimize_once(o, p0, limits, rng):
         vertex, rec = outcome
         points.append(vertex.point.copy())
         losses.append(rec.loss)
-        counts.append(len(vertex.active))
+        counts.append(len(vertex.located))
 
     traj = _build_trajectory(points, losses, counts, phase1_len, reason)
     return traj.final.copy(), traj

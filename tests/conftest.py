@@ -3,7 +3,13 @@ import pytest
 from hypothesis import settings
 
 from vertexwalk.network import Architecture, LayerParams, TrainingSet
-from vertexwalk.oracle import OracleInstance, forward_values, make_oracle
+from vertexwalk.oracle import (
+    ConstraintLayout,
+    OracleInstance,
+    Region,
+    forward_values,
+    make_oracle,
+)
 from vertexwalk.prng import SplitMix64
 
 # Property tests must behave identically on reruns.
@@ -37,10 +43,23 @@ def build_instance(
     return o, p0
 
 
+def slots(layout: ConstraintLayout, idx):
+    """The buffer position of each flat index in idx (an int or an int
+    array): layout.indices inverted, for any layout."""
+    n = layout.n_samples * (len(layout.neuron_pos) + layout.output_dim)
+    return np.argsort(layout.indices(np.arange(n)))[idx]
+
+
 def in_flat_order(o: OracleInstance, buffer: np.ndarray) -> np.ndarray:
     """A buffer of per-constraint entries (buffer positions) reordered so
     that entry idx belongs to the constraint with flat index idx."""
-    return buffer[o.layout.slots(np.arange(o.n_constraints))]
+    return buffer[slots(o.layout, np.arange(o.n_constraints))]
+
+
+def region_with_state(region: Region, idx: int, state: int) -> Region:
+    """region with the surface of flat index idx set to `state`: with_states
+    of its one row."""
+    return region.with_states([region.signature.layout.locate(idx)], [state])
 
 
 def interior_point(o: OracleInstance, rng: SplitMix64, scale=5.0, min_clear=1e-4, tries=200):

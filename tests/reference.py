@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import slots
 from vertexwalk.errors import DegenerateVertex, InvalidTag, ShapeMismatch
 from vertexwalk.linalg import solve
 from vertexwalk.network import LayerParams, TrainingSet, relu
@@ -183,7 +184,7 @@ def constraint_eval(
 ) -> tuple[float, np.ndarray]:
     """Value and region-local gradient of the constraint with flat index idx."""
     _check_index(o, idx)
-    v = float(constraint_values_flat(o, forward_values(o, p))[o.layout.slots(idx)])
+    v = float(constraint_values_flat(o, forward_values(o, p))[slots(o.layout, idx)])
     return v, constraint_normal(o, region_masks(sig), idx)
 
 
@@ -206,7 +207,7 @@ def ratio_test(
     flat = constraint_values_flat(o, vals)
     dvals = constraint_jvp_flat(o, region_masks(sig), np.asarray(d, dtype=float))
     excluded = np.zeros(flat.size, dtype=bool)
-    excluded[o.layout.slots(active)] = True
+    excluded[slots(o.layout, active)] = True
     screen = ratio_screen(flat, np.abs(flat), excluded, o.layout)
     crossing, _ = _ratio_from_arrays(flat, dvals, screen)
     if crossing is None:

@@ -34,10 +34,10 @@ from pathlib import Path
 import pytest
 
 CAP = 200
-# total_calls per iteration at the last recording (49,624 calls in 200
-# iterations); the code before that change counted 254.76 by these rules,
-# and 256.505 before the change before it.
-CEILING = 248.12
+# total_calls per iteration at the last recording (49,040 calls in 200
+# iterations); the code before that change counted 248.12 by these rules,
+# and 254.76 before the change before it.
+CEILING = 245.2
 TOP = 25
 
 

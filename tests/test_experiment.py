@@ -867,6 +867,39 @@ class TestCli:
         assert main(["analyze", "--traj", "t.csv", "--out", str(tmp_path), "--fit-window", "7"]) == 0
         assert seen["fit_window"] == 7 and seen["mean_window"] == cfg.mean_window
 
+    @pytest.mark.parametrize("case", ["run", "sweep", "sweep seed", "analyze", "nested"])
+    def test_a_file_as_out_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch, case):
+        # A file where an output directory goes ends the subcommand at once,
+        # by name and with no traceback: no walk runs and nothing is written.
+        from vertexwalk import experiment as exp
+
+        run(ExperimentConfig(seed=4, **TOY), tmp_path / "a")
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        (tmp_path / "sweep").mkdir()
+        (tmp_path / "sweep" / "seed_20").write_text("kept\n")
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("minimize ran")
+
+        monkeypatch.setattr(exp, "minimize", no_walk)
+        toy = ["--widths", "1,1,1", "--samples", "5"]
+        traj = str(tmp_path / "a" / "trajectory.csv")
+        argv = {
+            "run": ["run", "--seed", "19", *toy, "--out", str(blocker)],
+            "sweep": ["sweep", "--seeds", "19,20", *toy, "--out", str(blocker)],
+            "sweep seed": ["sweep", "--seeds", "19,20", *toy, "--out", str(tmp_path / "sweep")],
+            "analyze": ["analyze", "--traj", traj, "--out", str(blocker)],
+            "nested": ["run", "--seed", "19", *toy, "--out", str(blocker / "sub")],
+        }[case]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "is not a directory" in err
+        assert out == ""
+        assert blocker.read_text() == (tmp_path / "sweep" / "seed_20").read_text() == "kept\n"
+        assert [p.name for p in (tmp_path / "sweep").iterdir()] == ["seed_20"]
+
     def test_verify_subcommand(self, capsys):
         code = main(["verify", "--seeds", "1"])
         out = capsys.readouterr().out

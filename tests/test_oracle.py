@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import build_instance, in_flat_order, interior_point
+from conftest import build_instance, in_flat_order, interior_point, region_with_state, slots
 from reference import (
     AmbiguousSignature,
     NetworkParams,
@@ -198,7 +198,7 @@ class TestRegion:
         base = make_region(o, region_signature(o, interior_point(o, SplitMix64(170))))
         region = base
         for idx, state in flips:
-            region = region.with_state(idx, state)
+            region = region_with_state(region, idx, state)
         sig = region.signature
         fresh = make_region(o, sig)
         assert len(region.masks) == len(fresh.masks)
@@ -241,7 +241,7 @@ class TestRegion:
         base = make_region(o, region_signature(o, interior_point(o, SplitMix64(172))))
         chain = base
         for idx, state in flips:
-            chain = chain.with_state(idx, state)
+            chain = region_with_state(chain, idx, state)
         rows = [o.layout.locate(idx) for idx, _ in flips]
         bulk = base.with_states(rows, [state for _, state in flips])
         assert bulk.changed == chain.changed
@@ -275,7 +275,7 @@ class TestRegion:
         o = REGION_O
         region = make_region(o, region_signature(o, interior_point(o, SplitMix64(171))))
         for idx, state in flips:
-            region = region.with_state(idx, state)
+            region = region_with_state(region, idx, state)
         at = o.layout.locate_many(released)
         rerooted, deltas, flipped = region.rerooted(at)
         fresh = make_region(o, region.signature)
@@ -378,10 +378,10 @@ class TestAffinePiece:
         # One surface in every state array: each hidden layer and the residuals.
         h = o.hidden_total
         sample = int(rng.uniform(0, n_samples))
-        idx = [sample * h + o.layer_offset(l) for l in range(1, o.arch.hidden_depth + 1)]
-        idx.append(n_samples * h + sample * o.arch.output_dim)
+        idx = [tag_index(o, l, sample, 0) for l in range(1, o.arch.hidden_depth + 2)]
+        assert idx[-1] == n_samples * h + sample * o.arch.output_dim
         for i in idx:
-            flipped = region.with_state(i, -state_of(region.signature, i))
+            flipped = region_with_state(region, i, -state_of(region.signature, i))
             assert flipped.changed == (sample,)
             masks = region_masks(flipped.signature)
             assert np.array_equal(flipped.gradient, region_gradient(o, masks))
@@ -547,22 +547,57 @@ class TestEnumerateConstraints:
     @settings(max_examples=200, deadline=None)
     @given(layout=_layouts())
     def test_buffer_positions_round_trip(self, layout):
-        # slots is a permutation that keeps the residuals' numbers, indices
-        # inverts it, and the position of (array, sample, unit) is that
-        # entry of the buffer's block views.
+        # The position of each row is a permutation that keeps the
+        # residuals' numbers, indices inverts it, and the position of
+        # (array, sample, unit) is that entry of the buffer's block views.
         n = _layout_size(layout)
         idx = np.arange(n)
-        slots = layout.slots(idx)
-        assert sorted(slots.tolist()) == idx.tolist()
-        assert np.array_equal(layout.indices(slots), idx)
-        assert np.array_equal(layout.slots(layout.indices(idx)), idx)
+        rows = np.array([layout.locate(i) for i in idx.tolist()], dtype=np.intp).reshape(n, 3)
+        at = layout.positions(rows)
+        assert sorted(at.tolist()) == idx.tolist()
+        assert np.array_equal(layout.indices(at), idx)
+        assert np.array_equal(at, slots(layout, idx))
+        assert np.array_equal(layout.encode(rows), idx)
         blocks = layout.blocks(idx)
         assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), idx)
-        for i in idx.tolist():
-            array, sample, unit = layout.locate(i)
-            assert blocks[array][sample, unit] == slots[i] == layout.slots(i)
+        for i, (array, sample, unit) in enumerate(rows.tolist()):
+            assert blocks[array][sample, unit] == at[i]
         cut = layout.n_samples * len(layout.neuron_pos)
-        assert np.array_equal(slots[cut:], idx[cut:])
+        assert np.array_equal(at[cut:], idx[cut:])
+
+    @pytest.mark.parametrize(
+        "widths, n", [((4, 5, 4, 3, 2, 1), 7), ((2, 3, 2, 1), 5), ((3, 4, 3, 1), 12), ((1, 2, 1), 3)]
+    )
+    def test_rows_name_every_surface_once(self, widths, n):
+        # D = 16 > N = 12 in (3,4,3,1). Over every flat index: encode
+        # inverts locate_many, the rows' positions are a permutation that
+        # indices maps back, and tag_index agrees with encode.
+        o, _ = build_instance(38, widths, n)
+        layout, idx = o.layout, np.arange(o.n_constraints)
+        rows = layout.locate_many(idx)
+        assert rows.tolist() == [list(layout.locate(i)) for i in idx.tolist()]
+        assert np.array_equal(layout.encode(rows), idx)
+        at = layout.positions(rows)
+        assert sorted(at.tolist()) == idx.tolist()
+        assert np.array_equal(layout.indices(at), idx)
+        for i, (array, sample, unit) in enumerate(rows.tolist()):
+            assert tag_index(o, array + 1, sample, unit) == i
+        assert type(tag_index(o, 1, 0, 0)) is int
+
+    def test_flat_indices_that_name_no_surface_are_refused(self):
+        o, _ = build_instance(38, (2, 3, 2, 1), 5)
+        assert o.n_constraints == 30
+        for idx in (30, -1, 31, -31):
+            with pytest.raises(InvalidTag):
+                o.layout.locate(idx)
+            with pytest.raises(InvalidTag):
+                o.layout.locate_many([0, idx])
+        assert o.layout.locate(29) == (2, 4, 0) and o.layout.locate(0) == (0, 0, 0)
+        # Layer, sample and unit must be integers; numpy integers are.
+        for surface in [(True, 0, 0), (1.0, 0, 0), (1, 0.0, 0), (1, 0, False), ("1", 0, 0)]:
+            with pytest.raises(InvalidTag):
+                tag_index(o, *surface)
+        assert tag_index(o, np.int64(2), np.intp(1), np.int32(0)) == tag_index(o, 2, 1, 0)
 
     def test_flat_values_align_with_tags(self):
         o, p = build_instance(20, (2, 3, 1), 4)
@@ -584,7 +619,7 @@ class TestEnumerateConstraints:
         for idx in range(o.n_constraints):
             a, i, k = o.layout.locate(idx)
             state = state_of(sig, idx)
-            slot = o.layout.slots(idx)
+            slot = slots(o.layout, idx)
             assert flat[slot] == vals.arrays[a][i, k]
             assert states[slot] == sig.states[a][i, k] == state
             assert masks[a][i, k] == (state if a == depth else float(state > 0))
@@ -721,7 +756,7 @@ def _first_crossing_loop(flat, dvals, screen):
     """The first crossing, one surface at a time in flat index order."""
     floor = 1e-12 * max(abs(float(v)) for v in dvals)
     best = None
-    for idx, j in enumerate(screen.layout.slots(np.arange(flat.size)).tolist()):
+    for idx, j in enumerate(slots(screen.layout, np.arange(flat.size)).tolist()):
         f, dv = float(flat[j]), float(dvals[j])
         if screen.excluded[j] or abs(dv) <= floor or not float(screen.side[j]) * dv < 0.0:
             continue
@@ -1144,7 +1179,7 @@ class TestRowPass:
         assert len(set(located[:, 0].tolist())) == 3
         rows = orc.sample_rows(o, located[:, 1])
         got = orc.row_values(o, rows, p).take(o.layout.row_slots(located))
-        want = forward_values(o, p).flat[o.layout.slots(idx)]
+        want = forward_values(o, p).flat[o.layout.positions(located)]
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("widths, n", [((9, 1, 3, 1), 50), ((2, 9, 1), 37), ((4, 12, 1), 301)])

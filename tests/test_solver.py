@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import build_instance, in_flat_order, quantized_instance
+from conftest import build_instance, in_flat_order, quantized_instance, slots
 from reference import affine_piece, region_signature, state_of, two_pass_polish, with_state
 from vertexwalk import oracle as orc
 from vertexwalk import solver
@@ -142,8 +142,7 @@ class TestDescendToVertex:
         assert len(records) - 1 == o.dim == 2
         assert [r[2] for r in records] == [0, 1, 2]
         flat = orc.constraint_values_flat(o, orc.forward_values(o, vertex.point))
-        for idx in vertex.active:
-            assert abs(flat[o.layout.slots(idx)]) <= o.tol.act
+        assert np.all(np.abs(flat[o.layout.positions(vertex.located)]) <= o.tol.act)
 
     def test_loss_non_increasing_along_prefix(self):
         o, p0 = build_instance(32, (2, 3, 2, 1), 12)
@@ -258,22 +257,23 @@ class TestDescendToVertex:
             solver._validate_vertex(o, replace(vertex, region=short))
 
     def test_a_failed_check_ends_the_run(self, monkeypatch):
-        # A fault in the carried masks: with_state rebuilds the residual
-        # mask it copies like a hidden mask, so every residual sign of -1
-        # reads 0. The check catches it at some pivot of this walk; a
-        # restart from a perturbed start would walk on and converge.
-        region_with_state = orc.Region.with_state
+        # A fault in the carried masks: a release (with_states of one row)
+        # rebuilds the residual mask it copies like a hidden mask, so every
+        # residual sign of -1 reads 0. The check catches it at some pivot
+        # of this walk; a restart from a perturbed start would walk on and
+        # converge.
+        with_states = orc.Region.with_states
 
-        def hidden_like(region, idx, state):
-            new = region_with_state(region, idx, state)
-            array = region.signature.layout.locate(idx)[0]
-            if array < region.signature.layout.depth:
+        def hidden_like(region, located, states):
+            new = with_states(region, located, states)
+            depth = region.signature.layout.depth
+            if len(located) > 1 or located[0][0] < depth:
                 return new
             masks = list(new.masks)
-            masks[array] = (new.signature.states[array] > 0).astype(float)
+            masks[depth] = (new.signature.states[depth] > 0).astype(float)
             return replace(new, masks=tuple(masks))
 
-        monkeypatch.setattr(orc.Region, "with_state", hidden_like)
+        monkeypatch.setattr(orc.Region, "with_states", hidden_like)
         o, p0, rng = quantized_instance((3, 4, 3, 1), 0, 12)
         with pytest.raises(ValidationFailure, match="region masks"):
             minimize(o, p0, SolverLimits(max_iterations=400, validate=True), rng)
@@ -319,11 +319,17 @@ class TestDescendToVertex:
             minimize(o, p0, limits, rng)
 
     def test_validate_rejects_stale_carried_active_rows(self):
+        # The rows are the one record of the active set: a row repeated, or
+        # a row of a surface off the vertex, fails its checks.
         o, vertex = reference_scale_vertex()
         assert np.array_equal(vertex.located, o.layout.locate_many(vertex.active))
         stale = vertex.located.copy()
-        stale[0] = o.layout.locate(vertex.active[1])
-        with pytest.raises(ValidationFailure, match="active rows"):
+        stale[0] = vertex.located[1]
+        with pytest.raises(ValidationFailure, match="duplicate"):
+            solver._validate_vertex(o, replace(vertex, located=stale))
+        off = int(np.flatnonzero(np.abs(in_flat_order(o, vertex.flat)) > o.tol.act)[0])
+        stale[0] = o.layout.locate(off)
+        with pytest.raises(ValidationFailure, match="active values drifted"):
             solver._validate_vertex(o, replace(vertex, located=stale))
 
     def test_validate_rejects_stale_carried_pricing(self):
@@ -613,11 +619,36 @@ class TestVertexStep:
             flat = orc.constraint_values_flat(
                 o, orc.forward_values(o, new_vertex.point)
             )
-            for idx in new_vertex.active:
-                assert abs(flat[o.layout.slots(idx)]) <= o.tol.act
+            assert np.all(np.abs(flat[o.layout.positions(new_vertex.located)]) <= o.tol.act)
             vertex = new_vertex
             steps += 1
         assert steps >= 1
+
+    def test_rows_are_the_one_record_of_the_active_set(self):
+        # A vertex stores its active set once, as rows; its flat indices
+        # are the encode of the rows, and a pivot swaps the row of the
+        # leaving surface for the entering surface's, at the same position.
+        assert "active" not in {f.name for f in fields(solver.VertexState)}
+        cfg = ExperimentConfig(seed=6, samples=60, max_iterations=60)
+        o, p0, _ = generate_instance(cfg)
+        vertex, _ = descend_to_vertex(o, p0, LIMITS)
+        for _ in range(30):
+            active = vertex.active
+            assert active == o.layout.encode(vertex.located).tolist()
+            assert np.array_equal(o.layout.locate_many(active), vertex.located)
+            outcome = vertex_step(o, vertex, LIMITS)
+            if outcome is None:
+                break
+            new_vertex, rec = outcome
+            pos = active.index(rec.leaving)
+            assert new_vertex.active[pos] == rec.entering
+            assert tuple(new_vertex.located[pos].tolist()) == o.layout.locate(rec.entering)
+            kept = np.arange(o.dim) != pos
+            assert np.array_equal(new_vertex.located[kept], vertex.located[kept])
+            vertex = new_vertex
+        else:
+            return
+        raise AssertionError("the walk converged before 30 pivots")
 
     def test_a_pivot_whose_loss_rises_raises(self, monkeypatch):
         o, p0 = build_instance(38, (2, 3, 2, 1), 12)
@@ -973,12 +1004,13 @@ class TestProbe:
         wrong = []
         normals = _VertexWork.normals
 
-        def checked(work, region, active, redo):
-            cols = normals(work, region, active, redo)
+        def checked(work, region, located, redo):
+            cols = normals(work, region, located, redo)
             masks = orc.region_masks(region.signature)
+            active = work.o.layout.encode(located)
             want = np.column_stack([orc.constraint_normal(work.o, masks, a) for a in active])
             # A re-solve keeps the vertex's active set; a pivot's is new.
-            kind = "re-solve" if active is work.v.active else "pivot"
+            kind = "re-solve" if located is work.v.located else "pivot"
             if not np.array_equal(cols, want):
                 wrong.append((label, kind))
             built[kind] += 1
@@ -1051,7 +1083,7 @@ def scratch_work(o, v):
     region = orc.make_region(o, v.region.signature)
     pricing = solver._pricing(o, region, v.located)
     bare = solver.VertexState(
-        v.point, v.active, v.located, v.normals, region, v.factorization, v.flat, v.loss, pricing
+        v.point, v.located, v.normals, region, v.factorization, v.flat, v.loss, pricing
     )
     return _VertexWork(o, bare)
 
@@ -1102,7 +1134,7 @@ class TestCarriedPricing:
         minimize(o, p0, SolverLimits(400, validate=True), rng)
         work, limits = next((w, lim) for w, lim in escapes if w.coincident_idx)
         assert work.v.pricing is not None
-        exchanged = list(solver._swapped_states(o, work.v, work.coincident_idx))
+        exchanged = list(solver._swapped_states(o, work.v, work.coincident_at))
         assert len(exchanged) > 1
         stepped = 0
         for state in exchanged:
@@ -1287,7 +1319,7 @@ class TestDegenerateCorpus:
         work, limits, state = escapes[0]
 
         step = solver.vertex_step
-        exchanged = list(solver._swapped_states(o, work.v, work.coincident_idx))
+        exchanged = list(solver._swapped_states(o, work.v, work.coincident_at))
         stepping = [q for q, v in enumerate(exchanged) if step(o, v, limits) is not None]
         assert stepping[:2] == [16, 17]
         calls = []
@@ -1316,7 +1348,7 @@ def _scan_by_rule(o, v):
     |value| <= act is coincident, and the mask holds those and the active
     ones."""
     close = np.abs(v.flat) <= o.tol.act
-    active = o.layout.slots(v.active)
+    active = o.layout.positions(v.located)
     close[active] = False
     coincident = sorted(o.layout.indices(close.nonzero()[0]).tolist())
     close[active] = True
@@ -1360,7 +1392,7 @@ class TestSharedScan:
         o, v, screen = work.o, work.v, work.screen
         coincident, excluded = _scan_by_rule(o, v)
         assert work.coincident_idx == coincident
-        assert np.array_equal(work.coincident_slots, o.layout.slots(coincident))
+        assert np.array_equal(work.coincident_slots, slots(o.layout, coincident))
         assert np.array_equal(screen.excluded, excluded)
         top = float(np.max(np.abs(v.flat)))
         assert screen.top == top or (np.isnan(top) and np.isnan(screen.top))
